@@ -30,6 +30,13 @@ stage_fast() {
 	go build ./...
 	go vet ./...
 
+	# The serving-plane benchmark is a module of its own (benchmark/, with
+	# a replace onto this one), so the commands above never build it.
+	# Vet it against the current epoch and ingest APIs, and run its unit
+	# tests plus the 1 s smoke run of every workload.
+	go -C benchmark vet ./...
+	go -C benchmark test -count=1 ./...
+
 	# Metrics-name lint (OBSERVABILITY.md): every metric the binaries can
 	# register must match ^mvcom_[a-z0-9_]+$ and appear in the committed
 	# docs/metrics.txt index, so a new metric cannot ship undocumented.

@@ -39,11 +39,9 @@ func run(args []string) error {
 		out      = fs.String("out", "", "output directory (default: stdout)")
 		ascii    = fs.Bool("ascii", false, "also render an ASCII chart to stderr")
 		report   = fs.Bool("report", false, "emit a markdown report instead of TSV")
-		sebench  = fs.Bool("sebench", false, "benchmark the SE kernel (serial vs parallel per Γ) and write BENCH_SE.json")
 		workers  = fs.Int("workers", 0, "SE kernel worker goroutines for figure runs (0 = GOMAXPROCS)")
 		adaptive = fs.Bool("adaptive", false, "annealed β/Γ schedule in every SE solver the figures build")
-		metrAddr = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags = obs.RegisterFlags(fs)
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
@@ -78,23 +76,11 @@ func run(args []string) error {
 			}
 		}()
 	}
-	var reg *obs.Registry
-	if *metrAddr != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom-bench: metrics on http://%s/metrics\n", srv.Addr())
+	reg, stopObs, err := obsFlags.Start("mvcom-bench", false)
+	if err != nil {
+		return err
 	}
-	if *sebench {
-		dir := *out
-		if dir == "" {
-			dir = "results"
-		}
-		return runSEBench(dir, *seed)
-	}
+	defer stopObs()
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, Adaptive: *adaptive, Obs: reg}
 
 	ids := []string{*fig}

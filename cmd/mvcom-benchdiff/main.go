@@ -15,10 +15,6 @@
 //	    attached and records the headline stats (d_TV, time-to-ε,
 //	    mixing proxy).
 //
-//	mvcom-benchdiff -from-sebench results/BENCH_SE.json -out BENCH_MVCOM.json
-//	    Promote a legacy cmd/mvcom-bench SE kernel benchmark file into
-//	    the journal schema.
-//
 //	mvcom-benchdiff -old BENCH_MVCOM.json -new results/BENCH_MVCOM.json
 //	    Diff two journals. Exits 1 when a regression fires: a median
 //	    slowdown beyond the noise-widened threshold on a matching
@@ -49,8 +45,7 @@ func run(args []string) error {
 	var (
 		selftest    = fs.Bool("selftest", false, "verify the regression gate on synthetic journals, then exit")
 		ingest      = fs.String("ingest", "", "parse `go test -bench` output from this file ('-' = stdin) into a journal")
-		fromSEBench = fs.String("from-sebench", "", "promote a legacy BENCH_SE.json into the journal schema")
-		out         = fs.String("out", "BENCH_MVCOM.json", "output path for -ingest / -from-sebench")
+		out         = fs.String("out", "BENCH_MVCOM.json", "output path for -ingest")
 		note        = fs.String("note", "", "free-form note stored in the journal")
 		convergence = fs.Bool("convergence", false, "with -ingest: record headline convergence diagnostics from a probe solve")
 		oldPath     = fs.String("old", "", "baseline journal for diffing")
@@ -70,20 +65,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Println("benchjournal selftest: gate behaves on all synthetic cases")
-		return nil
-
-	case *fromSEBench != "":
-		j, err := benchjournal.PromoteSEBench(*fromSEBench)
-		if err != nil {
-			return err
-		}
-		if *note != "" {
-			j.Note = *note
-		}
-		if err := j.Save(*out); err != nil {
-			return err
-		}
-		fmt.Printf("promoted %d benchmarks from %s into %s\n", len(j.Benchmarks), *fromSEBench, *out)
 		return nil
 
 	case *ingest != "":
@@ -154,7 +135,7 @@ func run(args []string) error {
 
 	default:
 		fs.Usage()
-		return fmt.Errorf("pick a mode: -selftest, -ingest, -from-sebench, or -old/-new")
+		return fmt.Errorf("pick a mode: -selftest, -ingest, or -old/-new")
 	}
 }
 

@@ -61,27 +61,6 @@ func TestIngestAndDiffGate(t *testing.T) {
 	}
 }
 
-func TestPromoteLegacyMode(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "BENCH_SE.json")
-	content := `{"generatedAt":"2026-01-01T00:00:00Z","goVersion":"go1.24.0","gomaxprocs":1,"numCpu":1,
-"entries":[{"name":"SESolve/gamma=1/serial","nsPerOp":100,"bytesPerOp":10,"allocsPerOp":5,"utility":7,"iterations":10}]}`
-	if err := os.WriteFile(legacy, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "BENCH_MVCOM.json")
-	if err := run([]string{"-from-sebench", legacy, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	j, err := benchjournal.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Find("BenchmarkSESolve/gamma=1/serial") == nil {
-		t.Fatalf("promoted journal missing benchmark: %+v", j.Benchmarks)
-	}
-}
-
 func TestIngestWithConvergenceProbe(t *testing.T) {
 	dir := t.TempDir()
 	raw := writeRaw(t, dir, "raw.txt", 1.0)

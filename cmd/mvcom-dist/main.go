@@ -91,8 +91,7 @@ func run(args []string) error {
 		alpha    = fs.Float64("alpha", 1.5, "throughput weight α")
 		seed     = fs.Int64("seed", 1, "random seed (epoch e of a stream uses seed+e)")
 		timeout  = fs.Duration("timeout", 20*time.Second, "run timeout per epoch")
-		metrAddr = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags = obs.RegisterFlags(fs)
 
 		epochs    = fs.Int("epochs", 1, "scheduling epochs to stream through the deployment (coordinator/demo)")
 		loop      = fs.Bool("loop", false, "worker mode: re-dial after each session; exit cleanly once the coordinator is gone")
@@ -144,18 +143,11 @@ func run(args []string) error {
 		}
 	}
 
-	var reg *obs.Registry
-	if *metrAddr != "" || *traceOut != "" || *resultOut != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
+	reg, stopObs, err := obsFlags.Start("mvcom-dist", *traceOut != "" || *resultOut != "")
+	if err != nil {
+		return err
 	}
-	if *metrAddr != "" {
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom-dist: metrics on http://%s/metrics\n", srv.Addr())
-	}
+	defer stopObs()
 	if *traceOut != "" {
 		// Written on clean exit only: a SIGKILLed incarnation leaves no
 		// dump, and the cluster merge works from the survivors.

@@ -54,23 +54,17 @@ func run(args []string) error {
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
 		adaptive    = fs.Bool("adaptive", false, "annealed β/Γ schedule in the SE scheduler")
 		seed        = fs.Int64("seed", 1, "random seed")
-		metrAddr    = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf    = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags    = obs.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metrAddr != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom-sim: metrics on http://%s/metrics\n", srv.Addr())
+	reg, stopObs, err := obsFlags.Start("mvcom-sim", false)
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
 	p, err := epoch.NewPipeline(epoch.Config{
 		Committees:         *committees,

@@ -78,7 +78,7 @@ type soakStream struct {
 	windows                []window
 }
 
-func (s *soakStream) Next(int) (epoch.EpochParams, bool) {
+func (s *soakStream) NextContext(context.Context, int) (epoch.EpochParams, bool) {
 	if s.maxEpochs > 0 && s.served >= s.maxEpochs {
 		return epoch.EpochParams{}, false
 	}
@@ -168,8 +168,7 @@ func run(args []string) error {
 		maxGoGrowth = fs.Int("max-goroutine-growth", 0, "goroutines the final count may exceed the pre-serve baseline by")
 		heapSlack   = fs.Int64("heap-slack-bytes", 1<<20, "post-warmup heap growth tolerated across the run (root chain + noise)")
 		quiet       = fs.Bool("q", false, "suppress the per-window table")
-		metrAddr    = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf    = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags    = obs.RegisterFlags(fs)
 		timeline    = fs.String("timeline", "", "write the run's merged causal timeline (JSON) to this path after the soak")
 		decLogDir   = fs.String("decision-log", "", "write the schema-versioned decision journal (one entry per epoch) to this directory and replay-verify it as a gate")
 	)
@@ -182,18 +181,11 @@ func run(args []string) error {
 
 	// The timeline export needs a live tracer even when no metrics
 	// endpoint is requested.
-	var reg *obs.Registry
-	if *metrAddr != "" || *timeline != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
+	reg, stopObs, err := obsFlags.Start("mvcom-soak", *timeline != "")
+	if err != nil {
+		return err
 	}
-	if *metrAddr != "" {
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom-soak: metrics on http://%s/metrics\n", srv.Addr())
-	}
+	defer stopObs()
 
 	inj, err := faultinject.Parse(*faultSpec, *seed)
 	if err != nil {

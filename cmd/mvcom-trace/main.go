@@ -49,8 +49,7 @@ func run(args []string) error {
 		in       = fs.String("in", "", "read an existing trace CSV instead of generating")
 		shards   = fs.Int("shards", 0, "if > 0, also print per-shard statistics for this many shards")
 		asJSON   = fs.Bool("json", false, "emit trace/shard statistics as JSON instead of text")
-		metrAddr = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags = obs.RegisterFlags(fs)
 		merge    = fs.Bool("merge", false, "merge causal-trace dumps ([name=]file-or-url args) into one timeline")
 		tree     = fs.Bool("tree", false, "with -merge, render a text tree instead of JSON")
 		decDir   = fs.String("decisions", "", "with -merge, join this decision-journal directory's entries onto the timeline by epoch root trace")
@@ -63,21 +62,13 @@ func run(args []string) error {
 		return mergeDumps(fs.Args(), *out, *tree, *decDir)
 	}
 
-	var reg *obs.Registry
-	if *metrAddr != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom-trace: metrics on http://%s/metrics\n", srv.Addr())
+	reg, stopObs, err := obsFlags.Start("mvcom-trace", false)
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
-	var (
-		tr  *txgen.Trace
-		err error
-	)
+	var tr *txgen.Trace
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {

@@ -43,23 +43,17 @@ func run(args []string) error {
 		iters    = fs.Int("iters", 8000, "iteration budget")
 		seed     = fs.Int64("seed", 1, "random seed")
 		verbose  = fs.Bool("v", false, "print the full selection")
-		metrAddr = fs.String("metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-		traceBuf = fs.Int("trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+		obsFlags = obs.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metrAddr != "" {
-		reg = obs.NewRegistryWithTrace(*traceBuf)
-		srv, err := obs.Serve(*metrAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "mvcom: metrics on http://%s/metrics\n", srv.Addr())
+	reg, stopObs, err := obsFlags.Start("mvcom", false)
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
 	in, err := experiments.PaperInstance(*seed, *shards, *capacity, *alpha, *nminFrac)
 	if err != nil {

@@ -119,40 +119,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPromoteSEBench(t *testing.T) {
-	legacy := `{
-  "generatedAt": "2026-08-05T10:13:10Z",
-  "goVersion": "go1.24.0",
-  "gomaxprocs": 1,
-  "numCpu": 1,
-  "entries": [
-    {"name": "SESolve/gamma=1/serial", "nsPerOp": 3891097, "bytesPerOp": 1842962,
-     "allocsPerOp": 2323, "utility": 187873.4, "iterations": 2000}
-  ]
-}`
-	path := filepath.Join(t.TempDir(), "BENCH_SE.json")
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := PromoteSEBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Env.GoVersion != "go1.24.0" || j.Env.NumCPU != 1 {
-		t.Fatalf("legacy env lost: %+v", j.Env)
-	}
-	b := j.Find("BenchmarkSESolve/gamma=1/serial")
-	if b == nil {
-		t.Fatalf("promoted benchmark missing; have %v", j.Benchmarks)
-	}
-	if b.NsPerOp.Median != 3891097 || b.AllocsPerOp.Median != 2323 {
-		t.Fatalf("promoted numbers wrong: %+v", b)
-	}
-	if b.Metrics["utility"].Median != 187873.4 {
-		t.Fatalf("utility metric lost: %+v", b.Metrics)
-	}
-}
-
 func TestDiffMissingAndNew(t *testing.T) {
 	env := CurrentEnv()
 	oldJ := &Journal{Env: env, Benchmarks: []Benchmark{

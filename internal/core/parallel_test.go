@@ -10,27 +10,30 @@ import (
 // for the parallel kernel: per-explorer split RNG streams plus the
 // deterministic (round, explorer) merge order mean the worker count must
 // not change a single bit of the result — not the solution, not the
-// trace.
+// trace — for one explorer, for a few, and for more explorers than
+// workers.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	in := testInstance(41, 60, 2, 0.45, 3)
-	var refSol Solution
-	var refTrace []TracePoint
-	for i, workers := range []int{1, 0, 2, 3, 8, 100} {
-		se := NewSE(SEConfig{Seed: 7, Gamma: 8, Workers: workers, MaxIters: 4000})
-		sol, trace, err := se.Solve(in)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if i == 0 {
-			refSol, refTrace = sol, trace
-			continue
-		}
-		if !reflect.DeepEqual(sol, refSol) {
-			t.Fatalf("workers=%d solution diverged: got utility %v iters %d, want %v iters %d",
-				workers, sol.Utility, sol.Iterations, refSol.Utility, refSol.Iterations)
-		}
-		if !reflect.DeepEqual(trace, refTrace) {
-			t.Fatalf("workers=%d trace diverged (%d vs %d points)", workers, len(trace), len(refTrace))
+	for _, gamma := range []int{1, 8, 25} {
+		var refSol Solution
+		var refTrace []TracePoint
+		for i, workers := range []int{1, 0, 2, 3, 8, 100} {
+			se := NewSE(SEConfig{Seed: 7, Gamma: gamma, Workers: workers, MaxIters: 4000})
+			sol, trace, err := se.Solve(in)
+			if err != nil {
+				t.Fatalf("gamma=%d workers=%d: %v", gamma, workers, err)
+			}
+			if i == 0 {
+				refSol, refTrace = sol, trace
+				continue
+			}
+			if !reflect.DeepEqual(sol, refSol) {
+				t.Fatalf("gamma=%d workers=%d solution diverged: got utility %v iters %d, want %v iters %d",
+					gamma, workers, sol.Utility, sol.Iterations, refSol.Utility, refSol.Iterations)
+			}
+			if !reflect.DeepEqual(trace, refTrace) {
+				t.Fatalf("gamma=%d workers=%d trace diverged (%d vs %d points)", gamma, workers, len(trace), len(refTrace))
+			}
 		}
 	}
 }

@@ -184,9 +184,9 @@ type Entry struct {
 	Shards   []ShardRecord `json:"shards"`
 
 	Solver SolverFingerprint `json:"solver"`
-	// Warm marks a serve-mode epoch solved via SolveFrom; WarmPrev is
-	// the previous selection projected onto this epoch's instance
-	// indices (the exact seed handed to the warm start).
+	// Warm marks an epoch whose solver warm-started via SolveFrom;
+	// WarmPrev is the previous selection projected onto this epoch's
+	// instance indices (the exact seed handed to the warm start).
 	Warm     bool  `json:"warm,omitempty"`
 	WarmPrev []int `json:"warmPrev,omitempty"`
 	// NonReplayable, when non-empty, names why Replay must skip this

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"mvcom/internal/core"
@@ -31,7 +32,8 @@ func openTestJournal(t *testing.T, reg *obs.Registry) *decisionlog.Journal {
 }
 
 // TestDecisionJournalReplaysRunEpochs is the core provenance guarantee:
-// every journaled one-shot epoch decision replays bit-identically.
+// every journaled RunEpochs decision replays bit-identically, and a cold
+// solver journals no warm start.
 func TestDecisionJournalReplaysRunEpochs(t *testing.T) {
 	cfg := decisionPipelineConfig(1)
 	j := openTestJournal(t, nil)
@@ -69,6 +71,9 @@ func TestDecisionJournalReplaysRunEpochs(t *testing.T) {
 		if len(e.Marginals) != e.Count {
 			t.Fatalf("entry %d marginals %d != count %d", i, len(e.Marginals), e.Count)
 		}
+		if e.Warm || len(e.WarmPrev) != 0 {
+			t.Fatalf("entry %d journaled a warm start (prev %v) for a cold solver", i, e.WarmPrev)
+		}
 	}
 	st := decisionlog.VerifyAll(entries)
 	if st.Replayed != len(entries) || !st.Ok() {
@@ -77,52 +82,61 @@ func TestDecisionJournalReplaysRunEpochs(t *testing.T) {
 }
 
 // TestDecisionJournalReplaysServeWarm proves the warm-start serve path
-// journals the exact SolveFrom seed and still replays bit-identically.
+// journals the exact SolveFrom seed and still replays bit-identically —
+// and that a cold solver behind the same warm-capable scheduler journals
+// no seed it never used.
 func TestDecisionJournalReplaysServeWarm(t *testing.T) {
-	cfg := decisionPipelineConfig(2)
-	j := openTestJournal(t, nil)
-	cfg.DecisionLog = j
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := SolverScheduler{Solver: core.NewSE(core.SEConfig{Seed: 3, MaxIters: 1500, WarmStart: true})}
-	var utilities []float64
-	stream := &FixedStream{
-		N: 5, Params: EpochParams{Alpha: 1, Capacity: 4000, Nmin: 2},
-		OnResult: func(r *Result) error {
-			utilities = append(utilities, r.Solution.Utility)
-			return nil
-		},
-	}
-	if err := p.Serve(context.Background(), sched, stream); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := decisionlog.ReadDir(j.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 5 {
-		t.Fatalf("journaled %d entries, want 5", len(entries))
-	}
-	warmSeen := false
-	for i := range entries {
-		if entries[i].Warm {
-			warmSeen = true
-		}
-		if entries[i].Utility != utilities[i] {
-			t.Fatalf("entry %d utility %v != delivered %v", i, entries[i].Utility, utilities[i])
-		}
-	}
-	if !warmSeen {
-		t.Fatal("no serve-mode entry recorded a warm start")
-	}
-	st := decisionlog.VerifyAll(entries)
-	if st.Replayed != len(entries) || !st.Ok() {
-		t.Fatalf("serve replay verification: %+v", st)
+	for _, warm := range []bool{true, false} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			cfg := decisionPipelineConfig(2)
+			j := openTestJournal(t, nil)
+			cfg.DecisionLog = j
+			p, err := NewPipeline(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := SolverScheduler{Solver: core.NewSE(core.SEConfig{Seed: 3, MaxIters: 1500, WarmStart: warm})}
+			var utilities []float64
+			stream := &FixedStream{
+				N: 5, Params: EpochParams{Alpha: 1, Capacity: 4000, Nmin: 2},
+				OnResult: func(r *Result) error {
+					utilities = append(utilities, r.Solution.Utility)
+					return nil
+				},
+			}
+			if err := p.Serve(context.Background(), sched, stream); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := decisionlog.ReadDir(j.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 5 {
+				t.Fatalf("journaled %d entries, want 5", len(entries))
+			}
+			warmSeen := false
+			for i := range entries {
+				if entries[i].Warm {
+					warmSeen = true
+				}
+				if !warm && len(entries[i].WarmPrev) != 0 {
+					t.Fatalf("entry %d journaled warm-start seed %v for a cold solver", i, entries[i].WarmPrev)
+				}
+				if entries[i].Utility != utilities[i] {
+					t.Fatalf("entry %d utility %v != delivered %v", i, entries[i].Utility, utilities[i])
+				}
+			}
+			if warmSeen != warm {
+				t.Fatalf("an entry recorded a warm start: %v, want %v", warmSeen, warm)
+			}
+			st := decisionlog.VerifyAll(entries)
+			if st.Replayed != len(entries) || !st.Ok() {
+				t.Fatalf("serve replay verification: %+v", st)
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@
 package epoch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -227,7 +228,9 @@ type CommitteeReport struct {
 	Deferrals int
 }
 
-// Result is one epoch's full outcome.
+// Result is one epoch's full outcome. Serve hands out pipeline-owned
+// scratch (see EpochStream); RunEpoch and RunEpochs return clones the
+// caller owns.
 type Result struct {
 	Epoch   int
 	Reports []CommitteeReport
@@ -246,6 +249,19 @@ type Result struct {
 	// permitted); they re-submit next epoch with reduced latency
 	// (Fig. 3).
 	Deferred []CommitteeReport
+}
+
+// Clone returns a deep copy of r that stays valid after later epochs
+// run: Reports, Live, Deferred, the Instance's slices and the selection
+// are copied. FinalBlock belongs to the chain and is shared.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Reports = append([]CommitteeReport(nil), r.Reports...)
+	c.Live = append([]int(nil), r.Live...)
+	c.Deferred = append([]CommitteeReport(nil), r.Deferred...)
+	c.Instance = r.Instance.Clone()
+	c.Solution.Selected = append([]bool(nil), r.Solution.Selected...)
+	return &c
 }
 
 // Scheduler decides which submitted shards the final committee permits.
@@ -313,9 +329,35 @@ type Pipeline struct {
 	// reduced two-phase latency.
 	deferred []CommitteeReport
 	epoch    int
-	// srv is the active Serve session (scratch buffers + warm-start
-	// threading); nil for one-shot RunEpoch calls.
-	srv *serveState
+
+	// The session below carries from epoch to epoch: scratch buffers the
+	// epoch body reuses, and the warm-start threading between decisions.
+
+	// reports backs memberStages' per-epoch slice (including the
+	// deferred entries appended after it).
+	reports []CommitteeReport
+	// sizes and lats back the scheduling instance's slices.
+	sizes []int
+	lats  []float64
+	// sel backs the warm-start selection projected over Live indices.
+	sel []bool
+	// shards backs the final-block assembly slice (the ShardBlocks
+	// themselves are retained by the caller-visible FinalBlock path, the
+	// slice header is not).
+	shards []*chain.ShardBlock
+	// result is the reused per-epoch Result.
+	result Result
+	// permitted holds the committee IDs the previous epoch's decision
+	// selected; havePrev is false until a first decision exists.
+	permitted map[int]bool
+	havePrev  bool
+	// warmUsed marks whether this epoch's schedule went through the
+	// warm-start path (and sel therefore holds the seed selection) — the
+	// decision journal records it so replay can reproduce the exact
+	// SolveFrom call.
+	warmUsed bool
+	// serving is set while Serve runs; it refuses re-entrant calls.
+	serving bool
 }
 
 // NewPipeline validates the configuration, generates the transaction
@@ -354,6 +396,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		meanSolve:    meanSolve,
 		hashPower:    1,
 		detailedLink: detailedLink,
+		permitted:    make(map[int]bool),
 	}, nil
 }
 
@@ -378,10 +421,19 @@ func (p *Pipeline) startPhase(root *obs.Span, name string) func(outcome string) 
 
 // RunEpoch executes the five stages once, using sched for the stage-4
 // decision. alpha, capacity, and nmin parameterize the MVCom instance.
+// It is RunEpochs(1, ...).
 func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) (*Result, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("%w: nil scheduler", ErrBadConfig)
+	out, err := p.RunEpochs(1, sched, alpha, capacity, nmin)
+	if err != nil {
+		return nil, err
 	}
+	return out[0], nil
+}
+
+// runEpoch is the epoch body Serve runs: the five stages once, using
+// sched for the stage-4 decision. alpha, capacity, and nmin
+// parameterize the MVCom instance.
+func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) (*Result, error) {
 	p.epoch++
 	res := p.newResult()
 	engine := sim.NewEngine()
@@ -420,10 +472,8 @@ func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	}
 	// Carried-over committees re-submit with their residual latency.
 	reports = append(reports, p.deferred...)
-	if p.srv != nil {
-		// Keep the (possibly grown) backing array for the next epoch.
-		p.srv.reports = reports
-	}
+	// Keep the (possibly grown) backing array for the next epoch.
+	p.reports = reports
 	p.deferred = p.deferred[:0]
 
 	// The admission window closes when ⌈Nmax·count⌉ committees have
@@ -483,12 +533,7 @@ func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		endCollect("invalid-instance")
 		return nil, fmt.Errorf("epoch %d instance: %w", p.epoch, err)
 	}
-	if p.srv == nil {
-		res.Instance = in.Clone()
-	} else {
-		// Serve mode: the instance is scratch, valid until the next epoch.
-		res.Instance = in
-	}
+	res.Instance = in
 	endCollect("")
 
 	endSolve := p.startPhase(root, "solve")
@@ -518,10 +563,7 @@ func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	// committees defer to the next epoch with reduced latency (Fig. 3):
 	// l' = max(l − t_j, 0) plus a fresh consensus round.
 	endCommit := p.startPhase(root, "commit")
-	var shards []*chain.ShardBlock
-	if p.srv != nil {
-		shards = p.srv.shards[:0]
-	}
+	shards := p.shards[:0]
 	cumAge := 0.0
 	for li, ri := range res.Live {
 		rep := reports[ri]
@@ -570,9 +612,7 @@ func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		res.Deferred = append(res.Deferred, carried)
 	}
 	p.deferred = append(p.deferred, res.Deferred...)
-	if p.srv != nil {
-		p.srv.shards = shards
-	}
+	p.shards = shards
 
 	fb, err := p.chain.Append(p.epoch, engine.Now()+ddl, shards)
 	if err != nil {
@@ -628,9 +668,12 @@ func (p *Pipeline) fillDecision(e *decisionlog.Entry, sched Scheduler, in core.I
 		d := diag.Digest()
 		e.Diag = &d
 	}
-	if srv := p.srv; srv != nil && srv.warmUsed {
+	// A warm-capable scheduler whose solver has warm starts off solves
+	// cold (SolveFrom is Solve), so only a seed the solver used is
+	// journaled.
+	if p.warmUsed && e.Solver.WarmStart {
 		e.Warm = true
-		for li, s := range srv.sel {
+		for li, s := range p.sel {
 			if s {
 				e.WarmPrev = append(e.WarmPrev, li)
 			}
@@ -678,6 +721,8 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// memberStages fills pipeline scratch; the caller gets its own copy.
+	reports = append([]CommitteeReport(nil), reports...)
 	ddl := admissionDeadline(reports, p.cfg.NmaxFraction)
 	for i := range reports {
 		reports[i].Arrived = reports[i].TwoPhase <= ddl
@@ -963,20 +1008,23 @@ func (p *Pipeline) injectFailures(net *overlay.Network, committees []pow.Committ
 }
 
 // RunEpochs runs n consecutive epochs with the same scheduler and instance
-// parameters, returning every epoch's result.
+// parameters — Serve over a FixedStream — returning a copy of every
+// epoch's result (the results of the epochs before a failure, with the
+// error).
 func (p *Pipeline) RunEpochs(n int, sched Scheduler, alpha float64, capacity, nmin int) ([]*Result, error) {
 	if n < 1 {
 		return nil, ErrNoEpochs
 	}
 	out := make([]*Result, 0, n)
-	for i := 0; i < n; i++ {
-		res, err := p.RunEpoch(sched, alpha, capacity, nmin)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	err := p.Serve(context.Background(), sched, &FixedStream{
+		N:      n,
+		Params: EpochParams{Alpha: alpha, Capacity: capacity, Nmin: nmin},
+		OnResult: func(res *Result) error {
+			out = append(out, res.Clone())
+			return nil
+		},
+	})
+	return out, err
 }
 
 // shardRoot derives a header-only Merkle commitment for a shard from the

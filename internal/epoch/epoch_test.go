@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -337,6 +338,36 @@ func TestRunEpochsHelper(t *testing.T) {
 	}
 	if _, err := p.RunEpochs(0, AcceptAll{}, 1.5, capacity, 0); err != ErrNoEpochs {
 		t.Fatalf("err = %v", err)
+	}
+
+	// Returned results and Measure reports belong to the caller: the
+	// epochs after them must not rewrite them through pipeline scratch.
+	// Full capacity drains the deferral backlog, so the live set shrinks
+	// and the later epochs reuse the scratch the kept results came from.
+	capacity = p.Trace().TotalTxs()
+	reports, _, err := p.Measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() string {
+		s := fmt.Sprintf("%+v", reports)
+		for _, res := range results {
+			s += fmt.Sprintf(" %+v", *res)
+		}
+		return s
+	}
+	before := snapshot()
+	last, err := p.RunEpoch(AcceptAll{}, 1.5, capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results = append(results, last)
+	before += fmt.Sprintf(" %+v", *last)
+	if _, err := p.RunEpochs(2, AcceptAll{}, 1.5, capacity, 0); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapshot(); after != before {
+		t.Fatalf("later epochs rewrote earlier results:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -1,17 +1,17 @@
 package epoch
 
-// The streaming serving mode: Serve runs epochs continuously against an
+// Serve is the pipeline's one epoch driver: it runs epochs against an
 // EpochStream, reusing per-epoch scratch buffers (no steady-state
 // allocation growth across thousands of epochs) and threading each
 // epoch's scheduling decision into the next as a warm start for
-// warm-capable schedulers. cmd/mvcom-soak drives this loop under fault
-// injection to prove memory and goroutine discipline.
+// warm-capable schedulers. RunEpoch and RunEpochs serve a FixedStream;
+// cmd/mvcom-soak drives the loop under fault injection to prove memory
+// and goroutine discipline.
 
 import (
 	"context"
 	"fmt"
 
-	"mvcom/internal/chain"
 	"mvcom/internal/core"
 )
 
@@ -23,29 +23,21 @@ type EpochParams struct {
 	Nmin     int
 }
 
-// EpochStream drives a Serve loop. Next supplies the parameters for the
-// coming epoch (ok = false ends the loop cleanly); Deliver consumes the
-// epoch's result.
+// EpochStream drives a Serve loop. NextContext supplies the parameters
+// for the coming epoch (ok = false ends the loop cleanly); it may block
+// for real wall-clock time — a networked stream waiting for traffic —
+// but must return promptly (any params, either ok) once ctx is done.
+// Serve re-checks the context after it returns, so a cancel ends the
+// loop with ctx.Err() however NextContext answered. Deliver consumes
+// the epoch's result.
 //
-// In serve mode the Result and everything it references — Reports,
-// Live, Deferred, and the Instance's slices — are scratch owned by the
-// pipeline and valid only until the next epoch starts; Deliver
-// implementations must copy whatever they keep.
+// The Result and everything it references — Reports, Live, Deferred,
+// and the Instance's slices — are scratch owned by the pipeline and
+// valid only until the next epoch starts; Deliver implementations must
+// copy whatever they keep (Result.Clone copies all of it).
 type EpochStream interface {
-	Next(epoch int) (EpochParams, bool)
-	Deliver(res *Result) error
-}
-
-// CtxStream is an EpochStream whose Next can block for real wall-clock
-// time — a networked stream waiting for traffic. Serve prefers
-// NextContext when the stream implements it, so cancellation reaches a
-// stream blocked between epochs instead of only being observed at the
-// loop top. NextContext must return promptly (any params, ok = false or
-// true) once ctx is done; Serve re-checks the context after it returns,
-// so a late false/true either way ends the loop with ctx.Err().
-type CtxStream interface {
-	EpochStream
 	NextContext(ctx context.Context, epoch int) (EpochParams, bool)
+	Deliver(res *Result) error
 }
 
 // FixedStream is the simplest EpochStream: N epochs with constant
@@ -59,8 +51,8 @@ type FixedStream struct {
 	served int
 }
 
-// Next implements EpochStream.
-func (s *FixedStream) Next(int) (EpochParams, bool) {
+// NextContext implements EpochStream; it never blocks.
+func (s *FixedStream) NextContext(context.Context, int) (EpochParams, bool) {
 	if s.N > 0 && s.served >= s.N {
 		return EpochParams{}, false
 	}
@@ -101,43 +93,16 @@ func (s SolverScheduler) ScheduleFrom(in core.Instance, prev core.Solution) (cor
 
 var _ WarmScheduler = SolverScheduler{}
 
-// serveState is one Serve call's session: scratch buffers reused across
-// epochs plus the warm-start threading between them. It exists only
-// while Serve runs; one-shot RunEpoch calls allocate fresh as before.
-type serveState struct {
-	// reports backs memberStages' per-epoch slice (including the
-	// deferred entries appended after it).
-	reports []CommitteeReport
-	// sizes and lats back the scheduling instance's slices.
-	sizes []int
-	lats  []float64
-	// sel backs the warm-start selection projected over Live indices.
-	sel []bool
-	// shards backs the final-block assembly slice (the ShardBlocks
-	// themselves are retained by the caller-visible FinalBlock path, the
-	// slice header is not).
-	shards []*chain.ShardBlock
-	// result is the reused per-epoch Result.
-	result Result
-	// permitted holds the committee IDs the previous epoch's decision
-	// selected; havePrev is false until a first decision exists.
-	permitted map[int]bool
-	havePrev  bool
-	// warmUsed marks whether this epoch's schedule went through the
-	// warm-start path (and sel therefore holds the seed selection) — the
-	// decision journal records it so replay can reproduce the exact
-	// SolveFrom call.
-	warmUsed bool
-}
-
-// Serve runs epochs continuously until the stream ends, the context is
-// canceled, or an epoch fails. Between epochs it threads the previous
-// decision into warm-capable schedulers (WarmScheduler) and reuses the
-// per-epoch run state, so a long-lived serving loop neither cold-starts
-// the chain every epoch nor grows the heap with epoch count. Schedulers
+// Serve runs epochs until the stream ends, the context is canceled, or
+// an epoch fails. Between epochs it threads the previous decision into
+// warm-capable schedulers (WarmScheduler) and reuses the per-epoch run
+// state, so a long-lived serving loop neither cold-starts the chain
+// every epoch nor grows the heap with epoch count. Both carry across
+// Serve calls on one pipeline, as the deferral backlog does. Schedulers
 // must not mutate the instance's slices (the core.Solver contract):
-// serve mode hands them the scratch-backed instance without a defensive
-// clone.
+// they get the scratch-backed instance without a defensive clone.
+// Serve is not re-entrant: a call from inside Deliver (RunEpoch
+// included) returns ErrBadConfig.
 func (p *Pipeline) Serve(ctx context.Context, sched Scheduler, stream EpochStream) error {
 	if sched == nil {
 		return fmt.Errorf("%w: nil scheduler", ErrBadConfig)
@@ -145,33 +110,26 @@ func (p *Pipeline) Serve(ctx context.Context, sched Scheduler, stream EpochStrea
 	if stream == nil {
 		return fmt.Errorf("%w: nil stream", ErrBadConfig)
 	}
-	if p.srv != nil {
+	if p.serving {
 		return fmt.Errorf("%w: pipeline is already serving", ErrBadConfig)
 	}
-	p.srv = &serveState{permitted: make(map[int]bool)}
-	defer func() { p.srv = nil }()
-	cs, hasCtx := stream.(CtxStream)
+	p.serving = true
+	defer func() { p.serving = false }()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var params EpochParams
-		var ok bool
-		if hasCtx {
-			params, ok = cs.NextContext(ctx, p.epoch+1)
-		} else {
-			params, ok = stream.Next(p.epoch + 1)
-		}
-		// Next may have blocked across a cancellation; surface ctx.Err()
-		// rather than running one more epoch (or masking the cancel as a
-		// clean stream end).
+		params, ok := stream.NextContext(ctx, p.epoch+1)
+		// NextContext may have blocked across a cancellation; surface
+		// ctx.Err() rather than running one more epoch (or masking the
+		// cancel as a clean stream end).
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if !ok {
 			return nil
 		}
-		res, err := p.RunEpoch(sched, params.Alpha, params.Capacity, params.Nmin)
+		res, err := p.runEpoch(sched, params.Alpha, params.Capacity, params.Nmin)
 		if err != nil {
 			return err
 		}
@@ -181,14 +139,10 @@ func (p *Pipeline) Serve(ctx context.Context, sched Scheduler, stream EpochStrea
 	}
 }
 
-// newResult returns the Result for the coming epoch: a fresh allocation
-// in one-shot mode, the reused scratch Result (slices truncated, not
-// freed) in serve mode.
+// newResult resets the reused per-epoch Result (slices truncated, not
+// freed) for the coming epoch.
 func (p *Pipeline) newResult() *Result {
-	if p.srv == nil {
-		return &Result{Epoch: p.epoch}
-	}
-	res := &p.srv.result
+	res := &p.result
 	*res = Result{
 		Epoch:    p.epoch,
 		Live:     res.Live[:0],
@@ -197,62 +151,47 @@ func (p *Pipeline) newResult() *Result {
 	return res
 }
 
-// scratchReports returns the report slice for memberStages: fresh in
-// one-shot mode, the zeroed serve scratch otherwise.
+// scratchReports returns the zeroed report scratch for memberStages.
 func (p *Pipeline) scratchReports(n int) []CommitteeReport {
-	if p.srv == nil {
-		return make([]CommitteeReport, n)
+	if cap(p.reports) < n {
+		p.reports = make([]CommitteeReport, n)
 	}
-	if cap(p.srv.reports) < n {
-		p.srv.reports = make([]CommitteeReport, n)
-	}
-	rs := p.srv.reports[:n]
-	for i := range rs {
-		rs[i] = CommitteeReport{}
-	}
+	rs := p.reports[:n]
+	clear(rs)
 	return rs
 }
 
 // scratchInstance returns the size/latency slices for the epoch's
-// scheduling instance, reused in serve mode.
+// scheduling instance.
 func (p *Pipeline) scratchInstance(n int) ([]int, []float64) {
-	if p.srv == nil {
-		return make([]int, n), make([]float64, n)
+	if cap(p.sizes) < n {
+		p.sizes = make([]int, n)
+		p.lats = make([]float64, n)
 	}
-	if cap(p.srv.sizes) < n {
-		p.srv.sizes = make([]int, n)
-		p.srv.lats = make([]float64, n)
-	}
-	return p.srv.sizes[:n], p.srv.lats[:n]
+	return p.sizes[:n], p.lats[:n]
 }
 
-// schedule invokes the scheduler for the built instance. One-shot calls
-// keep the historical defensive clone; serve mode hands over the
-// scratch-backed instance directly and, when both sides are
-// warm-capable, seeds the search from the previous epoch's decision
-// projected onto this epoch's live committees (committee IDs are the
-// identity that survives re-formation; departed or newly quiet
+// schedule invokes the scheduler for the built instance. When both
+// sides are warm-capable it seeds the search from the previous epoch's
+// decision projected onto this epoch's live committees (committee IDs
+// are the identity that survives re-formation; departed or newly quiet
 // committees simply drop out of the projection, exactly as a leave
 // trims the SE state space).
 func (p *Pipeline) schedule(sched Scheduler, in core.Instance, res *Result) (core.Solution, error) {
-	srv := p.srv
-	if srv == nil {
-		return sched.Schedule(in.Clone())
-	}
-	srv.warmUsed = false
+	p.warmUsed = false
 	ws, warm := sched.(WarmScheduler)
-	if !warm || !srv.havePrev {
+	if !warm || !p.havePrev {
 		return sched.Schedule(in)
 	}
-	if cap(srv.sel) < len(res.Live) {
-		srv.sel = make([]bool, len(res.Live))
+	if cap(p.sel) < len(res.Live) {
+		p.sel = make([]bool, len(res.Live))
 	}
-	sel := srv.sel[:0]
+	sel := p.sel[:0]
 	for _, ri := range res.Live {
-		sel = append(sel, srv.permitted[res.Reports[ri].Committee])
+		sel = append(sel, p.permitted[res.Reports[ri].Committee])
 	}
-	srv.sel = sel
-	srv.warmUsed = true
+	p.sel = sel
+	p.warmUsed = true
 	return ws.ScheduleFrom(in, core.Solution{Selected: sel})
 }
 
@@ -261,10 +200,6 @@ func (p *Pipeline) schedule(sched Scheduler, in core.Instance, res *Result) (cor
 // decision: an empty selection) keep the previous set — wiping it would
 // cold-start the scheduler on the first busy epoch after every lull.
 func (p *Pipeline) recordPermitted(res *Result) {
-	srv := p.srv
-	if srv == nil {
-		return
-	}
 	any := false
 	for li := range res.Live {
 		if li < len(res.Solution.Selected) && res.Solution.Selected[li] {
@@ -275,13 +210,11 @@ func (p *Pipeline) recordPermitted(res *Result) {
 	if !any {
 		return
 	}
-	for id := range srv.permitted {
-		delete(srv.permitted, id)
-	}
+	clear(p.permitted)
 	for li, ri := range res.Live {
 		if li < len(res.Solution.Selected) && res.Solution.Selected[li] {
-			srv.permitted[res.Reports[ri].Committee] = true
+			p.permitted[res.Reports[ri].Committee] = true
 		}
 	}
-	srv.havePrev = true
+	p.havePrev = true
 }

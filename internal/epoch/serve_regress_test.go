@@ -66,16 +66,13 @@ func TestServeQuietEpochKeepsWarmState(t *testing.T) {
 	}
 }
 
-// blockingStream is a CtxStream whose Next blocks like a networked
-// stream waiting for traffic that never comes. It deliberately returns a
-// clean end (ok = false) after cancellation, pinning that Serve reports
-// ctx.Err() rather than masking the cancel as a stream end.
+// blockingStream is an EpochStream whose NextContext blocks like a
+// networked stream waiting for traffic that never comes. It deliberately
+// returns a clean end (ok = false) after cancellation, pinning that
+// Serve reports ctx.Err() rather than masking the cancel as a stream
+// end.
 type blockingStream struct {
 	started chan struct{}
-}
-
-func (s *blockingStream) Next(int) (EpochParams, bool) {
-	panic("Serve must prefer NextContext on a CtxStream")
 }
 
 func (s *blockingStream) NextContext(ctx context.Context, epoch int) (EpochParams, bool) {
@@ -89,7 +86,7 @@ func (s *blockingStream) Deliver(*Result) error { return nil }
 // TestServeBlockedStreamUnblocksOnCancel is the regression test for the
 // cancellation bug: pre-fix, Serve only checked ctx.Err() between
 // epochs, so a Serve blocked inside stream.Next never observed a
-// cancel. With CtxStream threading the context through, cancellation
+// cancel. With NextContext threading the context through, cancellation
 // unblocks the wait and surfaces as context.Canceled.
 func TestServeBlockedStreamUnblocksOnCancel(t *testing.T) {
 	p, err := NewPipeline(fastConfig(4, 48))
@@ -116,7 +113,7 @@ func TestServeBlockedStreamUnblocksOnCancel(t *testing.T) {
 			t.Fatalf("Serve returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Serve stayed blocked in stream.Next after cancel")
+		t.Fatal("Serve stayed blocked in stream.NextContext after cancel")
 	}
 }
 

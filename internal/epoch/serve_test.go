@@ -11,134 +11,70 @@ import (
 	"mvcom/internal/seobs"
 )
 
-// epochDigest copies out of a serve-mode Result everything a test wants
-// to keep — serve results are scratch, so Deliver must copy.
-type epochDigest struct {
-	epoch    int
-	utility  float64
-	load     int
-	count    int
-	ddl      float64
-	height   int
-	deferred int
-}
-
-func digest(res *Result) epochDigest {
-	d := epochDigest{
-		epoch:    res.Epoch,
-		utility:  res.Solution.Utility,
-		load:     res.Solution.Load,
-		count:    res.Solution.Count,
-		ddl:      res.DDL,
-		deferred: len(res.Deferred),
-	}
-	if res.FinalBlock != nil {
-		d.height = res.FinalBlock.Height
-	}
-	return d
-}
-
-// TestServeMatchesRunEpochs pins the scratch-reuse refactor: a Serve
-// loop over a cold deterministic scheduler must produce exactly the
-// epoch sequence RunEpochs produces on a twin pipeline — same RNG
-// stream, same decisions, same chain.
-func TestServeMatchesRunEpochs(t *testing.T) {
-	const epochs = 5
-	mk := func() (*Pipeline, int) {
-		p, err := NewPipeline(fastConfig(6, 42))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, p.Trace().TotalTxs() / 2
-	}
-
-	ref, capacity := mk()
-	want, err := ref.RunEpochs(epochs, SolverScheduler{Solver: baseline.Greedy{}}, 1.5, capacity, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p, _ := mk()
-	var got []epochDigest
-	stream := &FixedStream{
-		N:      epochs,
-		Params: EpochParams{Alpha: 1.5, Capacity: capacity, Nmin: 1},
-		OnResult: func(res *Result) error {
-			got = append(got, digest(res))
-			return nil
-		},
-	}
-	if err := p.Serve(context.Background(), SolverScheduler{Solver: baseline.Greedy{}}, stream); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("served %d epochs, RunEpochs produced %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i] != digest(w) {
-			t.Fatalf("epoch %d diverged: serve %+v vs one-shot %+v", i+1, got[i], digest(w))
-		}
-	}
-	if p.Chain().Height() != ref.Chain().Height() {
-		t.Fatalf("chain heights diverged: %d vs %d", p.Chain().Height(), ref.Chain().Height())
-	}
-	if err := p.Chain().Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if p.srv != nil {
-		t.Fatal("serve session leaked past Serve return")
-	}
-}
-
-// TestServeWarmThreading checks that Serve threads each epoch's decision
-// into the next as a warm start when the scheduler is warm-capable: the
+// TestServeWarmThreading checks that each epoch's decision is threaded
+// into the next as a warm start when the scheduler is warm-capable —
+// within one Serve loop and across consecutive RunEpoch calls alike: the
 // first epoch solves cold, every later epoch's diagnostics show exactly
 // one warm-start event (Bind resets the diag per solve, so each epoch's
 // snapshot reflects that epoch only).
 func TestServeWarmThreading(t *testing.T) {
-	p, err := NewPipeline(fastConfig(6, 43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := p.Trace().TotalTxs() / 2
-	diag := seobs.New(seobs.Config{})
-	sched := SolverScheduler{Solver: core.NewSE(core.SEConfig{
-		Seed: 11, MaxIters: 600, WarmStart: true, Diag: diag,
-	})}
-
-	var warmStarts []int
-	stream := &FixedStream{
-		N:      4,
-		Params: EpochParams{Alpha: 1.5, Capacity: capacity, Nmin: 1},
-		OnResult: func(res *Result) error {
-			warmStarts = append(warmStarts, diag.Snapshot().WarmStarts)
-			if res.Solution.Load > capacity {
-				return fmt.Errorf("epoch %d violated capacity", res.Epoch)
+	const epochs = 4
+	for _, driver := range []string{"Serve", "RunEpoch"} {
+		t.Run(driver, func(t *testing.T) {
+			p, err := NewPipeline(fastConfig(6, 43))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		},
-	}
-	if err := p.Serve(context.Background(), sched, stream); err != nil {
-		t.Fatal(err)
-	}
-	if len(warmStarts) != 4 {
-		t.Fatalf("served %d epochs, want 4", len(warmStarts))
-	}
-	if warmStarts[0] != 0 {
-		t.Fatalf("epoch 1 warm-started (%d events) with no previous decision", warmStarts[0])
-	}
-	for i, n := range warmStarts[1:] {
-		if n != 1 {
-			t.Fatalf("epoch %d recorded %d warm starts, want 1", i+2, n)
-		}
+			capacity := p.Trace().TotalTxs() / 2
+			params := EpochParams{Alpha: 1.5, Capacity: capacity, Nmin: 1}
+			diag := seobs.New(seobs.Config{})
+			sched := SolverScheduler{Solver: core.NewSE(core.SEConfig{
+				Seed: 11, MaxIters: 600, WarmStart: true, Diag: diag,
+			})}
+
+			var warmStarts []int
+			record := func(res *Result) error {
+				warmStarts = append(warmStarts, diag.Snapshot().WarmStarts)
+				if res.Solution.Load > capacity {
+					return fmt.Errorf("epoch %d violated capacity", res.Epoch)
+				}
+				return nil
+			}
+			if driver == "Serve" {
+				stream := &FixedStream{N: epochs, Params: params, OnResult: record}
+				if err := p.Serve(context.Background(), sched, stream); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for i := 0; i < epochs; i++ {
+					res, err := p.RunEpoch(sched, params.Alpha, params.Capacity, params.Nmin)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := record(res); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if len(warmStarts) != epochs {
+				t.Fatalf("served %d epochs, want %d", len(warmStarts), epochs)
+			}
+			if warmStarts[0] != 0 {
+				t.Fatalf("epoch 1 warm-started (%d events) with no previous decision", warmStarts[0])
+			}
+			for i, n := range warmStarts[1:] {
+				if n != 1 {
+					t.Fatalf("epoch %d recorded %d warm starts, want 1", i+2, n)
+				}
+			}
+		})
 	}
 }
 
 // TestServeStopsOnContextAndDeliverError covers the loop's exits: a
 // canceled context surfaces ctx.Err before the next epoch, a Deliver
 // error aborts the loop, and guard clauses reject nil collaborators and
-// re-entrant Serve calls.
+// re-entrant Serve and RunEpoch calls.
 func TestServeStopsOnContextAndDeliverError(t *testing.T) {
 	p, err := NewPipeline(fastConfig(4, 44))
 	if err != nil {
@@ -159,6 +95,9 @@ func TestServeStopsOnContextAndDeliverError(t *testing.T) {
 		if err := p.Serve(context.Background(), sched, &FixedStream{N: 1, Params: params}); !errors.Is(err, ErrBadConfig) {
 			return fmt.Errorf("re-entrant Serve: err = %v, want ErrBadConfig", err)
 		}
+		if _, err := p.RunEpoch(sched, params.Alpha, params.Capacity, params.Nmin); !errors.Is(err, ErrBadConfig) {
+			return fmt.Errorf("re-entrant RunEpoch: err = %v, want ErrBadConfig", err)
+		}
 		return nil
 	}}
 	if err := p.Serve(ctx, sched, stream); !errors.Is(err, context.Canceled) {
@@ -167,8 +106,8 @@ func TestServeStopsOnContextAndDeliverError(t *testing.T) {
 	if served != 2 {
 		t.Fatalf("served %d epochs after cancel at 2", served)
 	}
-	if p.srv != nil {
-		t.Fatal("serve session leaked past canceled Serve")
+	if p.serving {
+		t.Fatal("serving flag leaked past canceled Serve")
 	}
 
 	boom := errors.New("downstream full")
@@ -251,7 +190,7 @@ func TestServeScratchReuseSteadyState(t *testing.T) {
 		N:      40,
 		Params: EpochParams{Alpha: 1.5, Capacity: capacity, Nmin: 1},
 		OnResult: func(res *Result) error {
-			seen = append(seen, caps{cap(p.srv.reports), cap(p.srv.sizes), cap(p.srv.sel)})
+			seen = append(seen, caps{cap(p.reports), cap(p.sizes), cap(p.sel)})
 			return nil
 		},
 	}

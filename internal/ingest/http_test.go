@@ -26,9 +26,9 @@ func newTestServer(t *testing.T) (*httptest.Server, *NetStream, *fakeClock) {
 	})
 	clock := newFakeClock()
 	stream.Buckets().SetClock(clock.now)
-	srv := httptest.NewServer(NewHandler(stream, 4096))
-	t.Cleanup(srv.Close)
-	return srv, stream, clock
+	ts := httptest.NewServer(NewHandler(stream, 4096))
+	t.Cleanup(ts.Close)
+	return ts, stream, clock
 }
 
 func postJSON(t *testing.T, url, source string, v any) *http.Response {
@@ -67,23 +67,23 @@ func decodeAck(t *testing.T, resp *http.Response) ackResponse {
 // watermark sheds (429 + Retry-After), oversized bodies (413), invalid
 // payloads (400), and drain (503).
 func TestHTTPAdmission(t *testing.T) {
-	srv, stream, clock := newTestServer(t)
+	ts, stream, clock := newTestServer(t)
 
 	// Accepted single tx.
-	resp := postJSON(t, srv.URL+"/tx", "alice", mkTxs(1, 0)[0])
+	resp := postJSON(t, ts.URL+"/tx", "alice", mkTxs(1, 0)[0])
 	if resp.StatusCode != http.StatusOK || !decodeAck(t, resp).Accepted {
 		t.Fatalf("single tx: status %d", resp.StatusCode)
 	}
 
 	// Accepted batch.
-	resp = postJSON(t, srv.URL+"/txs", "alice", txsRequest{Txs: mkTxs(40, 100)})
+	resp = postJSON(t, ts.URL+"/txs", "alice", txsRequest{Txs: mkTxs(40, 100)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
 
 	// Token bucket: alice has spent 41 of burst 50 — a 10-tx batch tips
 	// it over and sheds with Retry-After.
-	resp = postJSON(t, srv.URL+"/txs", "alice", txsRequest{Txs: mkTxs(10, 200)})
+	resp = postJSON(t, ts.URL+"/txs", "alice", txsRequest{Txs: mkTxs(10, 200)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("rate shed: status %d, want 429", resp.StatusCode)
 	}
@@ -95,7 +95,7 @@ func TestHTTPAdmission(t *testing.T) {
 	}
 
 	// A different source is unaffected...
-	resp = postJSON(t, srv.URL+"/txs", "bob", txsRequest{Txs: mkTxs(50, 300)})
+	resp = postJSON(t, ts.URL+"/txs", "bob", txsRequest{Txs: mkTxs(50, 300)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bob's batch: status %d", resp.StatusCode)
 	}
@@ -103,7 +103,7 @@ func TestHTTPAdmission(t *testing.T) {
 	// ...but the queue (91 txs) is near its 100-tx watermark now: a
 	// fresh source's 10-tx batch tips it and sheds "queue".
 	clock.advance(time.Hour) // rule out rate as the shed reason
-	resp = postJSON(t, srv.URL+"/txs", "carol", txsRequest{Txs: mkTxs(10, 400)})
+	resp = postJSON(t, ts.URL+"/txs", "carol", txsRequest{Txs: mkTxs(10, 400)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("queue shed: status %d, want 429", resp.StatusCode)
 	}
@@ -114,13 +114,13 @@ func TestHTTPAdmission(t *testing.T) {
 		t.Fatalf("queue shed reason %q", ack.Reason)
 	}
 	// A batch that still fits is admitted.
-	resp = postJSON(t, srv.URL+"/txs", "carol", txsRequest{Txs: mkTxs(9, 500)})
+	resp = postJSON(t, ts.URL+"/txs", "carol", txsRequest{Txs: mkTxs(9, 500)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fitting batch: status %d", resp.StatusCode)
 	}
 
 	// Oversized body: 413, counted as a "body" shed.
-	big, err := http.NewRequest(http.MethodPost, srv.URL+"/txs",
+	big, err := http.NewRequest(http.MethodPost, ts.URL+"/txs",
 		strings.NewReader(`{"txs":[`+strings.Repeat(`{"ID":1},`, 4096)+`{"ID":2}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestHTTPAdmission(t *testing.T) {
 	}
 
 	// Malformed JSON: 400.
-	bad, _ := http.NewRequest(http.MethodPost, srv.URL+"/tx", strings.NewReader("{not json"))
+	bad, _ := http.NewRequest(http.MethodPost, ts.URL+"/tx", strings.NewReader("{not json"))
 	badResp, err := http.DefaultClient.Do(bad)
 	if err != nil {
 		t.Fatal(err)
@@ -146,18 +146,18 @@ func TestHTTPAdmission(t *testing.T) {
 	}
 
 	// Reports: accepted, then invalid committee.
-	resp = postJSON(t, srv.URL+"/report", "shard-1", Report{Committee: 1, TxCount: 5})
+	resp = postJSON(t, ts.URL+"/report", "shard-1", Report{Committee: 1, TxCount: 5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("report: status %d", resp.StatusCode)
 	}
-	resp = postJSON(t, srv.URL+"/report", "shard-1", Report{Committee: 99, TxCount: 5})
+	resp = postJSON(t, ts.URL+"/report", "shard-1", Report{Committee: 99, TxCount: 5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid report: status %d, want 400", resp.StatusCode)
 	}
 
 	// Drain: 503.
 	stream.Drain()
-	resp = postJSON(t, srv.URL+"/tx", "alice", mkTxs(1, 600)[0])
+	resp = postJSON(t, ts.URL+"/tx", "alice", mkTxs(1, 600)[0])
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drain shed: status %d, want 503", resp.StatusCode)
 	}
@@ -175,11 +175,11 @@ func TestHTTPAdmission(t *testing.T) {
 // TestHTTPStats checks the stats endpoint round-trips the accounting
 // snapshot.
 func TestHTTPStats(t *testing.T) {
-	srv, stream, _ := newTestServer(t)
+	ts, stream, _ := newTestServer(t)
 	if reason := stream.Submit("x", mkTxs(5, 0)); reason != "" {
 		t.Fatal(reason)
 	}
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +197,15 @@ func TestHTTPStats(t *testing.T) {
 // the bucket source, so one hammering host cannot starve the others —
 // but here both clients share the loopback host and therefore a bucket.
 func TestHTTPSourceFallback(t *testing.T) {
-	srv, _, _ := newTestServer(t)
+	ts, _, _ := newTestServer(t)
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, srv.URL+"/txs", "", txsRequest{Txs: mkTxs(25, uint64(i)*100)})
+		resp := postJSON(t, ts.URL+"/txs", "", txsRequest{Txs: mkTxs(25, uint64(i)*100)})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d: status %d", i, resp.StatusCode)
 		}
 	}
 	// Burst 50 spent by the shared loopback bucket.
-	resp := postJSON(t, srv.URL+"/txs", "", txsRequest{Txs: mkTxs(25, 1000)})
+	resp := postJSON(t, ts.URL+"/txs", "", txsRequest{Txs: mkTxs(25, 1000)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shared-host bucket: status %d, want 429", resp.StatusCode)
 	}

@@ -4,7 +4,7 @@
 // control — per-source token buckets, body-size caps, and a queue
 // high-watermark that sheds with 429 + Retry-After instead of growing
 // the heap. NetStream bridges the front ends to epoch.Pipeline.Serve:
-// it implements epoch.CtxStream (cancellable blocking Next) and
+// it implements epoch.EpochStream (cancellable blocking NextContext) and
 // epoch.ShardSupply (real ingested demand replaces the synthetic
 // trace's shard sizes), and settles every admitted transaction as
 // committed, expired, or still outstanding after each epoch — the

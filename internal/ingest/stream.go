@@ -67,8 +67,8 @@ const drainAll = time.Duration(1) << 62
 
 // NetStream bridges the network front ends to epoch.Pipeline.Serve. The
 // front ends call Submit/SubmitReport from many goroutines; the serve
-// goroutine calls NextContext (epoch.CtxStream), Fill
-// (epoch.ShardSupply), and Deliver. Admitted transactions wait in a
+// goroutine calls NextContext and Deliver (epoch.EpochStream) and Fill
+// (epoch.ShardSupply). Admitted transactions wait in a
 // bounded synchronized pool; each flush drains them into the coming
 // epoch and settles the previous books.
 type NetStream struct {
@@ -112,7 +112,7 @@ type NetStream struct {
 const drainEpochCap = 64
 
 var (
-	_ epoch.CtxStream   = (*NetStream)(nil)
+	_ epoch.EpochStream = (*NetStream)(nil)
 	_ epoch.ShardSupply = (*NetStream)(nil)
 )
 
@@ -262,13 +262,7 @@ func (s *NetStream) wakeUp() {
 	}
 }
 
-// Next implements epoch.EpochStream; Serve prefers NextContext, and
-// nothing else should drive a NetStream, so Next refuses to block.
-func (s *NetStream) Next(int) (epoch.EpochParams, bool) {
-	panic("ingest: NetStream requires epoch.CtxStream-aware Serve (NextContext)")
-}
-
-// NextContext implements epoch.CtxStream: it blocks until the queue
+// NextContext implements epoch.EpochStream: it blocks until the queue
 // reaches MinBatchTxs, MaxWait elapses, the stream drains, or ctx is
 // canceled, then flushes the pending traffic into the coming epoch.
 func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochParams, bool) {

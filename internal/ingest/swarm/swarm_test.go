@@ -26,8 +26,8 @@ func TestSwarmLedgerMatchesServer(t *testing.T) {
 		Rate:       200,     // per source; clients offer ~1000 tx/s each
 		Burst:      200,
 	})
-	srv := httptest.NewServer(ingest.NewHandler(stream, 1<<20))
-	defer srv.Close()
+	ts := httptest.NewServer(ingest.NewHandler(stream, 1<<20))
+	defer ts.Close()
 
 	fleet, err := Run(context.Background(), Config{
 		Clients:     3,
@@ -38,7 +38,7 @@ func TestSwarmLedgerMatchesServer(t *testing.T) {
 		Duration:    400 * time.Millisecond,
 		ReportEvery: 4,
 		Committees:  4,
-	}, Dial(srv.URL))
+	}, Dial(ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}

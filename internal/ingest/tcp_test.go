@@ -21,17 +21,17 @@ func newTCPTestServer(t *testing.T) (*TCPServer, *NetStream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeTCP(ln, stream, 4096)
-	t.Cleanup(func() { _ = srv.Close() })
-	return srv, stream
+	server := ServeTCP(ln, stream, 4096)
+	t.Cleanup(func() { _ = server.Close() })
+	return server, stream
 }
 
 // TestTCPFramedIngest drives the framed front end through a client:
 // accepted batches and reports, queue watermark sheds with a retry
 // hint, and unknown/invalid envelopes.
 func TestTCPFramedIngest(t *testing.T) {
-	srv, stream := newTCPTestServer(t)
-	c, err := DialTCP(srv.Addr().String())
+	server, stream := newTCPTestServer(t)
+	c, err := DialTCP(server.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,9 @@ func TestTCPFramedIngest(t *testing.T) {
 // unknown envelope types and non-JSON lines are shed "invalid", and an
 // oversized frame is shed "body" before the connection drops.
 func TestTCPRawFrames(t *testing.T) {
-	srv, stream := newTCPTestServer(t)
+	server, stream := newTCPTestServer(t)
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
+	conn, err := net.Dial("tcp", server.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTCPRawFrames(t *testing.T) {
 	}
 
 	// Oversized frame on a fresh connection: "body" shed, then EOF.
-	conn2, err := net.Dial("tcp", srv.Addr().String())
+	conn2, err := net.Dial("tcp", server.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

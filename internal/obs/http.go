@@ -3,10 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -122,8 +124,8 @@ func NewMux(reg *Registry) *http.ServeMux {
 
 // Server is a running observability endpoint.
 type Server struct {
-	srv *http.Server
-	ln  net.Listener
+	hs *http.Server
+	ln net.Listener
 }
 
 // Serve starts the observability endpoint on addr (e.g. ":9100" or
@@ -134,13 +136,50 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewMux(reg), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &Server{srv: srv, ln: ln}, nil
+	hs := &http.Server{Handler: NewMux(reg), ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = hs.Serve(ln) }()
+	return &Server{hs: hs, ln: ln}, nil
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the endpoint down.
-func (s *Server) Close() error { return s.srv.Close() }
+func (s *Server) Close() error { return s.hs.Close() }
+
+// Flags are the observability flags the CLIs share: -metrics-addr and
+// -trace-buf.
+type Flags struct {
+	addr     string
+	traceBuf int
+}
+
+// RegisterFlags declares -metrics-addr and -trace-buf on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.addr, "metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
+	fs.IntVar(&f.traceBuf, "trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+	return f
+}
+
+// Start returns the run's registry and a func that shuts its endpoint
+// down. With -metrics-addr set, the registry is served there and
+// "<prog>: metrics on http://ADDR/metrics" goes to stderr, the line
+// mvcom-cluster waits for. Otherwise the registry is nil, which turns
+// every observer off, unless need asks for one without an endpoint
+// (for a trace dump or timeline written at exit).
+func (f *Flags) Start(prog string, need bool) (*Registry, func(), error) {
+	if f.addr == "" && !need {
+		return nil, func() {}, nil
+	}
+	reg := NewRegistryWithTrace(f.traceBuf)
+	if f.addr == "" {
+		return reg, func() {}, nil
+	}
+	s, err := Serve(f.addr, reg)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: metrics on http://%s/metrics\n", prog, s.Addr())
+	return reg, func() { _ = s.Close() }, nil
+}

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -13,15 +16,15 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Counter("mvcom_http_test_total", "endpoint test").Add(7)
 	reg.Tracer().Emit(EvEpochPhase, "epoch", 1, "formation")
 
-	srv, err := Serve("127.0.0.1:0", reg)
+	server, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer server.Close()
 
 	get := func(path string) (string, string) {
 		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get("http://" + server.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -103,15 +106,15 @@ func TestServeEndpoints(t *testing.T) {
 
 func TestServeIndexHealthAndDebugProviders(t *testing.T) {
 	reg := NewRegistry()
-	srv, err := Serve("127.0.0.1:0", reg)
+	server, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer server.Close()
 
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
+		resp, err := http.Get("http://" + server.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -212,5 +215,62 @@ func TestRegistryWithTraceCapacity(t *testing.T) {
 func TestServeBadAddr(t *testing.T) {
 	if _, err := Serve("127.0.0.1:-1", NewRegistry()); err == nil {
 		t.Fatal("expected listen error for invalid address")
+	}
+}
+
+// TestFlagsStart pins the CLI bootstrap: without -metrics-addr the
+// registry is nil unless the caller needs one, -trace-buf sizes its
+// ring, and with -metrics-addr the registry is served and announced on
+// stderr in the exact line mvcom-cluster waits for.
+func TestFlagsStart(t *testing.T) {
+	start := func(need bool, args ...string) (*Registry, func()) {
+		t.Helper()
+		fs := flag.NewFlagSet("obs-test", flag.ContinueOnError)
+		f := RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		reg, stop, err := f.Start("obs-test", need)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, stop
+	}
+	reg, stop := start(false)
+	stop()
+	if reg != nil {
+		t.Fatal("registry built with no endpoint and no need for one")
+	}
+	reg, stop = start(true, "-trace-buf", "32")
+	stop()
+	if reg == nil || reg.Tracer().Capacity() != 32 {
+		t.Fatalf("needed registry missing or mis-sized: %+v", reg)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	reg, stop = start(false, "-metrics-addr", "127.0.0.1:0")
+	os.Stderr = stderr
+	w.Close()
+	defer stop()
+	banner, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`^obs-test: metrics on http://([0-9.:]+)/metrics\n$`).FindSubmatch(banner)
+	if reg == nil || m == nil {
+		t.Fatalf("served registry %v, banner %q", reg, banner)
+	}
+	resp, err := http.Get("http://" + string(m[1]) + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
 	}
 }

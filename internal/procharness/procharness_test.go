@@ -59,15 +59,15 @@ func TestStartWaitExitAndExitCode(t *testing.T) {
 
 func TestReadinessCaptureGroups(t *testing.T) {
 	h := newTestHarness(t, Options{})
-	spec := sh("srv", `echo "listening on 127.0.0.1:4567"; sleep 30`)
+	spec := sh("web", `echo "listening on 127.0.0.1:4567"; sleep 30`)
 	spec.ReadyLog = `listening on ([0-9.]+):([0-9]+)`
 	if err := h.Define(spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Start("srv"); err != nil {
+	if _, err := h.Start("web"); err != nil {
 		t.Fatal(err)
 	}
-	m, err := h.WaitReady("srv")
+	m, err := h.WaitReady("web")
 	if err != nil {
 		t.Fatal(err)
 	}

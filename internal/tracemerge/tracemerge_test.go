@@ -176,17 +176,17 @@ func TestReadDumpRoundTrip(t *testing.T) {
 // saved files.
 func TestFetchDumpLiveEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, err := obs.Serve("127.0.0.1:0", reg)
+	server, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer server.Close()
 	tc := reg.TraceContext()
 	sp := tc.StartRoot("epoch", "live")
 	tc.StartSpan("solve", "w9", sp.Context()).Finish()
 	sp.Finish()
 
-	d, err := FetchDump("live", srv.Addr())
+	d, err := FetchDump("live", server.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFetchDumpLiveEndpoint(t *testing.T) {
 	}
 	// Load with a bare host:port (no scheme, no file on disk) must take
 	// the live path too.
-	d2, err := Load("w9=" + srv.Addr())
+	d2, err := Load("w9=" + server.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
