@@ -14,13 +14,13 @@ import (
 
 	"mvcom"
 	"mvcom/internal/baseline"
+	"mvcom/internal/benchjournal"
 	"mvcom/internal/core"
 	"mvcom/internal/decisionlog"
 	"mvcom/internal/epoch"
 	"mvcom/internal/experiments"
 	"mvcom/internal/metrics"
 	"mvcom/internal/obs"
-	"mvcom/internal/randx"
 	"mvcom/internal/seobs"
 	"mvcom/internal/txgen"
 )
@@ -182,43 +182,6 @@ func BenchmarkAblationSwapFeasibility(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGumbel compares the log-space Gumbel-max timer race
-// against naively sampling every exponential timer — the numerically
-// unstable alternative the implementation avoids (and which would
-// overflow outright at the paper's utility scale).
-func BenchmarkAblationGumbel(b *testing.B) {
-	const k = 500
-	rng := randx.New(1)
-	logRates := make([]float64, k)
-	for i := range logRates {
-		logRates[i] = rng.Uniform(-3, 3)
-	}
-	b.Run("gumbel-log-space", func(b *testing.B) {
-		r := randx.New(2)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := r.MinExponentialLog(logRates); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive-exponentials", func(b *testing.B) {
-		r := randx.New(2)
-		for i := 0; i < b.N; i++ {
-			best, bestT := -1, math.Inf(1)
-			for j, lr := range logRates {
-				t := r.ExponentialRate(math.Exp(lr))
-				if t < bestT {
-					bestT = t
-					best = j
-				}
-			}
-			if best < 0 {
-				b.Fatal("no winner")
-			}
-		}
-	})
-}
-
 // BenchmarkSESolve measures the solver end-to-end across the paper's Γ
 // scaling knob, comparing the serial kernel (Workers=1) against the
 // concurrent one (Workers=0 → GOMAXPROCS). The fixed iteration budget
@@ -256,10 +219,11 @@ func BenchmarkSESolve(b *testing.B) {
 // BenchmarkSESolveObs measures the instrumentation overhead gate from
 // DESIGN.md §5c: the solver with no observer attached (the nil-is-off
 // contract) versus the same run feeding a live registry AND the full
-// convergence-diagnostics stream (DESIGN.md §5e). ci.sh fails if
-// attached/detached exceeds 1.03, so both the kernel's flush-at-merge
-// batching and the diag's windowed aggregation have to keep their cost
-// out of the per-round hot path.
+// convergence-diagnostics stream (DESIGN.md §5e). The attached/detached
+// ratio is reported in benchjournal.OverheadUnit, and the journal diff
+// fails when its best sample exceeds benchjournal.OverheadCeiling (1.03),
+// so both the kernel's flush-at-merge batching and the diag's windowed
+// aggregation have to keep their cost out of the per-round hot path.
 //
 // The two variants are interleaved within each iteration (alternating
 // which goes first) and the ratio reported directly: back-to-back A/B
@@ -301,17 +265,17 @@ func BenchmarkSESolveObs(b *testing.B) {
 			attached += mid.Sub(start)
 		}
 	}
-	b.ReportMetric(float64(attached)/float64(detached), "attached/detached")
+	b.ReportMetric(float64(attached)/float64(detached), benchjournal.OverheadUnit)
 }
 
 // BenchmarkSESolveObsSpans extends the §5c overhead gate to the causal
 // tracing layer (DESIGN.md §5h): the armed variant runs the solver under
 // a live registry AND wraps every solve in a root epoch span with a
 // solve child — the exact shape the epoch pipeline and dist session emit
-// per epoch — while the detached variant has everything off. ci.sh holds
-// the same 1.03 line here, so span begin/end (two ring-buffer emits and
-// one atomic ID allocation per span) must stay invisible next to a
-// 2000-round solve.
+// per epoch — while the detached variant has everything off. The journal
+// diff holds the same 1.03 ceiling here, so span begin/end (two
+// ring-buffer emits and one atomic ID allocation per span) must stay
+// invisible next to a 2000-round solve.
 func BenchmarkSESolveObsSpans(b *testing.B) {
 	in := benchInstance(b, 200)
 	reg := obs.NewRegistry()
@@ -358,13 +322,13 @@ func BenchmarkSESolveObsSpans(b *testing.B) {
 			armed += mid.Sub(start)
 		}
 	}
-	b.ReportMetric(float64(armed)/float64(detached), "attached/detached")
+	b.ReportMetric(float64(armed)/float64(detached), benchjournal.OverheadUnit)
 }
 
 // BenchmarkSpanOff measures the tracing-off fast path: every span call
 // on a nil TraceContext (the nil-is-off contract) must cost a few
-// branches and zero heap — ci.sh gates allocs/op == 0 here, the same way
-// it gates the SE round loop.
+// branches and zero heap. The journaled baseline is 0 allocs/op, and the
+// journal diff fails on any growth over it, as for the SE round loop.
 func BenchmarkSpanOff(b *testing.B) {
 	var tc *obs.TraceContext // tracing disabled
 	b.ReportAllocs()
@@ -473,8 +437,8 @@ func BenchmarkSEStep(b *testing.B) {
 // instance — the tentpole's target: construction is amortized away (one
 // engine, pre-warmed past its first segment merges so the snapshot pool
 // is primed), each op is one transition round, and the loop must run
-// allocation-free (ci.sh gates allocs/op == 0 here). rounds/sec is the
-// journaled throughput metric.
+// allocation-free (the journal diff fails on any allocs/op over the
+// baseline's 0). rounds/sec is the journaled throughput metric.
 func BenchmarkSERounds(b *testing.B) {
 	in := benchInstance(b, 200)
 	engine, err := core.NewEngine(in, core.SEConfig{Seed: 1})
@@ -557,8 +521,8 @@ func BenchmarkEpochPipeline(b *testing.B) {
 // where nothing overlaps and device writeback throttling would gate the
 // solver on disk speed. The writer's own cost is pinned separately by
 // BenchmarkJournalAppend and BenchmarkAppendEntryJSON in
-// internal/decisionlog. ci.sh fails the build when journal-on/off
-// exceeds 1.03.
+// internal/decisionlog. The journal diff fails the build when the best
+// on/off sample exceeds 1.03.
 func BenchmarkEpochServeDecisionLog(b *testing.B) {
 	newPipe := func(j *decisionlog.Journal) *epoch.Pipeline {
 		p, err := epoch.NewPipeline(epoch.Config{
@@ -621,7 +585,7 @@ func BenchmarkEpochServeDecisionLog(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(on)/float64(off), "journal-on/off")
+	b.ReportMetric(float64(on)/float64(off), benchjournal.OverheadUnit)
 }
 
 // BenchmarkAblationThreadLattice compares the per-cardinality thread

@@ -3,11 +3,6 @@
 //
 // Usage:
 //
-//	mvcom-benchdiff -selftest
-//	    Exercise the regression gate on synthetic journals with known
-//	    answers (injected 20% slowdown caught, pure noise not); exits
-//	    nonzero if the gate misbehaves.
-//
 //	mvcom-benchdiff -ingest raw.txt -out BENCH_MVCOM.json [-convergence]
 //	    Parse `go test -bench -count N` output into a journal stamped
 //	    with the current environment fingerprint. -convergence also runs
@@ -18,7 +13,10 @@
 //	mvcom-benchdiff -old BENCH_MVCOM.json -new results/BENCH_MVCOM.json
 //	    Diff two journals. Exits 1 when a regression fires: a median
 //	    slowdown beyond the noise-widened threshold on a matching
-//	    environment fingerprint, or any allocation growth anywhere.
+//	    environment fingerprint, or, anywhere, allocation growth (from
+//	    zero too), an on/off overhead ratio whose best sample exceeds
+//	    1.03, or a baseline benchmark carrying either gate that the new
+//	    journal no longer reports.
 package main
 
 import (
@@ -43,7 +41,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mvcom-benchdiff", flag.ContinueOnError)
 	var (
-		selftest    = fs.Bool("selftest", false, "verify the regression gate on synthetic journals, then exit")
 		ingest      = fs.String("ingest", "", "parse `go test -bench` output from this file ('-' = stdin) into a journal")
 		out         = fs.String("out", "BENCH_MVCOM.json", "output path for -ingest")
 		note        = fs.String("note", "", "free-form note stored in the journal")
@@ -60,13 +57,6 @@ func run(args []string) error {
 	}
 
 	switch {
-	case *selftest:
-		if err := benchjournal.SelfTest(); err != nil {
-			return err
-		}
-		fmt.Println("benchjournal selftest: gate behaves on all synthetic cases")
-		return nil
-
 	case *ingest != "":
 		in := os.Stdin
 		if *ingest != "-" {
@@ -135,7 +125,7 @@ func run(args []string) error {
 
 	default:
 		fs.Usage()
-		return fmt.Errorf("pick a mode: -selftest, -ingest, or -old/-new")
+		return fmt.Errorf("pick a mode: -ingest or -old/-new")
 	}
 }
 

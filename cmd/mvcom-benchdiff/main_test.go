@@ -26,12 +26,6 @@ func writeRaw(t *testing.T, dir, name string, slowdown float64) string {
 	return path
 }
 
-func TestSelfTestMode(t *testing.T) {
-	if err := run([]string{"-selftest"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIngestAndDiffGate(t *testing.T) {
 	dir := t.TempDir()
 	baseRaw := writeRaw(t, dir, "base.txt", 1.0)

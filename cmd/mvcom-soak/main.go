@@ -68,7 +68,7 @@ type soakStream struct {
 	warmEpochs int
 
 	// tteSum/tteN accumulate rounds-to-ε across every warm-started epoch
-	// of the whole run (the per-window means reset); ci.sh compares the
+	// of the whole run (the per-window means reset); a test compares the
 	// run-level mean between an adaptive and a fixed soak on one seed.
 	tteSum float64
 	tteN   int
@@ -144,6 +144,13 @@ func (s *soakStream) closeWindow() {
 }
 
 func run(args []string) error {
+	_, err := soak(args)
+	return err
+}
+
+// soak runs the soak and returns its stream, whose run-level tallies
+// (served and warm epochs, rounds-to-ε) tests read directly.
+func soak(args []string) (*soakStream, error) {
 	fs := flag.NewFlagSet("mvcom-soak", flag.ContinueOnError)
 	var (
 		committees  = fs.Int("committees", 8, "member committees per epoch")
@@ -173,29 +180,29 @@ func run(args []string) error {
 		decLogDir   = fs.String("decision-log", "", "write the schema-versioned decision journal (one entry per epoch) to this directory and replay-verify it as a gate")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *epochs <= 0 && *duration <= 0 {
-		return fmt.Errorf("give -epochs, -duration, or both")
+		return nil, fmt.Errorf("give -epochs, -duration, or both")
 	}
 
 	// The timeline export needs a live tracer even when no metrics
 	// endpoint is requested.
 	reg, stopObs, err := obsFlags.Start("mvcom-soak", *timeline != "")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer stopObs()
 
 	inj, err := faultinject.Parse(*faultSpec, *seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var dj *decisionlog.Journal
 	if *decLogDir != "" {
 		dj, err = decisionlog.Open(decisionlog.Options{Dir: *decLogDir, Registry: reg})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer dj.Close()
 	}
@@ -214,11 +221,11 @@ func run(args []string) error {
 		DecisionLog: dj,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	capacity := int(*capFrac * float64(p.Trace().TotalTxs()))
 	if capacity < 1 {
-		return fmt.Errorf("capacity fraction %v too small", *capFrac)
+		return nil, fmt.Errorf("capacity fraction %v too small", *capFrac)
 	}
 	nmin := int(*nminFrac * float64(*committees))
 
@@ -265,16 +272,16 @@ func run(args []string) error {
 	baselineGoroutines := runtime.NumGoroutine()
 	start := time.Now()
 	if err := p.Serve(context.Background(), sched, stream); err != nil {
-		return err
+		return nil, err
 	}
 	stream.closeWindow() // flush a trailing partial window
 	elapsed := time.Since(start)
 
 	if stream.served == 0 {
-		return fmt.Errorf("no epochs served inside the budget")
+		return nil, fmt.Errorf("no epochs served inside the budget")
 	}
 	if err := p.Chain().Verify(); err != nil {
-		return fmt.Errorf("root chain verification: %w", err)
+		return nil, fmt.Errorf("root chain verification: %w", err)
 	}
 	fmt.Printf("\nserved %d epochs in %s (chain height %d, %d warm-started)\n",
 		stream.served, elapsed.Round(time.Millisecond), p.Chain().Height(), stream.warmEpochs)
@@ -305,20 +312,20 @@ func run(args []string) error {
 
 	if *journalPath != "" {
 		if err := writeJournal(*journalPath, *note, stream.windows); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Printf("journal written to %s (%d windows)\n", *journalPath, len(stream.windows))
 	}
 	if *timeline != "" {
 		if err := writeTimeline(*timeline, reg); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if failed {
-		return fmt.Errorf("soak gates failed after %d epochs", stream.served)
+		return nil, fmt.Errorf("soak gates failed after %d epochs", stream.served)
 	}
 	fmt.Println("soak gates passed: goroutines at baseline, heap bounded")
-	return nil
+	return stream, nil
 }
 
 // gateDecisionReplay re-runs every journaled epoch decision and demands

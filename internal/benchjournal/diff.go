@@ -66,28 +66,61 @@ func (f Finding) String() string {
 	return s
 }
 
+// OverheadUnit is the b.ReportMetric unit of a paired overhead ratio:
+// instrumented over plain wall time, the two variants interleaved within
+// each iteration so machine-load drift cancels out of the ratio.
+const OverheadUnit = "on/off"
+
+// OverheadCeiling is the largest best-sample OverheadUnit ratio Diff
+// accepts: instrumentation may cost at most 3%. It is keyed by the unit
+// here, not stored in the baseline, so refreshing the baseline from a
+// fresh -ingest cannot drop it.
+const OverheadCeiling = 1.03
+
 // Diff compares two journals and reports findings plus whether any
 // finding is a gate-failing regression. Wall-time comparisons use the
 // noise-widened threshold and degrade to warnings when the environment
-// fingerprints differ; allocation comparisons are gated hard everywhere.
+// fingerprints differ. Three gates are hard in every environment:
+//   - allocs/op growth over the baseline median, from zero too;
+//   - an OverheadUnit best sample (Stat.Min) above OverheadCeiling in the
+//     new journal, whatever the baseline holds;
+//   - a baseline benchmark with an allocs stat or an OverheadUnit metric
+//     that the new journal lacks, or that no longer reports it.
+//
+// Every other presence change only warns or informs.
 func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 	opt = opt.withDefaults()
 	sameEnv := oldJ.Env == newJ.Env
 
 	var findings []Finding
 	regressed := false
+	add := func(f Finding) {
+		findings = append(findings, f)
+		regressed = regressed || f.Severity == SevRegression
+	}
 	seen := map[string]bool{}
 
 	for i := range oldJ.Benchmarks {
 		ob := &oldJ.Benchmarks[i]
 		seen[ob.Name] = true
+		_, oldOverhead := ob.Metrics[OverheadUnit]
 		nb := newJ.Find(ob.Name)
 		if nb == nil {
-			findings = append(findings, Finding{
+			f := Finding{
 				Benchmark: ob.Name, Metric: "presence", Severity: SevWarning,
 				Note: "benchmark missing from the new journal",
-			})
+			}
+			if ob.AllocsPerOp != nil || oldOverhead {
+				f.Severity, f.Note = SevRegression, "hard-gated benchmark missing from the new journal"
+			}
+			add(f)
 			continue
+		}
+		lost := func(metric string) {
+			add(Finding{
+				Benchmark: ob.Name, Metric: metric, Severity: SevRegression,
+				Note: "hard-gated metric no longer reported",
+			})
 		}
 
 		// Wall time: median vs median, threshold widened by noise.
@@ -102,39 +135,53 @@ func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 			switch {
 			case ratio > 1+thresh && sameEnv:
 				f.Severity, f.Note = SevRegression, "median slowdown beyond the noise-widened gate"
-				regressed = true
-				findings = append(findings, f)
+				add(f)
 			case ratio > 1+thresh:
 				f.Severity, f.Note = SevWarning, "slowdown, but the environment fingerprints differ — not gated"
-				findings = append(findings, f)
+				add(f)
 			case ratio < 1/(1+thresh):
 				f.Severity, f.Note = SevInfo, "improvement"
-				findings = append(findings, f)
+				add(f)
 			}
 		}
 
 		// Allocations: deterministic, hard gate regardless of environment.
-		if ob.AllocsPerOp != nil && nb.AllocsPerOp != nil && ob.AllocsPerOp.Median > 0 {
-			ratio := nb.AllocsPerOp.Median / ob.AllocsPerOp.Median
-			if ratio > 1+opt.AllocThreshold {
-				findings = append(findings, Finding{
+		if ob.AllocsPerOp != nil {
+			switch {
+			case nb.AllocsPerOp == nil:
+				lost("allocs/op")
+			case nb.AllocsPerOp.Median > ob.AllocsPerOp.Median*(1+opt.AllocThreshold):
+				add(Finding{
 					Benchmark: ob.Name, Metric: "allocs/op",
 					Old: ob.AllocsPerOp.Median, New: nb.AllocsPerOp.Median,
-					Ratio: ratio, Threshold: opt.AllocThreshold,
-					Severity: SevRegression,
-					Note:     "allocation growth (hard gate: allocs are deterministic)",
+					Ratio:     nb.AllocsPerOp.Median / ob.AllocsPerOp.Median,
+					Threshold: opt.AllocThreshold,
+					Severity:  SevRegression,
+					Note:      "allocation growth (hard gate: allocs are deterministic)",
 				})
-				regressed = true
 			}
+		}
+		if _, ok := nb.Metrics[OverheadUnit]; oldOverhead && !ok {
+			lost(OverheadUnit)
 		}
 	}
 
 	for i := range newJ.Benchmarks {
 		nb := &newJ.Benchmarks[i]
 		if !seen[nb.Name] {
-			findings = append(findings, Finding{
+			add(Finding{
 				Benchmark: nb.Name, Metric: "presence", Severity: SevInfo,
 				Note: "new benchmark (no baseline)",
+			})
+		}
+		// The best sample is the one least disturbed by machine load, so
+		// a real overhead shows in it while one noisy window cannot fail.
+		if s, ok := nb.Metrics[OverheadUnit]; ok && s.Min > OverheadCeiling {
+			add(Finding{
+				Benchmark: nb.Name, Metric: OverheadUnit,
+				Old: 1, New: s.Min, Ratio: s.Min, Threshold: OverheadCeiling - 1,
+				Severity: SevRegression,
+				Note:     "best sample above the overhead ceiling",
 			})
 		}
 	}
@@ -144,7 +191,7 @@ func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 	if oldJ.Convergence != nil && newJ.Convergence != nil {
 		oc, nc := oldJ.Convergence, newJ.Convergence
 		if nc.DTV > oc.DTV*2 && nc.DTV > 0.1 {
-			findings = append(findings, Finding{
+			add(Finding{
 				Benchmark: "convergence-probe", Metric: "dtv",
 				Old: oc.DTV, New: nc.DTV, Ratio: safeRatio(nc.DTV, oc.DTV),
 				Severity: SevWarning,

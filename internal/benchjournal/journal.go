@@ -9,8 +9,11 @@
 // threshold by the observed IQR — repeated samples are what make the
 // gate robust to scheduler noise — and degrades wall-time gates to
 // warnings when the fingerprints differ (a laptop cannot invalidate a CI
-// baseline), while allocation counts are gated hard everywhere because
-// they are deterministic per operation.
+// baseline). Three gates are hard in every environment: allocation
+// counts, which are deterministic per operation, may not grow (from a
+// zero baseline too); a paired overhead ratio reported in OverheadUnit
+// must keep its best sample within OverheadCeiling; and a baseline
+// benchmark carrying either gate may not drop out of the new journal.
 package benchjournal
 
 import (
@@ -94,9 +97,10 @@ type Sample struct {
 	// NsPerOp is the wall time per operation.
 	NsPerOp float64 `json:"nsPerOp"`
 	// BytesPerOp and AllocsPerOp are present when the benchmark reported
-	// allocations (-benchmem or b.ReportAllocs).
-	BytesPerOp  float64 `json:"bytesPerOp,omitempty"`
-	AllocsPerOp float64 `json:"allocsPerOp,omitempty"`
+	// allocations (-benchmem or b.ReportAllocs). AllocsPerOp is non-nil
+	// exactly when allocs/op was printed, so a zero count still journals.
+	BytesPerOp  float64  `json:"bytesPerOp,omitempty"`
+	AllocsPerOp *float64 `json:"allocsPerOp,omitempty"`
 	// Metrics carries custom b.ReportMetric units (e.g. "utility").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -122,9 +126,9 @@ func Summarize(name string, samples []Sample) Benchmark {
 	metricXs := map[string][]float64{}
 	for _, s := range samples {
 		ns = append(ns, s.NsPerOp)
-		if s.BytesPerOp != 0 || s.AllocsPerOp != 0 {
+		if s.AllocsPerOp != nil {
 			bytesXs = append(bytesXs, s.BytesPerOp)
-			allocXs = append(allocXs, s.AllocsPerOp)
+			allocXs = append(allocXs, *s.AllocsPerOp)
 		}
 		for unit, v := range s.Metrics {
 			metricXs[unit] = append(metricXs[unit], v)

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseGoBench parses `go test -bench` text output into summarized
@@ -62,9 +64,16 @@ func parseBenchLine(line string) (name string, s Sample, ok bool, err error) {
 		return "", Sample{}, false, nil
 	}
 	s.N = n
+	// JSON would rewrite invalid UTF-8, renaming the benchmark on Load.
+	if !utf8.ValidString(line) {
+		return "", Sample{}, false, fmt.Errorf("benchjournal: invalid UTF-8 in %q", line)
+	}
 	for i := 2; i+1 < len(fields); i += 2 {
+		// JSON has no NaN or Inf, and past ±MaxFloat64/4 a Stat's IQR (a
+		// difference of two samples) could overflow to Inf: refuse both
+		// here, naming the line, rather than at Save.
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.Abs(v) > math.MaxFloat64/4 {
 			return "", Sample{}, false, fmt.Errorf("benchjournal: bad value %q in %q", fields[i], line)
 		}
 		switch unit := fields[i+1]; unit {
@@ -73,7 +82,7 @@ func parseBenchLine(line string) (name string, s Sample, ok bool, err error) {
 		case "B/op":
 			s.BytesPerOp = v
 		case "allocs/op":
-			s.AllocsPerOp = v
+			s.AllocsPerOp = &v
 		case "MB/s":
 			// Throughput is redundant with ns/op; skip it.
 		default:

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"mvcom/internal/randx"
 )
 
 // TestSolveDeterministicAcrossWorkers is the seed-determinism regression
@@ -132,9 +134,35 @@ func refSetTimer(ex *explorer, th *thread) {
 	}
 }
 
+// gumbelMaxPick is the pre-optimization timer race: the winner of
+// exponential timers with the given log rates is argmax(log rate + G)
+// over i.i.d. standard Gumbel noise G, which is exactly categorical with
+// P(i) ∝ rate. Entries of -Inf never win; -1 means none is finite. After
+// a pick it makes the elapsed-time draw the old race made, keeping the
+// RNG stream (and so the reference chain) as it was.
+func gumbelMaxPick(rng *randx.RNG, logRates []float64) int {
+	best, bestV := -1, math.Inf(-1)
+	for i, lr := range logRates {
+		if math.IsInf(lr, -1) {
+			continue
+		}
+		u := rng.Float64()
+		for u == 0 { // avoid log(0)
+			u = rng.Float64()
+		}
+		if v := lr - math.Log(-math.Log(u)); v > bestV {
+			best, bestV = i, v
+		}
+	}
+	if best >= 0 {
+		rng.Exponential(1)
+	}
+	return best
+}
+
 // refStep reproduces the pre-optimization transition round: log(k−n)
-// recomputed per thread per round and the race resolved with the
-// Gumbel-max MinExponentialLog (one uniform and one Gumbel per thread).
+// recomputed per thread per round and the race resolved by a Gumbel-max
+// pick (one uniform and one Gumbel per thread).
 func refStep(ex *explorer) {
 	r := ex.run
 	k := len(r.candidates)
@@ -145,8 +173,7 @@ func refStep(ex *explorer) {
 		}
 		ex.logRates[i] = math.Log(float64(k-th.n)) - r.cfg.Tau + 0.5*r.betaEff*th.dU
 	}
-	winner, _, err := ex.rng.MinExponentialLog(ex.logRates)
-	if err == nil {
+	if winner := gumbelMaxPick(ex.rng, ex.logRates); winner >= 0 {
 		ex.threads[winner].applySwap(r)
 	}
 	for _, th := range ex.threads {

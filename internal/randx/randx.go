@@ -4,11 +4,11 @@
 //
 // All samplers are driven by an *RNG created from an explicit seed so that
 // every experiment, test, and benchmark in this repository is reproducible
-// bit-for-bit. The package also contains the numerically hardened log-space
-// primitives (log-sum-exp and the Gumbel-max trick) that the SE algorithm
-// needs: with the paper's default β=2 and utilities on the order of 10⁵,
-// exponentiating ½β·ΔU overflows float64, so all timer races are resolved
-// in log space.
+// bit-for-bit. Split derives decorrelated streams for concurrent users,
+// and Buffered is the block-buffered stream the SE kernel's round loop
+// draws from. The SE timer race needs no log-space sampler here: the
+// kernel shifts its log rates by their maximum before exponentiating, then
+// makes one weighted pick (internal/core).
 package randx
 
 import (
@@ -26,8 +26,7 @@ var ErrEmpty = errors.New("randx: empty input")
 // RNG is NOT safe for concurrent use: every sampler mutates the underlying
 // source, and concurrent callers both race and destroy reproducibility.
 // Code that fans work out across goroutines must give each goroutine its
-// own generator derived with Split (or SplitN) *before* the goroutines
-// start. Split streams are decorrelated through SplitMix64 and remain
+// own generator derived with Split *before* the goroutines start. Split streams are decorrelated through SplitMix64 and remain
 // deterministic per seed, which is how the parallel SE kernel keeps
 // same-seed runs bit-identical regardless of how many OS threads advance
 // its explorers.
@@ -46,15 +45,6 @@ func (r *RNG) Split() *RNG {
 	return New(int64(splitMix64(r.src.Uint64())))
 }
 
-// SplitN derives n independent generators in one call.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // splitMix64 is the SplitMix64 finalizer; it decorrelates derived seeds.
 func splitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -69,9 +59,6 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // Intn returns a uniform sample in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
-
-// Int63 returns a non-negative uniform 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
 
 // PairIntn returns two independent uniform samples in [0, a) and [0, b)
 // derived from a single 64-bit draw: the high 32 bits are reduced onto
@@ -117,16 +104,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
 
-// ExponentialRate returns a sample from an exponential distribution with
-// the given rate (events per unit time). A non-positive rate returns +Inf:
-// the event never fires.
-func (r *RNG) ExponentialRate(rate float64) float64 {
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return r.src.ExpFloat64() / rate
-}
-
 // Normal returns a sample from N(mean, stddev²).
 func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.src.NormFloat64()
@@ -147,115 +124,6 @@ func (r *RNG) LogNormalMeanSpread(mean, sigma float64) float64 {
 	}
 	mu := math.Log(mean) - sigma*sigma/2
 	return r.LogNormal(mu, sigma)
-}
-
-// Gumbel returns a standard Gumbel(0, 1) sample.
-func (r *RNG) Gumbel() float64 {
-	u := r.src.Float64()
-	for u == 0 { // avoid log(0)
-		u = r.src.Float64()
-	}
-	return -math.Log(-math.Log(u))
-}
-
-// Poisson returns a Poisson(lambda) sample using inversion for small lambda
-// and a normal approximation above 500 (more than adequate for simulation
-// workloads where lambda is a block or message count).
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 500 {
-		v := r.Normal(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.src.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Pick returns a uniformly random element index from a slice of length n.
-// It returns ErrEmpty when n == 0.
-func (r *RNG) Pick(n int) (int, error) {
-	if n <= 0 {
-		return 0, ErrEmpty
-	}
-	return r.src.Intn(n), nil
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably. Entries equal to -Inf
-// contribute nothing; if all entries are -Inf (or the slice is empty) the
-// result is -Inf.
-func LogSumExp(xs []float64) float64 {
-	maxV := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return math.Inf(-1)
-	}
-	var sum float64
-	for _, x := range xs {
-		if math.IsInf(x, -1) {
-			continue
-		}
-		sum += math.Exp(x - maxV)
-	}
-	return maxV + math.Log(sum)
-}
-
-// CategoricalLog samples an index i with probability proportional to
-// exp(logw[i]) using the Gumbel-max trick: argmax_i (logw[i] + G_i) with
-// i.i.d. standard Gumbel noise is exactly categorical(softmax(logw)).
-// Entries of -Inf are never selected. Returns ErrEmpty when no entry has
-// finite weight.
-func (r *RNG) CategoricalLog(logw []float64) (int, error) {
-	best := -1
-	bestV := math.Inf(-1)
-	for i, w := range logw {
-		if math.IsInf(w, -1) {
-			continue
-		}
-		v := w + r.Gumbel()
-		if v > bestV {
-			bestV = v
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, ErrEmpty
-	}
-	return best, nil
-}
-
-// MinExponentialLog resolves a race between competing exponential timers
-// whose rates are given in log space: timer i fires after Exp(rate_i) time
-// with log rate_i = logRates[i]. It returns the winning index and the
-// elapsed time until that timer fires. The winner is categorical with
-// P(i) ∝ rate_i and the elapsed time is Exp(Σ rate_i); both are computed
-// without leaving log space. Returns ErrEmpty if no timer has a finite
-// log rate (no timer would ever fire).
-func (r *RNG) MinExponentialLog(logRates []float64) (winner int, elapsed float64, err error) {
-	winner, err = r.CategoricalLog(logRates)
-	if err != nil {
-		return 0, 0, err
-	}
-	total := LogSumExp(logRates) // log Σ rate_i
-	// Exp(rate) sample = standard-exp / rate; division by rate in log space.
-	elapsed = r.src.ExpFloat64() * math.Exp(-total)
-	return winner, elapsed, nil
 }
 
 // WeightedPick samples an index with probability proportional to the given
