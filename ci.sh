@@ -2,7 +2,7 @@
 # CI gate, split into stages so the workflow can fan them out as
 # parallel jobs behind one fast correctness gate:
 #
-#   ./ci.sh fast      gofmt, build, vet, race + shuffled-race tests
+#   ./ci.sh fast      gofmt, build, vet, race + shuffled-race tests, fuzz smoke
 #   ./ci.sh chaos     deterministic fault-injection suite + coverage gate
 #   ./ci.sh bench     benchmark journal: allocation, overhead and wall-time gates
 #   ./ci.sh soak      warm-start serving-loop soak + journal diff
@@ -39,8 +39,9 @@ stage_fast() {
 
 	# Metrics-name lint (OBSERVABILITY.md): every metric the binaries can
 	# register must match ^mvcom_[a-z0-9_]+$ and appear in the committed
-	# docs/metrics.txt index, so a new metric cannot ship undocumented.
-	go test -run '^TestMetricsNamesDocumented$' .
+	# docs/metrics.txt index, so a new metric cannot ship undocumented;
+	# OBSERVABILITY.md must name every metric family and trace event type.
+	go test -run '^(TestMetricsNamesDocumented|TestObservabilityIndexCurrent)$' .
 
 	go test -race -timeout 10m ./...
 
@@ -48,6 +49,22 @@ stage_fast() {
 	# order, catching hidden inter-test state — under the race detector
 	# too, so a reordering that exposes a data race fails just as loudly.
 	go test -race -shuffle=on -timeout 10m ./...
+
+	# Fuzz smoke (untrusted input): the runs above replay every seed
+	# corpus; here each native fuzz target searches for 5 s more.
+	# `go test -list` names every package's targets, so a new target
+	# joins without editing this stage.
+	go test -list '^Fuzz' ./... | while read -r name pkg _; do
+		case "$name" in
+		Fuzz*) targets="${targets:-} $name" ;;
+		ok)
+			for fn in ${targets:-}; do
+				go test -run '^$' -fuzz "^$fn\$" -fuzztime 5s "$pkg" < /dev/null || exit 1
+			done
+			targets=
+			;;
+		esac
+	done
 }
 
 stage_chaos() {

@@ -65,7 +65,7 @@ func run(args []string) error {
 		rate      = fs.Float64("rate", 0, "admitted tx/s per source (0 = rate limiting off)")
 		burst     = fs.Float64("burst", 0, "token-bucket burst in txs (0 = rate)")
 		maxSrc    = fs.Int("max-sources", 0, "token-bucket map bound (0 = 1024)")
-		queueCap  = fs.Int("queue-cap", 65536, "ingest queue high-watermark in txs")
+		queueCap  = fs.Int("queue-cap", ingest.DefaultQueueTxs, "ingest queue high-watermark in txs")
 		maxBody   = fs.Int64("max-body", ingest.DefaultMaxBody, "request body / frame cap in bytes")
 		minBatch  = fs.Int("min-batch", 500, "txs that trigger an epoch flush")
 		maxWait   = fs.Duration("max-wait", 100*time.Millisecond, "max wait for traffic before flushing an epoch")
@@ -133,6 +133,19 @@ type serverConfig struct {
 func runServer(cfg *serverConfig) error {
 	if cfg.capacity < 1 {
 		return fmt.Errorf("capacity %d: need >= 1", cfg.capacity)
+	}
+	// A flush of a full queue splits it evenly over the committees; when
+	// one share alone overflows the block, no selection is feasible and
+	// that epoch ends Serve with an error.
+	queueCap := cfg.queueCap
+	if queueCap <= 0 {
+		queueCap = ingest.DefaultQueueTxs
+	}
+	if cfg.committees >= 1 {
+		if per := (queueCap + cfg.committees - 1) / cfg.committees; per > cfg.capacity {
+			return fmt.Errorf("queue-cap %d over %d committees gives %d-tx shards, above capacity %d",
+				queueCap, cfg.committees, per, cfg.capacity)
+		}
 	}
 	reg := obs.NewRegistryWithTrace(4096)
 	if cfg.metrAddr != "" {

@@ -68,6 +68,11 @@ func TestRunBadInputs(t *testing.T) {
 	if err := run([]string{"-capacity", "0", "-epochs", "1"}); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
+	// The default 65 536-tx queue over 8 committees flushes 8 192-tx
+	// shards, which a 5 000-tx block cannot hold.
+	if err := run([]string{"-capacity", "5000", "-epochs", "1"}); err == nil || !strings.Contains(err.Error(), "queue-cap") {
+		t.Fatalf("queue that cannot fit a block accepted: %v", err)
+	}
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}

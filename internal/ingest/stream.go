@@ -9,7 +9,6 @@ import (
 	"mvcom/internal/chain"
 	"mvcom/internal/epoch"
 	"mvcom/internal/obs"
-	"mvcom/internal/txpool"
 )
 
 // StreamConfig parameterizes a NetStream.
@@ -22,7 +21,7 @@ type StreamConfig struct {
 	Params epoch.EpochParams
 	// QueueTxs is the queue high-watermark in transactions: submissions
 	// that would push past it are shed with reason "queue". <= 0
-	// defaults to 65536.
+	// defaults to DefaultQueueTxs.
 	QueueTxs int
 	// Rate and Burst configure the per-source token buckets (tx/s and
 	// txs); Rate <= 0 disables rate limiting. MaxSources bounds the
@@ -49,9 +48,13 @@ type StreamConfig struct {
 	OnDeliver func(*epoch.Result)
 }
 
+// DefaultQueueTxs is the queue high-watermark when StreamConfig.QueueTxs
+// is <= 0.
+const DefaultQueueTxs = 65536
+
 func (c StreamConfig) withDefaults() StreamConfig {
 	if c.QueueTxs <= 0 {
-		c.QueueTxs = 65536
+		c.QueueTxs = DefaultQueueTxs
 	}
 	if c.MinBatchTxs <= 0 {
 		c.MinBatchTxs = 1
@@ -62,18 +65,16 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// drainAll is the "drain everything regardless of Created" horizon.
-const drainAll = time.Duration(1) << 62
-
 // NetStream bridges the network front ends to epoch.Pipeline.Serve. The
 // front ends call Submit/SubmitReport from many goroutines; the serve
 // goroutine calls NextContext and Deliver (epoch.EpochStream) and Fill
-// (epoch.ShardSupply). Admitted transactions wait in a
-// bounded synchronized pool; each flush drains them into the coming
-// epoch and settles the previous books.
+// (epoch.ShardSupply). The queue is a count of admitted transactions:
+// shards are header-only (a block commits to each shard's TxCount), so
+// the flush that hands the count to the coming epoch needs no
+// per-transaction state, and admission and flush are O(1).
 type NetStream struct {
 	cfg     StreamConfig
-	queue   *txpool.SyncPool
+	queued  atomic.Int64 // admitted txs not yet flushed, <= QueueTxs
 	buckets *Buckets
 	wake    chan struct{}
 
@@ -95,7 +96,6 @@ type NetStream struct {
 	epochs, accountingErrors        atomic.Int64
 
 	// Epoch-goroutine state (only touched by NextContext/Fill/Deliver).
-	batch       []chain.Transaction
 	fillRep     []Report // snapshot of pending reports for the in-flight epoch
 	batchTxs    int      // queue txs flushed into the in-flight epoch
 	served      int
@@ -121,7 +121,6 @@ func NewStream(cfg StreamConfig) *NetStream {
 	cfg = cfg.withDefaults()
 	return &NetStream{
 		cfg:        cfg,
-		queue:      txpool.NewSync(),
 		buckets:    NewBuckets(cfg.Rate, cfg.Burst, cfg.MaxSources),
 		wake:       make(chan struct{}, 1),
 		drainCh:    make(chan struct{}),
@@ -147,21 +146,32 @@ func (s *NetStream) Submit(source string, txs []chain.Transaction) string {
 	if !s.buckets.Allow(source, len(txs)) {
 		return s.shed("rate", len(txs))
 	}
-	if !s.queue.TryAddBatch(txs, s.cfg.QueueTxs) {
-		return s.shed("queue", len(txs))
+	// The watermark check and the add are one compare-and-swap, so
+	// concurrent producers cannot push the queue past QueueTxs.
+	n := int64(len(txs))
+	queued := s.queued.Load()
+	for {
+		if queued+n > int64(s.cfg.QueueTxs) {
+			return s.shed("queue", len(txs))
+		}
+		if s.queued.CompareAndSwap(queued, queued+n) {
+			break
+		}
+		queued = s.queued.Load()
 	}
 	s.accepted.Add(1)
-	s.acceptedTxs.Add(int64(len(txs)))
+	s.acceptedTxs.Add(n)
 	s.cfg.Obs.RequestAccepted(len(txs))
-	s.cfg.Obs.SetQueueTxs(s.queue.Len())
+	s.cfg.Obs.SetQueueTxs(int(queued + n))
 	s.wakeUp()
 	return ""
 }
 
 // SubmitReport runs a shard report through admission. Reports bypass
-// the queue watermark (they are O(1) pending state per committee, not
-// per-tx heap) but still pay token-bucket tokens for the transactions
-// they declare.
+// the queue watermark (they are O(1) pending state per committee) but
+// still pay token-bucket tokens for the transactions they declare, and
+// a report that would take its committee's pending declared count
+// above the block capacity is shed as invalid: no block could hold it.
 func (s *NetStream) SubmitReport(source string, rep Report) string {
 	s.requests.Add(1)
 	s.cfg.Obs.RequestSeen()
@@ -176,6 +186,10 @@ func (s *NetStream) SubmitReport(source string, rep Report) string {
 	}
 	s.repMu.Lock()
 	cur := s.pendingRep[rep.Committee]
+	if rep.TxCount > s.cfg.Params.Capacity-cur.TxCount {
+		s.repMu.Unlock()
+		return s.shed("invalid", rep.TxCount)
+	}
 	cur.Committee = rep.Committee
 	cur.TxCount += rep.TxCount
 	if rep.Latency > 0 {
@@ -218,7 +232,7 @@ func (s *NetStream) Stats() Stats {
 		CommittedTxs:     s.committedTxs.Load(),
 		ExpiredTxs:       s.expiredTxs.Load(),
 		OutstandingTxs:   s.outstandingTxs.Load(),
-		QueueTxs:         int64(s.queue.Len()),
+		QueueTxs:         s.queued.Load(),
 		PendingReportTxs: s.pendingTxs.Load(),
 		AssignedTxs:      s.assignedTxs.Load(),
 		Epochs:           s.epochs.Load(),
@@ -278,7 +292,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 			// the first flushes the queue and pending reports in, and
 			// the rest give the deferral backlog epochs to commit or
 			// expire via MaxDeferrals.
-			if s.queue.Len() == 0 && s.pendingTxs.Load() == 0 && s.outstandingTxs.Load() == 0 {
+			if s.queued.Load() == 0 && s.pendingTxs.Load() == 0 && s.outstandingTxs.Load() == 0 {
 				s.finished = true
 				return epoch.EpochParams{}, false
 			}
@@ -297,7 +311,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 			s.served++
 			return s.cfg.Params, true
 		}
-		if s.queue.Len() >= s.cfg.MinBatchTxs || expired {
+		if s.queued.Load() >= int64(s.cfg.MinBatchTxs) || expired {
 			s.flush(false)
 			s.served++
 			return s.cfg.Params, true
@@ -316,8 +330,7 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 // flush moves the queued transactions and pending reports into the
 // in-flight epoch's fill plan. Runs on the epoch goroutine only.
 func (s *NetStream) flush(draining bool) {
-	s.batch = s.queue.DrainArrivedInto(s.batch[:0], drainAll, 0)
-	s.batchTxs = len(s.batch)
+	s.batchTxs = int(s.queued.Swap(0))
 
 	s.fillRep = s.fillRep[:0]
 	s.repMu.Lock()
@@ -335,7 +348,7 @@ func (s *NetStream) flush(draining bool) {
 	s.pendingTxs.Add(int64(-repTxs))
 	s.assignedTxs.Add(int64(s.batchTxs + repTxs))
 
-	s.cfg.Obs.SetQueueTxs(s.queue.Len())
+	s.cfg.Obs.SetQueueTxs(int(s.queued.Load()))
 	s.cfg.Obs.BatchFlushed(s.batchTxs + repTxs)
 	if draining {
 		s.cfg.Obs.DrainFlushed(s.batchTxs + repTxs)

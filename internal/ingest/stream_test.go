@@ -3,6 +3,8 @@ package ingest
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,7 +216,7 @@ func TestNetStreamQuietEpochs(t *testing.T) {
 
 // TestNetStreamInvalidAndWatermark covers the direct-submit admission
 // branches: empty batches and out-of-range reports are invalid, and the
-// queue watermark sheds whole batches.
+// queue watermark sheds whole batches until a flush makes room.
 func TestNetStreamInvalidAndWatermark(t *testing.T) {
 	stream := NewStream(StreamConfig{
 		Committees: 2,
@@ -233,14 +235,169 @@ func TestNetStreamInvalidAndWatermark(t *testing.T) {
 			t.Fatalf("report %+v: reason %q, want invalid", rep, reason)
 		}
 	}
-	if reason := stream.Submit("a", mkTxs(100, 0)); reason != "" {
-		t.Fatalf("batch at watermark shed: %q", reason)
-	}
-	if reason := stream.Submit("a", mkTxs(1, 500)); reason != "queue" {
-		t.Fatalf("batch over watermark: reason %q, want queue", reason)
+	for _, step := range []struct {
+		name       string
+		flush      bool // flush the queue into an epoch before submitting
+		txs        int
+		want       string
+		wantQueued int64
+	}{
+		{name: "under the mark", txs: 60, wantQueued: 60},
+		{name: "exactly at the mark", txs: 40, wantQueued: 100},
+		{name: "one over sheds the whole batch", txs: 1, want: "queue", wantQueued: 100},
+		{name: "room comes back after a flush", flush: true, txs: 100, wantQueued: 100},
+		{name: "full again", txs: 1, want: "queue", wantQueued: 100},
+		{name: "a batch larger than the mark never fits", flush: true, txs: 101, want: "queue", wantQueued: 0},
+	} {
+		if step.flush {
+			if _, ok := stream.NextContext(context.Background(), 0); !ok {
+				t.Fatalf("%s: NextContext ended the stream", step.name)
+			}
+		}
+		if reason := stream.Submit("a", mkTxs(step.txs, 0)); reason != step.want {
+			t.Fatalf("%s: reason %q, want %q", step.name, reason, step.want)
+		}
+		if q := stream.Stats().QueueTxs; q != step.wantQueued {
+			t.Fatalf("%s: QueueTxs %d, want %d", step.name, q, step.wantQueued)
+		}
 	}
 	st := stream.Stats()
-	if st.ShedInvalid != 5 || st.ShedQueue != 1 || st.AcceptedTxs != 100 {
+	if st.ShedInvalid != 5 || st.ShedQueue != 3 || st.AcceptedTxs != 200 || st.AssignedTxs != 200 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if gap := st.AccountingGap(); gap != 0 {
+		t.Fatalf("accounting gap %d: %+v", gap, st)
+	}
+}
+
+// TestNetStreamWatermarkRacers: concurrent producers racing for the
+// last room under the watermark never overshoot it, and every refused
+// batch is counted.
+func TestNetStreamWatermarkRacers(t *testing.T) {
+	stream := NewStream(StreamConfig{Committees: 2, QueueTxs: 55}) // room for 5 batches of 10
+	batch := mkTxs(10, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				stream.Submit("a", batch)
+			}
+		}()
+	}
+	wg.Wait()
+	st := stream.Stats()
+	if st.Accepted != 5 || st.QueueTxs != 50 || st.ShedQueue != 155 {
+		t.Fatalf("want 5 admitted batches, 50 queued, 155 shed: %+v", st)
+	}
+}
+
+// TestNetStreamProducersDuringServe runs producers against a serving
+// pipeline, so admission races the flush (run under -race). After the
+// drain the books settle and every admitted batch is accounted.
+func TestNetStreamProducersDuringServe(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Committees:  4,
+		Params:      epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs:    400,
+		MinBatchTxs: 50,
+		MaxWait:     2 * time.Millisecond,
+	})
+	p := testPipeline(t, 4, stream, 0, 66)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- p.Serve(context.Background(), epoch.AcceptAll{}, stream)
+	}()
+
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if stream.Submit("p", mkTxs(10, uint64(g*1000+i*10))) == "" {
+					admitted.Add(10)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	stream.Drain()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not end after Drain")
+	}
+	st := stream.Stats()
+	checkSettled(t, st)
+	if st.AcceptedTxs != admitted.Load() || st.CommittedTxs != st.AcceptedTxs {
+		t.Fatalf("admitted %d by the producers' count: %+v", admitted.Load(), st)
+	}
+}
+
+// TestNetStreamAdmissionAllocs gates the per-transaction cost of the
+// queue: one epoch of admission (200 batches of 100) plus its flush
+// allocates a constant few objects, none per transaction.
+func TestNetStreamAdmissionAllocs(t *testing.T) {
+	stream := NewStream(StreamConfig{Committees: 8, QueueTxs: 20000})
+	batch := mkTxs(100, 0)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 200; i++ {
+			if reason := stream.Submit("a", batch); reason != "" {
+				t.Fatalf("batch %d shed: %s", i, reason)
+			}
+		}
+		if _, ok := stream.NextContext(ctx, 0); !ok {
+			t.Fatal("NextContext ended the stream")
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("one epoch of admission and flush made %.0f allocations, want <= 4", allocs)
+	}
+}
+
+// TestNetStreamReportDeclarationCap: a committee's pending declared
+// count cannot exceed the block capacity, so declarations can neither
+// overflow the books nor name a shard no block could hold.
+func TestNetStreamReportDeclarationCap(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Committees: 2,
+		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+	})
+	for _, step := range []struct {
+		rep  Report
+		want string
+	}{
+		{Report{Committee: 0, TxCount: 1 << 62}, "invalid"},
+		{Report{Committee: 0, TxCount: 1 << 62}, "invalid"},
+		{Report{Committee: 0, TxCount: 600}, ""},
+		{Report{Committee: 0, TxCount: 401}, "invalid"},
+		{Report{Committee: 0, TxCount: 400}, ""},  // exactly at capacity
+		{Report{Committee: 1, TxCount: 1000}, ""}, // the cap is per committee
+	} {
+		if reason := stream.SubmitReport("shard", step.rep); reason != step.want {
+			t.Fatalf("report %+v: reason %q, want %q", step.rep, reason, step.want)
+		}
+	}
+	st := stream.Stats()
+	if st.ReportTxs != 2000 || st.PendingReportTxs != 2000 || st.ShedInvalid != 3 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// A flush empties the pending declarations, so the next epoch's
+	// reports get the whole capacity again.
+	if _, ok := stream.NextContext(context.Background(), 0); !ok {
+		t.Fatal("NextContext ended the stream")
+	}
+	if reason := stream.SubmitReport("shard", Report{Committee: 0, TxCount: 1000}); reason != "" {
+		t.Fatalf("report after flush: %q", reason)
+	}
+	if gap := stream.Stats().AccountingGap(); gap != 0 {
+		t.Fatalf("accounting gap %d", gap)
 	}
 }

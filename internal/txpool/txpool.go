@@ -98,34 +98,6 @@ func (p *Pool) DrainArrived(now time.Duration, max int) []chain.Transaction {
 	return out
 }
 
-// DrainArrivedInto is DrainArrived with a caller-owned destination: the
-// drained transactions are appended to dst (reusing its capacity) and
-// the extended slice is returned. Long-lived serving loops use it to
-// drain every epoch without a fresh allocation.
-func (p *Pool) DrainArrivedInto(dst []chain.Transaction, now time.Duration, max int) []chain.Transaction {
-	n := 0
-	for len(p.heap) > 0 && p.heap.peek().Created <= now {
-		if max > 0 && n >= max {
-			break
-		}
-		it := heap.Pop(&p.heap).(item)
-		dst = append(dst, it.tx)
-		n++
-	}
-	p.drained += n
-	return dst
-}
-
-// Reset empties the pool and its counters while keeping the heap's
-// backing array, so a pool can be reused across runs without shedding
-// its steady-state capacity.
-func (p *Pool) Reset() {
-	p.heap = p.heap[:0]
-	p.seq = 0
-	p.added = 0
-	p.drained = 0
-}
-
 // CumulativeAge sums now − Created over the waiting transactions that
 // have already arrived — the pool-level counterpart of the paper's Π
 // term. Transactions with future timestamps contribute nothing.

@@ -118,64 +118,6 @@ func TestAddBatch(t *testing.T) {
 	}
 }
 
-func TestDrainArrivedInto(t *testing.T) {
-	p := New()
-	for i := 0; i < 8; i++ {
-		p.Add(tx(uint64(i), time.Duration(i)*time.Second))
-	}
-	buf := make([]chain.Transaction, 0, 16)
-	got := p.DrainArrivedInto(buf[:0], 3*time.Second, 0)
-	if len(got) != 4 {
-		t.Fatalf("drained %d", len(got))
-	}
-	if cap(got) != 16 {
-		t.Fatalf("destination reallocated: cap %d", cap(got))
-	}
-	for i, x := range got {
-		if x.ID != uint64(i) {
-			t.Fatalf("order %v", got)
-		}
-	}
-	if p.Drained() != 4 || p.Len() != 4 {
-		t.Fatalf("counters: drained %d len %d", p.Drained(), p.Len())
-	}
-	// max caps the drain, and append semantics preserve the prefix.
-	got = p.DrainArrivedInto(got[:0], time.Hour, 2)
-	if len(got) != 2 || got[0].ID != 4 || got[1].ID != 5 {
-		t.Fatalf("max-capped drain %v", got)
-	}
-	// Reuse across epochs: the same buffer drains the rest with no growth.
-	got = p.DrainArrivedInto(got[:0], time.Hour, 0)
-	if len(got) != 2 || cap(got) != 16 {
-		t.Fatalf("reuse drain %v (cap %d)", got, cap(got))
-	}
-	if p.Added() != p.Drained()+p.Len() {
-		t.Fatalf("conservation broke: %d != %d + %d", p.Added(), p.Drained(), p.Len())
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := New()
-	for i := 0; i < 6; i++ {
-		p.Add(tx(uint64(i), time.Duration(i)*time.Second))
-	}
-	p.DrainArrived(2*time.Second, 0)
-	p.Reset()
-	if p.Len() != 0 || p.Added() != 0 || p.Drained() != 0 {
-		t.Fatalf("reset left state: len %d added %d drained %d", p.Len(), p.Added(), p.Drained())
-	}
-	if _, err := p.Oldest(); err != ErrEmpty {
-		t.Fatalf("oldest after reset: %v", err)
-	}
-	// The pool is fully usable after a reset, FIFO intact.
-	p.Add(tx(9, 2*time.Second))
-	p.Add(tx(8, time.Second))
-	got := p.DrainArrived(time.Hour, 0)
-	if len(got) != 2 || got[0].ID != 8 || got[1].ID != 9 {
-		t.Fatalf("post-reset drain %v", got)
-	}
-}
-
 func TestDrainOrderProperty(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := int(rawN)%100 + 1

@@ -149,3 +149,37 @@ func TestMetricsRuntimeNamesDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestObservabilityIndexCurrent lints OBSERVABILITY.md against the
+// code: every trace event type (obs.EventType, by its exposition name)
+// appears in backticks, and every metric family prefix in
+// docs/metrics.txt (mvcom_<family>_) has a `mvcom_<family>_*` table row.
+func TestObservabilityIndexCurrent(t *testing.T) {
+	raw, err := os.ReadFile("OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+
+	types := 0
+	for typ := obs.EvSERound; typ.String() != "unknown"; typ++ {
+		if !strings.Contains(doc, "`"+typ.String()+"`") {
+			t.Errorf("OBSERVABILITY.md does not name trace event type `%s`", typ)
+		}
+		types++
+	}
+	if types == 0 {
+		t.Fatal("no trace event types found")
+	}
+
+	families := map[string]bool{}
+	for name := range documentedBases(t) {
+		family, _, _ := strings.Cut(strings.TrimPrefix(name, "mvcom_"), "_")
+		families[family] = true
+	}
+	for family := range families {
+		if row := "| `mvcom_" + family + "_*` |"; !strings.Contains(doc, row) {
+			t.Errorf("OBSERVABILITY.md has no %s family row", row)
+		}
+	}
+}
