@@ -78,7 +78,7 @@ func run(args []string) error {
 		decLogDir = fs.String("decision-log", "", "write the decision journal to this directory")
 		gate      = fs.Bool("gate", false, "fail unless the post-run health gates pass")
 		expShed   = fs.Bool("expect-shed", false, "with -gate, fail unless admission shed traffic")
-		heapSlack = fs.Int64("heap-slack-bytes", 8<<20, "post-GC heap growth tolerated across the run")
+		heapSlack = fs.Int64("heap-slack-bytes", 8<<20, "post-GC heap growth tolerated across the run (noise: nothing the plane keeps grows with epoch count)")
 		quiet     = fs.Bool("q", false, "suppress the final stats dump")
 
 		swarmMode = fs.Bool("swarm", false, "run the synthetic client fleet instead of a server")

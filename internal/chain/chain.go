@@ -183,23 +183,32 @@ func (fb *FinalBlock) computeHash() Hash {
 	return out
 }
 
-// RootChain is the global chain of final blocks.
+// tailLen is how many recent final blocks the root chain keeps: enough
+// for Verify to check a window of links, while memory stays flat however
+// many epochs a serving plane runs.
+const tailLen = 64
+
+// RootChain is the global chain of final blocks. It keeps the tip and a
+// fixed tail of recent blocks, a height counter and a running
+// transaction total; older blocks are dropped.
 type RootChain struct {
-	blocks []*FinalBlock
+	tail     [tailLen]*FinalBlock // block h lives at tail[h%tailLen]
+	height   int
+	totalTxs int
 }
 
 // NewRootChain returns an empty root chain.
 func NewRootChain() *RootChain { return &RootChain{} }
 
 // Height returns the number of final blocks appended so far.
-func (c *RootChain) Height() int { return len(c.blocks) }
+func (c *RootChain) Height() int { return c.height }
 
 // Tip returns the latest final block, or nil for an empty chain.
 func (c *RootChain) Tip() *FinalBlock {
-	if len(c.blocks) == 0 {
+	if c.height == 0 {
 		return nil
 	}
-	return c.blocks[len(c.blocks)-1]
+	return c.tail[(c.height-1)%tailLen]
 }
 
 // TipHash returns the hash of the latest block, or the zero hash for an
@@ -211,24 +220,9 @@ func (c *RootChain) TipHash() Hash {
 	return Hash{}
 }
 
-// Block returns the final block at the given height, or nil if out of
-// range.
-func (c *RootChain) Block(height int) *FinalBlock {
-	if height < 0 || height >= len(c.blocks) {
-		return nil
-	}
-	return c.blocks[height]
-}
-
 // TotalTxs returns the total transactions committed across all final
-// blocks.
-func (c *RootChain) TotalTxs() int {
-	total := 0
-	for _, b := range c.blocks {
-		total += b.TxTotal
-	}
-	return total
-}
+// blocks, the dropped ones included.
+func (c *RootChain) TotalTxs() int { return c.totalTxs }
 
 // Append assembles a final block from the permitted shard blocks and
 // appends it to the chain. Shards are verified first; the epoch randomness
@@ -245,7 +239,7 @@ func (c *RootChain) Append(epoch int, at time.Duration, shards []*ShardBlock) (*
 		total += s.TxCount
 	}
 	fb := &FinalBlock{
-		Height:     len(c.blocks),
+		Height:     c.height,
 		Epoch:      epoch,
 		Parent:     c.TipHash(),
 		ShardRoots: roots,
@@ -253,23 +247,28 @@ func (c *RootChain) Append(epoch int, at time.Duration, shards []*ShardBlock) (*
 		Timestamp:  at,
 	}
 	fb.Randomness = deriveRandomness(fb.Parent, roots, epoch)
-	c.blocks = append(c.blocks, fb)
+	c.tail[c.height%tailLen] = fb
+	c.height++
+	c.totalTxs += total
 	return fb, nil
 }
 
-// Verify walks the chain checking parent links, heights, and stored
-// hashes.
+// Verify checks heights, parent links and stored hashes over the blocks
+// the chain holds; the oldest held block's parent is checked only when
+// it is the genesis block.
 func (c *RootChain) Verify() error {
+	first := max(c.height-tailLen, 0)
 	parent := Hash{}
-	for i, b := range c.blocks {
-		if b.Height != i {
-			return fmt.Errorf("block %d: %w", i, ErrBadHeight)
+	for h := first; h < c.height; h++ {
+		b := c.tail[h%tailLen]
+		if b.Height != h {
+			return fmt.Errorf("block %d: %w", h, ErrBadHeight)
 		}
-		if b.Parent != parent {
-			return fmt.Errorf("block %d: %w", i, ErrBadParent)
+		if (h > first || h == 0) && b.Parent != parent {
+			return fmt.Errorf("block %d: %w", h, ErrBadParent)
 		}
 		if b.Hash() != b.computeHash() {
-			return fmt.Errorf("block %d: %w", i, ErrBadHash)
+			return fmt.Errorf("block %d: %w", h, ErrBadHash)
 		}
 		parent = b.Hash()
 	}

@@ -273,28 +273,53 @@ func TestRootChainVerifyDetectsTamper(t *testing.T) {
 	if _, err := c.Append(2, 0, []*ShardBlock{s2}); err != nil {
 		t.Fatal(err)
 	}
-	c.Block(0).Height = 5
+	c.tail[0].Height = 5
 	if err := c.Verify(); !errors.Is(err, ErrBadHeight) {
 		t.Fatalf("height tamper not detected: %v", err)
 	}
-	c.Block(0).Height = 0
-	c.Block(1).Parent = Hash{1}
+	c.tail[0].Height = 0
+	c.tail[1].Parent = Hash{1}
 	if err := c.Verify(); !errors.Is(err, ErrBadParent) {
 		t.Fatalf("parent tamper not detected: %v", err)
 	}
 }
 
-func TestRootChainBlockAccess(t *testing.T) {
+// TestRootChainKeepsBoundedTail appends three tails' worth of blocks:
+// the height and the running total cover every block, the chain holds
+// only the last tailLen, Verify passes over them, and a tampered tail
+// block fails it.
+func TestRootChainKeepsBoundedTail(t *testing.T) {
 	c := NewRootChain()
-	if c.Block(0) != nil || c.Block(-1) != nil {
-		t.Fatal("out-of-range access should return nil")
+	const n = 3 * tailLen
+	want := 0
+	for e := 1; e <= n; e++ {
+		s, err := NewShardHeader(0, e, 0, Transaction{ID: uint64(e)}.Hash(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := c.Append(e, time.Duration(e)*time.Second, []*ShardBlock{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fb.TxTotal
 	}
-	s, _ := NewShardBlock(0, 1, 0, makeTxs(1, 0))
-	if _, err := c.Append(1, 0, []*ShardBlock{s}); err != nil {
+	if c.Height() != n || c.TotalTxs() != want {
+		t.Fatalf("height %d txs %d, want %d and %d", c.Height(), c.TotalTxs(), n, want)
+	}
+	if tip := c.Tip(); tip.Height != n-1 || tip.Hash() != c.TipHash() {
+		t.Fatalf("tip %+v", tip)
+	}
+	for _, b := range c.tail {
+		if b.Height < n-tailLen {
+			t.Fatalf("chain still holds block %d of %d", b.Height, n)
+		}
+	}
+	if err := c.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Block(0) == nil || c.Block(1) != nil {
-		t.Fatal("block access wrong after append")
+	c.tail[(n-tailLen/2)%tailLen].TxTotal++
+	if err := c.Verify(); !errors.Is(err, ErrBadHash) {
+		t.Fatalf("tampered tail block verified: %v", err)
 	}
 }
 
@@ -315,6 +340,32 @@ func TestRandomnessRefreshChanges(t *testing.T) {
 	}
 	if fb1.Randomness.IsZero() {
 		t.Fatal("epoch randomness is zero")
+	}
+}
+
+func TestHeaderOnlyShardBlock(t *testing.T) {
+	sb, err := NewShardHeader(2, 1, time.Second, Transaction{ID: 1}.Hash(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sb.HeaderOnly() {
+		t.Fatal("not header-only")
+	}
+	if err := sb.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewShardHeader(2, 1, 0, Hash{}, 100); err == nil {
+		t.Fatal("zero root accepted")
+	}
+	if _, err := NewShardHeader(2, 1, 0, Transaction{ID: 1}.Hash(), 0); err == nil {
+		t.Fatal("zero count accepted")
+	}
+	full, err := NewShardBlock(0, 1, 0, makeTxs(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.HeaderOnly() {
+		t.Fatal("full block claims header-only")
 	}
 }
 

@@ -60,10 +60,6 @@ type SEConfig struct {
 	// SwapRetries bounds the resampling attempts Set-timer makes to find
 	// a capacity-feasible swap for a solution thread. Default 8.
 	SwapRetries int
-	// InitRetries bounds the attempts Initialization (Alg. 2) makes to
-	// draw a capacity-feasible solution of each cardinality before
-	// marking that cardinality inactive. Default 200.
-	InitRetries int
 	// MaxCandidates, when positive, caps how many live candidates the
 	// online algorithm will accept: once the candidate set reaches this
 	// size, further join events are ignored — Alg. 1 lines 29–30 ("once
@@ -137,9 +133,6 @@ func (c SEConfig) withDefaults() SEConfig {
 	}
 	if c.SwapRetries <= 0 {
 		c.SwapRetries = 8
-	}
-	if c.InitRetries <= 0 {
-		c.InitRetries = 200
 	}
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 64
@@ -1092,21 +1085,20 @@ func threadCardinalities(k, maxThreads int) []int {
 	return out
 }
 
-// initThread is Initialization() (Alg. 2): draw random n-subsets until one
-// satisfies the capacity constraint, giving up after InitRetries attempts
-// (the cardinality is then inactive — equivalent to the trimmed state
-// space of Section V).
 // initUniformAttempts caps the uniform rejection-sampling phase of
 // initThread and initGreedyAttempts its greedy fallback; past both, the
 // n smallest candidates seed the thread deterministically. The ladder
-// bounds construction at O(attempts·draws + k) where the old
-// InitRetries-bounded rejection loop could burn 200 full-width samples
-// per tight thread — and it never abandons a feasible cardinality.
+// bounds construction at O(attempts·draws + k), and it never abandons a
+// feasible cardinality.
 const (
 	initUniformAttempts = 8
 	initGreedyAttempts  = 4
 )
 
+// initThread is Initialization() (Alg. 2): draw random n-subsets until one
+// satisfies the capacity constraint, down the ladder above. Only an
+// infeasible cardinality stays inactive (the trimmed state space of
+// Section V).
 func (ex *explorer) initThread(n int) *thread {
 	r := ex.run
 	k := len(r.candidates)
@@ -1128,11 +1120,7 @@ func (ex *explorer) initThread(n int) *thread {
 	// undoing the swaps each partial Fisher-Yates made, which is O(draws)
 	// instead of an O(k) rewrite per attempt).
 	idx := ex.initIdx[:k]
-	uniform := r.cfg.InitRetries
-	if uniform > initUniformAttempts {
-		uniform = initUniformAttempts
-	}
-	for attempt := 0; attempt < uniform; attempt++ {
+	for attempt := 0; attempt < initUniformAttempts; attempt++ {
 		// Partial Fisher-Yates, aborting as soon as the running load
 		// exceeds capacity: any prefix over capacity dooms the full
 		// sample (sizes are non-negative), so the accepted distribution

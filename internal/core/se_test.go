@@ -266,7 +266,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Beta != 2 || cfg.Gamma != 1 || cfg.MaxIters != 20000 {
 		t.Fatalf("defaults %+v", cfg)
 	}
-	if cfg.ConvergenceWindow <= 0 || cfg.SwapRetries <= 0 || cfg.InitRetries <= 0 {
+	if cfg.ConvergenceWindow <= 0 || cfg.SwapRetries <= 0 {
 		t.Fatalf("defaults %+v", cfg)
 	}
 }

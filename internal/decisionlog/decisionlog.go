@@ -85,7 +85,6 @@ type SolverFingerprint struct {
 	MaxIters          int     `json:"maxIters,omitempty"`
 	ConvergenceWindow int     `json:"convergenceWindow,omitempty"`
 	SwapRetries       int     `json:"swapRetries,omitempty"`
-	InitRetries       int     `json:"initRetries,omitempty"`
 	MaxCandidates     int     `json:"maxCandidates,omitempty"`
 	MaxThreads        int     `json:"maxThreads,omitempty"`
 	RawRates          bool    `json:"rawRates,omitempty"`
@@ -106,7 +105,6 @@ func FingerprintSE(cfg core.SEConfig) SolverFingerprint {
 		MaxIters:          cfg.MaxIters,
 		ConvergenceWindow: cfg.ConvergenceWindow,
 		SwapRetries:       cfg.SwapRetries,
-		InitRetries:       cfg.InitRetries,
 		MaxCandidates:     cfg.MaxCandidates,
 		MaxThreads:        cfg.MaxThreads,
 		RawRates:          cfg.DisableRateNormalization,
@@ -126,7 +124,6 @@ func (f SolverFingerprint) SEConfig() core.SEConfig {
 		MaxIters:                 f.MaxIters,
 		ConvergenceWindow:        f.ConvergenceWindow,
 		SwapRetries:              f.SwapRetries,
-		InitRetries:              f.InitRetries,
 		MaxCandidates:            f.MaxCandidates,
 		MaxThreads:               f.MaxThreads,
 		DisableRateNormalization: f.RawRates,

@@ -158,9 +158,6 @@ func appendFingerprint(b []byte, f *SolverFingerprint) []byte {
 	if f.SwapRetries != 0 {
 		b = appendIntField(b, "swapRetries", f.SwapRetries)
 	}
-	if f.InitRetries != 0 {
-		b = appendIntField(b, "initRetries", f.InitRetries)
-	}
 	if f.MaxCandidates != 0 {
 		b = appendIntField(b, "maxCandidates", f.MaxCandidates)
 	}

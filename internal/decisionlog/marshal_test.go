@@ -32,7 +32,7 @@ func marshalCases() []Entry {
 			Solver: SolverFingerprint{
 				Kind: KindSE, Seed: -7, Beta: 2, Tau: 0.5, Gamma: 25, Workers: 4,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,
-				InitRetries: 64, MaxCandidates: 32, MaxThreads: 1024,
+				MaxCandidates: 32, MaxThreads: 1024,
 				RawRates: true, WarmStart: true, Adaptive: true,
 			},
 			Warm: true, WarmPrev: []int{0, 1},

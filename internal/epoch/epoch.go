@@ -243,7 +243,9 @@ type Result struct {
 	Instance core.Instance
 	// Solution is the final committee's decision.
 	Solution core.Solution
-	// FinalBlock is the block appended to the root chain.
+	// FinalBlock is the block appended to the root chain. The chain
+	// holds only a bounded tail of recent blocks, so a caller that needs
+	// this one later keeps the pointer.
 	FinalBlock *chain.FinalBlock
 	// Deferred lists committees refused this epoch (stragglers or not
 	// permitted); they re-submit next epoch with reduced latency
@@ -253,7 +255,7 @@ type Result struct {
 
 // Clone returns a deep copy of r that stays valid after later epochs
 // run: Reports, Live, Deferred, the Instance's slices and the selection
-// are copied. FinalBlock belongs to the chain and is shared.
+// are copied. FinalBlock is shared with the chain.
 func (r *Result) Clone() *Result {
 	c := *r
 	c.Reports = append([]CommitteeReport(nil), r.Reports...)
@@ -341,9 +343,8 @@ type Pipeline struct {
 	lats  []float64
 	// sel backs the warm-start selection projected over Live indices.
 	sel []bool
-	// shards backs the final-block assembly slice (the ShardBlocks
-	// themselves are retained by the caller-visible FinalBlock path, the
-	// slice header is not).
+	// shards backs the final-block assembly slice (the final block keeps
+	// only the shard hashes, not the ShardBlocks).
 	shards []*chain.ShardBlock
 	// result is the reused per-epoch Result.
 	result Result

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mvcom/internal/baseline"
@@ -218,4 +219,57 @@ func TestServeScratchReuseSteadyState(t *testing.T) {
 			t.Fatalf("scratch buffers still reallocating in steady state: %+v", seen)
 		}
 	}
+}
+
+// TestServeHeapFlatPerEpoch is the count-based memory gate of a
+// long-lived serving loop: past warm-up, the post-GC live heap read
+// while Serve runs must not grow with the number of epochs served. The
+// readings are taken inside OnResult because after Serve returns the
+// test no longer uses the pipeline, so a GC frees it, leak included.
+func TestServeHeapFlatPerEpoch(t *testing.T) {
+	const (
+		epochs = 10000
+		warmup = 2000
+		// maxGrowth is the live-heap growth tolerated per epoch, far
+		// below the ~400 B one retained final block costs.
+		maxGrowth = 16
+	)
+	cfg := fastConfig(8, 47)
+	cfg.NmaxFraction = 1
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var early, late uint64
+	stream := &FixedStream{
+		N:      epochs,
+		Params: EpochParams{Alpha: 1.5, Capacity: p.Trace().TotalTxs(), Nmin: 1},
+		OnResult: func(res *Result) error {
+			switch res.Epoch {
+			case warmup:
+				early = liveHeap()
+			case epochs:
+				late = liveHeap()
+			}
+			return nil
+		},
+	}
+	if err := p.Serve(context.Background(), AcceptAll{}, stream); err != nil {
+		t.Fatal(err)
+	}
+	if early == 0 || late == 0 {
+		t.Fatalf("heap not sampled: early %d, late %d", early, late)
+	}
+	growth := float64(int64(late)-int64(early)) / (epochs - warmup)
+	if growth > maxGrowth {
+		t.Fatalf("live heap grew %.1f B/epoch over epochs %d..%d (%d -> %d B), bound %d",
+			growth, warmup, epochs, early, late, maxGrowth)
+	}
+	t.Logf("live heap %d -> %d B over epochs %d..%d (%.1f B/epoch)", early, late, warmup, epochs, growth)
 }

@@ -106,9 +106,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBo
 			writeJSON(w, http.StatusRequestEntityTooLarge, ackResponse{Reason: "body"})
 			return false
 		}
-		stream.requests.Add(1)
-		stream.cfg.Obs.RequestSeen()
-		stream.shed("invalid", 0)
+		stream.ShedInvalid()
 		writeJSON(w, http.StatusBadRequest, ackResponse{Reason: "invalid"})
 		return false
 	}

@@ -249,6 +249,14 @@ func (s *NetStream) ShedBody() string {
 	return s.shed("body", 0)
 }
 
+// ShedInvalid counts a request refused before it carries a batch: a
+// malformed body or frame, or an unknown message type.
+func (s *NetStream) ShedInvalid() string {
+	s.requests.Add(1)
+	s.cfg.Obs.RequestSeen()
+	return s.shed("invalid", 0)
+}
+
 func (s *NetStream) shed(reason string, txs int) string {
 	switch reason {
 	case "rate":

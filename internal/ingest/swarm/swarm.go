@@ -23,8 +23,7 @@ import (
 )
 
 // Submitter is the client fleet's view of a serving plane: the HTTP
-// front end (Dial), the framed-TCP front end (DialTCP), or an
-// in-process NetStream (Direct).
+// front end (Dial) or an in-process NetStream (Direct).
 type Submitter interface {
 	// SubmitTxs offers a batch; ok reports admission, reason the shed
 	// class when !ok, err a transport failure (nothing accounted).

@@ -68,40 +68,6 @@ func (t *HTTPTarget) SubmitReport(source string, rep ingest.Report) (bool, strin
 	return t.post("/report", source, rep)
 }
 
-// TCPTarget submits over the framed-TCP front end.
-type TCPTarget struct{ c *ingest.Client }
-
-// DialTCP returns a framed-TCP target for an address like
-// "127.0.0.1:9000".
-func DialTCP(addr string) (*TCPTarget, error) {
-	c, err := ingest.DialTCP(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPTarget{c: c}, nil
-}
-
-// Close closes the underlying connection.
-func (t *TCPTarget) Close() error { return t.c.Close() }
-
-// SubmitTxs implements Submitter.
-func (t *TCPTarget) SubmitTxs(source string, txs []chain.Transaction) (bool, string, error) {
-	ack, err := t.c.SubmitTxs(source, txs)
-	if err != nil {
-		return false, "", err
-	}
-	return ack.Accepted, ack.Reason, nil
-}
-
-// SubmitReport implements Submitter.
-func (t *TCPTarget) SubmitReport(source string, rep ingest.Report) (bool, string, error) {
-	ack, err := t.c.SubmitReport(rep)
-	if err != nil {
-		return false, "", err
-	}
-	return ack.Accepted, ack.Reason, nil
-}
-
 // Direct submits straight into an in-process NetStream — no transport,
 // no sockets. Tests and the single-binary soak mode use it.
 type Direct struct{ Stream *ingest.NetStream }

@@ -129,9 +129,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		var env Envelope
 		ack := Ack{}
 		if err := json.Unmarshal(line, &env); err != nil {
-			s.stream.requests.Add(1)
-			s.stream.cfg.Obs.RequestSeen()
-			ack.Reason = s.stream.shed("invalid", 0)
+			ack.Reason = s.stream.ShedInvalid()
 		} else {
 			ack.Reason = s.dispatch(source, env)
 		}
@@ -158,9 +156,7 @@ func (s *TCPServer) dispatch(source string, env Envelope) string {
 	case MsgTxs:
 		var req txsRequest
 		if err := json.Unmarshal(env.Body, &req); err != nil {
-			s.stream.requests.Add(1)
-			s.stream.cfg.Obs.RequestSeen()
-			return s.stream.shed("invalid", 0)
+			return s.stream.ShedInvalid()
 		}
 		src := source
 		if req.Source != "" {
@@ -170,15 +166,11 @@ func (s *TCPServer) dispatch(source string, env Envelope) string {
 	case MsgReport:
 		var rep Report
 		if err := json.Unmarshal(env.Body, &rep); err != nil {
-			s.stream.requests.Add(1)
-			s.stream.cfg.Obs.RequestSeen()
-			return s.stream.shed("invalid", 0)
+			return s.stream.ShedInvalid()
 		}
 		return s.stream.SubmitReport(source, rep)
 	default:
-		s.stream.requests.Add(1)
-		s.stream.cfg.Obs.RequestSeen()
-		return s.stream.shed("invalid", 0)
+		return s.stream.ShedInvalid()
 	}
 }
 

@@ -1,18 +1,15 @@
 // Package integration_test exercises cross-module flows end-to-end: the
-// epoch pipeline feeding the distributed scheduler, chain persistence
-// across a simulated restart, and long multi-epoch runs with failures and
-// carry-over.
+// epoch pipeline feeding the distributed scheduler, and long multi-epoch
+// runs with failures and carry-over.
 package integration_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"mvcom/internal/baseline"
-	"mvcom/internal/chain"
 	"mvcom/internal/core"
 	"mvcom/internal/dist"
 	"mvcom/internal/epoch"
@@ -83,31 +80,6 @@ func TestEpochPipelineWithDistributedScheduler(t *testing.T) {
 	}
 	if err := p.Chain().Verify(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestChainSurvivesRestart(t *testing.T) {
-	p, err := epoch.NewPipeline(pipelineConfig(8, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := p.Trace().TotalTxs() / 2
-	if _, err := p.RunEpochs(3, epoch.AcceptAll{}, 1.5, capacity, 2); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Chain().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := chain.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.TipHash() != p.Chain().TipHash() {
-		t.Fatal("tip hash changed across persistence")
-	}
-	if restored.TotalTxs() != p.Chain().TotalTxs() {
-		t.Fatal("tx totals changed across persistence")
 	}
 }
 

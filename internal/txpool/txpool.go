@@ -8,15 +8,9 @@ package txpool
 
 import (
 	"container/heap"
-	"errors"
 	"time"
 
 	"mvcom/internal/chain"
-)
-
-// Errors returned by the pool.
-var (
-	ErrEmpty = errors.New("txpool: pool is empty")
 )
 
 // item orders transactions by arrival time (FIFO per timestamp, sequence
@@ -43,10 +37,8 @@ func (h txHeap) peek() chain.Transaction { return h[0].tx }
 // Pool is a virtual-time mempool. It is not safe for concurrent use; the
 // discrete-event simulation drives it from one goroutine.
 type Pool struct {
-	heap    txHeap
-	seq     uint64
-	added   int
-	drained int
+	heap txHeap
+	seq  uint64
 }
 
 // New returns an empty pool.
@@ -55,32 +47,10 @@ func New() *Pool { return &Pool{} }
 // Len returns the number of waiting transactions.
 func (p *Pool) Len() int { return len(p.heap) }
 
-// Added returns how many transactions ever entered the pool.
-func (p *Pool) Added() int { return p.added }
-
-// Drained returns how many transactions have been drained.
-func (p *Pool) Drained() int { return p.drained }
-
 // Add inserts a transaction keyed by its Created timestamp.
 func (p *Pool) Add(tx chain.Transaction) {
 	heap.Push(&p.heap, item{tx: tx, seq: p.seq})
 	p.seq++
-	p.added++
-}
-
-// AddBatch inserts many transactions.
-func (p *Pool) AddBatch(txs []chain.Transaction) {
-	for _, tx := range txs {
-		p.Add(tx)
-	}
-}
-
-// Oldest returns the arrival time of the oldest waiting transaction.
-func (p *Pool) Oldest() (time.Duration, error) {
-	if len(p.heap) == 0 {
-		return 0, ErrEmpty
-	}
-	return p.heap.peek().Created, nil
 }
 
 // DrainArrived removes and returns every transaction that arrived at or
@@ -94,47 +64,5 @@ func (p *Pool) DrainArrived(now time.Duration, max int) []chain.Transaction {
 		it := heap.Pop(&p.heap).(item)
 		out = append(out, it.tx)
 	}
-	p.drained += len(out)
 	return out
-}
-
-// CumulativeAge sums now − Created over the waiting transactions that
-// have already arrived — the pool-level counterpart of the paper's Π
-// term. Transactions with future timestamps contribute nothing.
-func (p *Pool) CumulativeAge(now time.Duration) time.Duration {
-	var total time.Duration
-	for _, it := range p.heap {
-		if it.tx.Created <= now {
-			total += now - it.tx.Created
-		}
-	}
-	return total
-}
-
-// AgeStats summarizes waiting ages at an instant.
-type AgeStats struct {
-	Waiting int
-	Total   time.Duration
-	Mean    time.Duration
-	Max     time.Duration
-}
-
-// Ages computes waiting-age statistics over the arrived transactions.
-func (p *Pool) Ages(now time.Duration) AgeStats {
-	var st AgeStats
-	for _, it := range p.heap {
-		if it.tx.Created > now {
-			continue
-		}
-		age := now - it.tx.Created
-		st.Waiting++
-		st.Total += age
-		if age > st.Max {
-			st.Max = age
-		}
-	}
-	if st.Waiting > 0 {
-		st.Mean = st.Total / time.Duration(st.Waiting)
-	}
-	return st
 }
