@@ -27,7 +27,7 @@ func NewEngine(in Instance, cfg SEConfig) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{r: r}
-	if sol, done := r.trivial(); done {
+	if sol, done := trivial(r.in); done {
 		e.trivial = &sol
 	}
 	return e, nil

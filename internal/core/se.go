@@ -179,22 +179,41 @@ func (se *SE) Config() SEConfig { return se.cfg }
 // Solve runs the SE algorithm on a static instance and returns the best
 // feasible solution found together with its convergence trace.
 func (se *SE) Solve(in Instance) (Solution, []TracePoint, error) {
-	if err := in.Validate(); err != nil {
-		return Solution{}, nil, err
-	}
-	run, err := newRun(&in, se.cfg)
+	run, sol, err := se.prepare(&in)
 	if err != nil {
 		return Solution{}, nil, err
 	}
-	if sol, done := run.trivial(); done {
+	if run == nil {
 		return sol, []TracePoint{{Iteration: 0, Utility: sol.Utility}}, nil
 	}
 	trace := run.loop(nil)
-	sol, err := run.best()
+	sol, err = run.best()
 	if err != nil {
 		return Solution{}, trace, err
 	}
 	return sol, trace, nil
+}
+
+// prepare validates in and checks Alg. 1 line 1 before any SE state
+// exists. When the arrived shards fit the block it returns a nil run and
+// the all-arrived solution: such an epoch seeds no RNG and builds no
+// explorer, and an attached Diag is bound to the solution returned (one
+// improvement at round 0), not to random initializations it discards.
+// Otherwise it returns the run to search with. An instance with no
+// arrived shard is ErrNoCandidates even when Nmin is 0.
+func (se *SE) prepare(in *Instance) (*run, Solution, error) {
+	if err := in.Validate(); err != nil {
+		return nil, Solution{}, err
+	}
+	if sol, ok := trivial(in); ok && sol.Count > 0 {
+		if d := se.cfg.Diag; d != nil {
+			d.Bind(seobs.RunInfo{K: sol.Count, Gamma: se.cfg.Gamma, Beta: se.cfg.Beta, Capacity: in.Capacity, Nmin: in.Nmin})
+			d.RecordImprovement(0, sol.Utility)
+		}
+		return nil, sol, nil
+	}
+	r, err := newRun(in, se.cfg)
+	return r, Solution{}, err
 }
 
 // syncRounds is the batch length R: how many transition rounds every
@@ -490,19 +509,24 @@ func (r *run) refreshRateCaches() {
 // trivial handles the bootstrap condition of Alg. 1 line 1: the stochastic
 // search only starts once the arrived shards exceed both Nmin and the
 // block capacity; otherwise the final committee simply permits everything
-// that arrived.
-func (r *run) trivial() (Solution, bool) {
-	if r.in.TotalArrivedSize() > r.in.Capacity {
+// that arrived. The check itself allocates nothing, so a solve that goes
+// on to search pays one pass over the latencies for it.
+func trivial(in *Instance) (Solution, bool) {
+	n, load := 0, 0
+	for i, l := range in.Latencies {
+		if l <= in.DDL {
+			n++
+			load += in.Sizes[i]
+		}
+	}
+	if load > in.Capacity || n < in.Nmin {
 		return Solution{}, false
 	}
-	if len(r.candidates) < r.in.Nmin {
-		return Solution{}, false
+	sel := make([]bool, len(in.Latencies))
+	for i, l := range in.Latencies {
+		sel[i] = l <= in.DDL
 	}
-	sel := make([]bool, r.in.NumShards())
-	for _, i := range r.candidates {
-		sel[i] = true
-	}
-	return NewSolution(r.in, sel), true
+	return NewSolution(in, sel), true
 }
 
 // loop advances all explorers in synchronized batches until convergence or
@@ -1187,12 +1211,21 @@ func (ex *explorer) initThread(n int) *thread {
 	return th
 }
 
-// adopt installs a selection given by candidate positions.
+// adopt installs a selection given by candidate positions, reusing the
+// thread's slices when they are large enough (a warm start re-adopts
+// threads initThread has just built).
 func (th *thread) adopt(r *run, pick []int) {
 	k := len(r.candidates)
-	th.selected = make([]bool, k)
-	th.posInSel = make([]int, k)
-	th.posInUns = make([]int, k)
+	if cap(th.selected) >= k && cap(th.posInSel) >= k && cap(th.posInUns) >= k {
+		th.selected = th.selected[:k]
+		clear(th.selected)
+		th.posInSel = th.posInSel[:k]
+		th.posInUns = th.posInUns[:k]
+	} else {
+		th.selected = make([]bool, k)
+		th.posInSel = make([]int, k)
+		th.posInUns = make([]int, k)
+	}
 	for i := range th.posInSel {
 		th.posInSel[i] = -1
 		th.posInUns[i] = -1

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mvcom/internal/randx"
+	"mvcom/internal/seobs"
 )
 
 // bruteForce enumerates all subsets of a small instance and returns the
@@ -123,6 +124,62 @@ func TestSolveTrivialWhenEverythingFits(t *testing.T) {
 	}
 	if len(trace) != 1 {
 		t.Fatalf("trivial case should not iterate, trace %v", trace)
+	}
+}
+
+// trivialDiagInstance fits the block, so Alg. 1 line 1 permits every
+// arrived shard (utility 438.5), though its last shard has negative
+// value: a random thread leaving it out scores 447.
+func trivialDiagInstance() Instance {
+	return Instance{
+		Sizes:     []int{100, 100, 100, 1},
+		Latencies: []float64{9, 9, 9, 0},
+		DDL:       10,
+		Alpha:     1.5,
+		Capacity:  1000,
+		Nmin:      1,
+	}
+}
+
+// TestTrivialSolveDiagDescribesReturnedSolution pins the journaled
+// digest of a trivial solve to the solution it returned: one
+// improvement at round 0, at the all-arrived utility.
+func TestTrivialSolveDiagDescribesReturnedSolution(t *testing.T) {
+	prev := Solution{Selected: []bool{true, true, true, false}}
+	for _, warm := range []bool{false, true} {
+		diag := seobs.New(seobs.Config{})
+		se := NewSE(SEConfig{Seed: 1, Gamma: 4, WarmStart: warm, Diag: diag})
+		sol, _, err := se.Solve(trivialDiagInstance())
+		if warm {
+			sol, _, err = se.SolveFrom(trivialDiagInstance(), prev)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Count != 4 || sol.Utility != 438.5 {
+			t.Fatalf("warm=%v: trivial solve returned %+v, want all four shards at 438.5", warm, sol)
+		}
+		dg := diag.Digest()
+		if !dg.HaveBest || dg.BestUtility != sol.Utility || dg.Improvements != 1 || dg.Rounds != 0 || dg.TimeToEpsRounds != 0 {
+			t.Fatalf("warm=%v: digest %+v does not describe the returned utility %v", warm, dg, sol.Utility)
+		}
+	}
+}
+
+// TestTrivialSolveAllocs bounds a trivial solve's allocations: four
+// today (the instance, the selection, its copy in the Solution, and the
+// one-point trace), with no RNG, explorer or thread built (179 when SE
+// set-up ran first).
+func TestTrivialSolveAllocs(t *testing.T) {
+	se := NewSE(SEConfig{Seed: 1, Gamma: 4, WarmStart: true})
+	in := trivialDiagInstance()
+	prev := Solution{Selected: []bool{true, true, true, false}}
+	const bound = 6
+	if n := testing.AllocsPerRun(50, func() { _, _, _ = se.Solve(in) }); n > bound {
+		t.Errorf("trivial Solve: %v allocs, want <= %d", n, bound)
+	}
+	if n := testing.AllocsPerRun(50, func() { _, _, _ = se.SolveFrom(in, prev) }); n > bound {
+		t.Errorf("trivial SolveFrom: %v allocs, want <= %d", n, bound)
 	}
 }
 

@@ -74,6 +74,12 @@ func FuzzTCPFrames(f *testing.F) {
 		frame(MsgTxs, txsRequest{Source: "alice", Txs: mkTxs(60, 100)}),
 		frame(MsgReport, Report{Committee: 77, TxCount: 1}),
 	))
+	// A canonical txs body the recognizer counts, and a near miss
+	// (lower-case keys) it leaves to encoding/json.
+	f.Add(lines(
+		frame(MsgTxs, txsRequest{Source: "gen-0", Txs: mkTxs(3, 0)}),
+		[]byte(`{"type":"txs","body":{"TXS":[{"id":1}]}}`),
+	))
 	f.Add([]byte(`{"type":"bogus"}` + "\nthis is not json\n\r\n"))
 	f.Add([]byte(`{"type":"txs","body":{"txs":[` + strings.Repeat(`{"ID":1},`, 500) + `{"ID":2}]}}`))
 	// Two declarations whose sum overflows an int64 counter.
@@ -136,11 +142,14 @@ func FuzzTCPFrames(f *testing.F) {
 // second request meets the queue and declarations the first left.
 // Every request must get a JSON ack whose status matches its reason.
 func FuzzHTTPIngest(f *testing.F) {
-	// TestHTTPAdmission's bodies, and a declaration that overflows an
-	// int64 counter when posted twice.
+	// TestHTTPAdmission's bodies, a canonical txs body and a near miss
+	// the recognizer leaves to encoding/json, and a declaration that
+	// overflows an int64 counter when posted twice.
 	f.Add(uint8(0), mustJSON(f, mkTxs(1, 0)[0]))
 	f.Add(uint8(1), mustJSON(f, txsRequest{Txs: mkTxs(40, 100)}))
 	f.Add(uint8(1), []byte(`{"txs":[`+strings.Repeat(`{"ID":1},`, 600)+`{"ID":2}]}`))
+	f.Add(uint8(1), mustJSON(f, txsRequest{Source: "gen-0", Txs: mkTxs(3, 0)}))
+	f.Add(uint8(1), []byte(`{"TXS":[{"id":1}]}`))
 	f.Add(uint8(0), []byte("{not json"))
 	f.Add(uint8(2), mustJSON(f, Report{Committee: 1, TxCount: 5}))
 	f.Add(uint8(2), mustJSON(f, Report{Committee: 99, TxCount: 5}))

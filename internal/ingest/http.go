@@ -1,10 +1,13 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
+	"sync"
 
 	"mvcom/internal/chain"
 )
@@ -57,15 +60,9 @@ func NewHandler(stream *NetStream, maxBody int64) http.Handler {
 		writeAck(w, stream.Submit(sourceOf(r), []chain.Transaction{tx}))
 	})
 	mux.HandleFunc("POST /txs", func(w http.ResponseWriter, r *http.Request) {
-		var req txsRequest
-		if !decodeBody(w, r, stream, maxBody, &req) {
-			return
+		if src, n, ok := readTxs(w, r, stream, maxBody); ok {
+			writeAck(w, stream.SubmitCount(src, n))
 		}
-		src := sourceOf(r)
-		if src == "" {
-			src = req.Source
-		}
-		writeAck(w, stream.Submit(src, req.Txs))
 	})
 	mux.HandleFunc("POST /report", func(w http.ResponseWriter, r *http.Request) {
 		var rep Report
@@ -94,12 +91,59 @@ func sourceOf(r *http.Request) string {
 	return host
 }
 
+// bodyBufs recycles the buffers POST /txs bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest body buffer kept for reuse: a canonical
+// 100-transaction body is about 9 KiB, and a buffer grown toward the
+// 1 MiB default cap is left to the collector rather than pinned.
+const maxPooledBody = 64 << 10
+
+// readTxs reads a POST /txs body under the cap and returns its admission
+// source (the header or peer, else the body's) and transaction count.
+// countTxs counts a canonical body without decoding it; any body it
+// declines, or one over the cap, goes to encoding/json as decodeBody
+// would take it. Returns false when a response was already written.
+func readTxs(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody int64) (string, int, bool) {
+	src := sourceOf(r)
+	body := http.MaxBytesReader(w, r.Body, maxBody)
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(body); err == nil {
+		if bodySrc, n, ok := countTxs(buf.Bytes()); ok {
+			if src == "" {
+				src = string(bodySrc)
+			}
+			return src, n, true
+		}
+	}
+	stream.cfg.Obs.DecodeFallback()
+	var req txsRequest
+	if !decodeJSON(w, io.MultiReader(bytes.NewReader(buf.Bytes()), body), stream, &req) {
+		return "", 0, false
+	}
+	if src == "" {
+		src = req.Source
+	}
+	return src, len(req.Txs), true
+}
+
 // decodeBody decodes a capped JSON body into v, answering 413 on an
 // oversized body (counted as a "body" shed) and 400 on malformed JSON.
 // Returns false when a response was already written.
 func decodeBody(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBody), stream, v)
+}
+
+// decodeJSON is decodeBody over a body already capped by
+// http.MaxBytesReader.
+func decodeJSON(w http.ResponseWriter, body io.Reader, stream *NetStream, v any) bool {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			stream.ShedBody()

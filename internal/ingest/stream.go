@@ -135,24 +135,31 @@ func (s *NetStream) Buckets() *Buckets { return s.buckets }
 // the batch was admitted into the queue, else the shed reason ("drain",
 // "rate", "queue", "invalid").
 func (s *NetStream) Submit(source string, txs []chain.Transaction) string {
+	return s.SubmitCount(source, len(txs))
+}
+
+// SubmitCount is Submit for a batch of count transactions the caller
+// has counted but not built: the queue keeps only the count, so the wire
+// front ends admit a recognized body without decoding it.
+func (s *NetStream) SubmitCount(source string, count int) string {
 	s.requests.Add(1)
 	s.cfg.Obs.RequestSeen()
-	if len(txs) == 0 {
+	if count <= 0 {
 		return s.shed("invalid", 0)
 	}
 	if s.draining.Load() {
-		return s.shed("drain", len(txs))
+		return s.shed("drain", count)
 	}
-	if !s.buckets.Allow(source, len(txs)) {
-		return s.shed("rate", len(txs))
+	if !s.buckets.Allow(source, count) {
+		return s.shed("rate", count)
 	}
 	// The watermark check and the add are one compare-and-swap, so
 	// concurrent producers cannot push the queue past QueueTxs.
-	n := int64(len(txs))
+	n := int64(count)
 	queued := s.queued.Load()
 	for {
 		if queued+n > int64(s.cfg.QueueTxs) {
-			return s.shed("queue", len(txs))
+			return s.shed("queue", count)
 		}
 		if s.queued.CompareAndSwap(queued, queued+n) {
 			break
@@ -161,7 +168,7 @@ func (s *NetStream) Submit(source string, txs []chain.Transaction) string {
 	}
 	s.accepted.Add(1)
 	s.acceptedTxs.Add(n)
-	s.cfg.Obs.RequestAccepted(len(txs))
+	s.cfg.Obs.RequestAccepted(count)
 	s.cfg.Obs.SetQueueTxs(int(queued + n))
 	s.wakeUp()
 	return ""

@@ -8,6 +8,7 @@ import (
 
 	"mvcom/internal/epoch"
 	"mvcom/internal/ingest"
+	"mvcom/internal/obs"
 	"mvcom/internal/txgen"
 )
 
@@ -110,5 +111,39 @@ func TestSwarmCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("swarm ignored cancellation")
+	}
+}
+
+// TestSwarmBodiesNeverFallBack: every txs body the fleet sends over HTTP
+// is one the ingest recognizer counts without encoding/json, and every
+// transaction it counts is admitted.
+func TestSwarmBodiesNeverFallBack(t *testing.T) {
+	reg := obs.NewRegistry()
+	stream := ingest.NewStream(ingest.StreamConfig{
+		Committees: 4,
+		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs:   1 << 20,
+		Obs:        obs.NewServeObserver(reg),
+	})
+	ts := httptest.NewServer(ingest.NewHandler(stream, 1<<20))
+	defer ts.Close()
+	fleet, err := Run(context.Background(), Config{
+		Clients:  2,
+		Trace:    smallTrace,
+		Seed:     5,
+		Rate:     2000,
+		Duration: 200 * time.Millisecond,
+	}, Dial(ts.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.Errors != 0 || fleet.Requests == 0 || fleet.Accepted != fleet.Requests {
+		t.Fatalf("open admission over HTTP: %+v", fleet)
+	}
+	if got := reg.Counter("mvcom_serve_decode_fallback_total", "").Value(); got != 0 {
+		t.Fatalf("%d of %d swarm bodies fell back to encoding/json", got, fleet.Requests)
+	}
+	if st := stream.Stats(); st.AcceptedTxs != fleet.TxsAccepted {
+		t.Fatalf("server accepted %d txs, fleet ledger says %d", st.AcceptedTxs, fleet.TxsAccepted)
 	}
 }

@@ -154,15 +154,19 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 func (s *TCPServer) dispatch(source string, env Envelope) string {
 	switch env.Type {
 	case MsgTxs:
-		var req txsRequest
-		if err := json.Unmarshal(env.Body, &req); err != nil {
-			return s.stream.ShedInvalid()
+		bodySrc, n, ok := countTxs(env.Body)
+		if !ok {
+			s.stream.cfg.Obs.DecodeFallback()
+			var req txsRequest
+			if err := json.Unmarshal(env.Body, &req); err != nil {
+				return s.stream.ShedInvalid()
+			}
+			bodySrc, n = []byte(req.Source), len(req.Txs)
 		}
-		src := source
-		if req.Source != "" {
-			src = req.Source
+		if len(bodySrc) > 0 {
+			source = string(bodySrc)
 		}
-		return s.stream.Submit(src, req.Txs)
+		return s.stream.SubmitCount(source, n)
 	case MsgReport:
 		var rep Report
 		if err := json.Unmarshal(env.Body, &rep); err != nil {

@@ -429,6 +429,9 @@ type ServeObserver struct {
 	// (deferred backlog carried across epochs).
 	QueueTxs       *Gauge
 	OutstandingTxs *Gauge
+	// DecodeFallbacks counts txs bodies the wire front ends' recognizer
+	// declined, so encoding/json decoded them.
+	DecodeFallbacks *Counter
 	// Trace receives EvIngest events plus the serving plane's span
 	// begin/end pairs.
 	Trace *Tracer
@@ -443,20 +446,21 @@ func NewServeObserver(reg *Registry) *ServeObserver {
 		return nil
 	}
 	return &ServeObserver{
-		reg:            reg,
-		Requests:       reg.Counter("mvcom_serve_requests_total", "ingest requests received before admission"),
-		Accepted:       reg.Counter("mvcom_serve_accepted_total", "requests admitted into the ingest queue"),
-		AcceptedTxs:    reg.Counter("mvcom_serve_accepted_txs_total", "transactions admitted into the ingest queue"),
-		Reports:        reg.Counter("mvcom_serve_reports_total", "shard-report submissions admitted"),
-		ReportTxs:      reg.Counter("mvcom_serve_report_txs_total", "transactions declared by admitted shard reports"),
-		CommittedTxs:   reg.Counter("mvcom_serve_committed_txs_total", "admitted transactions that reached a final block"),
-		ExpiredTxs:     reg.Counter("mvcom_serve_expired_txs_total", "admitted transactions dropped by the deferral bound"),
-		Batches:        reg.Counter("mvcom_serve_batches_total", "epoch batches flushed from the ingest queue"),
-		BatchTxs:       reg.Histogram("mvcom_serve_batch_txs", "transactions per flushed epoch batch", ExponentialBuckets(1, 2, 16)),
-		Drains:         reg.Counter("mvcom_serve_drains_total", "graceful drain flushes"),
-		QueueTxs:       reg.Gauge("mvcom_serve_queue_txs", "current ingest-queue depth in transactions"),
-		OutstandingTxs: reg.Gauge("mvcom_serve_outstanding_txs", "admitted transactions not yet final (deferred backlog)"),
-		Trace:          reg.Tracer(),
+		reg:             reg,
+		Requests:        reg.Counter("mvcom_serve_requests_total", "ingest requests received before admission"),
+		Accepted:        reg.Counter("mvcom_serve_accepted_total", "requests admitted into the ingest queue"),
+		AcceptedTxs:     reg.Counter("mvcom_serve_accepted_txs_total", "transactions admitted into the ingest queue"),
+		Reports:         reg.Counter("mvcom_serve_reports_total", "shard-report submissions admitted"),
+		ReportTxs:       reg.Counter("mvcom_serve_report_txs_total", "transactions declared by admitted shard reports"),
+		CommittedTxs:    reg.Counter("mvcom_serve_committed_txs_total", "admitted transactions that reached a final block"),
+		ExpiredTxs:      reg.Counter("mvcom_serve_expired_txs_total", "admitted transactions dropped by the deferral bound"),
+		Batches:         reg.Counter("mvcom_serve_batches_total", "epoch batches flushed from the ingest queue"),
+		BatchTxs:        reg.Histogram("mvcom_serve_batch_txs", "transactions per flushed epoch batch", ExponentialBuckets(1, 2, 16)),
+		Drains:          reg.Counter("mvcom_serve_drains_total", "graceful drain flushes"),
+		QueueTxs:        reg.Gauge("mvcom_serve_queue_txs", "current ingest-queue depth in transactions"),
+		OutstandingTxs:  reg.Gauge("mvcom_serve_outstanding_txs", "admitted transactions not yet final (deferred backlog)"),
+		DecodeFallbacks: reg.Counter("mvcom_serve_decode_fallback_total", "txs bodies the recognizer declined, decoded by encoding/json"),
+		Trace:           reg.Tracer(),
 	}
 }
 
@@ -513,6 +517,15 @@ func (o *ServeObserver) RequestShed(reason string, txs int) {
 		o.shedCounter(&o.shedTxs, "mvcom_serve_shed_txs_total", "transactions shed by admission control, by reason", reason).Add(int64(txs))
 	}
 	o.Trace.Emit(EvIngest, "ingest", float64(txs), "shed:"+reason)
+}
+
+// DecodeFallback counts one txs body decoded by encoding/json because
+// the recognizer declined it. No-op on nil.
+func (o *ServeObserver) DecodeFallback() {
+	if o == nil {
+		return
+	}
+	o.DecodeFallbacks.Inc()
 }
 
 // BatchFlushed records one epoch batch leaving the queue. No-op on nil.

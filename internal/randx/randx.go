@@ -32,11 +32,16 @@ var ErrEmpty = errors.New("randx: empty input")
 // its explorers.
 type RNG struct {
 	src *rand.Rand
+	raw source
 }
 
-// New returns an RNG seeded with the given seed.
+// New returns an RNG seeded with the given seed. Its stream equals
+// rand.New(rand.NewSource(seed))'s; only the seeding is faster (source).
 func New(seed int64) *RNG {
-	return &RNG{src: rand.New(rand.NewSource(seed))}
+	r := &RNG{}
+	r.raw.Seed(seed)
+	r.src = rand.New(&r.raw)
+	return r
 }
 
 // Split derives a new, independently seeded RNG from r. The derived stream
