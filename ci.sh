@@ -108,10 +108,8 @@ bench_sample() {
 
 stage_bench() {
 	# Benchmark journal gate (DESIGN.md §5e): the sampled set is journaled
-	# with a convergence probe (which itself refuses a build whose adaptive
-	# schedule converges slower than the fixed chain on the probe seed) and
-	# diffed against the committed baseline. Three gates hold in every
-	# environment:
+	# with a convergence probe and diffed against the committed baseline.
+	# Three gates hold in every environment:
 	#   - allocs/op may not grow over the baseline, so the SE round loop
 	#     (BenchmarkSERounds) and the tracing-off span path
 	#     (BenchmarkSpanOff) stay at 0;

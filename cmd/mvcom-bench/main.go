@@ -40,7 +40,6 @@ func run(args []string) error {
 		ascii    = fs.Bool("ascii", false, "also render an ASCII chart to stderr")
 		report   = fs.Bool("report", false, "emit a markdown report instead of TSV")
 		workers  = fs.Int("workers", 0, "SE kernel worker goroutines for figure runs (0 = GOMAXPROCS)")
-		adaptive = fs.Bool("adaptive", false, "annealed β/Γ schedule in every SE solver the figures build")
 		obsFlags = obs.RegisterFlags(fs)
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
@@ -81,7 +80,7 @@ func run(args []string) error {
 		return err
 	}
 	defer stopObs()
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, Adaptive: *adaptive, Obs: reg}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, Obs: reg}
 
 	ids := []string{*fig}
 	if *fig == "all" {

@@ -131,40 +131,23 @@ func run(args []string) error {
 
 // convergenceProbe runs one small deterministic SE solve with the
 // convergence diagnostics attached — |I| = 12 keeps the d_TV estimator's
-// Gibbs enumeration live — and returns the headline stats. The probe
-// then re-solves the same instance on the same seed with the adaptive
-// β/Γ schedule on and refuses to journal a build where the schedule
-// reaches the ε-band of its final best in more rounds than the fixed
-// chain: a journal entry certifies that the annealed mode is an
-// acceleration, never a regression, on the probe workload.
+// Gibbs enumeration live — and returns the headline stats.
 func convergenceProbe() (*benchjournal.Convergence, error) {
 	in, err := experiments.PaperInstance(1, 12, 800, 1.5, 0.5)
 	if err != nil {
 		return nil, err
 	}
-	solve := func(adaptive bool) (seobs.Snapshot, error) {
-		diag := seobs.New(seobs.Config{})
-		_, _, err := core.NewSE(core.SEConfig{
-			Seed:              1,
-			Gamma:             2,
-			MaxIters:          6000,
-			ConvergenceWindow: 6000,
-			Adaptive:          adaptive,
-			Diag:              diag,
-		}).Solve(in.Clone())
-		if err != nil {
-			return seobs.Snapshot{}, err
-		}
-		return diag.Snapshot(), nil
-	}
-	s, err := solve(false)
-	if err != nil {
+	diag := seobs.New(seobs.Config{})
+	if _, _, err := core.NewSE(core.SEConfig{
+		Seed:              1,
+		Gamma:             2,
+		MaxIters:          6000,
+		ConvergenceWindow: 6000,
+		Diag:              diag,
+	}).Solve(in.Clone()); err != nil {
 		return nil, err
 	}
-	a, err := solve(true)
-	if err != nil {
-		return nil, err
-	}
+	s := diag.Snapshot()
 	c := &benchjournal.Convergence{
 		K:                      s.K,
 		Gamma:                  s.Gamma,
@@ -173,20 +156,9 @@ func convergenceProbe() (*benchjournal.Convergence, error) {
 		TimeToEpsRounds:        s.TimeToEpsRounds,
 		SwapAcceptRate:         s.SwapAcceptRate,
 		IntegratedAutocorrTime: s.IntegratedAutocorrTime,
-
-		AdaptiveTimeToEpsRounds: a.TimeToEpsRounds,
-		AdaptiveStage:           a.ScheduleStage,
 	}
 	if s.DTV != nil {
 		c.DTV = s.DTV.Estimate
-	}
-	if a.DTV != nil {
-		c.AdaptiveDTV = a.DTV.Estimate
-	}
-	if s.TimeToEpsRounds >= 0 &&
-		(a.TimeToEpsRounds < 0 || a.TimeToEpsRounds > s.TimeToEpsRounds) {
-		return nil, fmt.Errorf("adaptive schedule reached ε after %d rounds, fixed after %d: the schedule must not slow convergence on the probe",
-			a.TimeToEpsRounds, s.TimeToEpsRounds)
 	}
 	return c, nil
 }

@@ -85,7 +85,6 @@ func run(args []string) error {
 		workers  = fs.Int("workers", 2, "number of workers to wait for / spawn")
 		gamma    = fs.Int("gamma", 1, "explorers Γ each worker runs in-process")
 		sework   = fs.Int("se-workers", 0, "goroutines per worker's SE kernel (0 = GOMAXPROCS)")
-		adaptive = fs.Bool("adaptive", false, "annealed β/Γ schedule in every worker's SE kernel")
 		shards   = fs.Int("shards", 50, "number of member committees |I|")
 		capacity = fs.Int("capacity", 40000, "final-block TX capacity Ĉ")
 		alpha    = fs.Float64("alpha", 1.5, "throughput weight α")
@@ -250,7 +249,6 @@ func run(args []string) error {
 				Seed:                 epochSeed,
 				Gamma:                *gamma,
 				SEWorkers:            *sework,
-				Adaptive:             *adaptive,
 				Events:               events,
 				FI:                   fi,
 				Obs:                  coObs,
@@ -367,10 +365,9 @@ func run(args []string) error {
 // replayable from the per-task records — each worker's engine is a
 // deterministic function of (instance, solver config, task seed) stepped
 // exactly the recorded number of rounds — and a local-fallback run from
-// the coordinator's own SE fingerprint. Runs with dynamic events or the
-// adaptive schedule are journaled for audit but marked non-replayable:
-// their trajectories depend on wall-clock arrival times, not just the
-// recorded inputs.
+// the coordinator's own SE fingerprint. Runs with dynamic events are
+// journaled for audit but marked non-replayable: their trajectories
+// depend on wall-clock arrival times, not just the recorded inputs.
 func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in core.Instance, sol core.Solution, selected []int, hasEvents bool) {
 	e.Epoch = epoch
 	e.DDL = in.DDL
@@ -397,7 +394,7 @@ func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in cor
 	} else {
 		e.Solver = decisionlog.SolverFingerprint{
 			Kind: decisionlog.KindDist, Seed: eff.Seed, Beta: eff.Beta, Tau: eff.Tau,
-			Gamma: eff.Gamma, Workers: eff.Workers, MaxIters: eff.MaxIters, Adaptive: eff.Adaptive,
+			Gamma: eff.Gamma, Workers: eff.Workers, MaxIters: eff.MaxIters,
 		}
 		for _, r := range tasks {
 			tr := decisionlog.TaskRecord{TaskID: r.TaskID, Iterations: r.Iterations, Utility: r.Utility, Err: r.Err}
@@ -415,11 +412,8 @@ func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in cor
 			e.Tasks = append(e.Tasks, tr)
 		}
 	}
-	switch {
-	case hasEvents:
+	if hasEvents {
 		e.NonReplayable = "events"
-	case !local && eff.Adaptive:
-		e.NonReplayable = "adaptive-dist"
 	}
 }
 

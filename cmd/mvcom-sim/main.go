@@ -52,7 +52,6 @@ func run(args []string) error {
 		scheduler   = fs.String("scheduler", "se", "se | sa | dp | woa | greedy | acceptall")
 		gamma       = fs.Int("gamma", 10, "SE parallel exploration threads")
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
-		adaptive    = fs.Bool("adaptive", false, "annealed β/Γ schedule in the SE scheduler")
 		seed        = fs.Int64("seed", 1, "random seed")
 		obsFlags    = obs.RegisterFlags(fs)
 	)
@@ -91,7 +90,7 @@ func run(args []string) error {
 		return fmt.Errorf("capacity fraction %v too small", *capFrac)
 	}
 	nmin := int(*nminFrac * float64(*committees))
-	sched, err := pickScheduler(*scheduler, *seed, *gamma, *workers, *adaptive, reg)
+	sched, err := pickScheduler(*scheduler, *seed, *gamma, *workers, reg)
 	if err != nil {
 		return err
 	}
@@ -131,12 +130,12 @@ func run(args []string) error {
 	return nil
 }
 
-func pickScheduler(name string, seed int64, gamma, workers int, adaptive bool, reg *obs.Registry) (epoch.Scheduler, error) {
+func pickScheduler(name string, seed int64, gamma, workers int, reg *obs.Registry) (epoch.Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "se":
 		return epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
 			Seed: seed, Gamma: gamma, Workers: workers, MaxIters: 8000,
-			Adaptive: adaptive, Obs: obs.NewSEObserver(reg),
+			Obs: obs.NewSEObserver(reg),
 		})}, nil
 	case "sa":
 		return epoch.SolverScheduler{Solver: baseline.SA{Seed: seed, Iterations: 8000}}, nil

@@ -68,8 +68,8 @@ type soakStream struct {
 	warmEpochs int
 
 	// tteSum/tteN accumulate rounds-to-ε across every warm-started epoch
-	// of the whole run (the per-window means reset); a test compares the
-	// run-level mean between an adaptive and a fixed soak on one seed.
+	// of the whole run (the per-window means reset) for the closing
+	// summary line.
 	tteSum float64
 	tteN   int
 
@@ -144,13 +144,6 @@ func (s *soakStream) closeWindow() {
 }
 
 func run(args []string) error {
-	_, err := soak(args)
-	return err
-}
-
-// soak runs the soak and returns its stream, whose run-level tallies
-// (served and warm epochs, rounds-to-ε) tests read directly.
-func soak(args []string) (*soakStream, error) {
 	fs := flag.NewFlagSet("mvcom-soak", flag.ContinueOnError)
 	var (
 		committees  = fs.Int("committees", 8, "member committees per epoch")
@@ -167,7 +160,6 @@ func soak(args []string) (*soakStream, error) {
 		gamma       = fs.Int("gamma", 4, "SE parallel exploration threads")
 		seIters     = fs.Int("se-iters", 2000, "SE rounds per epoch")
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
-		adaptive    = fs.Bool("adaptive", false, "annealed β/Γ schedule in the epoch solver")
 		seed        = fs.Int64("seed", 1, "random seed")
 		sampleEvery = fs.Int("sample-every", 0, "epochs per MemStats/goroutine sampling window (0 = epochs/10, min 1)")
 		journalPath = fs.String("journal", "", "write a benchjournal (steady-state epoch latency) to this path")
@@ -180,29 +172,29 @@ func soak(args []string) (*soakStream, error) {
 		decLogDir   = fs.String("decision-log", "", "write the schema-versioned decision journal (one entry per epoch) to this directory and replay-verify it as a gate")
 	)
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		return err
 	}
 	if *epochs <= 0 && *duration <= 0 {
-		return nil, fmt.Errorf("give -epochs, -duration, or both")
+		return fmt.Errorf("give -epochs, -duration, or both")
 	}
 
 	// The timeline export needs a live tracer even when no metrics
 	// endpoint is requested.
 	reg, stopObs, err := obsFlags.Start("mvcom-soak", *timeline != "")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer stopObs()
 
 	inj, err := faultinject.Parse(*faultSpec, *seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var dj *decisionlog.Journal
 	if *decLogDir != "" {
 		dj, err = decisionlog.Open(decisionlog.Options{Dir: *decLogDir, Registry: reg})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer dj.Close()
 	}
@@ -221,11 +213,11 @@ func soak(args []string) (*soakStream, error) {
 		DecisionLog: dj,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	capacity := int(*capFrac * float64(p.Trace().TotalTxs()))
 	if capacity < 1 {
-		return nil, fmt.Errorf("capacity fraction %v too small", *capFrac)
+		return fmt.Errorf("capacity fraction %v too small", *capFrac)
 	}
 	nmin := int(*nminFrac * float64(*committees))
 
@@ -236,7 +228,6 @@ func soak(args []string) (*soakStream, error) {
 		Workers:   *workers,
 		MaxIters:  *seIters,
 		WarmStart: *warm,
-		Adaptive:  *adaptive,
 		Diag:      diag,
 		Obs:       obs.NewSEObserver(reg),
 	})}
@@ -272,16 +263,16 @@ func soak(args []string) (*soakStream, error) {
 	baselineGoroutines := runtime.NumGoroutine()
 	start := time.Now()
 	if err := p.Serve(context.Background(), sched, stream); err != nil {
-		return nil, err
+		return err
 	}
 	stream.closeWindow() // flush a trailing partial window
 	elapsed := time.Since(start)
 
 	if stream.served == 0 {
-		return nil, fmt.Errorf("no epochs served inside the budget")
+		return fmt.Errorf("no epochs served inside the budget")
 	}
 	if err := p.Chain().Verify(); err != nil {
-		return nil, fmt.Errorf("root chain verification: %w", err)
+		return fmt.Errorf("root chain verification: %w", err)
 	}
 	fmt.Printf("\nserved %d epochs in %s (chain height %d, %d warm-started)\n",
 		stream.served, elapsed.Round(time.Millisecond), p.Chain().Height(), stream.warmEpochs)
@@ -312,27 +303,27 @@ func soak(args []string) (*soakStream, error) {
 
 	if *journalPath != "" {
 		if err := writeJournal(*journalPath, *note, stream.windows); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Printf("journal written to %s (%d windows)\n", *journalPath, len(stream.windows))
 	}
 	if *timeline != "" {
 		if err := writeTimeline(*timeline, reg); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if failed {
-		return nil, fmt.Errorf("soak gates failed after %d epochs", stream.served)
+		return fmt.Errorf("soak gates failed after %d epochs", stream.served)
 	}
 	fmt.Println("soak gates passed: goroutines at baseline, heap bounded")
-	return stream, nil
+	return nil
 }
 
 // gateDecisionReplay re-runs every journaled epoch decision and demands
 // a bit-identical reproduction. Segment rotation may prune the oldest
 // entries on a long soak, but every retained entry must replay; the SE
-// scheduler — warm starts and the adaptive schedule included — is
-// deterministic from the recorded inputs, so nothing is skipped.
+// scheduler — warm starts included — is deterministic from the recorded
+// inputs, so nothing is skipped.
 func gateDecisionReplay(dj *decisionlog.Journal, served int) error {
 	if err := dj.Sync(); err != nil {
 		return fmt.Errorf("decision journal: %w", err)

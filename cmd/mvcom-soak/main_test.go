@@ -48,31 +48,6 @@ func TestRunColdComparison(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSoakNoSlowerThanFixed serves the same seeded warm-start
-// loop with the fixed and the annealed SE schedule: the adaptive run's
-// mean rounds-to-ε over its warm epochs must not exceed the fixed run's.
-// Warm-started epochs usually tie; a regression here means a schedule
-// decision disturbs converged epochs. The run is deterministic at any
-// GOMAXPROCS (the SE kernel is bit-identical across worker counts).
-func TestAdaptiveSoakNoSlowerThanFixed(t *testing.T) {
-	meanTTE := func(extra ...string) float64 {
-		t.Helper()
-		s, err := soak(append([]string{"-epochs", "40", "-se-iters", "800", "-q"}, extra...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.tteN == 0 {
-			t.Fatalf("no warm epoch reached ε (args %v)", extra)
-		}
-		return s.tteSum / float64(s.tteN)
-	}
-	fixed, adaptive := meanTTE(), meanTTE("-adaptive")
-	t.Logf("mean rounds-to-ε: adaptive %.1f, fixed %.1f", adaptive, fixed)
-	if adaptive > fixed {
-		t.Fatalf("adaptive schedule slowed convergence: %.1f rounds-to-ε vs fixed %.1f", adaptive, fixed)
-	}
-}
-
 func TestRunBadInputs(t *testing.T) {
 	if err := run([]string{"-epochs", "0"}); err == nil {
 		t.Fatal("no budget accepted")

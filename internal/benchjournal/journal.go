@@ -160,13 +160,6 @@ type Convergence struct {
 	TimeToEpsRounds        int     `json:"timeToEpsRounds"`
 	SwapAcceptRate         float64 `json:"swapAcceptRate"`
 	IntegratedAutocorrTime float64 `json:"integratedAutocorrTime"`
-
-	// Adaptive-schedule companion run: the same instance and seed solved
-	// with SEConfig.Adaptive on. The probe refuses to journal a build
-	// where the schedule reaches the ε-band slower than the fixed chain.
-	AdaptiveTimeToEpsRounds int     `json:"adaptiveTimeToEpsRounds,omitempty"`
-	AdaptiveDTV             float64 `json:"adaptiveDtv,omitempty"`
-	AdaptiveStage           int     `json:"adaptiveStage,omitempty"`
 }
 
 // Journal is one benchmark journal document.

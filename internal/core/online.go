@@ -160,9 +160,6 @@ func (r *run) applyJoin(ev Event) error {
 		// it.
 		return nil
 	}
-	// The event paths assume the standard thread layout: drop any adaptive
-	// banding/boost before the candidate set mutates.
-	r.resetSchedule()
 	r.candidates = append(r.candidates, idx)
 	r.cards = append(r.cards, len(r.candidates)-1)
 	r.refreshCandidateCaches()
@@ -197,7 +194,6 @@ func (r *run) applyLeave(ev Event) error {
 	if pos < 0 {
 		return fmt.Errorf("core: leave event for unknown or already-departed shard %d", ev.Index)
 	}
-	r.resetSchedule()
 	last := len(r.candidates) - 1
 	// Swap-remove the candidate; positions shift for the former tail.
 	r.candidates[pos] = r.candidates[last]

@@ -86,19 +86,6 @@ type SEConfig struct {
 	// just reach it in fewer rounds. When false, SolveFrom ignores the
 	// previous solution and behaves exactly like Solve.
 	WarmStart bool
-	// Adaptive enables the annealed β/Γ schedule: when the run stops
-	// improving for long stretches the coordinator raises the effective β
-	// (sharpening the Gibbs target) and reallocates the explorer threads
-	// into a cardinality band around the incumbent best |f| (spending the
-	// transition budget where the capacity knee is), driven by the same
-	// merge-time signals internal/seobs measures (stagnation length and
-	// the windowed swap-accept rate). Decisions are taken only at segment
-	// merges from merged coordinator state, so adaptive runs remain
-	// bit-identical across Workers counts; any dynamic join/leave resets
-	// the schedule to stage 0 and restores the full thread lattice. Off by
-	// default — the fixed schedule and its determinism contract are
-	// untouched.
-	Adaptive bool
 	// Seed drives all randomness. Explorers split independent streams
 	// from it.
 	Seed int64
@@ -265,20 +252,15 @@ type run struct {
 
 	// cards is the live thread-cardinality lattice shared by every
 	// explorer (one solution thread f_n per entry, identical layout across
-	// explorers — the diagnostics rely on index alignment). The adaptive
-	// schedule narrows it to a band around the incumbent best; dynamic
-	// events restore the full lattice.
+	// explorers — the diagnostics rely on index alignment). Dynamic
+	// events grow or shrink it with the candidate set.
 	cards []int
 
 	// betaEff is the effective β used in timer rates: cfg.Beta divided by
-	// the mean per-shard |value| unless normalization is disabled, times
-	// the adaptive schedule's boost. halfBeta caches ½·betaEff for the
-	// per-round rate computation.
+	// the mean per-shard |value| unless normalization is disabled.
+	// halfBeta caches ½·betaEff for the per-round rate computation.
 	betaEff  float64
 	halfBeta float64
-	// betaBoost is the adaptive schedule's multiplicative β escalation
-	// (1 under the fixed schedule).
-	betaBoost float64
 
 	// expVals and invExpVals cache exp(½β·(v_pos − v_max)) and its
 	// reciprocal per candidate position, centered at the maximum value so
@@ -293,11 +275,6 @@ type run struct {
 	// inside float64 range); otherwise the kernel falls back to the
 	// log-space race (raw-β runs at trace utility scale land here).
 	linearRace bool
-
-	// sched is the adaptive β/Γ controller (nil under the fixed
-	// schedule). It is fed merged coordinator state only — never the
-	// diagnostics — so attaching Obs/Diag cannot change the trajectory.
-	sched *seobs.Controller
 
 	// global is the coordinator's view of the best solution; it is only
 	// touched between segments (single-threaded). snap is the published
@@ -332,11 +309,7 @@ func newRun(in *Instance, cfg SEConfig) (*run, error) {
 		obs:        cfg.Obs,
 	}
 	r.global.util = math.Inf(-1)
-	r.betaBoost = 1
 	r.cards = threadCardinalities(len(cands), cfg.MaxThreads)
-	if cfg.Adaptive {
-		r.sched = seobs.NewController(seobs.ControllerConfig{})
-	}
 	r.refreshCandidateCaches()
 	r.refreshBetaEff()
 	r.explorers = make([]*explorer, cfg.Gamma)
@@ -443,10 +416,10 @@ func (r *run) refreshCandidateCaches() {
 	}
 }
 
-// refreshBetaEff recomputes the effective β from the live candidate set
-// and the adaptive boost, then rebuilds the cached exponentials the race
-// evaluates from; called at construction, after every dynamic event
-// (after refreshCandidateCaches), and on every schedule escalation.
+// refreshBetaEff recomputes the effective β from the live candidate set,
+// then rebuilds the cached exponentials the race evaluates from; called
+// at construction and after every dynamic event (after
+// refreshCandidateCaches).
 func (r *run) refreshBetaEff() {
 	r.betaEff = r.cfg.Beta
 	if !r.cfg.DisableRateNormalization && len(r.vals) > 0 {
@@ -458,7 +431,6 @@ func (r *run) refreshBetaEff() {
 			r.betaEff = rateNormalization * r.cfg.Beta / scale
 		}
 	}
-	r.betaEff *= r.betaBoost
 	r.halfBeta = 0.5 * r.betaEff
 	r.refreshRateCaches()
 }
@@ -669,7 +641,7 @@ func (r *run) mergeSegment(a, b, forcedRound int, trace *[]TracePoint, sinceImpr
 	}
 	r.publishBest()
 	var swaps, resets, starved, raceErrs int64
-	if r.obs != nil || r.diag != nil || r.sched != nil {
+	if r.obs != nil || r.diag != nil {
 		// Collect the per-explorer tallies once for every consumer; the
 		// explorers are quiescent between segments.
 		for _, ex := range r.explorers {
@@ -684,18 +656,6 @@ func (r *run) mergeSegment(a, b, forcedRound int, trace *[]TracePoint, sinceImpr
 		}
 		if r.diag != nil {
 			r.flushDiag(a, b, swaps, resets, starved, raceErrs)
-		}
-	}
-	if r.sched != nil && !stopped {
-		d, changed := r.sched.Observe(seobs.ControlSignals{
-			Rounds:         b - a,
-			ExplorerRounds: int64(b-a) * int64(len(r.explorers)),
-			Swaps:          swaps,
-			Improved:       anyImproved,
-			HaveBest:       r.global.have,
-		})
-		if changed {
-			r.applySchedule(b, d)
 		}
 	}
 	return stopRound, stopped, anyImproved
@@ -769,124 +729,6 @@ func (r *run) flushDiag(a, b int, swaps, resets, starved, raceErrs int64) {
 		BestUtility: r.globalUtil(), HaveBest: r.global.have,
 		Threads: pts,
 	})
-}
-
-// applySchedule enacts one adaptive-schedule decision at a segment
-// boundary: the β boost re-derives β_eff and the cached exponentials,
-// and from stage 1 on the thread lattice narrows to a band around the
-// incumbent best cardinality. Every explorer is re-armed (a schedule
-// change is a RESET — proposals and weights must reflect the new rates).
-// Runs single-threaded between segments, in deterministic explorer
-// order, from merged state only, so adaptive runs stay bit-identical
-// across Workers counts.
-func (r *run) applySchedule(round int, d seobs.Decision) {
-	r.betaBoost = d.BetaBoost
-	r.refreshBetaEff()
-	target := r.scheduleCards(d)
-	if !equalCards(target, r.cards) {
-		r.cards = target
-		for _, ex := range r.explorers {
-			ex.reshapeLattice(target)
-			r.adoptLocal(ex)
-		}
-		r.publishBest()
-	} else {
-		for _, ex := range r.explorers {
-			ex.refreshRateBases()
-			ex.rearm()
-		}
-	}
-	if r.diag != nil {
-		r.diag.RecordSchedule(round, d, r.globalUtil())
-		r.diag.Rebind(r.diagInfo())
-		r.attachProbes()
-	}
-	if r.obs != nil {
-		r.obs.Trace.Emit(obs.EvConvergence, "se", float64(d.Stage), "schedule")
-	}
-}
-
-// scheduleCards maps a schedule decision to the thread-cardinality
-// lattice: stage 0 keeps the full lattice; later stages keep only the
-// cardinalities within a shrinking radius of the incumbent best |f|,
-// never leaving the band empty.
-func (r *run) scheduleCards(d seobs.Decision) []int {
-	full := threadCardinalities(len(r.candidates), r.cfg.MaxThreads)
-	if d.Stage <= 0 || !r.global.have {
-		return full
-	}
-	maxN := len(r.candidates) - 1
-	radius := maxN >> uint(d.Stage+1)
-	if radius < 1 {
-		radius = 1
-	}
-	band := make([]int, 0, len(full))
-	for _, n := range full {
-		if abs(n-r.global.n) <= radius {
-			band = append(band, n)
-		}
-	}
-	if len(band) == 0 {
-		// The incumbent sits between lattice points (or is the full
-		// selection): keep the nearest thread alive.
-		nearest := full[0]
-		for _, n := range full[1:] {
-			if abs(n-r.global.n) < abs(nearest-r.global.n) {
-				nearest = n
-			}
-		}
-		band = append(band, nearest)
-	}
-	return band
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func equalCards(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resetSchedule restores the fixed-schedule state (stage 0, boost 1,
-// full thread lattice) before a dynamic event mutates the candidate set;
-// the event paths assume the standard layout. No-op under the fixed
-// schedule or when nothing escalated yet.
-func (r *run) resetSchedule() {
-	if r.sched == nil {
-		return
-	}
-	r.sched.Reset()
-	full := threadCardinalities(len(r.candidates), r.cfg.MaxThreads)
-	boosted := r.betaBoost != 1
-	if boosted {
-		r.betaBoost = 1
-		r.refreshBetaEff()
-	}
-	if !equalCards(full, r.cards) {
-		r.cards = full
-		for _, ex := range r.explorers {
-			ex.reshapeLattice(full)
-			r.adoptLocal(ex)
-		}
-		r.publishBest()
-	} else if boosted {
-		for _, ex := range r.explorers {
-			ex.refreshRateBases()
-			ex.rearm()
-		}
-	}
 }
 
 // adoptLocal folds one explorer's local best into the global tracker;
@@ -1074,7 +916,7 @@ func newExplorer(r *run, rng *randx.RNG) *explorer {
 
 // resizeScratch (re)allocates the structure-of-arrays race state to the
 // current thread count; called at construction and whenever the thread
-// layout changes (joins, leaves, schedule reshapes), never per round.
+// layout changes (joins, leaves), never per round.
 func (ex *explorer) resizeScratch() {
 	n := len(ex.threads)
 	ex.expRateBases = make([]float64, n)
@@ -1252,8 +1094,8 @@ func (th *thread) adopt(r *run, pick []int) {
 
 // refreshRateBases recomputes every thread's cached log(|I_j| − n) − τ
 // term and its exponential (|I_j| − n)·e^{−τ} in the structure-of-arrays
-// race state; called after construction, after every join/leave (the
-// only times k changes), and on schedule reshapes.
+// race state; called after construction and after every join/leave
+// (the only times k changes).
 func (ex *explorer) refreshRateBases() {
 	k := len(ex.run.candidates)
 	expNegTau := math.Exp(-ex.run.cfg.Tau)
@@ -1484,13 +1326,13 @@ func (ex *explorer) finishRound(winner, round int) {
 // estimator is live the loop records one dwell sample per thread per
 // round, weighted by the round's expected holding time 1/Σw so the
 // histogram estimates continuous-time occupancy rather than the
-// embedded jump chain's (the two diverge once the schedule boosts β —
-// the chain then sits at the mode with a tiny total rate while the jump
-// chain keeps executing one swap per round). On the linear race path
-// the weights are true rates — the centering term cancels in the
-// exp-ratio — so 1/ex.weightSum is exact; the log-rate fallback keeps
-// weight 1, which only arises at exponent scales the pinning tests
-// never reach. Otherwise it is the plain hot loop.
+// embedded jump chain's (the jump chain visits f in proportion to
+// p*(f)·Σw(f), so it under-counts the mode, where the chain sits with a
+// small total rate while the jump chain still makes one swap per round).
+// On the linear race path the weights are true rates — the centering
+// term cancels in the exp-ratio — so 1/ex.weightSum is exact; the
+// log-rate fallback keeps weight 1, which only arises at exponent scales
+// the pinning tests never reach. Otherwise it is the plain hot loop.
 func (ex *explorer) stepBatch(a, b int) {
 	if p := ex.probe; p.TracksVisits() {
 		linear := ex.run.linearRace
@@ -1544,35 +1386,6 @@ func (ex *explorer) offer(th *thread, round int) bool {
 		ex.events = append(ex.events, improvement{round: round, util: th.util, n: th.n, sel: snap})
 	}
 	return true
-}
-
-// reshapeLattice rebuilds the explorer's solution threads against a new
-// cardinality lattice (the adaptive schedule narrowing to a band, or a
-// dynamic event restoring the full set): threads whose cardinality
-// survives keep their state — their current selection is hard-won
-// progress — while new cardinalities initialize from scratch. Runs only
-// at sync points, in deterministic thread order.
-func (ex *explorer) reshapeLattice(cards []int) {
-	byN := make(map[int]*thread, len(ex.threads))
-	for _, th := range ex.threads {
-		byN[th.n] = th
-	}
-	threads := make([]*thread, 0, len(cards))
-	for _, n := range cards {
-		if th, ok := byN[n]; ok {
-			threads = append(threads, th)
-			continue
-		}
-		th := ex.initThread(n)
-		threads = append(threads, th)
-		if th.active {
-			ex.offer(th, 0)
-		}
-	}
-	ex.threads = threads
-	ex.resizeScratch()
-	ex.refreshRateBases()
-	ex.rearm()
 }
 
 // resetLocalBest drops the explorer's local best (its stored positions

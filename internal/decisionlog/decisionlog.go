@@ -7,10 +7,10 @@
 // their MaxDeferrals attribution, and the solve's convergence digest.
 //
 // The journal exists to be *checked*, not just read: every entry whose
-// solver fingerprint names a deterministic kind ("se" or "dist" with
-// the adaptive schedule off and no dynamic events) can be replayed —
-// the SE solve re-run from the recorded inputs — and must reproduce the
-// recorded selection and utility bit-identically (see replay.go).
+// solver fingerprint names a deterministic kind ("se" or "dist" with no
+// dynamic events) can be replayed — the SE solve re-run from the
+// recorded inputs — and must reproduce the recorded selection and
+// utility bit-identically (see replay.go).
 // mvcom-soak and mvcom-cluster wire that as a CI gate, and
 // cmd/mvcom-explain answers operator queries over journals offline.
 //
@@ -47,8 +47,8 @@ const (
 	// replayable from the fingerprint alone.
 	KindSE = "se"
 	// KindDist marks a distributed session: per-task engine runs whose
-	// max is the decision — replayable from the task records when the
-	// adaptive schedule is off and no dynamic events fired.
+	// max is the decision — replayable from the task records when no
+	// dynamic events fired.
 	KindDist = "dist"
 	// KindAcceptAll marks the no-scheduling baseline policy.
 	KindAcceptAll = "accept-all"
@@ -89,7 +89,10 @@ type SolverFingerprint struct {
 	MaxThreads        int     `json:"maxThreads,omitempty"`
 	RawRates          bool    `json:"rawRates,omitempty"`
 	WarmStart         bool    `json:"warmStart,omitempty"`
-	Adaptive          bool    `json:"adaptive,omitempty"`
+	// Adaptive is read-only: journals from builds that had the adaptive
+	// β/Γ schedule set it on entries solved under that schedule. The
+	// writer never emits it, and Replay skips an entry that carries it.
+	Adaptive bool `json:"adaptive,omitempty"`
 }
 
 // FingerprintSE captures an SE solver's effective configuration (after
@@ -109,7 +112,6 @@ func FingerprintSE(cfg core.SEConfig) SolverFingerprint {
 		MaxThreads:        cfg.MaxThreads,
 		RawRates:          cfg.DisableRateNormalization,
 		WarmStart:         cfg.WarmStart,
-		Adaptive:          cfg.Adaptive,
 	}
 }
 
@@ -128,7 +130,6 @@ func (f SolverFingerprint) SEConfig() core.SEConfig {
 		MaxThreads:               f.MaxThreads,
 		DisableRateNormalization: f.RawRates,
 		WarmStart:                f.WarmStart,
-		Adaptive:                 f.Adaptive,
 	}
 }
 
@@ -187,7 +188,7 @@ type Entry struct {
 	Warm     bool  `json:"warm,omitempty"`
 	WarmPrev []int `json:"warmPrev,omitempty"`
 	// NonReplayable, when non-empty, names why Replay must skip this
-	// entry ("events", "adaptive-dist", "opaque", ...).
+	// entry ("events", "opaque", ...).
 	NonReplayable string `json:"nonReplayable,omitempty"`
 
 	// The decision: selected instance indices plus the solution terms.
@@ -206,7 +207,7 @@ type Entry struct {
 	Deferrals []DeferralEvent `json:"deferrals,omitempty"`
 
 	// Diag is the solve's scalar convergence digest (rounds-to-ε,
-	// schedule stage, warm-start count).
+	// warm-start count).
 	Diag *seobs.Digest `json:"diag,omitempty"`
 
 	// Tasks holds the per-task records of a distributed decision.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mvcom/internal/core"
 	"mvcom/internal/obs"
@@ -102,7 +103,11 @@ func TestReplaySEWarmStart(t *testing.T) {
 	}
 }
 
-func TestReplayDistBitIdentical(t *testing.T) {
+// distEntry records a three-task distributed decision over testInstance
+// the way mvcom-dist does: each task an engine stepped 500 rounds under
+// its own seed, the decision the best task.
+func distEntry(t *testing.T) Entry {
+	t.Helper()
 	in := testInstance()
 	cfg := core.SEConfig{Beta: 2, Gamma: 1, Workers: 2}
 	var tasks []TaskRecord
@@ -140,6 +145,11 @@ func TestReplayDistBitIdentical(t *testing.T) {
 	for i := range in.Sizes {
 		e.Shards = append(e.Shards, ShardRecord{Committee: i, Size: in.Sizes[i], Latency: in.Latencies[i]})
 	}
+	return e
+}
+
+func TestReplayDistBitIdentical(t *testing.T) {
+	e := distEntry(t)
 	if err := Verify(&e); err != nil {
 		t.Fatalf("dist verify: %v", err)
 	}
@@ -181,6 +191,91 @@ func TestNonReplayableKinds(t *testing.T) {
 	st := VerifyAll([]Entry{{Solver: SolverFingerprint{Kind: KindOpaque}}})
 	if st.Skipped != 1 || st.Failed != 0 || st.Replayed != 0 {
 		t.Fatalf("VerifyAll stats = %+v, want 1 skipped", st)
+	}
+
+	// Builds with the adaptive β/Γ schedule closed the solver object of
+	// an entry solved under it with "adaptive":true. Such lines, one se
+	// and one dist, must still decode and be skipped; without the key
+	// the same lines replay.
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		entry Entry
+	}{
+		{"se", solveEntry(t, 7, 42)},
+		{"dist", distEntry(t)},
+	} {
+		line := string(appendEntryJSON(nil, &tc.entry))
+		solver := strings.Index(line, `"solver":{`)
+		end := solver + strings.IndexByte(line[solver:], '}')
+		old := line[:end] + `,"adaptive":true` + line[end:]
+		path := filepath.Join(dir, tc.name+".jsonl")
+		if err := os.WriteFile(path, []byte(old+"\n"+line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !entries[0].Solver.Adaptive || entries[1].Solver.Adaptive {
+			t.Fatalf("%s: adaptive key decoded as %v/%v, want true/false",
+				tc.name, entries[0].Solver.Adaptive, entries[1].Solver.Adaptive)
+		}
+		if _, err := Replay(&entries[0]); !errors.Is(err, ErrNotReplayable) {
+			t.Fatalf("%s: adaptive entry: err = %v, want ErrNotReplayable", tc.name, err)
+		}
+		if err := Verify(&entries[1]); err != nil {
+			t.Fatalf("%s: entry without the key: %v", tc.name, err)
+		}
+	}
+}
+
+// replayWithin runs Replay on its own goroutine and fails the test if it
+// has not returned after d, so an unbounded replay fails instead of
+// hanging the package.
+func replayWithin(t *testing.T, e *Entry, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Replay(e)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("replay still running after %v", d)
+		return nil
+	}
+}
+
+// TestReplayBudget pins the caps on the work an entry can ask Replay
+// for: rounds × Γ past maxReplayExplorerRounds, in one se solve or summed
+// over dist tasks, and Γ past maxReplayGamma are skipped before any
+// explorer exists.
+func TestReplayBudget(t *testing.T) {
+	se := solveEntry(t, 1, 42)
+	se.Solver.MaxIters = 1 << 40
+	se.Solver.ConvergenceWindow = 1 << 40
+
+	dist := distEntry(t)
+	dist.Tasks[1].Iterations = 1 << 40
+
+	// Few rounds but too many explorers: cheap to replay, so only the Γ
+	// cap skips it.
+	wide := solveEntry(t, 2, 42)
+	wide.Solver.Gamma = maxReplayGamma + 1
+	wide.Solver.MaxIters = 10
+
+	for _, tc := range []struct {
+		name  string
+		entry *Entry
+	}{{"rounds", &se}, {"dist-rounds", &dist}, {"gamma", &wide}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := replayWithin(t, tc.entry, time.Second); !errors.Is(err, ErrNotReplayable) {
+				t.Fatalf("err = %v, want ErrNotReplayable", err)
+			}
+		})
 	}
 }
 

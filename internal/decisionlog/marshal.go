@@ -170,9 +170,6 @@ func appendFingerprint(b []byte, f *SolverFingerprint) []byte {
 	if f.WarmStart {
 		b = appendBoolField(b, "warmStart", true)
 	}
-	if f.Adaptive {
-		b = appendBoolField(b, "adaptive", true)
-	}
 	return append(b, '}')
 }
 
@@ -217,9 +214,6 @@ func appendDigest(b []byte, d *seobs.Digest) []byte {
 	b = appendInt64Field(b, "rounds", d.Rounds)
 	b = appendInt64Field(b, "improvements", d.Improvements)
 	b = appendIntField(b, "time_to_eps_rounds", d.TimeToEpsRounds)
-	if d.ScheduleStage != 0 {
-		b = appendIntField(b, "schedule_stage", d.ScheduleStage)
-	}
 	b = appendFloatField(b, "best_utility", d.BestUtility)
 	b = appendBoolField(b, "have_best", d.HaveBest)
 	if d.WarmStarts != 0 {

@@ -33,7 +33,7 @@ func marshalCases() []Entry {
 				Kind: KindSE, Seed: -7, Beta: 2, Tau: 0.5, Gamma: 25, Workers: 4,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,
 				MaxCandidates: 32, MaxThreads: 1024,
-				RawRates: true, WarmStart: true, Adaptive: true,
+				RawRates: true, WarmStart: true,
 			},
 			Warm: true, WarmPrev: []int{0, 1},
 			NonReplayable: "events",
@@ -50,7 +50,7 @@ func marshalCases() []Entry {
 			},
 			Diag: &seobs.Digest{
 				Rounds: 2000, Improvements: 37, TimeToEpsRounds: -1,
-				ScheduleStage: 2, BestUtility: 40520.125, HaveBest: true, WarmStarts: 1,
+				BestUtility: 40520.125, HaveBest: true, WarmStarts: 1,
 			},
 			Tasks: []TaskRecord{
 				{TaskID: "task-0", Seed: 1, Iterations: 512, Utility: 40520.125, Selected: []int{0}},

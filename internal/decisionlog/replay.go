@@ -12,9 +12,29 @@ import (
 
 // ErrNotReplayable marks entries the verifier must skip: decisions whose
 // solver kind is not deterministic from the recorded inputs (opaque
-// schedulers, distributed runs with the adaptive schedule or dynamic
-// events, the accept-all baseline which has no solver to re-run).
+// schedulers, runs with dynamic events, the accept-all baseline which has
+// no solver to re-run), decisions of the removed adaptive schedule, and
+// entries that ask for more work than the replay budget.
 var ErrNotReplayable = errors.New("decisionlog: entry is not replayable")
+
+// Replay takes its round counts and its Γ from the entry, so a corrupt
+// or hostile entry would decide how long a verifier runs: MaxIters 2^40
+// is days of rounds, and Γ explorers are allocated before the first
+// round. The largest decisions the recorders write by default are an
+// mvcom-dist epoch of two 20 000-round tasks at Γ 1, an mvcom-soak epoch
+// of 2 000 rounds at Γ 4 and an mvcom-serve epoch of 800 rounds at Γ 4.
+// Both caps sit about 100× above those: far past any default recording,
+// and still seconds, not days, of replay.
+const (
+	// maxReplayExplorerRounds caps rounds × Γ for one entry, summed over
+	// the tasks of a dist entry.
+	maxReplayExplorerRounds = 4_000_000
+	// maxReplayGamma caps the explorer count Γ.
+	maxReplayGamma = 400
+)
+
+// errReplayBudget skips an entry whose replay would exceed a cap.
+var errReplayBudget = fmt.Errorf("%w (replay budget)", ErrNotReplayable)
 
 // Replay re-runs the recorded decision from the entry's inputs and
 // returns the reproduced solution. The replay-equivalence contract:
@@ -33,10 +53,18 @@ func Replay(e *Entry) (core.Solution, error) {
 	if e.NonReplayable != "" {
 		return core.Solution{}, fmt.Errorf("%w (%s)", ErrNotReplayable, e.NonReplayable)
 	}
+	if e.Solver.Adaptive {
+		// Solved under the adaptive β/Γ schedule, which no longer
+		// exists: the fixed chain would walk a different trajectory.
+		return core.Solution{}, fmt.Errorf("%w (adaptive)", ErrNotReplayable)
+	}
 	in := e.Instance()
 	switch e.Solver.Kind {
 	case KindSE:
 		se := core.NewSE(e.Solver.SEConfig())
+		if cfg := se.Config(); !withinBudget(cfg.Gamma, int64(cfg.MaxIters)) {
+			return core.Solution{}, errReplayBudget
+		}
 		if e.Warm {
 			prev := core.Solution{Selected: selectionMask(e.WarmPrev, len(e.Shards))}
 			sol, _, err := se.SolveFrom(in, prev)
@@ -59,26 +87,30 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 	if len(e.Tasks) == 0 {
 		return core.Solution{}, fmt.Errorf("%w (dist entry has no task records)", ErrNotReplayable)
 	}
-	if e.Solver.Adaptive {
-		// An adaptive engine's trajectory depends on wall-clock-paced
-		// schedule advances, not just total rounds; the recorder should
-		// have set NonReplayable, but guard here too.
-		return core.Solution{}, fmt.Errorf("%w (adaptive-dist)", ErrNotReplayable)
+	base := core.SEConfig{
+		Beta:    e.Solver.Beta,
+		Tau:     e.Solver.Tau,
+		Gamma:   e.Solver.Gamma,
+		Workers: e.Solver.Workers,
+	}
+	gamma := core.NewSE(base).Config().Gamma
+	var rounds int64
+	for _, t := range e.Tasks {
+		if replayed(t) && t.Iterations > 0 {
+			rounds += int64(t.Iterations)
+			if !withinBudget(gamma, rounds) {
+				return core.Solution{}, errReplayBudget
+			}
+		}
 	}
 	var best core.Solution
 	have := false
 	for _, t := range e.Tasks {
-		if t.Err != "" || t.Selected == nil {
+		if !replayed(t) {
 			continue
 		}
-		cfg := core.SEConfig{
-			Beta:     e.Solver.Beta,
-			Tau:      e.Solver.Tau,
-			Gamma:    e.Solver.Gamma,
-			Workers:  e.Solver.Workers,
-			Adaptive: e.Solver.Adaptive,
-			Seed:     t.Seed,
-		}
+		cfg := base
+		cfg.Seed = t.Seed
 		eng, err := core.NewEngine(in, cfg)
 		if err != nil {
 			return core.Solution{}, fmt.Errorf("decisionlog: replay task %s: %w", t.TaskID, err)
@@ -100,6 +132,17 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 		return core.Solution{}, fmt.Errorf("%w (no successful task records)", ErrNotReplayable)
 	}
 	return best, nil
+}
+
+// replayed reports whether replayDist re-runs a task record: only a
+// task that succeeded has a selection to reproduce.
+func replayed(t TaskRecord) bool { return t.Err == "" && t.Selected != nil }
+
+// withinBudget reports whether gamma explorers running rounds rounds
+// each stay inside both replay caps. gamma is at least 1 after core's
+// defaults.
+func withinBudget(gamma int, rounds int64) bool {
+	return gamma <= maxReplayGamma && rounds <= maxReplayExplorerRounds/int64(gamma)
 }
 
 // sameIndices compares two ascending index slices, treating nil and

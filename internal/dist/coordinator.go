@@ -67,10 +67,6 @@ type CoordinatorConfig struct {
 	// SEWorkers bounds the goroutines each worker's kernel spreads its
 	// explorers over (core.SEConfig.Workers); zero means GOMAXPROCS.
 	SEWorkers int
-	// Adaptive turns on the annealed β/Γ schedule in every worker's
-	// kernel and in the coordinator's local-fallback solver
-	// (core.SEConfig.Adaptive).
-	Adaptive bool
 	// Events are pushed to all workers at the given wall-clock offsets
 	// after the run starts.
 	Events []TimedEvent
@@ -191,7 +187,6 @@ func (co *Coordinator) SolverConfig() core.SEConfig {
 		Seed:     co.cfg.Seed,
 		Gamma:    co.cfg.Gamma,
 		Workers:  co.cfg.SEWorkers,
-		Adaptive: co.cfg.Adaptive,
 		MaxIters: co.cfg.MaxIterations,
 	}
 }
@@ -384,7 +379,6 @@ func (co *Coordinator) task(g int) Task {
 		Seed:          co.TaskSeed(g),
 		Gamma:         co.cfg.Gamma,
 		SEWorkers:     co.cfg.SEWorkers,
-		Adaptive:      co.cfg.Adaptive,
 		ReportEvery:   co.cfg.ReportEvery,
 		MaxIterations: co.cfg.MaxIterations,
 	}
@@ -402,15 +396,7 @@ func (co *Coordinator) localSolve(inst core.Instance, parent obs.SpanContext) (c
 		sp.FinishOutcome("invalid-instance")
 		return core.Solution{}, err
 	}
-	sol, _, err := core.NewSE(core.SEConfig{
-		Beta:     co.cfg.Beta,
-		Tau:      co.cfg.Tau,
-		Seed:     co.cfg.Seed,
-		Gamma:    co.cfg.Gamma,
-		Workers:  co.cfg.SEWorkers,
-		Adaptive: co.cfg.Adaptive,
-		MaxIters: co.cfg.MaxIterations,
-	}).Solve(local)
+	sol, _, err := core.NewSE(co.SolverConfig()).Solve(local)
 	if err != nil {
 		sp.FinishOutcome("error")
 	} else {

@@ -119,12 +119,9 @@ type Task struct {
 	Gamma int `json:"gamma,omitempty"`
 	// SEWorkers caps the goroutines the worker's kernel uses to advance
 	// its explorers (core.SEConfig.Workers); zero means GOMAXPROCS.
-	SEWorkers int `json:"seWorkers,omitempty"`
-	// Adaptive turns on the annealed β/Γ schedule in the worker's kernel
-	// (core.SEConfig.Adaptive).
-	Adaptive      bool `json:"adaptive,omitempty"`
-	ReportEvery   int  `json:"reportEvery"`
-	MaxIterations int  `json:"maxIterations"`
+	SEWorkers     int `json:"seWorkers,omitempty"`
+	ReportEvery   int `json:"reportEvery"`
+	MaxIterations int `json:"maxIterations"`
 }
 
 // Instance reconstructs the core.Instance of a task.

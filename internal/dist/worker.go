@@ -312,13 +312,12 @@ func (w Worker) runTask(c *codec, ctrl <-chan timedEnv, readErr <-chan error, ta
 	}
 
 	engine, err := core.NewEngine(task.Instance(), core.SEConfig{
-		Beta:     task.Beta,
-		Tau:      task.Tau,
-		Seed:     task.Seed,
-		Gamma:    task.Gamma,
-		Workers:  task.SEWorkers,
-		Adaptive: task.Adaptive,
-		Obs:      w.SEObs,
+		Beta:    task.Beta,
+		Tau:     task.Tau,
+		Seed:    task.Seed,
+		Gamma:   task.Gamma,
+		Workers: task.SEWorkers,
+		Obs:     w.SEObs,
 	})
 	if err != nil {
 		err = fmt.Errorf("dist: %s (worker %s): %w", taskRef(task), w.ID, err)

@@ -46,11 +46,6 @@ type Options struct {
 	// latency histograms, the cumulative-age gauge). Nil disables every
 	// hook; results are identical either way.
 	Obs *obs.Registry
-	// Adaptive turns on the SE kernel's annealed β/Γ schedule
-	// (core.SEConfig.Adaptive) in every solver a runner builds. Unlike
-	// Workers this knob changes the chain's trajectory, so figure output
-	// is only comparable to runs with the same setting.
-	Adaptive bool
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -300,9 +295,9 @@ func shapeInstance(rng *randx.RNG, sizes []int, capacity int, alpha, nminFrac fl
 // solverSet builds the paper's four algorithms with budgets scaled for the
 // instance size. Only the SE solver is instrumented — the baselines have
 // no kernel hooks.
-func solverSet(seed int64, gamma, maxIters, workers int, adaptive bool, reg *obs.Registry) []core.Solver {
+func solverSet(seed int64, gamma, maxIters, workers int, reg *obs.Registry) []core.Solver {
 	return []core.Solver{
-		core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, Workers: workers, MaxIters: maxIters, ConvergenceWindow: maxIters / 10, Adaptive: adaptive, Obs: obs.NewSEObserver(reg)}),
+		core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, Workers: workers, MaxIters: maxIters, ConvergenceWindow: maxIters / 10, Obs: obs.NewSEObserver(reg)}),
 		baselineSA(seed, maxIters),
 		baselineDP(),
 		baselineWOA(seed, maxIters),

@@ -36,7 +36,7 @@ func ExtThroughput(opts Options) (FigureResult, error) {
 		{name: "SE", make: func(seed int64) epoch.Scheduler {
 			return epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
 				Seed: seed, Gamma: 4, Workers: opts.Workers, MaxIters: 4000,
-				Adaptive: opts.Adaptive, Obs: obs.NewSEObserver(opts.Obs),
+				Obs: obs.NewSEObserver(opts.Obs),
 			})}
 		}},
 		{name: "Greedy", make: func(seed int64) epoch.Scheduler {

@@ -119,7 +119,8 @@ type Injector struct {
 
 // New returns an injector with the given rules, drawing per-hit
 // probability coins from a generator seeded with seed. Rules for invalid
-// points (empty name) or non-positive delays on ActDelay are rejected.
+// points (empty name), a Prob outside [0, 1] (NaN included) or
+// non-positive delays on ActDelay are rejected.
 func New(seed int64, rules ...Rule) (*Injector, error) {
 	in := &Injector{
 		rng:   rand.New(rand.NewSource(seed)),
@@ -129,8 +130,8 @@ func New(seed int64, rules ...Rule) (*Injector, error) {
 		if r.Point == "" {
 			return nil, errors.New("faultinject: rule with empty point")
 		}
-		if r.Prob < 0 || r.Prob > 1 {
-			return nil, fmt.Errorf("faultinject: point %s: prob %v out of (0, 1]", r.Point, r.Prob)
+		if !(r.Prob >= 0 && r.Prob <= 1) {
+			return nil, fmt.Errorf("faultinject: point %s: prob %v out of [0, 1]", r.Point, r.Prob)
 		}
 		if r.After < 0 || r.Times < 0 {
 			return nil, fmt.Errorf("faultinject: point %s: negative trigger bound", r.Point)

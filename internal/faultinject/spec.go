@@ -52,6 +52,9 @@ func Parse(spec string, seed int64) (*Injector, error) {
 					r.Times, err = strconv.Atoi(val)
 				case "delay":
 					r.Delay, err = time.ParseDuration(val)
+					if err == nil && r.Delay <= 0 {
+						err = fmt.Errorf("delay %s is not positive", val)
+					}
 				case "action":
 					switch val {
 					case "error":
@@ -75,7 +78,7 @@ func Parse(spec string, seed int64) (*Injector, error) {
 				}
 			}
 		}
-		if r.Action == ActDelay && r.Delay <= 0 {
+		if r.Action == ActDelay && r.Delay == 0 {
 			// A delay action without an explicit duration gets a small
 			// default so "action=delay" alone is usable from the CLI.
 			r.Delay = 100 * time.Millisecond

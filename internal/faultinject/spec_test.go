@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -83,16 +84,45 @@ func TestParseProcessActions(t *testing.T) {
 	}
 }
 
+// garbageSpecs are malformed specs Parse must reject; FuzzParse seeds
+// from them too.
+var garbageSpecs = []string{
+	"p:prob=abc",
+	"p:after=1.5",
+	"p:times=x",
+	"p:delay=fast",
+	"p:action=explode",
+	"p:wat=1",
+	"p:justaword",
+	":prob=1",
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
+	for _, spec := range garbageSpecs {
+		if _, err := Parse(spec, 1); err == nil {
+			t.Fatalf("spec %q accepted", spec)
+		}
+	}
+}
+
+// TestParseRejectsNaNProb: NaN passes a "p < 0 || p > 1" range check and
+// then skips the probability coin, so the rule would fire on every hit.
+func TestParseRejectsNaNProb(t *testing.T) {
+	if _, err := Parse("p:prob=nan,action=kill", 1); err == nil {
+		t.Fatal("prob=nan accepted")
+	}
+	if _, err := New(1, Rule{Point: "p", Prob: math.NaN()}); err == nil {
+		t.Fatal("New accepted a NaN prob")
+	}
+}
+
+// TestParseRejectsNonPositiveDelay: an explicit delay must be positive;
+// only a missing one takes the default.
+func TestParseRejectsNonPositiveDelay(t *testing.T) {
 	for _, spec := range []string{
-		"p:prob=abc",
-		"p:after=1.5",
-		"p:times=x",
-		"p:delay=fast",
-		"p:action=explode",
-		"p:wat=1",
-		"p:justaword",
-		":prob=1",
+		"p:delay=-1s,action=delay",
+		"p:action=delay,delay=0s",
+		"p:action=restart,delay=-5ms",
 	} {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Fatalf("spec %q accepted", spec)

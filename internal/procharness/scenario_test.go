@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-func TestParseScenarioValid(t *testing.T) {
-	script := `
+// validScript uses every operation once; FuzzParseScenario seeds from it.
+const validScript = `
 # boot the cluster
 start coord
 wait-ready coord 5s
@@ -20,7 +20,9 @@ partition net
 heal net
 chaos-tick
 `
-	steps, err := ParseScenarioString(script)
+
+func TestParseScenarioValid(t *testing.T) {
+	steps, err := ParseScenarioString(validScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +48,21 @@ chaos-tick
 	}
 }
 
+// garbageScripts are one-line scripts ParseScenario must reject;
+// FuzzParseScenario seeds from them too.
+var garbageScripts = []string{
+	"explode w1",          // unknown op
+	"start",               // missing target
+	"sleep",               // missing duration
+	"sleep fast",          // bad duration
+	"sleep -1s",           // negative duration
+	"kill w1 extra",       // trailing token
+	"wait-ready w1 5s no", // trailing token after optional duration
+	"chaos-tick w1",       // op takes no args
+}
+
 func TestParseScenarioGarbage(t *testing.T) {
-	for _, script := range []string{
-		"explode w1",          // unknown op
-		"start",               // missing target
-		"sleep",               // missing duration
-		"sleep fast",          // bad duration
-		"sleep -1s",           // negative duration
-		"kill w1 extra",       // trailing token
-		"wait-ready w1 5s no", // trailing token after optional duration
-		"chaos-tick w1",       // op takes no args
-	} {
+	for _, script := range garbageScripts {
 		if _, err := ParseScenarioString(script); err == nil {
 			t.Fatalf("script %q accepted", script)
 		} else if !strings.Contains(err.Error(), "line 1") {

@@ -28,9 +28,10 @@ import (
 // target's. visits_n is the *dwell-weighted* occupancy: each round's
 // sample carries weight 1/Σw, the expected holding time before the next
 // race fires (see Probe.RecordRound). Raw per-round counts measure the
-// embedded jump chain, whose occupancy is ∝ p*(f)·Σrates(f) and
-// diverges from the target once β is boosted; the dwell weights recover
-// the continuous-time occupancy the target actually describes. Classes
+// embedded jump chain, whose occupancy is ∝ p*(f)·Σrates(f) and so
+// under-counts the mode, where the total rate is smallest; the dwell
+// weights recover the continuous-time occupancy the target actually
+// describes. Classes
 // without samples (inactive cardinality) count their full weight as
 // distance, so d̂_TV starts at 1 and can only fall as evidence
 // accumulates.
@@ -40,12 +41,11 @@ import (
 // inhabits (the full and empty selections have no thread; Nmin only
 // gates *reporting* a best, not exploration, so it does not trim the
 // chain's space). With the default layout Cards covers all of 1..K−1;
-// under the adaptive schedule's banded stages it is a subset, and the
+// under a MaxThreads lattice narrower than K−1 it is a subset, and the
 // target renormalizes over the covered classes — the chain then targets
 // the Gibbs law conditioned on |f| ∈ Cards, which is what the restricted
 // thread lattice actually samples. The weights use β_eff, the
-// value-normalized β the transition rates actually apply (including any
-// adaptive boost).
+// value-normalized β the transition rates actually apply.
 
 // rebuildTargetLocked enumerates the Gibbs target for the bound run, or
 // disables the d_TV estimator when the instance is too large.

@@ -140,11 +140,6 @@ type ImprovePoint struct {
 // re-convergence from the seeded state rather than the cold climb.
 const EventWarmStart = "warm-start"
 
-// EventSchedule is the EventMark kind recorded when the adaptive
-// schedule escalates a stage (β boost and/or cardinality banding);
-// Index carries the new stage.
-const EventSchedule = "schedule"
-
 // EventMark records a dynamic join/leave applied mid-run.
 type EventMark struct {
 	Round int    `json:"round"`
@@ -196,9 +191,6 @@ type Snapshot struct {
 	// rounds (no armed proposal / failed winner pick).
 	ProposalsStarved int64 `json:"proposals_starved,omitempty"`
 	RaceErrors       int64 `json:"race_errors,omitempty"`
-	// ScheduleStage is the adaptive schedule's current stage (0 = the
-	// fixed Alg. 1 regime; only nonzero when SEConfig.Adaptive is on).
-	ScheduleStage int `json:"schedule_stage,omitempty"`
 
 	BestUtility    float64 `json:"best_utility"`
 	HaveBest       bool    `json:"have_best"`
@@ -253,7 +245,6 @@ type Diag struct {
 	swaps, resets          int64
 	starved, raceErrors    int64
 	improvements           int64
-	schedStage             int
 	bestUtil               float64
 	haveBest               bool
 	history                []ImprovePoint
@@ -265,7 +256,6 @@ type Diag struct {
 	// exported instruments (nil without a registry — inert).
 	gBest, gAcceptRate, gResetRate  *obs.Gauge
 	gDTV, gAC1, gTauInt, gTimeToEps *obs.Gauge
-	gStage                          *obs.Gauge
 	hAcceptRate                     *obs.Histogram
 	tracer                          *obs.Tracer
 }
@@ -282,7 +272,6 @@ func New(cfg Config) *Diag {
 		d.gAC1 = reg.Gauge("mvcom_se_diag_autocorr_lag1", "lag-1 autocorrelation of the winner utility series")
 		d.gTauInt = reg.Gauge("mvcom_se_diag_mixing_proxy", "integrated autocorrelation time of the winner utility series (rounds)")
 		d.gTimeToEps = reg.Gauge("mvcom_se_diag_time_to_eps_rounds", "rounds until the best utility stayed within epsilon of its final value")
-		d.gStage = reg.Gauge("mvcom_se_diag_schedule_stage", "adaptive schedule stage (0 = fixed Alg. 1 regime)")
 		d.hAcceptRate = reg.Histogram("mvcom_se_diag_window_accept_rate", "per-window swap-acceptance rate", obs.LinearBuckets(0.05, 0.05, 19))
 		d.tracer = reg.Tracer()
 		reg.RegisterDebug("convergence", func() any { return d.Snapshot() })
@@ -299,7 +288,7 @@ func (d *Diag) Bind(info RunInfo) {
 	defer d.mu.Unlock()
 	d.info = info
 	d.rounds, d.explorerRounds, d.swaps, d.resets, d.improvements = 0, 0, 0, 0, 0
-	d.starved, d.raceErrors, d.schedStage = 0, 0, 0
+	d.starved, d.raceErrors = 0, 0
 	d.bestUtil, d.haveBest = math.Inf(-1), false
 	d.history = d.history[:0]
 	d.events = d.events[:0]
@@ -371,25 +360,6 @@ func (d *Diag) RecordEvent(round int, kind string, index int, bestAfter float64,
 	}
 	if d.tracer != nil {
 		d.tracer.Emit(obs.EvConvergence, "se", bestAfter, "event:"+kind)
-	}
-}
-
-// RecordSchedule marks an adaptive-schedule stage change at the given
-// round: an EventMark (kind "schedule", Index = new stage) joins the
-// event stream, the stage gauge moves, and an EvConvergence trace event
-// fires. Called by the coordinator at a segment merge, never by
-// explorer goroutines. Nil-safe.
-func (d *Diag) RecordSchedule(round int, dec Decision, bestUtil float64) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.schedStage = dec.Stage
-	d.events = append(d.events, EventMark{Round: round, Kind: EventSchedule, Index: dec.Stage, BestAfter: bestUtil})
-	d.gStage.Set(float64(dec.Stage))
-	if d.tracer != nil {
-		d.tracer.Emit(obs.EvConvergence, "se", float64(dec.Stage), "event:"+EventSchedule)
 	}
 }
 
@@ -548,7 +518,6 @@ func (d *Diag) Snapshot() Snapshot {
 		Improvements:     d.improvements,
 		ProposalsStarved: d.starved,
 		RaceErrors:       d.raceErrors,
-		ScheduleStage:    d.schedStage,
 		BestUtility:      d.bestUtil,
 		HaveBest:         d.haveBest,
 		Windows:          append([]Window(nil), d.windows...),
@@ -587,7 +556,6 @@ type Digest struct {
 	Rounds          int64   `json:"rounds"`
 	Improvements    int64   `json:"improvements"`
 	TimeToEpsRounds int     `json:"time_to_eps_rounds"`
-	ScheduleStage   int     `json:"schedule_stage,omitempty"`
 	BestUtility     float64 `json:"best_utility"`
 	HaveBest        bool    `json:"have_best"`
 	WarmStarts      int     `json:"warm_starts,omitempty"`
@@ -609,7 +577,6 @@ func (d *Diag) Digest() Digest {
 		Rounds:          d.rounds,
 		Improvements:    d.improvements,
 		TimeToEpsRounds: d.timeToEpsLocked(),
-		ScheduleStage:   d.schedStage,
 		HaveBest:        d.haveBest,
 	}
 	if d.haveBest {
@@ -772,9 +739,9 @@ func (p *Probe) RecordSwap(thread, outPos, inPos int, util float64) {
 
 // RecordRound appends one dwell sample per active thread, each carrying
 // the round's dwell weight. Counting rounds measures the embedded jump
-// chain, whose occupancy is ∝ π(x)·Σrates(x) — at boosted β the chain
-// dwells at the mode (tiny total rate) while the jump chain executes one
-// swap per round and bounces off, so raw counts diverge from Gibbs. The
+// chain, whose occupancy is ∝ π(x)·Σrates(x) — the chain dwells at the
+// mode (small total rate) while the jump chain executes one swap per
+// round and bounces off, so raw counts diverge from Gibbs. The
 // kernel passes weight = 1/Σw (the expected holding time before the next
 // race fires); weighting each sample by it recovers the continuous-time
 // occupancy, which is the stationary law the target enumerates. Rounds

@@ -84,7 +84,7 @@ func TestTargetDisabledCases(t *testing.T) {
 	if d.TracksVisits() {
 		t.Fatal("estimator live beyond MaxTVShards")
 	}
-	// A banded thread layout (adaptive schedule) keeps the estimator
+	// A thread layout covering only some cardinalities keeps the estimator
 	// live, conditioned on the covered cardinality classes.
 	d.Bind(RunInfo{K: 3, Capacity: 10, Sizes: []int{1, 1, 1}, Values: []float64{1, 2, 3}, Cards: []int{1}})
 	if !d.TracksVisits() {
