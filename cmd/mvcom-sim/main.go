@@ -44,11 +44,6 @@ func run(args []string) error {
 		capFrac     = fs.Float64("capacity-frac", 0.33, "final-block capacity as a fraction of total trace TXs")
 		nminFrac    = fs.Float64("nmin-frac", 0.25, "Nmin as a fraction of committees")
 		failureRate = fs.Float64("failure-rate", 0, "per-epoch committee failure probability")
-		poolDriven  = fs.Bool("pool-driven", false, "feed epochs from the trace's arrival process")
-		detailed    = fs.Bool("detailed-pbft", false, "message-level PBFT for stage 3")
-		hashAssign  = fs.Bool("hash-assign", false, "Elastico identity-bit committee assignment")
-		retarget    = fs.Bool("retarget", false, "difficulty retargeting across epochs")
-		drift       = fs.Float64("hash-drift", 1.0, "hash-power multiplier per epoch")
 		scheduler   = fs.String("scheduler", "se", "se | sa | dp | woa | greedy | acceptall")
 		gamma       = fs.Int("gamma", 10, "SE parallel exploration threads")
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
@@ -70,11 +65,6 @@ func run(args []string) error {
 		CommitteeSize:      *size,
 		FaultyPerCommittee: *faulty,
 		FailureRate:        *failureRate,
-		PoolDriven:         *poolDriven,
-		DetailedConsensus:  *detailed,
-		HashAssignment:     *hashAssign,
-		Retarget:           *retarget,
-		HashPowerDrift:     *drift,
 		Trace: txgen.Config{
 			Blocks:  *committees * 3,
 			MeanTxs: 1200,

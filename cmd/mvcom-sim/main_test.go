@@ -29,19 +29,3 @@ func TestRunBadCapacity(t *testing.T) {
 		t.Fatal("zero capacity accepted")
 	}
 }
-
-func TestRunAllModes(t *testing.T) {
-	args := []string{"-committees", "8", "-committee-size", "4", "-epochs", "2",
-		"-scheduler", "greedy", "-pool-driven", "-hash-assign", "-retarget", "-hash-drift", "1.1"}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunDetailedPBFTMode(t *testing.T) {
-	args := []string{"-committees", "6", "-committee-size", "4", "-epochs", "1",
-		"-scheduler", "greedy", "-detailed-pbft"}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-}

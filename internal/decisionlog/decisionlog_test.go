@@ -3,6 +3,7 @@ package decisionlog
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +29,7 @@ func testInstance() core.Instance {
 
 // solveEntry runs a fresh SE solve over testInstance and records it as
 // a journal entry the way the pipeline does.
-func solveEntry(t *testing.T, epoch int, seed int64) Entry {
+func solveEntry(t testing.TB, epoch int, seed int64) Entry {
 	t.Helper()
 	in := testInstance()
 	se := core.NewSE(core.SEConfig{Seed: seed, MaxIters: 2000})
@@ -106,7 +107,7 @@ func TestReplaySEWarmStart(t *testing.T) {
 // distEntry records a three-task distributed decision over testInstance
 // the way mvcom-dist does: each task an engine stepped 500 rounds under
 // its own seed, the decision the best task.
-func distEntry(t *testing.T) Entry {
+func distEntry(t testing.TB) Entry {
 	t.Helper()
 	in := testInstance()
 	cfg := core.SEConfig{Beta: 2, Gamma: 1, Workers: 2}
@@ -251,8 +252,9 @@ func replayWithin(t *testing.T, e *Entry, d time.Duration) error {
 
 // TestReplayBudget pins the caps on the work an entry can ask Replay
 // for: rounds × Γ past maxReplayExplorerRounds, in one se solve or summed
-// over dist tasks, and Γ past maxReplayGamma are skipped before any
-// explorer exists.
+// over dist tasks, Γ past maxReplayGamma, swapRetries past
+// maxReplaySwapRetries, and explorer state past maxReplayStateCells are
+// skipped before any explorer exists.
 func TestReplayBudget(t *testing.T) {
 	se := solveEntry(t, 1, 42)
 	se.Solver.MaxIters = 1 << 40
@@ -260,6 +262,11 @@ func TestReplayBudget(t *testing.T) {
 
 	dist := distEntry(t)
 	dist.Tasks[1].Iterations = 1 << 40
+
+	// A first task inside the cap must not let a second one's huge count
+	// wrap the sum back below it.
+	wrap := distEntry(t)
+	wrap.Tasks[1].Iterations = math.MaxInt
 
 	// Few rounds but too many explorers: cheap to replay, so only the Γ
 	// cap skips it.
@@ -270,13 +277,45 @@ func TestReplayBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		entry *Entry
-	}{{"rounds", &se}, {"dist-rounds", &dist}, {"gamma", &wide}} {
+	}{
+		{"rounds", &se}, {"dist-rounds", &dist}, {"dist-rounds-wrap", &wrap}, {"gamma", &wide},
+		{"swap-retries", infeasibleSwapEntry()}, {"state", wideStateEntry()},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := replayWithin(t, tc.entry, time.Second); !errors.Is(err, ErrNotReplayable) {
 				t.Fatalf("err = %v, want ErrNotReplayable", err)
 			}
 		})
 	}
+}
+
+// infeasibleSwapEntry is a 10-round solve at swapRetries 2^40 over an
+// instance whose every Set-timer proposal breaks capacity: only the
+// one-shard thread can hold a feasible selection, the 1-tx shard, and
+// swapping any 100-tx shard in for it overflows. Replaying it would
+// resample 2^40 times per round.
+func infeasibleSwapEntry() *Entry {
+	cfg := core.NewSE(core.SEConfig{Seed: 1, MaxIters: 10, SwapRetries: 1 << 40}).Config()
+	e := &Entry{Epoch: 1, DDL: 10, Alpha: 1, Capacity: 1, Nmin: 1, Solver: FingerprintSE(cfg)}
+	for i, size := range []int{1, 100, 100, 100} {
+		e.Shards = append(e.Shards, ShardRecord{Committee: i, Size: size, Latency: 1})
+	}
+	return e
+}
+
+// wideStateEntry is a one-round solve at Γ 40 over 2 000 shards: cheap in
+// rounds, but its explorers would hold 40 × 64 × 2 000 cells of thread
+// state before the first round.
+func wideStateEntry() *Entry {
+	cfg := core.NewSE(core.SEConfig{Seed: 1, Gamma: 40, MaxIters: 1}).Config()
+	e := &Entry{Epoch: 1, DDL: 100, Alpha: 1, Nmin: 1, Solver: FingerprintSE(cfg)}
+	for i := 0; i < 2000; i++ {
+		size := 1 + i%97
+		e.Shards = append(e.Shards, ShardRecord{Committee: i, Size: size, Latency: float64(i % 50)})
+		e.Capacity += size
+	}
+	e.Capacity /= 2
+	return e
 }
 
 func TestNewerSchemaRejected(t *testing.T) {

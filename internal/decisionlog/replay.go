@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"mvcom/internal/core"
@@ -17,20 +18,35 @@ import (
 // entries that ask for more work than the replay budget.
 var ErrNotReplayable = errors.New("decisionlog: entry is not replayable")
 
-// Replay takes its round counts and its Γ from the entry, so a corrupt
-// or hostile entry would decide how long a verifier runs: MaxIters 2^40
-// is days of rounds, and Γ explorers are allocated before the first
-// round. The largest decisions the recorders write by default are an
-// mvcom-dist epoch of two 20 000-round tasks at Γ 1, an mvcom-soak epoch
-// of 2 000 rounds at Γ 4 and an mvcom-serve epoch of 800 rounds at Γ 4.
-// Both caps sit about 100× above those: far past any default recording,
-// and still seconds, not days, of replay.
+// Replay takes its round counts, its Γ, its Set-timer retries and its
+// instance from the entry, so a corrupt or hostile entry would decide
+// how long a verifier runs and how much it allocates:
+//   - MaxIters 2^40 is days of rounds;
+//   - swapRetries 2^40 on an instance whose swaps are all
+//     capacity-infeasible spins for days inside one round;
+//   - before the first round every explorer allocates per-thread state
+//     over every shard, Γ × min(maxThreads, shards − 1) × shards cells,
+//     so a wide Γ over a long shard list asks for gigabytes.
+//
+// The largest decisions the recorders write by default are an mvcom-dist
+// epoch of two 20 000-round tasks at Γ 1, an mvcom-soak epoch of 2 000
+// rounds at Γ 4 and an mvcom-serve epoch of 800 rounds at Γ 4. Every
+// recorder solves at swapRetries 8. The most state is an mvcom-serve
+// epoch: Γ 4 × 64 threads × at most 192 live shards (64 committees, each
+// deferred at most twice), about 50 000 cells. Every cap sits about 100×
+// above those, far past any default recording. The infeasible-swap
+// instance of TestReplayBudget at 4 000 000 rounds and swapRetries 1 000
+// replays in about 34 s on a 2-vCPU Xeon: slow, but not days.
 const (
 	// maxReplayExplorerRounds caps rounds × Γ for one entry, summed over
 	// the tasks of a dist entry.
 	maxReplayExplorerRounds = 4_000_000
 	// maxReplayGamma caps the explorer count Γ.
 	maxReplayGamma = 400
+	// maxReplaySwapRetries caps Set-timer's resampling attempts.
+	maxReplaySwapRetries = 1_000
+	// maxReplayStateCells caps Γ × min(maxThreads, shards − 1) × shards.
+	maxReplayStateCells = 5_000_000
 )
 
 // errReplayBudget skips an entry whose replay would exceed a cap.
@@ -62,7 +78,7 @@ func Replay(e *Entry) (core.Solution, error) {
 	switch e.Solver.Kind {
 	case KindSE:
 		se := core.NewSE(e.Solver.SEConfig())
-		if cfg := se.Config(); !withinBudget(cfg.Gamma, int64(cfg.MaxIters)) {
+		if cfg := se.Config(); !withinBudget(cfg, len(e.Shards), int64(cfg.MaxIters)) {
 			return core.Solution{}, errReplayBudget
 		}
 		if e.Warm {
@@ -93,14 +109,15 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 		Gamma:   e.Solver.Gamma,
 		Workers: e.Solver.Workers,
 	}
-	gamma := core.NewSE(base).Config().Gamma
+	cfg := core.NewSE(base).Config()
 	var rounds int64
 	for _, t := range e.Tasks {
 		if replayed(t) && t.Iterations > 0 {
-			rounds += int64(t.Iterations)
-			if !withinBudget(gamma, rounds) {
-				return core.Solution{}, errReplayBudget
-			}
+			// Clamped, so a huge count cannot wrap the sum below the cap.
+			rounds += int64(min(t.Iterations, maxReplayExplorerRounds+1))
+		}
+		if !withinBudget(cfg, len(e.Shards), rounds) {
+			return core.Solution{}, errReplayBudget
 		}
 	}
 	var best core.Solution
@@ -138,11 +155,16 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 // task that succeeded has a selection to reproduce.
 func replayed(t TaskRecord) bool { return t.Err == "" && t.Selected != nil }
 
-// withinBudget reports whether gamma explorers running rounds rounds
-// each stay inside both replay caps. gamma is at least 1 after core's
-// defaults.
-func withinBudget(gamma int, rounds int64) bool {
-	return gamma <= maxReplayGamma && rounds <= maxReplayExplorerRounds/int64(gamma)
+// withinBudget reports whether replaying cfg over shards shards for
+// rounds rounds per explorer stays inside every replay cap. cfg carries
+// core's defaults, so Γ and maxThreads are at least 1.
+func withinBudget(cfg core.SEConfig, shards int, rounds int64) bool {
+	gamma := int64(cfg.Gamma)
+	threads := int64(min(cfg.MaxThreads, shards-1))
+	return cfg.Gamma <= maxReplayGamma &&
+		rounds <= maxReplayExplorerRounds/gamma &&
+		cfg.SwapRetries <= maxReplaySwapRetries &&
+		threads*int64(shards) <= maxReplayStateCells/gamma
 }
 
 // sameIndices compares two ascending index slices, treating nil and
@@ -222,8 +244,13 @@ func ReadFile(path string) ([]Entry, error) {
 		return nil, fmt.Errorf("decisionlog: %w", err)
 	}
 	defer f.Close()
+	return readEntries(f, path)
+}
+
+// readEntries decodes JSON-lines entries from r; name labels its errors.
+func readEntries(r io.Reader, name string) ([]Entry, error) {
 	var out []Entry
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	line := 0
 	for sc.Scan() {
@@ -234,12 +261,12 @@ func ReadFile(path string) ([]Entry, error) {
 		}
 		var e Entry
 		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("decisionlog: %s:%d: %w", path, line, err)
+			return nil, fmt.Errorf("decisionlog: %s:%d: %w", name, line, err)
 		}
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("decisionlog: %s: %w", path, err)
+		return nil, fmt.Errorf("decisionlog: %s: %w", name, err)
 	}
 	return out, nil
 }

@@ -1,9 +1,8 @@
 package epoch
 
 // Regression tests for the failure/arrival edge cases of the epoch
-// pipeline: the zero-latency consensus-failure bug, the
-// assignArrivedBlocks slice/modulo panics, and the admissionDeadline
-// quantile.
+// pipeline: the zero-latency consensus-failure bug and the
+// admissionDeadline quantile.
 
 import (
 	"testing"
@@ -91,72 +90,5 @@ func TestAdmissionDeadlineQuantile(t *testing.T) {
 	}
 	if got := admissionDeadline(mixed, 0.8); got != 29*time.Second {
 		t.Fatalf("0.8 of 30 live: got %v want 29s (24th live arrival)", got)
-	}
-}
-
-// TestAssignArrivedBlocksClamps covers the PoolDriven window accounting
-// when the report slice disagrees with the configured committee count:
-// fewer reports than committees must not panic the slice bound, and an
-// empty slice must not divide by zero in the round-robin — the window's
-// blocks stay in the trace for the next epoch instead of vanishing.
-func TestAssignArrivedBlocksClamps(t *testing.T) {
-	cfg := fastConfig(4, 77)
-	cfg.PoolDriven = true
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.trace.Blocks) == 0 {
-		t.Fatal("trace generated no blocks")
-	}
-	horizon := p.trace.Blocks[len(p.trace.Blocks)-1].BTime + time.Second
-
-	// Empty slice: no panic, no blocks consumed, wall clock still moves.
-	p.assignArrivedBlocks(nil, horizon)
-	if p.blockCursor != 0 {
-		t.Fatalf("empty reports consumed %d blocks", p.blockCursor)
-	}
-	if p.wallClock != horizon {
-		t.Fatalf("wall clock %v, want %v", p.wallClock, horizon)
-	}
-
-	// Fewer reports than configured committees: clamp, assign round-robin
-	// over the ones that exist.
-	short := make([]CommitteeReport, 2)
-	p.assignArrivedBlocks(short, horizon)
-	if p.blockCursor != len(p.trace.Blocks) {
-		t.Fatalf("consumed %d of %d blocks", p.blockCursor, len(p.trace.Blocks))
-	}
-	total := 0
-	for _, rep := range short {
-		total += rep.TxCount
-	}
-	var want int
-	for _, b := range p.trace.Blocks {
-		want += b.Txs
-	}
-	if total != want {
-		t.Fatalf("assigned %d txs, trace holds %d", total, want)
-	}
-
-	// More reports than committees (deferred entries appended): only the
-	// fresh prefix is re-packaged, carried shards keep their size.
-	p2, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := make([]CommitteeReport, 6)
-	long[4].TxCount = 1234 // deferred carry
-	long[5].TxCount = 567
-	p2.assignArrivedBlocks(long, horizon)
-	if long[4].TxCount != 1234 || long[5].TxCount != 567 {
-		t.Fatalf("deferred shards re-packaged: %d, %d", long[4].TxCount, long[5].TxCount)
-	}
-	fresh := 0
-	for _, rep := range long[:4] {
-		fresh += rep.TxCount
-	}
-	if fresh != want {
-		t.Fatalf("fresh committees packaged %d txs, trace holds %d", fresh, want)
 	}
 }

@@ -45,6 +45,13 @@ var (
 	ErrNoEpochs  = errors.New("epoch: epochs must be >= 1")
 )
 
+// perIdentity is the per-node identity-establishment cost of stage 2:
+// after PoW, every participant's identity (PoW solution + key) is
+// exchanged and verified network-wide through the directory, so the
+// stage costs perIdentity × total nodes. This is the term that makes
+// formation latency grow linearly with network size (Fig. 2a).
+const perIdentity = 500 * time.Millisecond
+
 // FaultPointCommittee is the pipeline's fault point, evaluated once per
 // member committee per epoch on Config.FaultInjector. Any firing marks
 // that committee failed, exactly as a ping-confirmed mid-epoch death is
@@ -61,21 +68,6 @@ type Config struct {
 	// FaultyPerCommittee is the number of Byzantine replicas per
 	// committee. Default 0; capped at (size-1)/3 by validation.
 	FaultyPerCommittee int
-	// PoW configures stage 1. Default: 600 s mean solve (paper setting).
-	PoW pow.Election
-	// Net configures the overlay model.
-	Net overlay.Config
-	// ConsensusTarget is the expected intra-committee consensus latency;
-	// PBFT's per-step mean is calibrated to hit it. Default 54.5 s (paper
-	// setting).
-	ConsensusTarget time.Duration
-	// PerIdentity is the per-node identity-establishment cost of stage 2:
-	// after PoW, every participant's identity (PoW solution + key) is
-	// exchanged and verified network-wide through the directory, so the
-	// stage costs PerIdentity × total nodes. This is the term that makes
-	// formation latency grow linearly with network size (Fig. 2a).
-	// Default 500 ms.
-	PerIdentity time.Duration
 	// Trace configures the synthetic transaction dataset.
 	Trace txgen.Config
 	// NmaxFraction is the fraction of committees whose arrival closes the
@@ -93,23 +85,6 @@ type Config struct {
 	// the pipeline's RNG stream, so a chaos run stays step-for-step
 	// alignable with its fault-free twin. Nil is off.
 	FaultInjector *faultinject.Injector
-	// HashAssignment switches committee formation from solve-order
-	// round-robin to Elastico's identity-bit assignment seeded by the
-	// previous epoch's randomness (stage 5 feeding stage 1).
-	HashAssignment bool
-	// HashPowerDrift multiplies the network's aggregate hash power every
-	// epoch (1.0 = stable; 1.1 = 10% faster miners per epoch). Nonzero
-	// drift models the environment the difficulty retargeter corrects.
-	HashPowerDrift float64
-	// Retarget enables Bitcoin-style difficulty adjustment: after each
-	// epoch the expected solve time is retargeted toward the configured
-	// PoW mean using the observed solve times.
-	Retarget bool
-	// DetailedConsensus runs stage 3 as a message-level PBFT simulation
-	// (real pre-prepare/prepare/commit events over an intra-committee
-	// network calibrated to ConsensusTarget) instead of the analytic
-	// order-statistics model.
-	DetailedConsensus bool
 	// MaxDeferrals, when positive, bounds how many consecutive epochs a
 	// refused committee may re-submit before its shard expires and is
 	// dropped. 0 (the default) keeps the paper's unbounded deferral
@@ -118,26 +93,14 @@ type Config struct {
 	// shards re-queueing while fresh shards keep arriving — grows with
 	// epoch count, and so do the live set and the heap.
 	MaxDeferrals int
-	// PoolDriven feeds epochs from the trace's arrival process: instead
-	// of re-sharding the entire trace every epoch, committees package
-	// only the blocks whose btime falls inside the epoch's wall-clock
-	// window, so shard sizes follow real demand and quiet epochs produce
-	// small (or empty) shards. Committees with no transactions sit the
-	// epoch out.
-	PoolDriven bool
 	// Supply, when non-nil, feeds each epoch's fresh shard contents from
 	// an external source instead of the synthetic trace: after stages 1–3
 	// the fresh reports' TxCounts are zeroed and Supply.Fill distributes
 	// real ingested demand over them (deferred committees keep the shard
-	// they already packaged, as in PoolDriven mode). Epochs where Fill
-	// leaves every shard empty commit an empty block like a PoolDriven
-	// quiet window. Mutually exclusive with PoolDriven. Nil is off.
+	// they already packaged). Epochs where Fill leaves every shard empty
+	// are a quiet window: the final committee appends an empty block.
+	// Nil is off.
 	Supply ShardSupply
-	// EpochBudget, when positive, is the wall-clock SLO target for one
-	// epoch run: every phase gauge then also exports its share of the
-	// budget (mvcom_epoch_phase_budget_ratio{phase=...}), the surface a
-	// serving loop alerts on. Zero disables the ratio gauges.
-	EpochBudget time.Duration
 	// Seed drives every stochastic component.
 	Seed int64
 	// Obs, when non-nil, receives pipeline telemetry: per-committee
@@ -170,26 +133,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FaultyPerCommittee < 0 {
 		c.FaultyPerCommittee = 0
 	}
-	if c.ConsensusTarget <= 0 {
-		c.ConsensusTarget = pbft.DefaultMeanTotal
-	}
-	if c.PerIdentity <= 0 {
-		c.PerIdentity = 500 * time.Millisecond
-	}
 	if c.NmaxFraction <= 0 || c.NmaxFraction > 1 {
 		c.NmaxFraction = 0.8
 	}
 	if c.FailureRate < 0 || c.FailureRate >= 1 {
 		return c, fmt.Errorf("%w: failure rate %v out of [0,1)", ErrBadConfig, c.FailureRate)
-	}
-	if c.HashPowerDrift == 0 {
-		c.HashPowerDrift = 1
-	}
-	if c.HashPowerDrift <= 0 {
-		return c, fmt.Errorf("%w: hash power drift %v must be positive", ErrBadConfig, c.HashPowerDrift)
-	}
-	if c.Supply != nil && c.PoolDriven {
-		return c, fmt.Errorf("%w: Supply and PoolDriven are mutually exclusive", ErrBadConfig)
 	}
 	return c, nil
 }
@@ -312,21 +260,6 @@ type Pipeline struct {
 	trace *txgen.Trace
 	// pbftStep is the calibrated per-step mean.
 	pbftStep time.Duration
-	// meanSolve is the current difficulty (expected per-node solve time
-	// at nominal hash power); retargeting adjusts it across epochs.
-	meanSolve time.Duration
-	// hashPower is the aggregate mining speed multiplier, drifting by
-	// HashPowerDrift per epoch.
-	hashPower float64
-	// detailedLink is the calibrated intra-committee link latency for the
-	// message-level consensus mode.
-	detailedLink time.Duration
-	// wallClock accumulates epoch deadlines; PoolDriven uses it to drain
-	// the trace's arrival process.
-	wallClock time.Duration
-	// blockCursor indexes the first trace block not yet consumed
-	// (PoolDriven mode).
-	blockCursor int
 	// deferred carries refused committees into the next epoch with
 	// reduced two-phase latency.
 	deferred []CommitteeReport
@@ -362,7 +295,8 @@ type Pipeline struct {
 }
 
 // NewPipeline validates the configuration, generates the transaction
-// trace, and calibrates the PBFT step time to the consensus target.
+// trace, and calibrates the PBFT step time to the paper's 54.5 s
+// consensus expectation.
 func NewPipeline(cfg Config) (*Pipeline, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -372,32 +306,17 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	step, err := pbft.CalibrateMeanStep(rng.Split(), pbft.Config{
 		Replicas: cfg.CommitteeSize,
 		Faulty:   cfg.FaultyPerCommittee,
-	}, cfg.ConsensusTarget, 400)
+	}, pbft.DefaultMeanTotal, 400)
 	if err != nil {
 		return nil, fmt.Errorf("calibrate pbft: %w", err)
 	}
-	var detailedLink time.Duration
-	if cfg.DetailedConsensus {
-		detailedLink, err = pbft.CalibrateDetailedLatency(cfg.Seed+1, cfg.CommitteeSize,
-			cfg.FaultyPerCommittee, cfg.ConsensusTarget, 60)
-		if err != nil {
-			return nil, fmt.Errorf("calibrate detailed pbft: %w", err)
-		}
-	}
-	meanSolve := cfg.PoW.MeanSolve
-	if meanSolve <= 0 {
-		meanSolve = 600 * time.Second
-	}
 	return &Pipeline{
-		cfg:          cfg,
-		rng:          rng,
-		chain:        chain.NewRootChain(),
-		trace:        txgen.Generate(rng.Split(), cfg.Trace),
-		pbftStep:     step,
-		meanSolve:    meanSolve,
-		hashPower:    1,
-		detailedLink: detailedLink,
-		permitted:    make(map[int]bool),
+		cfg:       cfg,
+		rng:       rng,
+		chain:     chain.NewRootChain(),
+		trace:     txgen.Generate(rng.Split(), cfg.Trace),
+		pbftStep:  step,
+		permitted: make(map[int]bool),
 	}, nil
 }
 
@@ -408,15 +327,15 @@ func (p *Pipeline) Chain() *chain.RootChain { return p.chain }
 func (p *Pipeline) Trace() *txgen.Trace { return p.trace }
 
 // startPhase opens one wall-clock phase of an epoch run: a child span
-// under the epoch root plus the per-phase SLO gauges on finish. The
-// returned func ends the phase with an outcome ("" = ok). Everything
+// under the epoch root plus the per-phase wall-clock gauge on finish.
+// The returned func ends the phase with an outcome ("" = ok). Everything
 // no-ops when Obs is nil.
 func (p *Pipeline) startPhase(root *obs.Span, name string) func(outcome string) {
 	sp := p.cfg.Obs.TraceCtx().StartSpan(name, "pipeline", root.Context())
 	start := time.Now()
 	return func(outcome string) {
 		sp.FinishOutcome(outcome)
-		p.cfg.Obs.PhaseWall(name, time.Since(start).Seconds(), p.cfg.EpochBudget.Seconds())
+		p.cfg.Obs.PhaseWall(name, time.Since(start).Seconds())
 	}
 }
 
@@ -486,10 +405,6 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	}
 	res.Reports = reports
 
-	if p.cfg.PoolDriven {
-		p.assignArrivedBlocks(reports, ddl)
-	}
-
 	// Failed committees (detected via ping, Section V) never make it into
 	// the scheduling instance, and neither do committees whose shard is
 	// empty this epoch; Live maps instance indices to reports.
@@ -499,7 +414,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		}
 	}
 	if len(res.Live) == 0 {
-		if p.cfg.PoolDriven || p.cfg.Supply != nil {
+		if p.cfg.Supply != nil {
 			// A quiet window: no transactions arrived, so the final
 			// committee appends an empty block and the epoch ends.
 			endCollect("quiet-window")
@@ -736,40 +651,15 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 	cfg := p.cfg
 	nodes := cfg.Committees * cfg.CommitteeSize
-	// Miners drift in speed epoch over epoch; the effective solve time is
-	// the current difficulty divided by the aggregate hash power.
-	p.hashPower *= cfg.HashPowerDrift
-	election := cfg.PoW
-	election.MeanSolve = time.Duration(float64(p.meanSolve) / p.hashPower)
-	if election.MeanSolve <= 0 {
-		election.MeanSolve = time.Nanosecond
-	}
-	solvers, err := election.Run(p.rng.Split(), nodes)
+	solvers, err := pow.Election{}.Run(p.rng.Split(), nodes)
 	if err != nil {
 		return nil, fmt.Errorf("pow election: %w", err)
 	}
-	if cfg.Retarget {
-		target := cfg.PoW.MeanSolve
-		if target <= 0 {
-			target = 600 * time.Second
-		}
-		rt := pow.Retargeter{Target: target}
-		if next, rErr := rt.AdjustFromSolvers(p.meanSolve, solvers); rErr == nil {
-			p.meanSolve = next
-		}
-	}
-	var committees []pow.Committee
-	if cfg.HashAssignment {
-		// Stage 5 feeds stage 1: the previous epoch's randomness seeds
-		// the identity-bit committee assignment.
-		committees, err = pow.AssignByHash(p.chain.TipHash(), solvers, cfg.Committees, cfg.CommitteeSize)
-	} else {
-		committees, err = pow.FormCommittees(solvers, cfg.Committees, cfg.CommitteeSize)
-	}
+	committees, err := pow.FormCommittees(solvers, cfg.Committees, cfg.CommitteeSize)
 	if err != nil {
 		return nil, fmt.Errorf("form committees: %w", err)
 	}
-	net, err := overlay.NewNetwork(p.rng.Split(), nodes, cfg.Net)
+	net, err := overlay.NewNetwork(p.rng.Split(), nodes, overlay.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("overlay: %w", err)
 	}
@@ -782,8 +672,8 @@ func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 	pbftRNG := p.rng.Split()
 	// Stage 2's network-wide identity establishment: every node's PoW
 	// solution and key are verified through the directory, costing
-	// PerIdentity per participant regardless of committee.
-	identityLatency := time.Duration(nodes) * cfg.PerIdentity
+	// perIdentity per participant regardless of committee.
+	identityLatency := time.Duration(nodes) * perIdentity
 	done := 0
 	for ci := range committees {
 		ci := ci
@@ -864,38 +754,6 @@ func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 	return reports, nil
 }
 
-// assignArrivedBlocks implements the PoolDriven sizing: the epoch's
-// wall-clock window [wallClock, wallClock+ddl) drains the trace blocks
-// that arrived in it, round-robin across this epoch's new committees
-// (deferred committees keep the shard they already packaged). Committees
-// left without blocks report an empty shard.
-func (p *Pipeline) assignArrivedBlocks(reports []CommitteeReport, ddl time.Duration) {
-	end := p.wallClock + ddl
-	p.wallClock = end
-	// Deferred entries follow the new ones; clamp in case fewer reports
-	// exist than configured committees (a truncated slice from a caller
-	// must not panic the window accounting).
-	fresh := reports
-	if len(fresh) > p.cfg.Committees {
-		fresh = fresh[:p.cfg.Committees]
-	}
-	for i := range fresh {
-		fresh[i].TxCount = 0
-	}
-	if len(fresh) == 0 {
-		// No committee to package the window's blocks: leave the cursor
-		// where it is so the transactions are drained next epoch instead
-		// of being silently dropped (and avoid the mod-zero round-robin).
-		return
-	}
-	i := 0
-	for p.blockCursor < len(p.trace.Blocks) && p.trace.Blocks[p.blockCursor].BTime <= end {
-		fresh[i%len(fresh)].TxCount += p.trace.Blocks[p.blockCursor].Txs
-		i++
-		p.blockCursor++
-	}
-}
-
 // consensusFailedLatency is the sentinel two-phase contribution of a
 // committee whose consensus stage failed: far beyond any admission
 // deadline, yet small enough that Formation + sentinel stays inside
@@ -915,42 +773,14 @@ func markConsensusFailed(rep *CommitteeReport) {
 	rep.TwoPhase = rep.Formation + consensusFailedLatency
 }
 
-// consensusLatency runs stage 3 for one committee: the analytic
-// order-statistics model by default, or a message-level PBFT instance on
-// a fresh intra-committee network when DetailedConsensus is set. A
-// non-nil error means the committee reached no consensus this epoch; the
-// caller marks the report failed with a sentinel late latency rather
-// than aborting the epoch.
+// consensusLatency runs stage 3 for one committee with the analytic
+// order-statistics PBFT model. A non-nil error means the committee
+// reached no consensus this epoch; the caller marks the report failed
+// with a sentinel late latency rather than aborting the epoch.
 func (p *Pipeline) consensusLatency(rng *randx.RNG) (time.Duration, error) {
-	cfg := p.cfg
-	if cfg.DetailedConsensus {
-		members := make([]int, cfg.CommitteeSize)
-		for i := range members {
-			members[i] = i
-		}
-		bad := make(map[int]bool, cfg.FaultyPerCommittee)
-		for i := 1; i <= cfg.FaultyPerCommittee && i < cfg.CommitteeSize; i++ {
-			bad[i] = true
-		}
-		net, err := overlay.NewNetwork(rng.Split(), cfg.CommitteeSize, overlay.Config{
-			MeanLatency: p.detailedLink,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := pbft.RunDetailed(sim.NewEngine(), net, pbft.DetailedConfig{
-			Replicas:        members,
-			Faulty:          bad,
-			ProcessingDelay: time.Microsecond,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.ConsensusAt, nil
-	}
 	consensus, err := pbft.Run(rng, pbft.Config{
-		Replicas: cfg.CommitteeSize,
-		Faulty:   cfg.FaultyPerCommittee,
+		Replicas: p.cfg.CommitteeSize,
+		Faulty:   p.cfg.FaultyPerCommittee,
 		MeanStep: p.pbftStep,
 	})
 	if err != nil {

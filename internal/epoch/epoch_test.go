@@ -200,7 +200,6 @@ func TestFormationGrowsWithNetworkSize(t *testing.T) {
 	mean := func(committees int, seed int64) float64 {
 		cfg := fastConfig(committees, seed)
 		cfg.CommitteeSize = 8
-		cfg.PerIdentity = 300 * time.Millisecond
 		p, err := NewPipeline(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -447,164 +446,6 @@ func TestFailureInjectionDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashAssignmentPipeline(t *testing.T) {
-	cfg := fastConfig(8, 30)
-	cfg.HashAssignment = true
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := p.Trace().TotalTxs() / 2
-	results, err := p.RunEpochs(2, AcceptAll{}, 1.5, capacity, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results %d", len(results))
-	}
-	if err := p.Chain().Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRetargetCorrectsHashPowerDrift(t *testing.T) {
-	// Miners speed up 30% every epoch. Without retargeting the mean
-	// two-phase latency collapses; with it, the formation stage tracks
-	// the 600 s target.
-	meanFormation := func(retarget bool) float64 {
-		cfg := fastConfig(10, 31)
-		cfg.HashPowerDrift = 1.3
-		cfg.Retarget = retarget
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last float64
-		for e := 0; e < 6; e++ {
-			reports, _, err := p.Measure()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sum float64
-			for _, r := range reports {
-				sum += r.Formation.Seconds()
-			}
-			last = sum / float64(len(reports))
-		}
-		return last
-	}
-	drifted := meanFormation(false)
-	corrected := meanFormation(true)
-	if corrected <= drifted {
-		t.Fatalf("retargeting did not slow the drifted miners: %0.f vs %0.f", drifted, corrected)
-	}
-}
-
-func TestHashPowerDriftValidation(t *testing.T) {
-	cfg := fastConfig(4, 32)
-	cfg.HashPowerDrift = -1
-	if _, err := NewPipeline(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDetailedConsensusPipeline(t *testing.T) {
-	cfg := fastConfig(6, 40)
-	cfg.DetailedConsensus = true
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, ddl, err := p.Measure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ddl <= 0 {
-		t.Fatalf("ddl %v", ddl)
-	}
-	var sum float64
-	for _, r := range reports {
-		if r.Consensus <= 0 {
-			t.Fatalf("committee %d consensus latency %v", r.Committee, r.Consensus)
-		}
-		sum += r.Consensus.Seconds()
-	}
-	// Calibrated to the 54.5 s target; allow a broad band for 6 samples.
-	mean := sum / float64(len(reports))
-	if mean < 20 || mean > 120 {
-		t.Fatalf("detailed consensus mean %.1f s, want ~54.5", mean)
-	}
-	// The full epoch still runs end to end.
-	capacity := p.Trace().TotalTxs() / 2
-	if _, err := p.RunEpoch(AcceptAll{}, 1.5, capacity, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Chain().Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoolDrivenConservation(t *testing.T) {
-	cfg := fastConfig(6, 50)
-	cfg.PoolDriven = true
-	// Compress the trace so several epochs' worth of blocks exist.
-	cfg.Trace = txgen.Config{Blocks: 200, MeanTxs: 400, MinTxs: 50, MaxTxs: 1500,
-		BlockSpacing: 30 * time.Second}
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capacity := p.Trace().TotalTxs() // everything fits: commits = arrivals
-	committed := 0
-	for e := 0; e < 4; e++ {
-		res, err := p.RunEpoch(AcceptAll{}, 1.5, capacity, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		committed += res.Solution.Load
-		// New committees' shard sizes reflect the arrival process, not
-		// the whole trace.
-		if res.Solution.Load > p.Trace().TotalTxs() {
-			t.Fatalf("epoch %d committed more than the trace holds", res.Epoch)
-		}
-	}
-	// Conservation: commits + whatever is still deferred + blocks not yet
-	// arrived account for the whole trace.
-	if committed > p.Trace().TotalTxs() {
-		t.Fatalf("committed %d exceeds trace total %d", committed, p.Trace().TotalTxs())
-	}
-	if committed == 0 {
-		t.Fatal("nothing committed over four epochs of arrivals")
-	}
-	if err := p.Chain().Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoolDrivenQuietEpoch(t *testing.T) {
-	cfg := fastConfig(4, 51)
-	cfg.PoolDriven = true
-	// Blocks arrive far apart: the first epoch window may drain a few,
-	// later ones can be quiet; the pipeline must survive empty epochs.
-	cfg.Trace = txgen.Config{Blocks: 3, MeanTxs: 200, MinTxs: 50, MaxTxs: 500,
-		BlockSpacing: 1000 * time.Hour}
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 3; e++ {
-		if _, err := p.RunEpoch(AcceptAll{}, 1.5, 10000, 0); err != nil {
-			t.Fatalf("epoch %d: %v", e+1, err)
-		}
-	}
-	if p.Chain().Height() != 3 {
-		t.Fatalf("chain height %d", p.Chain().Height())
-	}
-	if err := p.Chain().Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAdmissionDeadlineEdgeFractions(t *testing.T) {
 	reports := []CommitteeReport{
 		{TwoPhase: 400 * time.Second},
@@ -629,25 +470,5 @@ func TestAdmissionDeadlineEdgeFractions(t *testing.T) {
 	}
 	if got := admissionDeadline(nil, 0.8); got != 0 {
 		t.Fatalf("empty reports: %v", got)
-	}
-}
-
-func TestDetailedConsensusWithFaultyReplicas(t *testing.T) {
-	cfg := fastConfig(5, 60)
-	cfg.CommitteeSize = 7
-	cfg.FaultyPerCommittee = 2
-	cfg.DetailedConsensus = true
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, _, err := p.Measure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		if r.Consensus <= 0 {
-			t.Fatalf("committee %d consensus %v with faulty replicas", r.Committee, r.Consensus)
-		}
 	}
 }

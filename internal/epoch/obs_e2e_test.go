@@ -3,7 +3,6 @@ package epoch
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"mvcom/internal/core"
 	"mvcom/internal/obs"
@@ -17,7 +16,6 @@ import (
 func TestEpochObservabilityEndToEnd(t *testing.T) {
 	const epochs = 3
 	cfg := fastConfig(8, 7)
-	cfg.EpochBudget = 30 * time.Second
 	reg := obs.NewRegistry()
 	cfg.Obs = obs.NewEpochObserver(reg)
 
@@ -87,8 +85,8 @@ func TestEpochObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("e2e histogram count = %d, want %d", got, epochs)
 	}
 
-	// Per-phase wall-clock gauges and (with EpochBudget set) budget
-	// ratios must be exported for every pipeline phase.
+	// Per-phase wall-clock gauges must be exported for every pipeline
+	// phase.
 	var prom strings.Builder
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
@@ -96,9 +94,6 @@ func TestEpochObservabilityEndToEnd(t *testing.T) {
 	for _, phase := range []string{"consensus", "collect", "solve", "commit"} {
 		if !strings.Contains(prom.String(), `mvcom_epoch_phase_seconds{phase="`+phase+`"}`) {
 			t.Fatalf("missing phase gauge for %q in prometheus export", phase)
-		}
-		if !strings.Contains(prom.String(), `mvcom_epoch_phase_budget_ratio{phase="`+phase+`"}`) {
-			t.Fatalf("missing phase budget-ratio gauge for %q in prometheus export", phase)
 		}
 	}
 

@@ -147,8 +147,8 @@ func (s *countSupply) Fill(epoch int, reports []CommitteeReport) {
 
 // TestShardSupplyFeedsEpochs covers the external-supply hook the serving
 // plane uses: Fill sees zeroed fresh reports, its counts become the
-// epoch's shard sizes, a zero-supply epoch commits an empty block via
-// the quiet-window path, and Supply+PoolDriven is rejected.
+// epoch's shard sizes, and a zero-supply epoch commits an empty block
+// via the quiet-window path.
 func TestShardSupplyFeedsEpochs(t *testing.T) {
 	cfg := fastConfig(4, 49)
 	// Every committee arrives (no stragglers), so nothing defers and the
@@ -196,12 +196,5 @@ func TestShardSupplyFeedsEpochs(t *testing.T) {
 	// every epoch.
 	if h := p.Chain().Height(); h != 3 {
 		t.Fatalf("chain height = %d, want 3", h)
-	}
-
-	bad := fastConfig(4, 50)
-	bad.Supply = supply
-	bad.PoolDriven = true
-	if _, err := NewPipeline(bad); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Supply+PoolDriven: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -166,7 +166,7 @@ func TestMaxDeferralsBoundsBacklog(t *testing.T) {
 	}
 }
 
-// TestServeScratchReuseSteadyState runs a longer pool-driven serve loop
+// TestServeScratchReuseSteadyState runs a longer serve loop
 // with fault pressure absent and checks the scratch buffers stabilize:
 // after a warm-up epoch the per-epoch report/instance/selection buffers
 // must not be reallocated (capacity identity), which is the mechanism

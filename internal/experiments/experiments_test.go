@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -416,5 +419,41 @@ func TestTraceInstanceDeterministicAndBound(t *testing.T) {
 	}
 	if _, err := TraceInstance(tr, 1, 0, 1000, 1.5, 0.5); err == nil {
 		t.Fatal("zero shards accepted")
+	}
+}
+
+// TestCommittedFiguresReproduce regenerates the figures that take under
+// a second at scale 1, seed 1 (mvcom-bench -fig all -scale 1 -seed 1)
+// and compares each byte for byte with its results/fig<id>.tsv, so a
+// change that moves one of those figures must commit the new file.
+func TestCommittedFiguresReproduce(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("results/ holds amd64 output; on %s Go may fuse multiply-adds, which changes the low-order bits", runtime.GOARCH)
+	}
+	for _, id := range []string{"2a", "2b", "9a", "9b", "12", "14", "ext1"} {
+		t.Run(id, func(t *testing.T) {
+			res, err := Run(id, Options{Seed: 1, Scale: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := res.WriteTSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("..", "..", "results", "fig"+id+".tsv")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(gotLines), len(wantLines)) {
+				if gotLines[i] != wantLines[i] {
+					t.Fatalf("%s line %d:\n got %q\nwant %q", path, i+1, gotLines[i], wantLines[i])
+				}
+			}
+			if len(gotLines) != len(wantLines) {
+				t.Fatalf("%s: regenerated %d lines, committed %d", path, len(gotLines), len(wantLines))
+			}
+		})
 	}
 }

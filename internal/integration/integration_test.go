@@ -122,8 +122,6 @@ func TestCarryOverBacklogRegimes(t *testing.T) {
 func TestFailuresAndCarryOverTogether(t *testing.T) {
 	cfg := pipelineConfig(12, 4)
 	cfg.FailureRate = 0.15
-	cfg.HashAssignment = true
-	cfg.Retarget = true
 	p, err := epoch.NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -326,7 +326,6 @@ type EpochObserver struct {
 	Trace *Tracer
 
 	phaseSeconds sync.Map // phase -> *Gauge mvcom_epoch_phase_seconds{phase=...}
-	phaseBudget  sync.Map // phase -> *Gauge mvcom_epoch_phase_budget_ratio{phase=...}
 }
 
 // NewEpochObserver registers the epoch pipeline instruments on reg;
@@ -371,29 +370,20 @@ func (o *EpochObserver) ObserveE2E(seconds float64) {
 	o.E2E.Observe(seconds)
 }
 
-// PhaseWall records one epoch phase's wall-clock duration and, when an
-// epoch budget is configured (budget > 0), the fraction of that budget
-// the phase consumed — the per-phase SLO gauges. Gauges are registered
-// lazily per phase and cached so the registry lock is only taken on the
-// first sighting of each phase name. No-op on a nil observer.
-func (o *EpochObserver) PhaseWall(phase string, seconds, budget float64) {
+// PhaseWall records one epoch phase's wall-clock duration — the
+// per-phase SLO gauge. Gauges are registered lazily per phase and cached
+// so the registry lock is only taken on the first sighting of each phase
+// name. No-op on a nil observer.
+func (o *EpochObserver) PhaseWall(phase string, seconds float64) {
 	if o == nil {
 		return
 	}
-	o.phaseGauge(&o.phaseSeconds, "mvcom_epoch_phase_seconds", "wall-clock seconds spent in the epoch phase", phase).Set(seconds)
-	if budget > 0 {
-		o.phaseGauge(&o.phaseBudget, "mvcom_epoch_phase_budget_ratio", "phase wall-clock seconds / epoch budget", phase).Set(seconds / budget)
+	g, ok := o.phaseSeconds.Load(phase)
+	if !ok {
+		g = o.reg.Gauge("mvcom_epoch_phase_seconds{phase=\""+phase+"\"}", "wall-clock seconds spent in the epoch phase")
+		o.phaseSeconds.Store(phase, g)
 	}
-}
-
-// phaseGauge caches per-phase labeled gauges, mirroring msgCounter.
-func (o *EpochObserver) phaseGauge(cache *sync.Map, base, help, phase string) *Gauge {
-	if g, ok := cache.Load(phase); ok {
-		return g.(*Gauge)
-	}
-	g := o.reg.Gauge(base+"{phase=\""+phase+"\"}", help)
-	cache.Store(phase, g)
-	return g
+	g.(*Gauge).Set(seconds)
 }
 
 // ServeObserver groups the instruments of the networked serving plane

@@ -58,10 +58,6 @@ type Network struct {
 	rng     *randx.RNG
 	factors []float64
 	failed  []bool
-	// regions > 1 partitions nodes geographically; cross-region links
-	// pay crossFactor (see WithRegions).
-	regions     int
-	crossFactor float64
 }
 
 // NewNetwork builds a network of n nodes. Per-node factors are sampled at
@@ -125,9 +121,6 @@ func (n *Network) Delay(src, dst int) (time.Duration, bool) {
 	}
 	base := n.rng.LogNormalMeanSpread(n.cfg.MeanLatency.Seconds(), n.cfg.Sigma)
 	d := base * n.factors[src] * n.factors[dst]
-	if n.regions > 1 && src%n.regions != dst%n.regions {
-		d *= n.crossFactor
-	}
 	return time.Duration(d * float64(time.Second)), true
 }
 
@@ -258,17 +251,4 @@ func (d *Detector) Suspected(target int) bool {
 // String describes the detector configuration.
 func (d *Detector) String() string {
 	return fmt.Sprintf("overlay.Detector{self=%d maxRTT=%s threshold=%d}", d.self, d.maxRTT, d.threshold)
-}
-
-// WithRegions partitions the nodes into r geographic regions (node i in
-// region i mod r) and multiplies cross-region link latencies by factor.
-// It mutates and returns the network for chaining. Factors below 1 or
-// regions below 2 leave the topology flat.
-func (n *Network) WithRegions(r int, factor float64) *Network {
-	if r < 2 || factor <= 1 {
-		return n
-	}
-	n.regions = r
-	n.crossFactor = factor
-	return n
 }

@@ -348,35 +348,3 @@ func members(lo, hi int) []int {
 	}
 	return out
 }
-
-func TestWithRegionsCrossLinksSlower(t *testing.T) {
-	mean := func(nw *Network, src, dst int) float64 {
-		var sum float64
-		for i := 0; i < 3000; i++ {
-			d, ok := nw.Delay(src, dst)
-			if !ok {
-				t.Fatal("delivery failed")
-			}
-			sum += d.Seconds()
-		}
-		return sum / 3000
-	}
-	nw := newNet(t, 8, Config{}).WithRegions(2, 5)
-	// Nodes 0 and 2 share region 0; nodes 0 and 1 are cross-region.
-	intra := mean(nw, 0, 2)
-	cross := mean(nw, 0, 1)
-	if cross < 3*intra {
-		t.Fatalf("cross-region links not slower: intra %.4f cross %.4f", intra, cross)
-	}
-}
-
-func TestWithRegionsNoOpCases(t *testing.T) {
-	nw := newNet(t, 4, Config{})
-	if nw.WithRegions(1, 10) != nw || nw.WithRegions(3, 0.5) != nw {
-		t.Fatal("WithRegions should return the receiver")
-	}
-	// Still flat: delays succeed and are unaffected by region math.
-	if _, ok := nw.Delay(0, 1); !ok {
-		t.Fatal("flat network delivery failed")
-	}
-}

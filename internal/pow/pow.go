@@ -9,33 +9,22 @@
 // last seat is filled plus the overlay-configuration time (package
 // overlay), which is what makes formation dominate the two-phase latency
 // in Fig. 2.
-//
-// The package also contains a small real hash-puzzle implementation
-// (Solve/Verify) so that examples and tests can demonstrate an actual
-// PoW, while the latency simulation uses the exponential model at
-// realistic difficulty.
 package pow
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"time"
 
-	"mvcom/internal/chain"
 	"mvcom/internal/randx"
 )
 
 // Errors returned by the package.
 var (
-	ErrNoNodes       = errors.New("pow: no nodes")
-	ErrBadSeats      = errors.New("pow: seats must be >= 1")
-	ErrNotEnough     = errors.New("pow: fewer solvers than seats")
-	ErrNoSolution    = errors.New("pow: no solution within budget")
-	ErrBadDifficulty = errors.New("pow: difficulty bits out of range")
+	ErrNoNodes   = errors.New("pow: no nodes")
+	ErrBadSeats  = errors.New("pow: seats must be >= 1")
+	ErrNotEnough = errors.New("pow: fewer solvers than seats")
 )
 
 // Election simulates one PoW election round over a set of nodes.
@@ -123,64 +112,4 @@ func FormCommittees(solvers []Solver, committees, seats int) ([]Committee, error
 		}
 	}
 	return out, nil
-}
-
-// Puzzle is a real SHA-256 hash puzzle: find a nonce such that
-// SHA256(seed || nonce) has at least Bits leading zero bits.
-type Puzzle struct {
-	Seed chain.Hash
-	Bits int
-}
-
-// NewPuzzle builds a puzzle. Bits must lie in [1, 64] — above that, the
-// search is not tractable for a simulation.
-func NewPuzzle(seed chain.Hash, difficultyBits int) (Puzzle, error) {
-	if difficultyBits < 1 || difficultyBits > 64 {
-		return Puzzle{}, ErrBadDifficulty
-	}
-	return Puzzle{Seed: seed, Bits: difficultyBits}, nil
-}
-
-// Verify reports whether nonce solves the puzzle.
-func (p Puzzle) Verify(nonce uint64) bool {
-	return leadingZeroBits(p.digest(nonce)) >= p.Bits
-}
-
-// Solve searches nonces starting from start and returns the first solution
-// within budget attempts. It returns ErrNoSolution if the budget is
-// exhausted.
-func (p Puzzle) Solve(start uint64, budget int) (uint64, error) {
-	for i := 0; i < budget; i++ {
-		nonce := start + uint64(i)
-		if p.Verify(nonce) {
-			return nonce, nil
-		}
-	}
-	return 0, ErrNoSolution
-}
-
-// ExpectedAttempts returns the mean number of hash attempts to solve the
-// puzzle: 2^Bits.
-func (p Puzzle) ExpectedAttempts() float64 {
-	return float64(uint64(1) << uint(p.Bits))
-}
-
-func (p Puzzle) digest(nonce uint64) chain.Hash {
-	var buf [sha256.Size + 8]byte
-	copy(buf[:sha256.Size], p.Seed[:])
-	binary.BigEndian.PutUint64(buf[sha256.Size:], nonce)
-	return sha256.Sum256(buf[:])
-}
-
-func leadingZeroBits(h chain.Hash) int {
-	total := 0
-	for i := 0; i < len(h); i += 8 {
-		word := binary.BigEndian.Uint64(h[i : i+8])
-		lz := bits.LeadingZeros64(word)
-		total += lz
-		if lz < 64 {
-			break
-		}
-	}
-	return total
 }

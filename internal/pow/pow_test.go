@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"mvcom/internal/chain"
 	"mvcom/internal/randx"
 )
 
@@ -169,115 +168,5 @@ func TestFormCommitteesPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPuzzleSolveVerify(t *testing.T) {
-	seed := chain.Transaction{ID: 1}.Hash()
-	p, err := NewPuzzle(seed, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err := p.Solve(0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Verify(nonce) {
-		t.Fatal("solution does not verify")
-	}
-	if nonce > 0 && p.Verify(nonce) && p.Bits >= 1 {
-		// A trivially wrong nonce should (overwhelmingly) not verify;
-		// check the immediately preceding nonce, which Solve rejected.
-		if p.Verify(nonce - 1) {
-			t.Fatal("Solve skipped a valid nonce")
-		}
-	}
-}
-
-func TestPuzzleDifficultyScaling(t *testing.T) {
-	seed := chain.Transaction{ID: 2}.Hash()
-	easy, err := NewPuzzle(seed, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hard, err := NewPuzzle(seed, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if easy.ExpectedAttempts() != 16 || hard.ExpectedAttempts() != 65536 {
-		t.Fatalf("expected attempts %v %v", easy.ExpectedAttempts(), hard.ExpectedAttempts())
-	}
-	easyNonce, err := easy.Solve(0, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hardNonce, err := hard.Solve(0, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if easyNonce > hardNonce {
-		t.Fatalf("easier puzzle took more attempts: %d vs %d", easyNonce, hardNonce)
-	}
-}
-
-func TestPuzzleBudgetExhausted(t *testing.T) {
-	seed := chain.Transaction{ID: 3}.Hash()
-	p, err := NewPuzzle(seed, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Solve(0, 10); err != ErrNoSolution {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestNewPuzzleBadDifficulty(t *testing.T) {
-	seed := chain.Hash{}
-	if _, err := NewPuzzle(seed, 0); err != ErrBadDifficulty {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewPuzzle(seed, 65); err != ErrBadDifficulty {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPuzzleSolutionRate(t *testing.T) {
-	// Empirically verify P(valid) ≈ 2^-bits over random nonces.
-	seed := chain.Transaction{ID: 4}.Hash()
-	p, err := NewPuzzle(seed, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := 0
-	const n = 200000
-	for i := uint64(0); i < n; i++ {
-		if p.Verify(i) {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	want := 1.0 / 256
-	if math.Abs(rate-want) > want/3 {
-		t.Fatalf("solution rate %.6f, want ~%.6f", rate, want)
-	}
-}
-
-func TestLeadingZeroBits(t *testing.T) {
-	var h chain.Hash
-	if got := leadingZeroBits(h); got != 256 {
-		t.Fatalf("all-zero hash: %d", got)
-	}
-	h[0] = 0x80
-	if got := leadingZeroBits(h); got != 0 {
-		t.Fatalf("msb-set hash: %d", got)
-	}
-	h[0] = 0x01
-	if got := leadingZeroBits(h); got != 7 {
-		t.Fatalf("0x01 hash: %d", got)
-	}
-	h[0] = 0
-	h[9] = 0x40
-	if got := leadingZeroBits(h); got != 73 {
-		t.Fatalf("deep-zero hash: %d", got)
 	}
 }

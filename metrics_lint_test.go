@@ -118,7 +118,7 @@ func TestMetricsRuntimeNamesDocumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.NewSEObserver(reg)
 	eo := obs.NewEpochObserver(reg)
-	eo.PhaseWall("formation", 0.01, 1.0) // registers both labeled phase gauges
+	eo.PhaseWall("formation", 0.01) // registers the labeled phase gauge
 	do := obs.NewDistObserver(reg, "coordinator")
 	do.MsgSent("progress")
 	do.MsgRecv("result")
