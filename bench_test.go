@@ -124,10 +124,30 @@ func benchInstance(b *testing.B, n int) mvcom.Instance {
 	return in
 }
 
+// ablationInstance is a 40-shard instance whose 32 arrived shards carry
+// 46 627 txs against a 32 000 block, so SE runs its rounds. The arrived
+// shards of benchInstance(b, 40) fit its block, and SE would return
+// Alg. 1 line 1's all-arrived answer before any round.
+func ablationInstance(b *testing.B) mvcom.Instance {
+	b.Helper()
+	in, err := experiments.PaperInstance(2, 40, 32000, 1.5, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	load := 0
+	for _, i := range in.Arrived() {
+		load += in.Sizes[i]
+	}
+	if load <= in.Capacity {
+		b.Fatalf("arrived volume %d fits the %d block: SE would run no round", load, in.Capacity)
+	}
+	return in
+}
+
 // BenchmarkAblationBeta sweeps β: the Remark 2 tradeoff between optimality
 // loss and convergence speed. Reported metric: converged utility.
 func BenchmarkAblationBeta(b *testing.B) {
-	in := benchInstance(b, 40)
+	in := ablationInstance(b)
 	for _, beta := range []float64{0.5, 2, 8} {
 		b.Run(betaName(beta), func(b *testing.B) {
 			var util float64
@@ -160,7 +180,7 @@ func betaName(beta float64) string {
 // resample-until-feasible strategy (SwapRetries=8) against giving up after
 // the first infeasible proposal (SwapRetries=1).
 func BenchmarkAblationSwapFeasibility(b *testing.B) {
-	in := benchInstance(b, 40)
+	in := ablationInstance(b)
 	for _, retries := range []int{1, 8} {
 		name := "retries=1"
 		if retries == 8 {

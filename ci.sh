@@ -4,7 +4,7 @@
 #
 #   ./ci.sh fast      gofmt, build, vet, race + shuffled-race tests, fuzz smoke
 #   ./ci.sh chaos     deterministic fault-injection suite + coverage gate
-#   ./ci.sh bench     benchmark journal: allocation, overhead and wall-time gates
+#   ./ci.sh bench     benchmark journal gates, committed figures reproduce
 #   ./ci.sh soak      warm-start serving-loop soak + journal diff
 #   ./ci.sh serve     networked serving plane under 2x-overload swarm
 #   ./ci.sh cluster   multi-process deployment chaos (mvcom-cluster)
@@ -128,6 +128,20 @@ stage_bench() {
 	# 35%.
 	go run ./cmd/mvcom-benchdiff -old BENCH_MVCOM.json -new results/BENCH_MVCOM.json \
 		-time-threshold 0.35
+
+	# Figure gate: every committed results/fig*.tsv must equal a fresh
+	# seed-1 run at paper scale byte for byte, and every regenerated
+	# figure must be committed (tier 1's TestCommittedFiguresReproduce
+	# covers seven of the eleven). amd64 only, for that test's reason:
+	# elsewhere Go may fuse multiply-adds, which changes low-order bits.
+	if [ "$(go env GOARCH)" = amd64 ]; then
+		figs="$(mktemp -d)"
+		go run ./cmd/mvcom-bench -fig all -scale 1 -seed 1 -out "$figs"
+		for f in "$figs"/fig*.tsv results/fig*.tsv; do
+			cmp "$figs/${f##*/}" "results/${f##*/}"
+		done
+		rm -rf "$figs"
+	fi
 
 	# Kernel profiles: CPU and heap profiles of a representative figure run,
 	# published as CI artifacts for offline flamegraph inspection.

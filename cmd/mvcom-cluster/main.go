@@ -133,7 +133,6 @@ func run(args []string) error {
 		twin       = fs.Bool("twin", true, "run the clean single-process twin and require utility equality")
 		events     = fs.String("events", "", "dynamic committee events forwarded to the coordinator (mvcom-dist -events grammar)")
 		excluded   = fs.String("expect-excluded", "", "comma-separated shard indices that must be absent from every epoch's selection (Theorem 2 leave check)")
-		scenario   = fs.String("scenario", "", "scenario script file to run instead of the built-in kill trigger")
 		treeOut    = fs.Bool("tree", false, "also render the merged timeline as a text tree")
 		blocks     = fs.Int("trace-blocks", 48, "blocks the txgen traffic generator emits")
 		heartbeat  = fs.Duration("heartbeat", 2*time.Second, "coordinator heartbeat timeout")
@@ -274,14 +273,6 @@ func run(args []string) error {
 	// one-shot restart rule fire — SIGKILL, pause, fresh incarnation.
 	var stopChaos func()
 	switch {
-	case *scenario != "":
-		steps, err := loadScenario(*scenario)
-		if err != nil {
-			return err
-		}
-		if err := h.RunScenario(steps); err != nil {
-			return err
-		}
 	case *procFault != "":
 		stopChaos = h.StartChaos(*procTick)
 	case *kill != "":
@@ -321,7 +312,7 @@ func run(args []string) error {
 			restarts++
 		}
 	}
-	if chaosSpec != "" && *scenario == "" {
+	if chaosSpec != "" {
 		gates = append(gates, gate{
 			Name: "chaos-restart-fired", Pass: restarts >= 1,
 			Detail: fmt.Sprintf("restarts=%d spec=%q", restarts, chaosSpec),
@@ -338,7 +329,7 @@ func run(args []string) error {
 		gate{Name: "no-local-fallbacks", Pass: res.LocalFallbacks == 0, Detail: fmt.Sprintf("fallbacks=%d", res.LocalFallbacks)},
 		decisionGate(res.Decisions, *epochs, *events != ""),
 	)
-	if *kill != "" && *procFault == "" && *scenario == "" {
+	if *kill != "" && *procFault == "" {
 		gates = append(gates, gate{
 			Name: "kill-absorbed-by-reassignment", Pass: res.TasksReassigned >= 1,
 			Detail: fmt.Sprintf("reassigned=%d", res.TasksReassigned),
@@ -624,15 +615,6 @@ func parseExcluded(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func loadScenario(path string) ([]procharness.Step, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return procharness.ParseScenario(f)
 }
 
 func readJSON(path string, v any) error {

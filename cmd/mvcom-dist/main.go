@@ -393,7 +393,7 @@ func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in cor
 		e.Solver = decisionlog.FingerprintSE(eff)
 	} else {
 		e.Solver = decisionlog.SolverFingerprint{
-			Kind: decisionlog.KindDist, Seed: eff.Seed, Beta: eff.Beta, Tau: eff.Tau,
+			Kind: decisionlog.KindDist, Seed: eff.Seed, Beta: eff.Beta,
 			Gamma: eff.Gamma, Workers: eff.Workers, MaxIters: eff.MaxIters,
 		}
 		for _, r := range tasks {

@@ -171,7 +171,7 @@ func refStep(ex *explorer) {
 			ex.logRates[i] = math.Inf(-1)
 			continue
 		}
-		ex.logRates[i] = math.Log(float64(k-th.n)) - r.cfg.Tau + 0.5*r.betaEff*th.dU
+		ex.logRates[i] = math.Log(float64(k-th.n)) + 0.5*r.betaEff*th.dU
 	}
 	if winner := gumbelMaxPick(ex.rng, ex.logRates); winner >= 0 {
 		ex.threads[winner].applySwap(r)

@@ -33,11 +33,6 @@ type SEConfig struct {
 	// (it runs in log space), but the chain becomes quasi-deterministic
 	// at realistic utility scales.
 	DisableRateNormalization bool
-	// Tau is the conditional constant τ of the transition-rate design
-	// (equation (7)). The paper's default is 0. Because the timer race is
-	// resolved in log space, τ only shifts the virtual clock and never
-	// under- or overflows.
-	Tau float64
 	// Gamma is the number of parallel exploration threads Γ (Fig. 8).
 	// Each explorer runs an independent copy of the chain; the scheduler
 	// reports the best solution across explorers after every round.
@@ -467,7 +462,7 @@ func (r *run) refreshRateCaches() {
 		}
 	}
 	spread := r.halfBeta * (vmax - vmin)
-	r.linearRace = spread+math.Abs(r.cfg.Tau)+math.Log(float64(k)+1) < linearRaceBudget
+	r.linearRace = spread+math.Log(float64(k)+1) < linearRaceBudget
 	if !r.linearRace {
 		return
 	}
@@ -825,7 +820,7 @@ type explorer struct {
 	threads []*thread
 	// expRateBases, weights, and logRates are the structure-of-arrays
 	// view of the race-relevant thread state, index-aligned with threads:
-	// expRateBases[i] caches exp(rateBase_i) = (|I|−n_i)·e^{−τ}; weights
+	// expRateBases[i] caches exp(rateBase_i) = |I|−n_i; weights
 	// is filled by the fused rearm pass (linear race) or per round (log
 	// fallback); logRates only serves the log-space fallback.
 	expRateBases []float64
@@ -883,7 +878,7 @@ type thread struct {
 	load int
 	util float64
 
-	// rateBase caches log(|I_j| − n) − τ, the proposal-independent part of
+	// rateBase caches log(|I_j| − n), the proposal-independent part of
 	// the thread's log timer rate; refreshed whenever the candidate count
 	// changes (join/leave), never in the hot loop. The linear-space race
 	// uses its exponential from the explorer's expRateBases array.
@@ -1092,17 +1087,16 @@ func (th *thread) adopt(r *run, pick []int) {
 	}
 }
 
-// refreshRateBases recomputes every thread's cached log(|I_j| − n) − τ
-// term and its exponential (|I_j| − n)·e^{−τ} in the structure-of-arrays
-// race state; called after construction and after every join/leave
-// (the only times k changes).
+// refreshRateBases recomputes every thread's cached log(|I_j| − n) term
+// and its exponential |I_j| − n in the structure-of-arrays race state;
+// called after construction and after every join/leave (the only times
+// k changes).
 func (ex *explorer) refreshRateBases() {
 	k := len(ex.run.candidates)
-	expNegTau := math.Exp(-ex.run.cfg.Tau)
 	for i, th := range ex.threads {
 		if k > th.n {
-			th.rateBase = math.Log(float64(k-th.n)) - ex.run.cfg.Tau
-			ex.expRateBases[i] = float64(k-th.n) * expNegTau
+			th.rateBase = math.Log(float64(k - th.n))
+			ex.expRateBases[i] = float64(k - th.n)
 		} else {
 			th.rateBase = math.Inf(-1)
 			ex.expRateBases[i] = 0
@@ -1113,6 +1107,10 @@ func (ex *explorer) refreshRateBases() {
 // setTimer is Set-timer() (Alg. 3): choose a random selected shard ĩ and a
 // random unselected shard ï, estimate the utility after swapping, and arm
 // the exponential timer with mean exp(τ − ½β(U_f' − U_f)) / (|I_j| − n).
+// τ is fixed at the paper's default 0: it scales every thread's rate by
+// the same e^{−τ}, and the race below picks a winner in proportion to
+// the rates without sampling the elapsed time, so τ cannot change which
+// swap fires.
 // Swaps that would violate the capacity constraint are resampled a bounded
 // number of times. The (ĩ, ï) pair is drawn from a single block-buffered
 // 64-bit draw (PairIntn) — the proposal distribution is the same

@@ -79,7 +79,6 @@ type SolverFingerprint struct {
 	Kind              string  `json:"kind"`
 	Seed              int64   `json:"seed,omitempty"`
 	Beta              float64 `json:"beta,omitempty"`
-	Tau               float64 `json:"tau,omitempty"`
 	Gamma             int     `json:"gamma,omitempty"`
 	Workers           int     `json:"workers,omitempty"`
 	MaxIters          int     `json:"maxIters,omitempty"`
@@ -89,6 +88,10 @@ type SolverFingerprint struct {
 	MaxThreads        int     `json:"maxThreads,omitempty"`
 	RawRates          bool    `json:"rawRates,omitempty"`
 	WarmStart         bool    `json:"warmStart,omitempty"`
+	// Tau is read-only: journals from builds that had the SE constant τ
+	// recorded a nonzero value here. The writer never emits it, and
+	// Replay skips an entry that carries it.
+	Tau float64 `json:"tau,omitempty"`
 	// Adaptive is read-only: journals from builds that had the adaptive
 	// β/Γ schedule set it on entries solved under that schedule. The
 	// writer never emits it, and Replay skips an entry that carries it.
@@ -102,7 +105,6 @@ func FingerprintSE(cfg core.SEConfig) SolverFingerprint {
 		Kind:              KindSE,
 		Seed:              cfg.Seed,
 		Beta:              cfg.Beta,
-		Tau:               cfg.Tau,
 		Gamma:             cfg.Gamma,
 		Workers:           cfg.Workers,
 		MaxIters:          cfg.MaxIters,
@@ -120,7 +122,6 @@ func (f SolverFingerprint) SEConfig() core.SEConfig {
 	return core.SEConfig{
 		Seed:                     f.Seed,
 		Beta:                     f.Beta,
-		Tau:                      f.Tau,
 		Gamma:                    f.Gamma,
 		Workers:                  f.Workers,
 		MaxIters:                 f.MaxIters,

@@ -195,21 +195,25 @@ func TestNonReplayableKinds(t *testing.T) {
 	}
 
 	// Builds with the adaptive β/Γ schedule closed the solver object of
-	// an entry solved under it with "adaptive":true. Such lines, one se
-	// and one dist, must still decode and be skipped; without the key
-	// the same lines replay.
+	// an entry solved under it with "adaptive":true, and builds with the
+	// SE constant τ wrote a nonzero one as "tau". Such lines must still
+	// decode and be skipped; without the key the same lines replay.
+	adaptive := func(f SolverFingerprint) bool { return f.Adaptive }
 	dir := t.TempDir()
 	for _, tc := range []struct {
-		name  string
-		entry Entry
+		name    string
+		key     string
+		decoded func(SolverFingerprint) bool
+		entry   Entry
 	}{
-		{"se", solveEntry(t, 7, 42)},
-		{"dist", distEntry(t)},
+		{"se", `"adaptive":true`, adaptive, solveEntry(t, 7, 42)},
+		{"dist", `"adaptive":true`, adaptive, distEntry(t)},
+		{"se-tau", `"tau":0.5`, func(f SolverFingerprint) bool { return f.Tau == 0.5 }, solveEntry(t, 7, 42)},
 	} {
 		line := string(appendEntryJSON(nil, &tc.entry))
 		solver := strings.Index(line, `"solver":{`)
 		end := solver + strings.IndexByte(line[solver:], '}')
-		old := line[:end] + `,"adaptive":true` + line[end:]
+		old := line[:end] + "," + tc.key + line[end:]
 		path := filepath.Join(dir, tc.name+".jsonl")
 		if err := os.WriteFile(path, []byte(old+"\n"+line+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -218,12 +222,11 @@ func TestNonReplayableKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !entries[0].Solver.Adaptive || entries[1].Solver.Adaptive {
-			t.Fatalf("%s: adaptive key decoded as %v/%v, want true/false",
-				tc.name, entries[0].Solver.Adaptive, entries[1].Solver.Adaptive)
+		if !tc.decoded(entries[0].Solver) || tc.decoded(entries[1].Solver) {
+			t.Fatalf("%s: %s decoded as %+v / %+v", tc.name, tc.key, entries[0].Solver, entries[1].Solver)
 		}
 		if _, err := Replay(&entries[0]); !errors.Is(err, ErrNotReplayable) {
-			t.Fatalf("%s: adaptive entry: err = %v, want ErrNotReplayable", tc.name, err)
+			t.Fatalf("%s: entry with %s: err = %v, want ErrNotReplayable", tc.name, tc.key, err)
 		}
 		if err := Verify(&entries[1]); err != nil {
 			t.Fatalf("%s: entry without the key: %v", tc.name, err)

@@ -140,9 +140,6 @@ func appendFingerprint(b []byte, f *SolverFingerprint) []byte {
 	if f.Beta != 0 {
 		b = appendFloatField(b, "beta", f.Beta)
 	}
-	if f.Tau != 0 {
-		b = appendFloatField(b, "tau", f.Tau)
-	}
 	if f.Gamma != 0 {
 		b = appendIntField(b, "gamma", f.Gamma)
 	}

@@ -30,7 +30,7 @@ func marshalCases() []Entry {
 				{Committee: 7, Size: 1612, Latency: 2017.5, Age: 0, Deferrals: 2},
 			},
 			Solver: SolverFingerprint{
-				Kind: KindSE, Seed: -7, Beta: 2, Tau: 0.5, Gamma: 25, Workers: 4,
+				Kind: KindSE, Seed: -7, Beta: 2, Gamma: 25, Workers: 4,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,
 				MaxCandidates: 32, MaxThreads: 1024,
 				RawRates: true, WarmStart: true,

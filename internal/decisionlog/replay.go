@@ -14,8 +14,8 @@ import (
 // ErrNotReplayable marks entries the verifier must skip: decisions whose
 // solver kind is not deterministic from the recorded inputs (opaque
 // schedulers, runs with dynamic events, the accept-all baseline which has
-// no solver to re-run), decisions of the removed adaptive schedule, and
-// entries that ask for more work than the replay budget.
+// no solver to re-run), decisions of the removed adaptive schedule or of
+// a nonzero τ, and entries that ask for more work than the replay budget.
 var ErrNotReplayable = errors.New("decisionlog: entry is not replayable")
 
 // Replay takes its round counts, its Γ, its Set-timer retries and its
@@ -74,6 +74,13 @@ func Replay(e *Entry) (core.Solution, error) {
 		// exists: the fixed chain would walk a different trajectory.
 		return core.Solution{}, fmt.Errorf("%w (adaptive)", ErrNotReplayable)
 	}
+	if e.Solver.Tau != 0 {
+		// Solved under a nonzero τ, which no longer exists: τ shifts
+		// every timer rate alike, but it also decided whether the race
+		// ran in linear or log space, so the fixed chain need not walk
+		// the same trajectory.
+		return core.Solution{}, fmt.Errorf("%w (tau)", ErrNotReplayable)
+	}
 	in := e.Instance()
 	switch e.Solver.Kind {
 	case KindSE:
@@ -105,7 +112,6 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 	}
 	base := core.SEConfig{
 		Beta:    e.Solver.Beta,
-		Tau:     e.Solver.Tau,
 		Gamma:   e.Solver.Gamma,
 		Workers: e.Solver.Workers,
 	}

@@ -57,9 +57,8 @@ type CoordinatorConfig struct {
 	// run then fails with ErrNoWorkers/ErrNoResult as the pre-hardening
 	// coordinator did.
 	DisableLocalFallback bool
-	// Beta, Tau, Seed mirror core.SEConfig; worker g receives Seed+g.
+	// Beta and Seed mirror core.SEConfig; worker g receives Seed+g.
 	Beta float64
-	Tau  float64
 	Seed int64
 	// Gamma is the explorer count each worker machine runs in-process
 	// (core.SEConfig.Gamma); zero keeps the core default of 1.
@@ -183,7 +182,6 @@ func (co *Coordinator) TaskSeed(g int) int64 { return co.cfg.Seed + int64(g)*791
 func (co *Coordinator) SolverConfig() core.SEConfig {
 	return core.SEConfig{
 		Beta:     co.cfg.Beta,
-		Tau:      co.cfg.Tau,
 		Seed:     co.cfg.Seed,
 		Gamma:    co.cfg.Gamma,
 		Workers:  co.cfg.SEWorkers,
@@ -375,7 +373,6 @@ func (co *Coordinator) task(g int) Task {
 		Capacity:      co.cfg.Instance.Capacity,
 		Nmin:          co.cfg.Instance.Nmin,
 		Beta:          co.cfg.Beta,
-		Tau:           co.cfg.Tau,
 		Seed:          co.TaskSeed(g),
 		Gamma:         co.cfg.Gamma,
 		SEWorkers:     co.cfg.SEWorkers,

@@ -112,7 +112,6 @@ type Task struct {
 	Nmin      int       `json:"nmin"`
 
 	Beta float64 `json:"beta"`
-	Tau  float64 `json:"tau"`
 	Seed int64   `json:"seed"`
 	// Gamma is the number of in-process explorers the worker runs; zero
 	// keeps the core default of 1.

@@ -313,7 +313,6 @@ func (w Worker) runTask(c *codec, ctrl <-chan timedEnv, readErr <-chan error, ta
 
 	engine, err := core.NewEngine(task.Instance(), core.SEConfig{
 		Beta:    task.Beta,
-		Tau:     task.Tau,
 		Seed:    task.Seed,
 		Gamma:   task.Gamma,
 		Workers: task.SEWorkers,

@@ -35,7 +35,6 @@ import (
 	"mvcom/internal/pow"
 	"mvcom/internal/randx"
 	"mvcom/internal/seobs"
-	"mvcom/internal/sim"
 	"mvcom/internal/txgen"
 )
 
@@ -75,9 +74,11 @@ type Config struct {
 	// is the arrival time of the ⌈Nmax·|I|⌉-th committee.
 	NmaxFraction float64
 	// FailureRate is the per-epoch probability that a member committee
-	// fails mid-epoch (e.g. a DoS attack). Failed committees are detected
-	// by the final committee's ping probes (Section V) and excluded from
-	// the scheduling instance; their shard is lost for the epoch.
+	// fails mid-epoch (e.g. a DoS attack). The final committee perceives
+	// a failed committee through ping probes (Section V) and excludes it
+	// from the scheduling instance; its shard is lost for the epoch. If the
+	// coin would leave no committee alive, it spares the first committee
+	// that FaultInjector and consensus left alive.
 	FailureRate float64
 	// FaultInjector, when non-nil, evaluates FaultPointCommittee once per
 	// member committee per epoch; firings fail targeted committees
@@ -356,7 +357,6 @@ func (p *Pipeline) RunEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) (*Result, error) {
 	p.epoch++
 	res := p.newResult()
-	engine := sim.NewEngine()
 
 	// The epoch root span parents every phase (and, through the solve
 	// phase, any spans the scheduler's own observer emits); the committed
@@ -375,7 +375,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	}()
 
 	endConsensus := p.startPhase(root, "consensus")
-	reports, err := p.memberStages(engine)
+	reports, formed, err := p.memberStages()
 	if err != nil {
 		endConsensus("error")
 		return nil, err
@@ -419,7 +419,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 			// committee appends an empty block and the epoch ends.
 			endCollect("quiet-window")
 			endCommit := p.startPhase(root, "commit")
-			fb, aErr := p.chain.Append(p.epoch, engine.Now()+ddl, nil)
+			fb, aErr := p.chain.Append(p.epoch, formed+ddl, nil)
 			if aErr != nil {
 				endCommit("error")
 				return nil, fmt.Errorf("epoch %d empty block: %w", p.epoch, aErr)
@@ -530,7 +530,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	p.deferred = append(p.deferred, res.Deferred...)
 	p.shards = shards
 
-	fb, err := p.chain.Append(p.epoch, engine.Now()+ddl, shards)
+	fb, err := p.chain.Append(p.epoch, formed+ddl, shards)
 	if err != nil {
 		endCommit("error")
 		return nil, fmt.Errorf("epoch %d final block: %w", p.epoch, err)
@@ -632,8 +632,7 @@ func fingerprintScheduler(sched Scheduler) (decisionlog.SolverFingerprint, *seob
 // the would-be deadline — the measurement behind Fig. 2 (two-phase latency
 // versus network size, and the latency CDFs).
 func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
-	engine := sim.NewEngine()
-	reports, err := p.memberStages(engine)
+	reports, _, err := p.memberStages()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -646,26 +645,26 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 	return reports, ddl.Seconds(), nil
 }
 
-// memberStages simulates stages 1–3 for every member committee on the
-// discrete-event engine and returns their reports.
-func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
+// memberStages simulates stages 1–3 for every member committee and
+// returns their reports with the time the last committee formed.
+func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	cfg := p.cfg
 	nodes := cfg.Committees * cfg.CommitteeSize
 	solvers, err := pow.Election{}.Run(p.rng.Split(), nodes)
 	if err != nil {
-		return nil, fmt.Errorf("pow election: %w", err)
+		return nil, 0, fmt.Errorf("pow election: %w", err)
 	}
 	committees, err := pow.FormCommittees(solvers, cfg.Committees, cfg.CommitteeSize)
 	if err != nil {
-		return nil, fmt.Errorf("form committees: %w", err)
+		return nil, 0, fmt.Errorf("form committees: %w", err)
 	}
 	net, err := overlay.NewNetwork(p.rng.Split(), nodes, overlay.Config{})
 	if err != nil {
-		return nil, fmt.Errorf("overlay: %w", err)
+		return nil, 0, fmt.Errorf("overlay: %w", err)
 	}
 	shards, err := p.trace.IntoShards(p.rng.Split(), cfg.Committees)
 	if err != nil {
-		return nil, fmt.Errorf("shard trace: %w", err)
+		return nil, 0, fmt.Errorf("shard trace: %w", err)
 	}
 
 	reports := p.scratchReports(cfg.Committees)
@@ -674,38 +673,30 @@ func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 	// solution and key are verified through the directory, costing
 	// perIdentity per participant regardless of committee.
 	identityLatency := time.Duration(nodes) * perIdentity
-	done := 0
-	for ci := range committees {
-		ci := ci
-		com := committees[ci]
-		// Stage 1 finishes when the committee's last seat fills; stages 2
-		// and 3 are scheduled as events on the virtual clock.
-		if _, err := engine.ScheduleAt(com.FormedAt, func(now time.Duration) {
-			cfgLatency, cErr := net.ConfigureOverlay(com.Members, 0)
-			if cErr != nil {
-				cfgLatency = 0
-			}
-			cfgLatency += identityLatency
-			total, consErr := p.consensusLatency(pbftRNG)
-			rep := CommitteeReport{
-				Committee: com.ID,
-				Formation: now + cfgLatency,
-				Consensus: total,
-				TwoPhase:  now + cfgLatency + total,
-				TxCount:   shards[ci].TxTotal,
-			}
-			if consErr != nil {
-				markConsensusFailed(&rep)
-			}
-			reports[ci] = rep
-			done++
-		}); err != nil {
-			return nil, err
+	// Stage 1 finishes when the committee's last seat fills. Seats are
+	// dealt round-robin in solve order, so FormedAt never decreases with
+	// the committee ID: ID order is formation order, and the last
+	// committee forms last.
+	var formed time.Duration
+	for ci, com := range committees {
+		formed = com.FormedAt
+		cfgLatency, cErr := net.ConfigureOverlay(com.Members, 0)
+		if cErr != nil {
+			cfgLatency = 0
 		}
-	}
-	engine.Run(0)
-	if done != cfg.Committees {
-		return nil, fmt.Errorf("epoch: only %d of %d committees completed", done, cfg.Committees)
+		cfgLatency += identityLatency
+		total, consErr := p.consensusLatency(pbftRNG)
+		rep := CommitteeReport{
+			Committee: com.ID,
+			Formation: formed + cfgLatency,
+			Consensus: total,
+			TwoPhase:  formed + cfgLatency + total,
+			TxCount:   shards[ci].TxTotal,
+		}
+		if consErr != nil {
+			markConsensusFailed(&rep)
+		}
+		reports[ci] = rep
 	}
 	if fi := cfg.FaultInjector; fi != nil {
 		anyLive := false
@@ -734,7 +725,7 @@ func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 		}
 	}
 	if cfg.FailureRate > 0 {
-		p.injectFailures(net, committees, reports)
+		p.injectFailures(reports)
 	}
 	if o := cfg.Obs; o != nil {
 		epochN := float64(p.epoch)
@@ -751,7 +742,7 @@ func (p *Pipeline) memberStages(engine *sim.Engine) ([]CommitteeReport, error) {
 		}
 		o.FailedCommittees.Add(failed)
 	}
-	return reports, nil
+	return reports, formed, nil
 }
 
 // consensusFailedLatency is the sentinel two-phase contribution of a
@@ -789,52 +780,35 @@ func (p *Pipeline) consensusLatency(rng *randx.RNG) (time.Duration, error) {
 	return consensus.Total, nil
 }
 
-// injectFailures fails committees with the configured probability and has
-// the final committee confirm each failure through ping probes (the
-// Section V detection path: "the final committee can perceive a failed
-// member committee by using the ping network protocol").
-func (p *Pipeline) injectFailures(net *overlay.Network, committees []pow.Committee, reports []CommitteeReport) {
-	failing := make([]bool, len(committees))
+// injectFailures fails committees with the configured probability. The
+// final committee perceives a failed member committee through ping
+// probes (Section V: "the final committee can perceive a failed member
+// committee by using the ping network protocol"); a dead leader answers
+// no ping, so every probe times out and each drawn failure is
+// confirmed.
+func (p *Pipeline) injectFailures(reports []CommitteeReport) {
+	failing := make([]bool, len(reports))
 	anyLive := false
-	for ci := range committees {
+	for ci := range reports {
 		failing[ci] = p.rng.Bool(p.cfg.FailureRate)
-		if !failing[ci] {
+		if !failing[ci] && !reports[ci].Failed {
 			anyLive = true
 		}
 	}
 	if !anyLive {
-		// Keep at least one committee alive so the epoch can proceed.
-		failing[0] = false
-	}
-	// The final committee's observer node sits in a live committee.
-	observer := -1
-	for ci := range committees {
-		if !failing[ci] && len(committees[ci].Members) > 0 {
-			observer = committees[ci].Members[0]
-			break
-		}
-	}
-	for ci := range committees {
-		if !failing[ci] || len(committees[ci].Members) == 0 {
-			continue
-		}
-		leader := committees[ci].Members[0]
-		if err := net.Fail(leader); err != nil {
-			continue
-		}
-		confirmed := true
-		if observer >= 0 {
-			det, err := overlay.NewDetector(net, observer, 0, 3)
-			if err == nil {
-				confirmed = false
-				for probe := 0; probe < 3; probe++ {
-					if det.Probe(leader) {
-						confirmed = true
-					}
-				}
+		// Keep at least one committee alive so the epoch can proceed:
+		// the first one the fault injector and consensus left alive.
+		for ci := range reports {
+			if !reports[ci].Failed {
+				failing[ci] = false
+				break
 			}
 		}
-		reports[ci].Failed = confirmed
+	}
+	for ci := range reports {
+		if failing[ci] {
+			reports[ci].Failed = true
+		}
 	}
 }
 

@@ -446,6 +446,58 @@ func TestFailureInjectionDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunEpochsFailureGolden pins a six-epoch SE run under committee
+// failures and Byzantine replicas: each epoch's failed and permitted
+// committees, and the chain tip, whose hash covers every block's
+// timestamp (the last committee's formation time plus the deadline).
+// A change to the committees' formation order, the failure draws or
+// the timestamps fails here. A committee can be permitted twice in one
+// epoch: its fresh shard and a deferred one.
+func TestRunEpochsFailureGolden(t *testing.T) {
+	cfg := fastConfig(8, 41)
+	cfg.FailureRate = 0.2
+	cfg.FaultyPerCommittee = 1
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := p.RunEpochs(6, seScheduler(41), 1.5, p.Trace().TotalTxs()/2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"failed [5] permitted [0 2 3 6]",
+		"failed [0] permitted [1 2 3 5]",
+		"failed [2] permitted [0 1 4]",
+		"failed [3 4] permitted [0 1 2 7]",
+		"failed [0 1 4] permitted [3 5 6 5]",
+		"failed [1 2 4 6] permitted [0 3 6 6]",
+	}
+	if len(results) != len(want) {
+		t.Fatalf("%d epochs, want %d", len(results), len(want))
+	}
+	for i, res := range results {
+		var failed, permitted []int
+		for _, rep := range res.Reports {
+			if rep.Failed {
+				failed = append(failed, rep.Committee)
+			}
+		}
+		for li, sel := range res.Solution.Selected {
+			if sel {
+				permitted = append(permitted, res.Reports[res.Live[li]].Committee)
+			}
+		}
+		if got := fmt.Sprintf("failed %v permitted %v", failed, permitted); got != want[i] {
+			t.Errorf("epoch %d: %s, want %s", res.Epoch, got, want[i])
+		}
+	}
+	const wantTip = "bcf531c8d63a21618bf7afe51b893c32606bcfd1531bf2962b662e0636b62713"
+	if tip := p.Chain().TipHash().String(); tip != wantTip {
+		t.Errorf("chain tip %s, want %s", tip, wantTip)
+	}
+}
+
 func TestAdmissionDeadlineEdgeFractions(t *testing.T) {
 	reports := []CommitteeReport{
 		{TwoPhase: 400 * time.Second},

@@ -223,3 +223,27 @@ func TestCommitteeFailureKeepsOneAlive(t *testing.T) {
 		t.Fatalf("live = %d, want exactly the kept-alive committee", len(res.Live))
 	}
 }
+
+// TestFailureRateAndInjectorKeepOneAlive fails committees through both
+// sources at once, each at a rate that often fails every committee on
+// its own. Each source keeps one committee alive, and together they
+// must too: every epoch needs a live committee.
+func TestFailureRateAndInjectorKeepOneAlive(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		cfg := fastConfig(6, seed)
+		cfg.FailureRate = 0.9
+		fi, err := faultinject.Parse(FaultPointCommittee+":prob=0.9", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FaultInjector = fi
+		p, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An epoch with no live committee fails the run.
+		if _, err := p.RunEpochs(5, AcceptAll{}, 1.5, p.Trace().TotalTxs(), 0); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

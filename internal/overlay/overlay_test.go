@@ -72,43 +72,6 @@ func TestDelayBadNodes(t *testing.T) {
 	}
 }
 
-func TestFailRecover(t *testing.T) {
-	nw := newNet(t, 4, Config{})
-	if err := nw.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	if !nw.Failed(2) {
-		t.Fatal("node not marked failed")
-	}
-	if _, ok := nw.Delay(0, 2); ok {
-		t.Fatal("failed node received a message")
-	}
-	if _, ok := nw.Delay(2, 0); ok {
-		t.Fatal("failed node sent a message")
-	}
-	if _, ok := nw.RTT(0, 2); ok {
-		t.Fatal("ping to failed node succeeded")
-	}
-	if err := nw.Recover(2); err != nil {
-		t.Fatal(err)
-	}
-	if nw.Failed(2) {
-		t.Fatal("node still failed after recover")
-	}
-	if _, ok := nw.Delay(0, 2); !ok {
-		t.Fatal("recovered node unreachable")
-	}
-	if err := nw.Fail(99); err != ErrUnknownNode {
-		t.Fatalf("Fail(99) = %v", err)
-	}
-	if err := nw.Recover(-1); err != ErrUnknownNode {
-		t.Fatalf("Recover(-1) = %v", err)
-	}
-	if nw.Failed(99) {
-		t.Fatal("unknown node reported failed")
-	}
-}
-
 func TestLossRate(t *testing.T) {
 	nw := newNet(t, 2, Config{LossRate: 0.5})
 	lost := 0
@@ -132,16 +95,6 @@ func TestLossRateClamped(t *testing.T) {
 	nw2 := newNet(t, 2, Config{LossRate: -1})
 	if _, ok := nw2.Delay(0, 1); !ok {
 		t.Fatal("negative loss rate should clamp to 0")
-	}
-}
-
-func TestRTTIsTwoDelays(t *testing.T) {
-	nw := newNet(t, 2, Config{})
-	for i := 0; i < 100; i++ {
-		rtt, ok := nw.RTT(0, 1)
-		if !ok || rtt <= 0 {
-			t.Fatalf("rtt %v ok=%v", rtt, ok)
-		}
 	}
 }
 
@@ -175,19 +128,27 @@ func TestBroadcastDelaySelfOnly(t *testing.T) {
 }
 
 func TestBroadcastSkipsFailed(t *testing.T) {
-	nw := newNet(t, 3, Config{})
-	if err := nw.Fail(2); err != nil {
-		t.Fatal(err)
+	// Half the messages are lost: a broadcast that reaches some receiver
+	// reports its delay, and only one that reaches nobody fails.
+	nw := newNet(t, 3, Config{LossRate: 0.5})
+	reached, missed := 0, 0
+	for i := 0; i < 200; i++ {
+		d, ok := nw.BroadcastDelay(0, []int{0, 1, 2})
+		if !ok {
+			missed++
+			continue
+		}
+		if d <= 0 {
+			t.Fatalf("reached broadcast took %v", d)
+		}
+		reached++
 	}
-	d, ok := nw.BroadcastDelay(0, []int{0, 1, 2})
-	if !ok || d <= 0 {
-		t.Fatal("broadcast should still reach node 1")
+	if reached == 0 || missed == 0 {
+		t.Fatalf("reached %d, missed %d of 200 broadcasts at loss 0.5", reached, missed)
 	}
-	if err := nw.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := nw.BroadcastDelay(0, []int{0, 1, 2}); ok {
-		t.Fatal("broadcast with all receivers failed reported success")
+	lost := newNet(t, 3, Config{LossRate: 1})
+	if _, ok := lost.BroadcastDelay(0, []int{0, 1, 2}); ok {
+		t.Fatal("broadcast with every message lost reported success")
 	}
 }
 
@@ -239,105 +200,13 @@ func TestConfigureOverlayEmpty(t *testing.T) {
 }
 
 func TestConfigureOverlayAllFailedStillTerminates(t *testing.T) {
-	nw := newNet(t, 4, Config{})
-	for i := 0; i < 4; i++ {
-		if err := nw.Fail(i); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw := newNet(t, 4, Config{LossRate: 1})
 	d, err := nw.ConfigureOverlay(members(0, 4), 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d <= 0 {
 		t.Fatal("expected timeout-charged latency")
-	}
-}
-
-func TestDetectorSuspectsFailedNode(t *testing.T) {
-	nw := newNet(t, 3, Config{})
-	det, err := NewDetector(nw, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if det.Probe(1) {
-			t.Fatalf("suspected after only %d misses", i+1)
-		}
-	}
-	if !det.Probe(1) {
-		t.Fatal("not suspected after threshold misses")
-	}
-	if !det.Suspected(1) {
-		t.Fatal("Suspected disagrees with Probe")
-	}
-}
-
-func TestDetectorRecoveryClearsSuspicion(t *testing.T) {
-	nw := newNet(t, 3, Config{})
-	det, err := NewDetector(nw, 0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Fail(1); err != nil {
-		t.Fatal(err)
-	}
-	det.Probe(1)
-	det.Probe(1)
-	if !det.Suspected(1) {
-		t.Fatal("should be suspected")
-	}
-	if err := nw.Recover(1); err != nil {
-		t.Fatal(err)
-	}
-	if det.Probe(1) {
-		t.Fatal("healthy probe should clear suspicion")
-	}
-	if det.Suspected(1) {
-		t.Fatal("suspicion not cleared")
-	}
-}
-
-func TestDetectorHealthyNodeNeverSuspected(t *testing.T) {
-	nw := newNet(t, 2, Config{})
-	det, err := NewDetector(nw, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if det.Probe(1) {
-			t.Fatal("healthy node suspected")
-		}
-	}
-}
-
-func TestDetectorSlowRTTCountsAsMiss(t *testing.T) {
-	nw := newNet(t, 2, Config{MeanLatency: time.Second})
-	// maxRTT of 1 ns: every probe misses.
-	det, err := NewDetector(nw, 0, time.Nanosecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.Probe(1)
-	if !det.Probe(1) {
-		t.Fatal("slow RTTs should accumulate misses")
-	}
-}
-
-func TestNewDetectorErrors(t *testing.T) {
-	nw := newNet(t, 2, Config{})
-	if _, err := NewDetector(nw, 5, 0, 0); err != ErrUnknownNode {
-		t.Fatalf("err = %v", err)
-	}
-	det, err := NewDetector(nw, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if det.String() == "" {
-		t.Fatal("empty String()")
 	}
 }
 

@@ -170,3 +170,31 @@ func TestFormCommitteesPartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFormCommitteesFormedAtFollowsID checks the order the epoch
+// pipeline's committee loop relies on: seats are dealt round-robin in
+// solve order, so committee c's last seat is solver (seats−1)·|I| + c
+// and FormedAt never decreases with the committee ID.
+func TestFormCommitteesFormedAtFollowsID(t *testing.T) {
+	f := func(seed int64, rawComs, rawSeats, rawExtra uint8) bool {
+		coms := int(rawComs)%40 + 1
+		seats := int(rawSeats)%20 + 1
+		solvers, err := Election{}.Run(randx.New(seed), coms*seats+int(rawExtra)%16)
+		if err != nil {
+			return false
+		}
+		formed, err := FormCommittees(solvers, coms, seats)
+		if err != nil {
+			return false
+		}
+		for c := 1; c < len(formed); c++ {
+			if formed[c].ID != c || formed[c].FormedAt < formed[c-1].FormedAt {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

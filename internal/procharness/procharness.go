@@ -2,10 +2,10 @@
 // harness: it launches a set of named OS processes (the mvcom
 // coordinator, N workers, a traffic generator — or anything else) with
 // per-process stdout/stderr capture, supervises them with readiness
-// probes, and drives process-level chaos — SIGKILL, restart, and
-// network partition — from the same seeded fault-injection grammar the
-// transport layer uses (internal/faultinject, actions "kill" and
-// "restart" on points named "proc.<name>").
+// probes, and drives process-level chaos — SIGKILL and restart — from
+// the same seeded fault-injection grammar the transport layer uses
+// (internal/faultinject, actions "kill" and "restart" on points named
+// "proc.<name>").
 //
 // The harness guarantees orphan-free teardown: every child is started
 // in its own process group, Close SIGKILLs every group still alive and
@@ -14,9 +14,10 @@
 // children with it. Tests that fail mid-scenario therefore never leak
 // processes.
 //
-// Scenarios can be scripted (see ParseScenario) or driven
-// programmatically; cmd/mvcom-cluster builds the full
-// coordinator+workers+txgen deployment on top of this package.
+// Scenarios are Go calls (Start, WaitReady, Kill, Restart, WaitExit)
+// plus EvalProcFaults or StartChaos for injector-driven chaos;
+// cmd/mvcom-cluster builds the full coordinator+workers+txgen
+// deployment on top of this package.
 package procharness
 
 import (
@@ -78,13 +79,12 @@ type Options struct {
 type Harness struct {
 	opts Options
 
-	mu      sync.Mutex
-	specs   map[string]Spec
-	order   []string
-	procs   map[string]*Proc // current incarnation per name
-	past    []*Proc          // every incarnation ever started, in order
-	proxies map[string]*Proxy
-	closed  bool
+	mu     sync.Mutex
+	specs  map[string]Spec
+	order  []string
+	procs  map[string]*Proc // current incarnation per name
+	past   []*Proc          // every incarnation ever started, in order
+	closed bool
 }
 
 // New returns an empty harness. Callers must Close it (typically via
@@ -94,10 +94,9 @@ func New(opts Options) *Harness {
 		opts.KillGrace = 5 * time.Second
 	}
 	return &Harness{
-		opts:    opts,
-		specs:   make(map[string]Spec),
-		procs:   make(map[string]*Proc),
-		proxies: make(map[string]*Proxy),
+		opts:  opts,
+		specs: make(map[string]Spec),
+		procs: make(map[string]*Proc),
 	}
 }
 
@@ -396,17 +395,13 @@ func (h *Harness) StartChaos(tick time.Duration) (stop func()) {
 	}
 }
 
-// Close SIGKILLs every live process group, waits for every reap, and
-// shuts down any proxies. It is the harness's orphan-free guarantee and
-// is safe to call more than once.
+// Close SIGKILLs every live process group and waits for every reap. It
+// is the harness's orphan-free guarantee and is safe to call more than
+// once.
 func (h *Harness) Close() error {
 	h.mu.Lock()
 	h.closed = true
 	procs := append([]*Proc(nil), h.past...)
-	proxies := make([]*Proxy, 0, len(h.proxies))
-	for _, px := range h.proxies {
-		proxies = append(proxies, px)
-	}
 	h.mu.Unlock()
 
 	var errs []error
@@ -414,9 +409,6 @@ func (h *Harness) Close() error {
 		if err := p.kill(h.opts.KillGrace); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	for _, px := range proxies {
-		_ = px.Close()
 	}
 	return errors.Join(errs...)
 }

@@ -34,8 +34,8 @@ func (h *txHeap) Push(x any)             { *h = append(*h, x.(item)) }
 func (h *txHeap) Pop() any               { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 func (h txHeap) peek() chain.Transaction { return h[0].tx }
 
-// Pool is a virtual-time mempool. It is not safe for concurrent use; the
-// discrete-event simulation drives it from one goroutine.
+// Pool is a virtual-time mempool. It is not safe for concurrent use; a
+// simulation drives it from one goroutine.
 type Pool struct {
 	heap txHeap
 	seq  uint64

@@ -55,8 +55,8 @@ type (
 	Solution = core.Solution
 	// TracePoint is one point of a best-so-far convergence curve.
 	TracePoint = core.TracePoint
-	// SchedulerConfig tunes the Stochastic-Exploration algorithm (β, τ,
-	// Γ, iteration budget, seed).
+	// SchedulerConfig tunes the Stochastic-Exploration algorithm (β, Γ,
+	// iteration budget, seed).
 	SchedulerConfig = core.SEConfig
 	// Scheduler is the Stochastic-Exploration solver.
 	Scheduler = core.SE
@@ -125,7 +125,7 @@ type (
 )
 
 // NewScheduler returns the Stochastic-Exploration solver, the paper's
-// contribution. The zero config uses β=2, τ=0, Γ=1.
+// contribution. The zero config uses β=2, Γ=1.
 func NewScheduler(cfg SchedulerConfig) *Scheduler { return core.NewSE(cfg) }
 
 // NewEngine prepares a stepping SE chain for the given instance.
