@@ -165,7 +165,9 @@ stage_soak() {
 	# JSON artifact CI uploads for offline flamegraph inspection.
 	# The run also writes the decision-provenance journal and replay-verifies
 	# it as an exit gate: every journaled SE epoch must re-solve to the
-	# bit-identical committee set (DESIGN.md §5j).
+	# bit-identical committee set (DESIGN.md §5j). Journals resume an
+	# existing directory, so each run starts from a fresh one.
+	rm -rf results/soak_decisions results/soak_presolve_decisions
 	go run ./cmd/mvcom-soak -epochs 50 -se-iters 800 \
 		-fault-spec 'epoch.committee:prob=0.2' \
 		-journal results/BENCH_SOAK.json -note "ci soak smoke" \
@@ -173,6 +175,14 @@ stage_soak() {
 		-decision-log results/soak_decisions
 	go run ./cmd/mvcom-benchdiff -old BENCH_SOAK.json -new results/BENCH_SOAK.json \
 		-time-threshold 0.35
+
+	# Presolve under the replay gate (DESIGN.md §5k): at α 0.2 the arrived
+	# volume overflows the block with negative-value shards every epoch,
+	# so presolve takes them out and the journal records presolved rows.
+	# The replay gate then also checks each presolved row against the
+	# rule. The α 1.5 soak above never presolves; its journal is unchanged.
+	go run ./cmd/mvcom-soak -epochs 30 -se-iters 800 -alpha 0.2 -q \
+		-decision-log results/soak_presolve_decisions
 }
 
 stage_serve() {
@@ -230,8 +240,11 @@ stage_cluster() {
 	# fallback, the kill absorbed by task reassignment, best utility
 	# byte-equal to a clean single-process twin, the merged cross-process
 	# timeline orphan-free, and no process leaked past teardown.
+	# mvcom-cluster refuses an -out that holds an earlier run's decision
+	# journal, so the stage starts from a fresh directory.
 	mkdir -p results/bin
 	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-trace ./cmd/mvcom-cluster
+	rm -rf results/cluster
 	results/bin/mvcom-cluster -out results/cluster \
 		-workers 2 -epochs 3 -shards 16 -capacity 12000 \
 		-iters 3000 -report-every 50 -throttle 8ms -trace-blocks 32 \
@@ -250,6 +263,7 @@ stage_nightly() {
 	# and leak-freedom still gate.
 	mkdir -p results/bin
 	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-trace ./cmd/mvcom-cluster
+	rm -rf results/nightly
 	results/bin/mvcom-cluster -out results/nightly \
 		-workers 3 -epochs 8 -shards 20 -capacity 14000 \
 		-iters 3000 -report-every 50 -throttle 8ms -trace-blocks 48 \

@@ -19,13 +19,19 @@
 //
 // Artifacts land in -out: per-process stdout/stderr logs, per-process
 // span dumps, the merged cluster_timeline.json, result JSONs for the
-// chaos run and its twin, and summary.json with every gate verdict.
+// chaos run and its twin, the coordinator's decision journal, and
+// summary.json with every gate verdict. A -out whose decisions
+// directory already holds a journal is refused: the coordinator would
+// append to it, and the decision-replay gate would count the earlier
+// run's entries too.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -152,6 +158,10 @@ func run(args []string) error {
 	if *summaryOut == "" {
 		*summaryOut = filepath.Join(*outDir, "summary.json")
 	}
+	decisionsDir := filepath.Join(*outDir, "decisions")
+	if err := requireEmptyDir(decisionsDir); err != nil {
+		return err
+	}
 
 	distBin, traceBin, err := resolveBinaries(*binDir)
 	if err != nil {
@@ -200,7 +210,6 @@ func run(args []string) error {
 	// Stage 2: coordinator with an ephemeral port, discovered through
 	// the readiness probe's capture group; likewise its metrics port.
 	coordResult := filepath.Join(*outDir, "coordinator_result.json")
-	decisionsDir := filepath.Join(*outDir, "decisions")
 	coordArgs := []string{
 		"-mode", "coordinator", "-listen", "127.0.0.1:0",
 		"-workers", strconv.Itoa(*workers), "-epochs", strconv.Itoa(*epochs),
@@ -483,6 +492,22 @@ func run(args []string) error {
 	fmt.Printf("summary: %s (best utility %.1f, %d restarts, %d spans)\n", *summaryOut, sum.BestUtility, restarts, spans)
 	if !sum.Pass {
 		return fmt.Errorf("%d gate(s) failed", countFailed(gates))
+	}
+	return nil
+}
+
+// requireEmptyDir refuses a decision-journal directory that already
+// holds files. A missing directory is fine; the coordinator creates it.
+func requireEmptyDir(dir string) error {
+	names, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if len(names) > 0 {
+		return fmt.Errorf("decision journal directory %s is not empty: the coordinator would append to it and the decision-replay gate would count the earlier run's epochs; remove it or choose another -out", dir)
 	}
 	return nil
 }

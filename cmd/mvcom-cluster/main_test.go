@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -87,5 +90,35 @@ func TestParseExcluded(t *testing.T) {
 func TestResolveBinariesMissing(t *testing.T) {
 	if _, _, err := resolveBinaries(t.TempDir()); err == nil {
 		t.Fatal("empty bin dir accepted")
+	}
+}
+
+// TestRunRefusesUsedDecisionsDir: a -out whose decisions directory holds
+// an earlier run's journal is refused before any process starts, with
+// an error naming the directory; a missing or empty one passes the
+// check.
+func TestRunRefusesUsedDecisionsDir(t *testing.T) {
+	out := t.TempDir()
+	decisions := filepath.Join(out, "decisions")
+	if err := os.MkdirAll(decisions, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := requireEmptyDir(decisions); err != nil {
+		t.Fatalf("empty directory refused: %v", err)
+	}
+	if err := requireEmptyDir(filepath.Join(out, "missing")); err != nil {
+		t.Fatalf("missing directory refused: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(decisions, "decisions-000000.jsonl"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The empty bin dir would fail resolveBinaries; the journal check
+	// must fire first.
+	err := run([]string{"-out", out, "-bin-dir", t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), decisions) {
+		t.Fatalf("run = %v, want a refusal naming %s", err, decisions)
+	}
+	if _, statErr := os.Stat(filepath.Join(out, "trace.csv")); !os.IsNotExist(statErr) {
+		t.Fatalf("a process ran before the refusal: %v", statErr)
 	}
 }

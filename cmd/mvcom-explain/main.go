@@ -215,6 +215,14 @@ func cmdShow(w io.Writer, e *decisionlog.Entry, asJSON bool) error {
 	if err := core.WriteExplanation(w, &in, sol); err != nil {
 		return err
 	}
+	if len(e.Presolved) > 0 {
+		full := e.FullInstance()
+		fmt.Fprintf(w, "\npresolved (arrived, negative value, volume over capacity: taken out before the solve):\n")
+		for k, sr := range e.Presolved {
+			fmt.Fprintf(w, "  committee %d: %d TXs, latency %.1f, age %.1f, value %.1f\n",
+				sr.Committee, sr.Size, sr.Latency, sr.Age, full.Value(len(e.Shards)+k))
+		}
+	}
 	if len(e.Rejected) > 0 {
 		fmt.Fprintf(w, "\ntop rejected candidates (admission counterfactuals):\n")
 		for _, r := range e.Rejected {
@@ -252,13 +260,15 @@ func cmdShow(w io.Writer, e *decisionlog.Entry, asJSON bool) error {
 // it is still carrying plus the freshly produced one — so a whyReport
 // holds a verdict per live shard.
 type shardVerdict struct {
-	Index     int             `json:"index"` // instance index within the epoch
+	// Index is the instance index within the epoch; for a presolved
+	// shard, its position in the entry's presolved list.
+	Index     int             `json:"index"`
 	Size      int             `json:"size"`
 	Latency   float64         `json:"latency"`
 	Age       float64         `json:"age"`
 	Value     float64         `json:"value"`
 	Carried   int             `json:"carried,omitempty"` // deferrals already absorbed
-	Outcome   string          `json:"outcome"`           // permitted | refused | straggler
+	Outcome   string          `json:"outcome"`           // permitted | refused | presolved | straggler
 	Reason    string          `json:"reason"`
 	Marginal  *core.Marginal  `json:"marginal,omitempty"`
 	Rejection *core.Rejection `json:"rejection,omitempty"`
@@ -269,7 +279,7 @@ type shardVerdict struct {
 type whyReport struct {
 	Epoch     int    `json:"epoch"`
 	Committee int    `json:"committee"`
-	Outcome   string `json:"outcome"` // permitted | refused | straggler | expired | absent
+	Outcome   string `json:"outcome"` // permitted | refused | presolved | straggler | expired | absent
 	Reason    string `json:"reason"`
 
 	Shards    []shardVerdict              `json:"shards,omitempty"`
@@ -320,6 +330,19 @@ func verdictFor(e *decisionlog.Entry, in *core.Instance, li int) shardVerdict {
 	return v
 }
 
+// presolvedVerdict is the fate of the entry's k-th presolved row: refused
+// for its value before the solve. full is e.FullInstance().
+func presolvedVerdict(e *decisionlog.Entry, full *core.Instance, k int) shardVerdict {
+	sr := &e.Presolved[k]
+	v := shardVerdict{
+		Index: k, Size: sr.Size, Latency: sr.Latency, Age: sr.Age,
+		Value: full.Value(len(e.Shards) + k), Carried: sr.Deferrals, Outcome: "presolved",
+	}
+	v.Reason = fmt.Sprintf("refused for its value: %.1f < 0 with the arrived volume over capacity %d, so no optimal block holds it — taken out before the solve",
+		v.Value, e.Capacity)
+	return v
+}
+
 func explainWhy(e *decisionlog.Entry, committee int) whyReport {
 	rep := whyReport{Epoch: e.Epoch, Committee: committee}
 	for i := range e.Deferrals {
@@ -333,15 +356,25 @@ func explainWhy(e *decisionlog.Entry, committee int) whyReport {
 			rep.Shards = append(rep.Shards, verdictFor(e, &in, li))
 		}
 	}
+	if len(e.Presolved) > 0 {
+		full := e.FullInstance()
+		for k := range e.Presolved {
+			if e.Presolved[k].Committee == committee {
+				rep.Shards = append(rep.Shards, presolvedVerdict(e, &full, k))
+			}
+		}
+	}
 	// Summarize: any permitted shard makes the committee permitted; with
 	// none live, an expiry event this epoch explains the absence.
-	permitted, refused, stragglers := 0, 0, 0
+	permitted, refused, presolved, stragglers := 0, 0, 0, 0
 	for _, v := range rep.Shards {
 		switch v.Outcome {
 		case "permitted":
 			permitted++
 		case "straggler":
 			stragglers++
+		case "presolved":
+			presolved++
 		default:
 			refused++
 		}
@@ -366,9 +399,13 @@ func explainWhy(e *decisionlog.Entry, committee int) whyReport {
 	case stragglers == len(rep.Shards):
 		rep.Outcome = "straggler"
 		rep.Reason = fmt.Sprintf("all %d live shards missed the deadline", len(rep.Shards))
+	case presolved == len(rep.Shards):
+		rep.Outcome = "presolved"
+		rep.Reason = fmt.Sprintf("all %d live shards refused for their negative value, taken out before the solve", presolved)
 	default:
 		rep.Outcome = "refused"
-		rep.Reason = fmt.Sprintf("%d live shards, none selected (%d refused, %d stragglers)", len(rep.Shards), refused, stragglers)
+		rep.Reason = fmt.Sprintf("%d live shards, none selected (%d refused, %d presolved, %d stragglers)",
+			len(rep.Shards), refused, presolved, stragglers)
 	}
 	return rep
 }
@@ -380,7 +417,11 @@ func cmdWhy(w io.Writer, e *decisionlog.Entry, committee int, asJSON bool) error
 	}
 	fmt.Fprintf(w, "epoch %d, committee %d: %s — %s\n", rep.Epoch, rep.Committee, rep.Outcome, rep.Reason)
 	for _, v := range rep.Shards {
-		fmt.Fprintf(w, "  shard[%d]: %d TXs, latency %.1f, age %.1f, value %.1f", v.Index, v.Size, v.Latency, v.Age, v.Value)
+		row := "shard"
+		if v.Outcome == "presolved" {
+			row = "presolved"
+		}
+		fmt.Fprintf(w, "  %s[%d]: %d TXs, latency %.1f, age %.1f, value %.1f", row, v.Index, v.Size, v.Latency, v.Age, v.Value)
 		if v.Carried > 0 {
 			fmt.Fprintf(w, ", carried %d epochs", v.Carried)
 		}
@@ -398,7 +439,8 @@ func cmdWhy(w io.Writer, e *decisionlog.Entry, committee int, asJSON bool) error
 
 // trajPoint is one epoch of a committee's history. Live/Permitted count
 // the committee's shards that epoch (carried deferrals plus the fresh
-// block), BestValue is the highest-valued live shard's utility input.
+// block, presolved ones included), BestValue is the highest-valued live
+// shard's utility input.
 type trajPoint struct {
 	Epoch     int     `json:"epoch"`
 	Outcome   string  `json:"outcome"`
@@ -416,12 +458,12 @@ func cmdTrajectory(w io.Writer, entries []decisionlog.Entry, committee int, asJS
 	for i := range entries {
 		rep := explainWhy(&entries[i], committee)
 		p := trajPoint{Epoch: rep.Epoch, Outcome: rep.Outcome, Live: len(rep.Shards), Utility: entries[i].Utility}
-		for _, v := range rep.Shards {
+		for k, v := range rep.Shards {
 			seen = true
 			if v.Outcome == "permitted" {
 				p.Permitted++
 			}
-			if v.Value > p.BestValue {
+			if k == 0 || v.Value > p.BestValue {
 				p.BestValue = v.Value
 			}
 		}
@@ -481,10 +523,15 @@ func selectedCommittees(e *decisionlog.Entry) map[int]bool {
 	return out
 }
 
+// liveCommittees is the epoch's live set: the instance's committees and
+// the presolved ones.
 func liveCommittees(e *decisionlog.Entry) map[int]bool {
-	out := make(map[int]bool, len(e.Shards))
+	out := make(map[int]bool, len(e.Shards)+len(e.Presolved))
 	for i := range e.Shards {
 		out[e.Shards[i].Committee] = true
+	}
+	for i := range e.Presolved {
+		out[e.Presolved[i].Committee] = true
 	}
 	return out
 }

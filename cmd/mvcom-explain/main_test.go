@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -186,5 +188,97 @@ func TestExplainErrors(t *testing.T) {
 		if err := run(args, &buf); err == nil {
 			t.Fatalf("run %v succeeded, want error", args)
 		}
+	}
+}
+
+// TestExplainWhyPresolved: at a small α the arrived volume overflows the
+// block and most shards are worth less than their age, so presolve takes
+// them out. A committee whose every live shard was presolved reads
+// "presolved" with its value, counts as live in trajectory and diff, and
+// the journal still replays.
+func TestExplainWhyPresolved(t *testing.T) {
+	dir := t.TempDir()
+	j, err := decisionlog.Open(decisionlog.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := epoch.NewPipeline(epoch.Config{
+		Committees:    6,
+		CommitteeSize: 4,
+		Trace:         txgen.Config{Blocks: 40, MeanTxs: 50},
+		Seed:          1,
+		DecisionLog:   j,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{Seed: 7, MaxIters: 1500})}
+	if _, err := p.RunEpochs(4, sched, 0.05, 3000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := decisionlog.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *decisionlog.Entry
+	committee := -1
+	for i := range entries {
+		live := liveCommittees(&entries[i])
+		for _, s := range entries[i].Shards {
+			delete(live, s.Committee)
+		}
+		for c := range live { // committees whose only rows are presolved
+			if committee < 0 || c < committee {
+				e, committee = &entries[i], c
+			}
+		}
+		if e != nil {
+			break
+		}
+	}
+	if e == nil {
+		t.Fatal("no committee was wholly presolved: the fixture does not exercise presolve")
+	}
+
+	rep := explainWhy(e, committee)
+	if rep.Outcome != "presolved" || len(rep.Shards) == 0 {
+		t.Fatalf("epoch %d committee %d: %+v", e.Epoch, committee, rep)
+	}
+	full := e.FullInstance()
+	for _, v := range rep.Shards {
+		if v.Outcome != "presolved" || e.Presolved[v.Index].Committee != committee {
+			t.Fatalf("verdict %+v", v)
+		}
+		if want := full.Value(len(e.Shards) + v.Index); v.Value != want || v.Value >= 0 {
+			t.Fatalf("verdict value %v, want %v (negative)", v.Value, want)
+		}
+		if !strings.Contains(v.Reason, fmt.Sprintf("%.1f", v.Value)) {
+			t.Fatalf("reason %q does not print the value %.1f", v.Reason, v.Value)
+		}
+	}
+	ep, c := strconv.Itoa(e.Epoch), strconv.Itoa(committee)
+	out := explain(t, "-dir", dir, "why", ep, c)
+	if !strings.Contains(out, ": presolved —") || !strings.Contains(out, fmt.Sprintf("value %.1f", rep.Shards[0].Value)) {
+		t.Fatalf("why output:\n%s", out)
+	}
+
+	var points []trajPoint
+	if err := json.Unmarshal([]byte(explain(t, "-dir", dir, "-json", "trajectory", c)), &points); err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		if pt.Epoch == e.Epoch && (pt.Live != len(rep.Shards) || pt.Outcome != "presolved") {
+			t.Fatalf("trajectory point %+v, want %d live presolved", pt, len(rep.Shards))
+		}
+	}
+	if !liveCommittees(e)[committee] {
+		t.Fatalf("diff's live set misses presolved committee %d", committee)
+	}
+	n := len(entries)
+	if out := explain(t, "-dir", dir, "verify"); !strings.Contains(out, fmt.Sprintf("%d entries: %d replayed bit-identically", n, n)) {
+		t.Fatalf("verify output:\n%s", out)
 	}
 }

@@ -97,6 +97,11 @@ func run(args []string) error {
 		"epoch", "DDL(s)", "arrived", "permitted", "TXs", "age(s)", "failed")
 	for _, res := range results {
 		o := metrics.Outcome(res.Epoch, &res.Instance, res.Solution)
+		// Presolved shards arrived too, though the instance no longer
+		// holds them (DESIGN.md §5k).
+		for _, ri := range res.Presolved {
+			o.ArrivedTxs += res.Reports[ri].TxCount
+		}
 		outcomes = append(outcomes, o)
 		failed := 0
 		for _, rep := range res.Reports {
@@ -105,7 +110,7 @@ func run(args []string) error {
 			}
 		}
 		fmt.Printf("%-6d %-9.0f %-10d %-10d %-10d %-12.0f %-8d\n",
-			res.Epoch, res.DDL, len(res.Instance.Arrived()), res.Solution.Count,
+			res.Epoch, res.DDL, len(res.Instance.Arrived())+len(res.Presolved), res.Solution.Count,
 			res.Solution.Load, o.CumulativeAge, failed)
 	}
 	agg := metrics.AggregateOutcomes(outcomes)

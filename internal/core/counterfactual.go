@@ -130,8 +130,8 @@ func RejectedCounterfactualsInto(dst []Rejection, in *Instance, sol Solution, k 
 	}
 	var rejectedArr, selectedArr [counterfactualScratchLen]int
 	rejected := rejectedArr[:0]
-	for _, i := range in.Arrived() {
-		if i >= len(sol.Selected) || !sol.Selected[i] {
+	for i, l := range in.Latencies {
+		if l <= in.DDL && (i >= len(sol.Selected) || !sol.Selected[i]) {
 			rejected = insertByValueDesc(rejected, in, i, k)
 		}
 	}

@@ -132,3 +132,25 @@ func TestRejectedCounterfactualsNminFloor(t *testing.T) {
 		t.Fatalf("eviction would break Nmin, must be infeasible: %+v", rej[0])
 	}
 }
+
+// TestCounterfactualPathAllocFree pins the decision journal's per-epoch
+// core calls at zero allocations once dst is recycled: the arrived set
+// is walked in place, never materialized as an index slice.
+func TestCounterfactualPathAllocFree(t *testing.T) {
+	in := counterfactualInstance()
+	sol := NewSolution(&in, []bool{true, true, false, false, false})
+	rej := RejectedCounterfactualsInto(nil, &in, sol, 8)
+	if len(rej) == 0 || len(rej[0].Evicted) == 0 {
+		t.Fatalf("fixture exercises no eviction set: %+v", rej)
+	}
+	margs := MarginalsInto(nil, &in, sol)
+	allocs := testing.AllocsPerRun(100, func() {
+		rej = RejectedCounterfactualsInto(rej, &in, sol, 8)
+		margs = MarginalsInto(margs, &in, sol)
+		_ = in.TotalArrivedSize()
+		_ = in.NegativeDropExact()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs/op on a recycled dst, want 0", allocs)
+	}
+}

@@ -183,10 +183,37 @@ func (in *Instance) Feasible(selected []bool) bool {
 // compared against Ĉ in Alg. 1's bootstrap condition.
 func (in *Instance) TotalArrivedSize() int {
 	total := 0
-	for _, i := range in.Arrived() {
-		total += in.Sizes[i]
+	for i, l := range in.Latencies {
+		if l <= in.DDL {
+			total += in.Sizes[i]
+		}
 	}
 	return total
+}
+
+// NegativeDropExact reports whether taking every arrived shard of
+// negative Value out of the instance keeps its optimum, in the regime
+// where the solver searches: the arrived volume exceeds Ĉ, Nmin ≤ 1,
+// and some arrived shard of non-negative Value fits Ĉ. Then an optimal
+// block S holding a negative shard j is impossible: S∖{j} is feasible
+// and better when |S| ≥ 2, and the fitting shard alone beats S = {j}.
+// At Nmin ≥ 2 the drop is not exact, because a negative shard can be
+// what makes a high-value block reach Nmin.
+func (in *Instance) NegativeDropExact() bool {
+	if in.Nmin > 1 {
+		return false
+	}
+	total, fits := 0, false
+	for i, l := range in.Latencies {
+		if l > in.DDL {
+			continue
+		}
+		total += in.Sizes[i]
+		if in.Sizes[i] <= in.Capacity && in.Value(i) >= 0 {
+			fits = true
+		}
+	}
+	return fits && total > in.Capacity
 }
 
 // Clone deep-copies the instance.

@@ -57,9 +57,9 @@ const (
 	KindOpaque = "opaque"
 )
 
-// ShardRecord is one live committee's scheduling input, in instance
-// index order (the entry's Selected/WarmPrev indices point into this
-// slice).
+// ShardRecord is one live committee's scheduling input. An entry's
+// Shards rows are in instance index order (its Selected/WarmPrev indices
+// point into that slice); its Presolved rows are in report order.
 type ShardRecord struct {
 	// Committee is the stable committee identity across epochs.
 	Committee int `json:"committee"`
@@ -175,12 +175,18 @@ type Entry struct {
 	// causal timeline (zero when tracing is off).
 	TraceID uint64 `json:"traceId,omitempty"`
 
-	// Instance inputs: DDL/Alpha/Capacity/Nmin plus the per-shard rows.
+	// Instance inputs: DDL/Alpha/Capacity/Nmin plus the per-shard rows
+	// of the instance the scheduler saw.
 	DDL      float64       `json:"ddl"`
 	Alpha    float64       `json:"alpha"`
 	Capacity int           `json:"capacity"`
 	Nmin     int           `json:"nmin"`
 	Shards   []ShardRecord `json:"shards"`
+	// Presolved holds the arrived shards of negative value that presolve
+	// took out of the instance before the solve (DESIGN §5k). Verify
+	// checks that the rule held for each; their deferral events are in
+	// Deferrals like any refusal's.
+	Presolved []ShardRecord `json:"presolved,omitempty"`
 
 	Solver SolverFingerprint `json:"solver"`
 	// Warm marks an epoch whose solver warm-started via SolveFrom;
@@ -222,16 +228,27 @@ type Entry struct {
 }
 
 // Instance rebuilds the scheduling instance the entry was decided on.
-func (e *Entry) Instance() core.Instance {
+func (e *Entry) Instance() core.Instance { return e.instanceOf(e.Shards) }
+
+// FullInstance rebuilds the instance before presolve: the Shards rows
+// followed by the Presolved rows, so Presolved[k] is instance index
+// len(Shards)+k.
+func (e *Entry) FullInstance() core.Instance {
+	rows := append(append([]ShardRecord(nil), e.Shards...), e.Presolved...)
+	return e.instanceOf(rows)
+}
+
+// instanceOf builds an instance over rows under the entry's parameters.
+func (e *Entry) instanceOf(rows []ShardRecord) core.Instance {
 	in := core.Instance{
-		Sizes:     make([]int, len(e.Shards)),
-		Latencies: make([]float64, len(e.Shards)),
+		Sizes:     make([]int, len(rows)),
+		Latencies: make([]float64, len(rows)),
 		DDL:       e.DDL,
 		Alpha:     e.Alpha,
 		Capacity:  e.Capacity,
 		Nmin:      e.Nmin,
 	}
-	for i, s := range e.Shards {
+	for i, s := range rows {
 		in.Sizes[i] = s.Size
 		in.Latencies[i] = s.Latency
 	}
@@ -254,6 +271,7 @@ func selectionMask(indices []int, n int) []bool {
 func (e *Entry) reset() {
 	*e = Entry{
 		Shards:    e.Shards[:0],
+		Presolved: e.Presolved[:0],
 		Selected:  e.Selected[:0],
 		WarmPrev:  e.WarmPrev[:0],
 		Marginals: e.Marginals[:0],

@@ -31,7 +31,12 @@ func testInstance() core.Instance {
 // a journal entry the way the pipeline does.
 func solveEntry(t testing.TB, epoch int, seed int64) Entry {
 	t.Helper()
-	in := testInstance()
+	return solveEntryOf(t, testInstance(), epoch, seed)
+}
+
+// solveEntryOf is solveEntry over the instance in.
+func solveEntryOf(t testing.TB, in core.Instance, epoch int, seed int64) Entry {
+	t.Helper()
 	se := core.NewSE(core.SEConfig{Seed: seed, MaxIters: 2000})
 	sol, _, err := se.Solve(in)
 	if err != nil {
@@ -173,6 +178,52 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		e.Selected = e.Selected[1:]
 		if err := Verify(&e); err == nil {
 			t.Fatal("tampered selection verified")
+		}
+	}
+}
+
+// TestVerifyChecksPresolve: Verify replays an entry whose presolved
+// rows obey the rule, and fails one whose presolved row broke it — a
+// value of zero or more, a straggler, Nmin 2 — even when the entry's
+// kind cannot be replayed.
+func TestVerifyChecksPresolve(t *testing.T) {
+	in := testInstance()
+	// Arrived volume 400 is over capacity 260, and shard 0 (value 75)
+	// fits; the presolved row's value is 10 − 50 = −40.
+	in.Nmin = 1
+	negative := ShardRecord{Committee: 9, Size: 10, Latency: 0, Age: 50}
+	e := solveEntryOf(t, in, 3, 5)
+	e.Presolved = []ShardRecord{negative}
+	if err := Verify(&e); err != nil {
+		t.Fatalf("valid presolve: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(*Entry)
+	}{
+		{"non-negative", func(e *Entry) {
+			e.Presolved = append(e.Presolved, ShardRecord{Committee: 8, Size: 60, Latency: 10, Age: 40}) // value 20
+		}},
+		{"zero value", func(e *Entry) {
+			e.Presolved = append(e.Presolved, ShardRecord{Committee: 8, Size: 50, Latency: 0, Age: 50}) // value 0
+		}},
+		{"straggler", func(e *Entry) {
+			e.Presolved = append(e.Presolved, ShardRecord{Committee: 8, Size: 1, Latency: 60, Age: -10})
+		}},
+		{"nmin 2", func(e *Entry) { e.Nmin = 2 }},
+		{"below the block", func(e *Entry) { e.Capacity = 1000 }},
+		{"accept-all", func(e *Entry) {
+			e.Solver = SolverFingerprint{Kind: KindAcceptAll}
+			e.Presolved[0].Latency = 45 // value 5
+		}},
+	} {
+		bad := solveEntryOf(t, in, 3, 5)
+		bad.Presolved = []ShardRecord{negative}
+		tc.edit(&bad)
+		err := Verify(&bad)
+		if err == nil || errors.Is(err, ErrNotReplayable) || !strings.Contains(err.Error(), "presolved") {
+			t.Fatalf("%s: Verify = %v, want a presolve failure", tc.name, err)
 		}
 	}
 }

@@ -259,6 +259,17 @@ func appendEntryJSON(b []byte, e *Entry) []byte {
 		}
 		b = append(b, ']')
 	}
+	if len(e.Presolved) > 0 {
+		b = appendKey(b, "presolved")
+		b = append(b, '[')
+		for i := range e.Presolved {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendShard(b, &e.Presolved[i])
+		}
+		b = append(b, ']')
+	}
 	b = appendKey(b, "solver")
 	b = appendFingerprint(b, &e.Solver)
 	if e.Warm {

@@ -29,6 +29,10 @@ func marshalCases() []Entry {
 				{Committee: 0, Size: 4936, Latency: 986.4321, Age: 1031.1},
 				{Committee: 7, Size: 1612, Latency: 2017.5, Age: 0, Deferrals: 2},
 			},
+			Presolved: []ShardRecord{
+				{Committee: 3, Size: 12, Latency: 4.25, Age: 2013.25, Deferrals: 1},
+				{Committee: 5, Size: 40, Latency: 1000, Age: 1017.5},
+			},
 			Solver: SolverFingerprint{
 				Kind: KindSE, Seed: -7, Beta: 2, Gamma: 25, Workers: 4,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,

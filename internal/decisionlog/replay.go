@@ -187,12 +187,16 @@ func sameIndices(a, b []int) bool {
 	return true
 }
 
-// Verify replays an entry and asserts the reproduction is bit-identical
-// to the recorded decision. A nil error means the entry is proven
-// faithful; ErrNotReplayable (check with errors.Is) means the entry is
-// legitimately unverifiable and should be counted as skipped, not
-// failed.
+// Verify checks that the entry's presolve held, then replays it and
+// asserts the reproduction is bit-identical to the recorded decision. A
+// nil error means the entry is proven faithful; ErrNotReplayable (check
+// with errors.Is) means the entry is legitimately unverifiable and
+// should be counted as skipped, not failed. A presolve that broke its
+// rule fails even an entry that cannot be replayed.
 func Verify(e *Entry) error {
+	if err := verifyPresolve(e); err != nil {
+		return err
+	}
 	sol, err := Replay(e)
 	if err != nil {
 		return err
@@ -206,6 +210,30 @@ func Verify(e *Entry) error {
 	if e.Solver.Kind == KindSE && (sol.Load != e.Load || sol.Count != e.Count) {
 		return fmt.Errorf("decisionlog: epoch %d replay load/count %d/%d != recorded %d/%d",
 			e.Epoch, sol.Load, sol.Count, e.Load, e.Count)
+	}
+	return nil
+}
+
+// verifyPresolve checks that the entry's Presolved rows obeyed the
+// presolve rule (DESIGN §5k): the instance before presolve meets
+// core.Instance.NegativeDropExact, and each presolved row arrived with
+// negative value. Value is recomputed by the same expression the
+// pipeline evaluated, so the float64 is the same.
+func verifyPresolve(e *Entry) error {
+	if len(e.Presolved) == 0 {
+		return nil
+	}
+	full := e.FullInstance()
+	if !full.NegativeDropExact() {
+		return fmt.Errorf("decisionlog: epoch %d presolved %d shards outside the rule: it needs nmin <= 1 (got %d), arrived volume over capacity %d, and an arrived non-negative shard that fits",
+			e.Epoch, len(e.Presolved), e.Nmin, e.Capacity)
+	}
+	for k := range e.Presolved {
+		i := len(e.Shards) + k
+		if full.Latencies[i] > full.DDL || full.Value(i) >= 0 {
+			return fmt.Errorf("decisionlog: epoch %d presolved committee %d is not an arrived shard of negative value (latency %v, ddl %v, value %v)",
+				e.Epoch, e.Presolved[k].Committee, full.Latencies[i], full.DDL, full.Value(i))
+		}
 	}
 	return nil
 }

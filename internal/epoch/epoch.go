@@ -184,11 +184,18 @@ type Result struct {
 	Epoch   int
 	Reports []CommitteeReport
 	// Live maps the scheduling instance's shard indices back to Reports
-	// indices (failed committees are excluded from the instance).
+	// indices. Failed committees, empty shards and presolved shards are
+	// not in the instance.
 	Live []int
+	// Presolved lists, ascending, the Reports indices of the arrived
+	// shards of negative value that presolve took out of the instance
+	// (DESIGN §5k): no optimal block could hold one. They are refused
+	// like any shard the scheduler did not select.
+	Presolved []int
 	// DDL is the deadline t_j (seconds since epoch start).
 	DDL float64
-	// Instance is the scheduling input handed to the solver.
+	// Instance is the scheduling input handed to the solver, after
+	// presolve.
 	Instance core.Instance
 	// Solution is the final committee's decision.
 	Solution core.Solution
@@ -203,12 +210,13 @@ type Result struct {
 }
 
 // Clone returns a deep copy of r that stays valid after later epochs
-// run: Reports, Live, Deferred, the Instance's slices and the selection
-// are copied. FinalBlock is shared with the chain.
+// run: Reports, Live, Presolved, Deferred, the Instance's slices and the
+// selection are copied. FinalBlock is shared with the chain.
 func (r *Result) Clone() *Result {
 	c := *r
 	c.Reports = append([]CommitteeReport(nil), r.Reports...)
 	c.Live = append([]int(nil), r.Live...)
+	c.Presolved = append([]int(nil), r.Presolved...)
 	c.Deferred = append([]CommitteeReport(nil), r.Deferred...)
 	c.Instance = r.Instance.Clone()
 	c.Solution.Selected = append([]bool(nil), r.Solution.Selected...)
@@ -233,7 +241,10 @@ func (s SolverScheduler) Schedule(in core.Instance) (core.Solution, error) {
 }
 
 // AcceptAll is the no-scheduling baseline: the final committee waits for
-// every arrived shard and permits as many as fit, largest value first.
+// every arrived shard and permits them in instance-index order, skipping
+// any that would overflow the block. Value plays no part in its choice,
+// but presolve (DESIGN §5k) has already taken the negative-value shards
+// out of an instance above the block, as it does for every scheduler.
 type AcceptAll struct{}
 
 // Schedule implements Scheduler.
@@ -449,6 +460,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		endCollect("invalid-instance")
 		return nil, fmt.Errorf("epoch %d instance: %w", p.epoch, err)
 	}
+	in = presolve(in, res)
 	res.Instance = in
 	endCollect("")
 
@@ -472,18 +484,31 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		o.Trace.Emit(obs.EvEpochPhase, "epoch", float64(p.epoch), "schedule")
 		o.PermittedTxs.Add(int64(sol.Load))
 		o.PermittedCommittees.Add(int64(sol.Count))
+		o.PresolvedShards.Add(int64(len(res.Presolved)))
 	}
 
 	// Stage 4+5: assemble the final block from permitted shards and
 	// append it (randomness refresh happens inside Append). Refused
 	// committees defer to the next epoch with reduced latency (Fig. 3):
-	// l' = max(l − t_j, 0) plus a fresh consensus round.
+	// l' = max(l − t_j, 0) plus a fresh consensus round. The loop walks
+	// the live shards in report order, presolved ones in their places, so
+	// a presolve that leaves the decision unchanged leaves the deferral
+	// order and the block unchanged too.
 	endCommit := p.startPhase(root, "commit")
 	shards := p.shards[:0]
 	cumAge := 0.0
-	for li, ri := range res.Live {
-		rep := reports[ri]
-		if li < len(sol.Selected) && sol.Selected[li] {
+	nl, np := 0, 0 // next unvisited entries of res.Live and res.Presolved
+	for ri, rep := range reports {
+		li := -1 // rep's instance index; -1 for a presolved shard
+		switch {
+		case nl < len(res.Live) && res.Live[nl] == ri:
+			li, nl = nl, nl+1
+		case np < len(res.Presolved) && res.Presolved[np] == ri:
+			np++
+		default:
+			continue // failed or empty: never live
+		}
+		if li >= 0 && li < len(sol.Selected) && sol.Selected[li] {
 			sb, sbErr := chain.NewShardHeader(rep.Committee, p.epoch, rep.TwoPhase, p.shardRoot(rep), rep.TxCount)
 			if sbErr != nil {
 				endCommit("error")
@@ -568,15 +593,11 @@ func (p *Pipeline) fillDecision(e *decisionlog.Entry, sched Scheduler, in core.I
 	e.Alpha = in.Alpha
 	e.Capacity = in.Capacity
 	e.Nmin = in.Nmin
-	for li, ri := range res.Live {
-		rep := res.Reports[ri]
-		e.Shards = append(e.Shards, decisionlog.ShardRecord{
-			Committee: rep.Committee,
-			Size:      in.Sizes[li],
-			Latency:   in.Latencies[li],
-			Age:       in.Age(li),
-			Deferrals: rep.Deferrals,
-		})
+	for _, ri := range res.Live {
+		e.Shards = append(e.Shards, shardRecord(res.Reports[ri], in.DDL))
+	}
+	for _, ri := range res.Presolved {
+		e.Presolved = append(e.Presolved, shardRecord(res.Reports[ri], in.DDL))
 	}
 	var diag *seobs.Diag
 	e.Solver, diag = fingerprintScheduler(sched)
@@ -605,6 +626,42 @@ func (p *Pipeline) fillDecision(e *decisionlog.Entry, sched Scheduler, in core.I
 	e.Count = sol.Count
 	e.Marginals = core.MarginalsInto(e.Marginals, &in, sol)
 	e.Rejected = core.RejectedCounterfactualsInto(e.Rejected, &in, sol, topRejected)
+}
+
+// shardRecord is rep's journal row under the deadline ddl: the size,
+// latency and age of its row in the instance before presolve.
+func shardRecord(rep CommitteeReport, ddl float64) decisionlog.ShardRecord {
+	lat := rep.TwoPhase.Seconds()
+	return decisionlog.ShardRecord{
+		Committee: rep.Committee,
+		Size:      rep.TxCount,
+		Latency:   lat,
+		Age:       ddl - lat,
+		Deferrals: rep.Deferrals,
+	}
+}
+
+// presolve takes every arrived shard of negative value out of the
+// epoch's validated instance when core.Instance.NegativeDropExact holds
+// (DESIGN §5k), moving its Reports index from res.Live to res.Presolved.
+// The instance's slices and res.Live are compacted in place, so the
+// reduced set costs no allocation, and DDL keeps the full set's t_j.
+// Stragglers stay, as the solver never selects them.
+func presolve(in core.Instance, res *Result) core.Instance {
+	if !in.NegativeDropExact() {
+		return in
+	}
+	n := 0
+	for li, ri := range res.Live {
+		if in.Latencies[li] <= in.DDL && in.Value(li) < 0 {
+			res.Presolved = append(res.Presolved, ri)
+			continue
+		}
+		in.Sizes[n], in.Latencies[n], res.Live[n] = in.Sizes[li], in.Latencies[li], ri
+		n++
+	}
+	in.Sizes, in.Latencies, res.Live = in.Sizes[:n], in.Latencies[:n], res.Live[:n]
+	return in
 }
 
 // fingerprintScheduler maps a Scheduler to its journal fingerprint. An

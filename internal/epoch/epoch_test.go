@@ -391,8 +391,9 @@ func TestFailureInjectionExcludesCommittees(t *testing.T) {
 	if failed == 0 {
 		t.Skip("no failures sampled under this seed")
 	}
-	if len(res.Live)+failed != len(res.Reports) {
-		t.Fatalf("live %d + failed %d != reports %d", len(res.Live), failed, len(res.Reports))
+	if len(res.Live)+len(res.Presolved)+failed != len(res.Reports) {
+		t.Fatalf("live %d + presolved %d + failed %d != reports %d",
+			len(res.Live), len(res.Presolved), failed, len(res.Reports))
 	}
 	// Every live index references a non-failed report, and the instance
 	// mirrors it.

@@ -31,8 +31,8 @@ type EpochParams struct {
 // loop with ctx.Err() however NextContext answered. Deliver consumes
 // the epoch's result.
 //
-// The Result and everything it references — Reports, Live, Deferred,
-// and the Instance's slices — are scratch owned by the pipeline and
+// The Result and everything it references — Reports, Live, Presolved,
+// Deferred, and the Instance's slices — are scratch owned by the pipeline and
 // valid only until the next epoch starts; Deliver implementations must
 // copy whatever they keep (Result.Clone copies all of it).
 type EpochStream interface {
@@ -144,9 +144,10 @@ func (p *Pipeline) Serve(ctx context.Context, sched Scheduler, stream EpochStrea
 func (p *Pipeline) newResult() *Result {
 	res := &p.result
 	*res = Result{
-		Epoch:    p.epoch,
-		Live:     res.Live[:0],
-		Deferred: res.Deferred[:0],
+		Epoch:     p.epoch,
+		Live:      res.Live[:0],
+		Presolved: res.Presolved[:0],
+		Deferred:  res.Deferred[:0],
 	}
 	return res
 }

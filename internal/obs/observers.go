@@ -316,11 +316,14 @@ type EpochObserver struct {
 	E2E *Histogram
 	// PermittedTxs and PermittedCommittees count the scheduling output;
 	// DeferredCommittees counts refusals carried to the next epoch;
-	// FailedCommittees counts confirmed mid-epoch failures.
+	// FailedCommittees counts confirmed mid-epoch failures;
+	// PresolvedShards counts the arrived shards of negative value that
+	// presolve took out of the scheduling instance.
 	PermittedTxs        *Counter
 	PermittedCommittees *Counter
 	DeferredCommittees  *Counter
 	FailedCommittees    *Counter
+	PresolvedShards     *Counter
 	// Trace receives EvEpochPhase and EvShardAge events plus the epoch
 	// pipeline's span begin/end pairs.
 	Trace *Tracer
@@ -348,6 +351,7 @@ func NewEpochObserver(reg *Registry) *EpochObserver {
 		PermittedCommittees: reg.Counter("mvcom_epoch_permitted_committees_total", "committees permitted into final blocks"),
 		DeferredCommittees:  reg.Counter("mvcom_epoch_deferred_committees_total", "committees refused and deferred to the next epoch"),
 		FailedCommittees:    reg.Counter("mvcom_epoch_failed_committees_total", "committees confirmed failed mid-epoch"),
+		PresolvedShards:     reg.Counter("mvcom_epoch_presolved_shards_total", "arrived negative-value shards taken out of the scheduling instance before the solve"),
 		Trace:               reg.Tracer(),
 	}
 }
