@@ -251,7 +251,7 @@ func BenchmarkSESolve(b *testing.B) {
 // a shared runner dwarfs the few atomic adds per segment being gated.
 func BenchmarkSESolveObs(b *testing.B) {
 	in := benchInstance(b, 200)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	seObs := obs.NewSEObserver(reg)
 	diag := seobs.New(seobs.Config{Registry: reg})
 	solve := func(o *obs.SEObserver, d *seobs.Diag) float64 {
@@ -298,7 +298,7 @@ func BenchmarkSESolveObs(b *testing.B) {
 // invisible next to a 2000-round solve.
 func BenchmarkSESolveObsSpans(b *testing.B) {
 	in := benchInstance(b, 200)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	seObs := obs.NewSEObserver(reg)
 	diag := seobs.New(seobs.Config{Registry: reg})
 	tc := reg.TraceContext()

@@ -41,7 +41,9 @@ stage_fast() {
 	# register must match ^mvcom_[a-z0-9_]+$ and appear in the committed
 	# docs/metrics.txt index, so a new metric cannot ship undocumented;
 	# OBSERVABILITY.md must name every metric family and trace event type.
-	go test -run '^(TestMetricsNamesDocumented|TestObservabilityIndexCurrent)$' .
+	# Dead-export lint: no exported function under internal/ may have
+	# test callers only (the fixture test checks the scan itself).
+	go test -run '^(TestMetricsNamesDocumented|TestObservabilityIndexCurrent|TestNoTestOnlyExports(Fixture)?)$' .
 
 	go test -race -timeout 10m ./...
 
@@ -165,8 +167,10 @@ stage_soak() {
 	# JSON artifact CI uploads for offline flamegraph inspection.
 	# The run also writes the decision-provenance journal and replay-verifies
 	# it as an exit gate: every journaled SE epoch must re-solve to the
-	# bit-identical committee set (DESIGN.md §5j). Journals resume an
-	# existing directory, so each run starts from a fresh one.
+	# bit-identical committee set (DESIGN.md §5j). mvcom-soak refuses a
+	# -decision-log directory that already holds a journal, since a
+	# resumed journal would mix two runs' epochs; the rm -rf keeps reruns
+	# of this stage working.
 	rm -rf results/soak_decisions results/soak_presolve_decisions
 	go run ./cmd/mvcom-soak -epochs 50 -se-iters 800 \
 		-fault-spec 'epoch.committee:prob=0.2' \
@@ -180,7 +184,7 @@ stage_soak() {
 	# volume overflows the block with negative-value shards every epoch,
 	# so presolve takes them out and the journal records presolved rows.
 	# The replay gate then also checks each presolved row against the
-	# rule. The α 1.5 soak above never presolves; its journal is unchanged.
+	# rule. The α 1.5 soak above presolves in one epoch of 50 (epoch 40).
 	go run ./cmd/mvcom-soak -epochs 30 -se-iters 800 -alpha 0.2 -q \
 		-decision-log results/soak_presolve_decisions
 }

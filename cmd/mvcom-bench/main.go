@@ -20,7 +20,6 @@ import (
 
 	"mvcom/internal/experiments"
 	"mvcom/internal/obs"
-	"mvcom/internal/plot"
 )
 
 func main() {
@@ -37,8 +36,6 @@ func run(args []string) error {
 		scale    = fs.Float64("scale", 1.0, "size scale in (0,1]; 1 = paper parameters")
 		seed     = fs.Int64("seed", 1, "random seed")
 		out      = fs.String("out", "", "output directory (default: stdout)")
-		ascii    = fs.Bool("ascii", false, "also render an ASCII chart to stderr")
-		report   = fs.Bool("report", false, "emit a markdown report instead of TSV")
 		workers  = fs.Int("workers", 0, "SE kernel worker goroutines for figure runs (0 = GOMAXPROCS)")
 		obsFlags = obs.RegisterFlags(fs)
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -86,19 +83,11 @@ func run(args []string) error {
 	if *fig == "all" {
 		ids = experiments.IDs()
 	}
-	if *report {
-		return experiments.Report(os.Stdout, opts, ids)
-	}
 	for _, id := range ids {
 		start := time.Now()
 		res, err := experiments.Run(id, opts)
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", id, err)
-		}
-		if *ascii {
-			if err := renderASCII(res); err != nil {
-				fmt.Fprintf(os.Stderr, "# figure %s: ascii render skipped: %v\n", id, err)
-			}
 		}
 		if *out == "" {
 			if err := res.WriteTSV(os.Stdout); err != nil {
@@ -125,17 +114,4 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "# figure %s -> %s (%s)\n", id, path, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// renderASCII draws the figure's series on an ASCII canvas to stderr.
-func renderASCII(res experiments.FigureResult) error {
-	series := make([]plot.Series, 0, len(res.Series))
-	for _, s := range res.Series {
-		series = append(series, plot.Series{Label: s.Label, X: s.X, Y: s.Y})
-	}
-	return plot.Render(os.Stderr, series, plot.Options{
-		Title:  fmt.Sprintf("Fig. %s — %s", res.ID, res.Title),
-		XLabel: res.XLabel,
-		YLabel: res.YLabel,
-	})
 }

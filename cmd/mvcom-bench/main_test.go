@@ -15,12 +15,6 @@ func TestRunWithOutputDir(t *testing.T) {
 	}
 }
 
-func TestRunASCII(t *testing.T) {
-	if err := run([]string{"-fig", "9b", "-scale", "0.3", "-ascii"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run([]string{"-fig", "99"}); err == nil {
 		t.Fatal("unknown figure accepted")
@@ -30,11 +24,5 @@ func TestRunUnknownFigure(t *testing.T) {
 func TestRunBadScale(t *testing.T) {
 	if err := run([]string{"-fig", "9a", "-scale", "7"}); err == nil {
 		t.Fatal("bad scale accepted")
-	}
-}
-
-func TestRunReport(t *testing.T) {
-	if err := run([]string{"-fig", "9a", "-scale", "0.3", "-report"}); err != nil {
-		t.Fatal(err)
 	}
 }

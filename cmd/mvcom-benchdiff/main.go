@@ -48,8 +48,6 @@ func run(args []string) error {
 		oldPath     = fs.String("old", "", "baseline journal for diffing")
 		newPath     = fs.String("new", "", "candidate journal for diffing")
 		timeThresh  = fs.Float64("time-threshold", 0.10, "minimum relative ns/op slowdown gated as a regression")
-		allocThresh = fs.Float64("alloc-threshold", 0.01, "relative allocs/op growth gated as a regression")
-		noiseFactor = fs.Float64("noise-factor", 1.0, "widen the time threshold by this factor times the relative IQR")
 		warnOnly    = fs.Bool("warn-only", false, "with -old/-new: print regressions but always exit 0 (nightly informational diffs)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -102,11 +100,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		findings, regressed := benchjournal.Diff(oldJ, newJ, benchjournal.Options{
-			TimeThreshold:  *timeThresh,
-			AllocThreshold: *allocThresh,
-			NoiseFactor:    *noiseFactor,
-		})
+		findings, regressed := benchjournal.Diff(oldJ, newJ, benchjournal.Options{TimeThreshold: *timeThresh})
 		for _, f := range findings {
 			fmt.Println(f)
 		}

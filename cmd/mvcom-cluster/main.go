@@ -28,10 +28,8 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -159,7 +157,7 @@ func run(args []string) error {
 		*summaryOut = filepath.Join(*outDir, "summary.json")
 	}
 	decisionsDir := filepath.Join(*outDir, "decisions")
-	if err := requireEmptyDir(decisionsDir); err != nil {
+	if err := decisionlog.RequireEmptyDir(decisionsDir); err != nil {
 		return err
 	}
 
@@ -492,22 +490,6 @@ func run(args []string) error {
 	fmt.Printf("summary: %s (best utility %.1f, %d restarts, %d spans)\n", *summaryOut, sum.BestUtility, restarts, spans)
 	if !sum.Pass {
 		return fmt.Errorf("%d gate(s) failed", countFailed(gates))
-	}
-	return nil
-}
-
-// requireEmptyDir refuses a decision-journal directory that already
-// holds files. A missing directory is fine; the coordinator creates it.
-func requireEmptyDir(dir string) error {
-	names, err := os.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if len(names) > 0 {
-		return fmt.Errorf("decision journal directory %s is not empty: the coordinator would append to it and the decision-replay gate would count the earlier run's epochs; remove it or choose another -out", dir)
 	}
 	return nil
 }

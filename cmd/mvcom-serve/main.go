@@ -48,6 +48,11 @@ func main() {
 	}
 }
 
+// heapSlack is the post-GC heap growth the health gate tolerates across
+// a run. Nothing the plane keeps grows with epoch count, so it only
+// absorbs noise.
+const heapSlack = 8 << 20
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("mvcom-serve", flag.ContinueOnError)
 	var (
@@ -78,7 +83,6 @@ func run(args []string) error {
 		decLogDir = fs.String("decision-log", "", "write the decision journal to this directory")
 		gate      = fs.Bool("gate", false, "fail unless the post-run health gates pass")
 		expShed   = fs.Bool("expect-shed", false, "with -gate, fail unless admission shed traffic")
-		heapSlack = fs.Int64("heap-slack-bytes", 8<<20, "post-GC heap growth tolerated across the run (noise: nothing the plane keeps grows with epoch count)")
 		quiet     = fs.Bool("q", false, "suppress the final stats dump")
 
 		swarmMode = fs.Bool("swarm", false, "run the synthetic client fleet instead of a server")
@@ -103,7 +107,7 @@ func run(args []string) error {
 		queueCap: *queueCap, maxBody: *maxBody, minBatch: *minBatch, maxWait: *maxWait,
 		epochs: *epochs, duration: *duration, seed: *seed,
 		seIters: *seIters, gamma: *gamma, warm: *warm, decLogDir: *decLogDir,
-		gate: *gate, expectShed: *expShed, heapSlack: *heapSlack, quiet: *quiet,
+		gate: *gate, expectShed: *expShed, quiet: *quiet,
 	})
 }
 
@@ -126,7 +130,6 @@ type serverConfig struct {
 	warm                              bool
 	decLogDir                         string
 	gate, expectShed                  bool
-	heapSlack                         int64
 	quiet                             bool
 }
 
@@ -341,36 +344,10 @@ func gateServe(st ingest.Stats, heaps []uint64, baseline int, cfg *serverConfig,
 	if cfg.expectShed && st.Shed() == 0 {
 		return fmt.Errorf("gate: expected admission shedding, saw none: %+v", st)
 	}
-	if len(heaps) >= 4 {
-		rest := heaps[len(heaps)/4:]
-		mid := len(rest) / 2
-		early, late := minOf(rest[:mid]), minOf(rest[mid:])
-		if late > early+uint64(cfg.heapSlack) {
-			return fmt.Errorf("gate: post-GC heap grew %d KiB (early min %d KiB, late min %d KiB)",
-				(late-early)/1024, early/1024, late/1024)
-		}
-	}
-	runtime.GC()
-	deadline := time.Now().Add(2 * time.Second)
-	final := runtime.NumGoroutine()
-	for final > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		final = runtime.NumGoroutine()
-	}
-	if final > baseline {
-		return fmt.Errorf("gate: goroutine leak: %d before serving, %d after", baseline, final)
+	if err := obs.CheckHealth(heaps, heapSlack, baseline); err != nil {
+		return fmt.Errorf("gate: %w", err)
 	}
 	return nil
-}
-
-func minOf(xs []uint64) uint64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // runSwarm is the client-fleet mode: hammer a serve process and print

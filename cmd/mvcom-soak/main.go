@@ -143,6 +143,11 @@ func (s *soakStream) closeWindow() {
 	s.winEpochs, s.winTTEn = 0, 0
 }
 
+// heapSlack is the post-warm-up heap growth the health gate tolerates.
+// Nothing the pipeline keeps grows with epoch count (the root chain
+// holds a bounded tail), so it only absorbs GC noise.
+const heapSlack = 1 << 20
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("mvcom-soak", flag.ContinueOnError)
 	var (
@@ -164,12 +169,10 @@ func run(args []string) error {
 		sampleEvery = fs.Int("sample-every", 0, "epochs per MemStats/goroutine sampling window (0 = epochs/10, min 1)")
 		journalPath = fs.String("journal", "", "write a benchjournal (steady-state epoch latency) to this path")
 		note        = fs.String("note", "", "free-form note stored in the journal")
-		maxGoGrowth = fs.Int("max-goroutine-growth", 0, "goroutines the final count may exceed the pre-serve baseline by")
-		heapSlack   = fs.Int64("heap-slack-bytes", 1<<20, "post-warmup heap growth tolerated across the run (GC noise)")
 		quiet       = fs.Bool("q", false, "suppress the per-window table")
 		obsFlags    = obs.RegisterFlags(fs)
 		timeline    = fs.String("timeline", "", "write the run's merged causal timeline (JSON) to this path after the soak")
-		decLogDir   = fs.String("decision-log", "", "write the schema-versioned decision journal (one entry per epoch) to this directory and replay-verify it as a gate")
+		decLogDir   = fs.String("decision-log", "", "write the schema-versioned decision journal (one entry per epoch) to this directory, which must be new or empty, and replay-verify it as a gate")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -192,6 +195,9 @@ func run(args []string) error {
 	}
 	var dj *decisionlog.Journal
 	if *decLogDir != "" {
+		if err := decisionlog.RequireEmptyDir(*decLogDir); err != nil {
+			return err
+		}
 		dj, err = decisionlog.Open(decisionlog.Options{Dir: *decLogDir, Registry: reg})
 		if err != nil {
 			return err
@@ -282,11 +288,11 @@ func run(args []string) error {
 	}
 
 	failed := false
-	if err := gateGoroutines(baselineGoroutines, *maxGoGrowth); err != nil {
-		failed = true
-		fmt.Println("GATE FAIL:", err)
+	heaps := make([]uint64, len(stream.windows))
+	for i, w := range stream.windows {
+		heaps[i] = w.heap
 	}
-	if err := gateHeap(stream.windows, uint64(*heapSlack)); err != nil {
+	if err := obs.CheckHealth(heaps, heapSlack, baselineGoroutines); err != nil {
 		failed = true
 		fmt.Println("GATE FAIL:", err)
 	}
@@ -346,55 +352,6 @@ func gateDecisionReplay(dj *decisionlog.Journal, served int) error {
 		return fmt.Errorf("decision replay: all %d entries skipped — the SE serve path must be replayable", st.Entries)
 	}
 	return nil
-}
-
-// gateGoroutines checks the serving loop wound all its goroutines down.
-// The SE kernel joins its workers every solve, so any excess here is a
-// leak.
-func gateGoroutines(baseline, allowance int) error {
-	// Let exiting goroutines reach dead state before counting.
-	runtime.GC()
-	deadlineAt := time.Now().Add(2 * time.Second)
-	final := runtime.NumGoroutine()
-	for final > baseline+allowance && time.Now().Before(deadlineAt) {
-		time.Sleep(10 * time.Millisecond)
-		final = runtime.NumGoroutine()
-	}
-	if final > baseline+allowance {
-		return fmt.Errorf("goroutine leak: %d before serving, %d after (allowance %d)",
-			baseline, final, allowance)
-	}
-	return nil
-}
-
-// gateHeap checks the post-GC heap does not grow with epoch count. The
-// first quarter of the windows is warm-up (buffers growing to their
-// high-water mark); after it, the minimum of the early half must be
-// within slack of the minimum of the late half. Nothing the pipeline
-// keeps grows with epoch count (the root chain holds a bounded tail), so
-// the slack only absorbs GC noise.
-func gateHeap(ws []window, slack uint64) error {
-	if len(ws) < 4 {
-		return nil // too few samples to call a trend
-	}
-	rest := ws[len(ws)/4:]
-	mid := len(rest) / 2
-	early, late := minHeap(rest[:mid]), minHeap(rest[mid:])
-	if late > early+slack {
-		return fmt.Errorf("heap grew %d KiB across the run (early min %d KiB, late min %d KiB, slack %d KiB)",
-			(late-early)/1024, early/1024, late/1024, slack/1024)
-	}
-	return nil
-}
-
-func minHeap(ws []window) uint64 {
-	m := ws[0].heap
-	for _, w := range ws[1:] {
-		if w.heap < m {
-			m = w.heap
-		}
-	}
-	return m
 }
 
 // writeTimeline reconstructs the soak's causal timeline (epoch root

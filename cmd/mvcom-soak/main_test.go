@@ -2,9 +2,11 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mvcom/internal/benchjournal"
+	"mvcom/internal/decisionlog"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -45,6 +47,28 @@ func TestRunColdComparison(t *testing.T) {
 		"-se-iters", "400", "-sample-every", "4", "-warm=false", "-q"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRefusesUsedDecisionLog: a second run on a -decision-log
+// directory that holds the first run's journal is refused, and the
+// journal keeps the first run's entries only.
+func TestRunRefusesUsedDecisionLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "decisions")
+	args := []string{"-committees", "6", "-committee-size", "4", "-epochs", "5",
+		"-se-iters", "200", "-q", "-decision-log", dir}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second run = %v, want a refusal naming %s", err, dir)
+	}
+	entries, err := decisionlog.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 5 {
+		t.Fatalf("journal holds %d entries, want the first run's 5", len(entries))
 	}
 }
 

@@ -1,0 +1,188 @@
+package mvcom_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// exportLintAllow lists the files whose exported functions may have test
+// callers only: theory.go states the paper's equations (7)–(8) and
+// Theorem 1 so that tests can check the SE kernel against them.
+var exportLintAllow = map[string]bool{"internal/core/theory.go": true}
+
+// goFile is one parsed non-test source file of the scanned tree.
+type goFile struct {
+	rel  string // slash path under the scanned root
+	pkg  string // import path of its directory
+	file *ast.File
+}
+
+// testOnlyExports parses every non-test .go file under root, the
+// directory of module, and returns the package-level exported functions
+// declared under internal/ that no non-test file references outside
+// their own declaration, as "file:line: pkg.Name" lines in file order.
+// A reference is a selector on an import of the function's package,
+// under whatever name the file imports it, or a bare identifier inside
+// its own package. Every directory the go tool builds holds callers,
+// examples/ and benchmark/ included; like the go tool, the scan skips
+// testdata and names starting with "." or "_". Files in allow (slash
+// paths under root) declare nothing the scan checks.
+func testOnlyExports(root, module string, allow map[string]bool) ([]string, error) {
+	fset := token.NewFileSet()
+	var files []goFile
+	pkgNames := map[string]string{} // import path → package name
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		pkg := module
+		if dir := path.Dir(rel); dir != "." {
+			pkg += "/" + dir
+		}
+		files = append(files, goFile{rel: rel, pkg: pkg, file: f})
+		pkgNames[pkg] = f.Name.Name
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	refs := map[string]bool{} // "importpath.Name" referenced by some file
+	for _, f := range files {
+		imports := map[string]string{} // name in this file → import path
+		for _, spec := range f.file.Imports {
+			ip, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", f.rel, err)
+			}
+			name := pkgNames[ip]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = ip
+		}
+		for _, decl := range f.file.Decls {
+			self := "" // a function's mentions of itself are not callers
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if ip, ok := imports[x.Name]; ok {
+							refs[ip+"."+n.Sel.Name] = true
+							return false
+						}
+					}
+					ast.Inspect(n.X, visit) // n.Sel names a field or method
+					return false
+				case *ast.Field: // parameter, result, field and method names
+					ast.Inspect(n.Type, visit)
+					return false
+				case *ast.KeyValueExpr:
+					if _, ok := n.Key.(*ast.Ident); !ok { // an ident key is a field name
+						ast.Inspect(n.Key, visit)
+					}
+					ast.Inspect(n.Value, visit)
+					return false
+				case *ast.Ident:
+					if n.Name != self {
+						refs[f.pkg+"."+n.Name] = true
+					}
+				}
+				return true
+			}
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if fn.Recv == nil {
+					self = fn.Name.Name
+				} else {
+					ast.Inspect(fn.Recv, visit)
+				}
+				ast.Inspect(fn.Type, visit)
+				if fn.Body != nil {
+					ast.Inspect(fn.Body, visit)
+				}
+				continue
+			}
+			ast.Inspect(decl, visit)
+		}
+	}
+
+	var found []string
+	for _, f := range files {
+		if !strings.HasPrefix(f.rel, "internal/") || allow[f.rel] {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || refs[f.pkg+"."+fn.Name.Name] {
+				continue
+			}
+			found = append(found, fmt.Sprintf("%s:%d: %s.%s",
+				f.rel, fset.Position(fn.Pos()).Line, f.file.Name.Name, fn.Name.Name))
+		}
+	}
+	return found, nil
+}
+
+// TestNoTestOnlyExports is the dead-export lint ./ci.sh fast runs: an
+// exported function under internal/ that only _test.go files call is
+// production code that production never runs. Delete it, or move it
+// into the test that uses it.
+func TestNoTestOnlyExports(t *testing.T) {
+	found, err := testOnlyExports(".", "mvcom", exportLintAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Errorf("%s is exported but only tests call it", f)
+	}
+}
+
+// TestNoTestOnlyExportsFixture runs the scan on a fixture module whose
+// library exports functions with every kind of caller the lint tells
+// apart; see testdata/exportlint/internal/lib/lib.go.
+func TestNoTestOnlyExportsFixture(t *testing.T) {
+	got, err := testOnlyExports(filepath.Join("testdata", "exportlint"), "fixture", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/lib/lib.go:5: lib.TestOnly",
+		"internal/lib/lib.go:8: lib.Recursive",
+		"internal/lib/lib.go:17: lib.Shadowed",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flagged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	allow := map[string]bool{"internal/lib/lib.go": true}
+	if got, err := testOnlyExports(filepath.Join("testdata", "exportlint"), "fixture", allow); err != nil || len(got) != 0 {
+		t.Fatalf("allowlisted file flagged %v (err %v)", got, err)
+	}
+}

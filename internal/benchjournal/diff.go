@@ -10,29 +10,24 @@ type Options struct {
 	// TimeThreshold is the minimum relative slowdown of the median
 	// ns/op that counts as a regression. Default 0.10.
 	TimeThreshold float64
-	// AllocThreshold is the relative growth of the median allocs/op that
-	// counts as a regression. Allocations are deterministic per
-	// operation, so this gate is hard even across environments.
-	// Default 0.01.
-	AllocThreshold float64
-	// NoiseFactor widens the time threshold by NoiseFactor times the
-	// larger relative IQR of the two sides: noisy samples demand a larger
-	// slowdown before the gate fires. Default 1.0.
-	NoiseFactor float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.TimeThreshold <= 0 {
 		o.TimeThreshold = 0.10
 	}
-	if o.AllocThreshold <= 0 {
-		o.AllocThreshold = 0.01
-	}
-	if o.NoiseFactor <= 0 {
-		o.NoiseFactor = 1.0
-	}
 	return o
 }
+
+// allocThreshold is the relative growth of the median allocs/op that
+// counts as a regression. Allocations are deterministic per operation,
+// so this gate is hard even across environments.
+const allocThreshold = 0.01
+
+// noiseFactor widens the time threshold by this factor times the larger
+// relative IQR of the two sides: noisy samples demand a larger slowdown
+// before the gate fires.
+const noiseFactor = 1.0
 
 // Severity classifies one finding.
 type Severity string
@@ -125,7 +120,7 @@ func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 
 		// Wall time: median vs median, threshold widened by noise.
 		if ob.NsPerOp.Median > 0 && nb.NsPerOp.Median > 0 {
-			thresh := opt.TimeThreshold + opt.NoiseFactor*maxRelIQR(ob.NsPerOp, nb.NsPerOp)
+			thresh := opt.TimeThreshold + noiseFactor*maxRelIQR(ob.NsPerOp, nb.NsPerOp)
 			ratio := nb.NsPerOp.Median / ob.NsPerOp.Median
 			f := Finding{
 				Benchmark: ob.Name, Metric: "ns/op",
@@ -150,12 +145,12 @@ func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 			switch {
 			case nb.AllocsPerOp == nil:
 				lost("allocs/op")
-			case nb.AllocsPerOp.Median > ob.AllocsPerOp.Median*(1+opt.AllocThreshold):
+			case nb.AllocsPerOp.Median > ob.AllocsPerOp.Median*(1+allocThreshold):
 				add(Finding{
 					Benchmark: ob.Name, Metric: "allocs/op",
 					Old: ob.AllocsPerOp.Median, New: nb.AllocsPerOp.Median,
 					Ratio:     nb.AllocsPerOp.Median / ob.AllocsPerOp.Median,
-					Threshold: opt.AllocThreshold,
+					Threshold: allocThreshold,
 					Severity:  SevRegression,
 					Note:      "allocation growth (hard gate: allocs are deterministic)",
 				})

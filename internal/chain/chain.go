@@ -1,8 +1,9 @@
 // Package chain implements the blockchain data structures of the sharded
 // ledger: transactions, shard blocks produced by member committees, the
 // final blocks assembled by the final committee, and the root chain they
-// extend. Hashing uses SHA-256 and shard contents are committed through a
-// Merkle root, so chain integrity is verifiable in tests and examples.
+// extend. Hashing uses SHA-256. A shard block is a header: the member
+// committee's commitment to its transactions and their count, which is
+// all the final committee and the scheduler consume.
 package chain
 
 import (
@@ -19,7 +20,7 @@ var (
 	ErrEmptyShard    = errors.New("chain: shard has no transactions")
 	ErrBadParent     = errors.New("chain: parent hash mismatch")
 	ErrBadHeight     = errors.New("chain: non-contiguous height")
-	ErrBadMerkleRoot = errors.New("chain: merkle root mismatch")
+	ErrBadMerkleRoot = errors.New("chain: zero merkle root")
 	ErrBadHash       = errors.New("chain: stored hash mismatch")
 )
 
@@ -35,8 +36,9 @@ func (h Hash) Short() string { return hex.EncodeToString(h[:4]) }
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool { return h == Hash{} }
 
-// Transaction is one ledger entry. The scheduler never inspects payloads;
-// they exist so shard blocks have real, hashable content.
+// Transaction is one ledger entry, as clients submit it to the serving
+// plane and as txgen materializes a trace. The scheduler never inspects
+// payloads.
 type Transaction struct {
 	ID      uint64
 	From    uint64
@@ -56,39 +58,21 @@ func (tx Transaction) Hash() Hash {
 	return sha256.Sum256(buf[:])
 }
 
-// ShardBlock is the block a member committee agrees on through its
-// intra-committee consensus: a disjoint set of transactions plus the
-// committee's identity and epoch.
+// ShardBlock is the header of the block a member committee agrees on
+// through its intra-committee consensus: the commitment to its disjoint
+// set of transactions, their count, and the committee's identity and
+// epoch. The transactions themselves never reach the final committee.
 type ShardBlock struct {
-	Committee    int           // member-committee index
-	Epoch        int           // epoch number j
-	MerkleRoot   Hash          // commitment over Transactions
-	TxCount      int           // |Transactions| (s_i in the paper)
-	Latency      time.Duration // two-phase latency l_i
-	Transactions []Transaction
+	Committee  int           // member-committee index
+	Epoch      int           // epoch number j
+	MerkleRoot Hash          // commitment over the shard's transactions
+	TxCount    int           // s_i in the paper
+	Latency    time.Duration // two-phase latency l_i
 }
 
-// NewShardBlock assembles a shard block, computing the Merkle root and TX
-// count. It returns ErrEmptyShard when txs is empty.
-func NewShardBlock(committee, epoch int, latency time.Duration, txs []Transaction) (*ShardBlock, error) {
-	if len(txs) == 0 {
-		return nil, ErrEmptyShard
-	}
-	b := &ShardBlock{
-		Committee:    committee,
-		Epoch:        epoch,
-		TxCount:      len(txs),
-		Latency:      latency,
-		Transactions: append([]Transaction(nil), txs...),
-	}
-	b.MerkleRoot = MerkleRoot(txHashes(txs))
-	return b, nil
-}
-
-// NewShardHeader assembles a header-only shard block: the final committee
-// verifies the committee's Merkle commitment and TX count without
-// materializing the transactions (how the epoch pipeline represents large
-// shards). The root must be non-zero and txCount positive.
+// NewShardHeader assembles a shard block from the committee's Merkle
+// commitment and TX count. The root must be non-zero and txCount
+// positive; it returns ErrEmptyShard otherwise.
 func NewShardHeader(committee, epoch int, latency time.Duration, root Hash, txCount int) (*ShardBlock, error) {
 	if txCount <= 0 || root.IsZero() {
 		return nil, ErrEmptyShard
@@ -102,28 +86,13 @@ func NewShardHeader(committee, epoch int, latency time.Duration, root Hash, txCo
 	}, nil
 }
 
-// HeaderOnly reports whether the block carries only its commitment (no
-// materialized transactions).
-func (b *ShardBlock) HeaderOnly() bool {
-	return b.Transactions == nil && b.TxCount > 0
-}
-
-// Verify re-derives the Merkle root and TX count. Header-only blocks are
-// checked for a non-zero commitment and a positive TX count.
+// Verify checks what NewShardHeader requires: a positive TX count and a
+// non-zero commitment.
 func (b *ShardBlock) Verify() error {
-	if b.HeaderOnly() {
-		if b.MerkleRoot.IsZero() {
-			return ErrBadMerkleRoot
-		}
-		return nil
-	}
-	if len(b.Transactions) == 0 {
+	if b.TxCount <= 0 {
 		return ErrEmptyShard
 	}
-	if b.TxCount != len(b.Transactions) {
-		return fmt.Errorf("chain: tx count %d != %d transactions", b.TxCount, len(b.Transactions))
-	}
-	if got := MerkleRoot(txHashes(b.Transactions)); got != b.MerkleRoot {
+	if b.MerkleRoot.IsZero() {
 		return ErrBadMerkleRoot
 	}
 	return nil
@@ -290,78 +259,4 @@ func deriveRandomness(parent Hash, roots []Hash, epoch int) Hash {
 	var out Hash
 	h.Sum(out[:0])
 	return out
-}
-
-// MerkleRoot computes the Merkle root over leaf hashes using the Bitcoin
-// convention: odd layers duplicate their last element. The root of an
-// empty leaf set is the zero hash; a single leaf is its own root.
-func MerkleRoot(leaves []Hash) Hash {
-	if len(leaves) == 0 {
-		return Hash{}
-	}
-	layer := append([]Hash(nil), leaves...)
-	for len(layer) > 1 {
-		if len(layer)%2 == 1 {
-			layer = append(layer, layer[len(layer)-1])
-		}
-		next := make([]Hash, 0, len(layer)/2)
-		for i := 0; i < len(layer); i += 2 {
-			next = append(next, hashPair(layer[i], layer[i+1]))
-		}
-		layer = next
-	}
-	return layer[0]
-}
-
-// MerkleProof returns the sibling path proving that the leaf at index idx
-// is included under the root of the given leaves.
-func MerkleProof(leaves []Hash, idx int) ([]Hash, error) {
-	if idx < 0 || idx >= len(leaves) {
-		return nil, fmt.Errorf("chain: proof index %d out of range [0,%d)", idx, len(leaves))
-	}
-	var proof []Hash
-	layer := append([]Hash(nil), leaves...)
-	for len(layer) > 1 {
-		if len(layer)%2 == 1 {
-			layer = append(layer, layer[len(layer)-1])
-		}
-		sib := idx ^ 1
-		proof = append(proof, layer[sib])
-		next := make([]Hash, 0, len(layer)/2)
-		for i := 0; i < len(layer); i += 2 {
-			next = append(next, hashPair(layer[i], layer[i+1]))
-		}
-		layer = next
-		idx /= 2
-	}
-	return proof, nil
-}
-
-// VerifyMerkleProof checks a proof produced by MerkleProof.
-func VerifyMerkleProof(leaf Hash, idx int, proof []Hash, root Hash) bool {
-	cur := leaf
-	for _, sib := range proof {
-		if idx%2 == 0 {
-			cur = hashPair(cur, sib)
-		} else {
-			cur = hashPair(sib, cur)
-		}
-		idx /= 2
-	}
-	return cur == root
-}
-
-func hashPair(a, b Hash) Hash {
-	var buf [2 * sha256.Size]byte
-	copy(buf[:sha256.Size], a[:])
-	copy(buf[sha256.Size:], b[:])
-	return sha256.Sum256(buf[:])
-}
-
-func txHashes(txs []Transaction) []Hash {
-	hs := make([]Hash, len(txs))
-	for i, tx := range txs {
-		hs[i] = tx.Hash()
-	}
-	return hs
 }

@@ -3,22 +3,17 @@ package chain
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
-func makeTxs(n int, base uint64) []Transaction {
-	txs := make([]Transaction, n)
-	for i := range txs {
-		txs[i] = Transaction{
-			ID:      base + uint64(i),
-			From:    uint64(i) * 3,
-			To:      uint64(i)*3 + 1,
-			Amount:  uint64(i) * 100,
-			Created: time.Duration(i) * time.Second,
-		}
+// header builds a shard block committing to root Transaction{ID: id}.
+func header(t *testing.T, committee, epoch int, id uint64, txCount int) *ShardBlock {
+	t.Helper()
+	b, err := NewShardHeader(committee, epoch, 0, Transaction{ID: id}.Hash(), txCount)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return txs
+	return b
 }
 
 func TestTransactionHashDistinct(t *testing.T) {
@@ -48,161 +43,16 @@ func TestTransactionHashSensitiveToEveryField(t *testing.T) {
 	}
 }
 
-func TestNewShardBlock(t *testing.T) {
-	txs := makeTxs(5, 0)
-	b, err := NewShardBlock(3, 7, 800*time.Second, txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Committee != 3 || b.Epoch != 7 || b.TxCount != 5 {
-		t.Fatalf("block %+v", b)
-	}
-	if b.MerkleRoot.IsZero() {
-		t.Fatal("zero merkle root")
-	}
-	if err := b.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewShardBlockEmpty(t *testing.T) {
-	if _, err := NewShardBlock(0, 0, 0, nil); !errors.Is(err, ErrEmptyShard) {
-		t.Fatalf("err = %v, want ErrEmptyShard", err)
-	}
-}
-
-func TestShardBlockCopiesInput(t *testing.T) {
-	txs := makeTxs(3, 0)
-	b, err := NewShardBlock(0, 0, 0, txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txs[0].Amount = 999999
-	if err := b.Verify(); err != nil {
-		t.Fatalf("mutating the caller's slice corrupted the block: %v", err)
-	}
-}
-
-func TestShardBlockVerifyDetectsTamper(t *testing.T) {
-	b, err := NewShardBlock(0, 0, 0, makeTxs(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Transactions[2].Amount++
-	if err := b.Verify(); !errors.Is(err, ErrBadMerkleRoot) {
-		t.Fatalf("tampered shard verified: %v", err)
-	}
-}
-
-func TestShardBlockVerifyDetectsCountMismatch(t *testing.T) {
-	b, err := NewShardBlock(0, 0, 0, makeTxs(4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.TxCount = 5
-	if err := b.Verify(); err == nil {
-		t.Fatal("count mismatch not detected")
-	}
-}
-
 func TestShardBlockHashDependsOnContent(t *testing.T) {
-	a, _ := NewShardBlock(1, 1, 0, makeTxs(3, 0))
-	b, _ := NewShardBlock(1, 1, 0, makeTxs(3, 100))
-	if a.Hash() == b.Hash() {
+	a := header(t, 1, 1, 0, 3)
+	if a.Hash() == header(t, 1, 1, 100, 3).Hash() {
 		t.Fatal("different shard contents share a hash")
 	}
-	c, _ := NewShardBlock(2, 1, 0, makeTxs(3, 0))
-	if a.Hash() == c.Hash() {
+	if a.Hash() == header(t, 2, 1, 0, 3).Hash() {
 		t.Fatal("different committees share a hash")
 	}
-}
-
-func TestMerkleRootBasics(t *testing.T) {
-	if !MerkleRoot(nil).IsZero() {
-		t.Fatal("empty merkle root should be zero")
-	}
-	leaf := Transaction{ID: 1}.Hash()
-	if MerkleRoot([]Hash{leaf}) != leaf {
-		t.Fatal("single-leaf root should be the leaf")
-	}
-	two := MerkleRoot([]Hash{leaf, Transaction{ID: 2}.Hash()})
-	if two == leaf || two.IsZero() {
-		t.Fatal("two-leaf root malformed")
-	}
-}
-
-func TestMerkleRootOddDuplication(t *testing.T) {
-	// With the duplicate-last convention, [a b c] hashes like [a b c c].
-	hs := []Hash{
-		Transaction{ID: 1}.Hash(),
-		Transaction{ID: 2}.Hash(),
-		Transaction{ID: 3}.Hash(),
-	}
-	withDup := append(append([]Hash(nil), hs...), hs[2])
-	if MerkleRoot(hs) != MerkleRoot(withDup) {
-		t.Fatal("odd-layer duplication rule violated")
-	}
-}
-
-func TestMerkleRootOrderSensitive(t *testing.T) {
-	a := Transaction{ID: 1}.Hash()
-	b := Transaction{ID: 2}.Hash()
-	if MerkleRoot([]Hash{a, b}) == MerkleRoot([]Hash{b, a}) {
-		t.Fatal("merkle root should depend on leaf order")
-	}
-}
-
-func TestMerkleProofRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
-		leaves := make([]Hash, n)
-		for i := range leaves {
-			leaves[i] = Transaction{ID: uint64(i)}.Hash()
-		}
-		root := MerkleRoot(leaves)
-		for i := 0; i < n; i++ {
-			proof, err := MerkleProof(leaves, i)
-			if err != nil {
-				t.Fatalf("n=%d i=%d: %v", n, i, err)
-			}
-			if !VerifyMerkleProof(leaves[i], i, proof, root) {
-				t.Fatalf("n=%d i=%d: proof rejected", n, i)
-			}
-			// A wrong leaf must fail.
-			if VerifyMerkleProof(Transaction{ID: 999}.Hash(), i, proof, root) {
-				t.Fatalf("n=%d i=%d: forged proof accepted", n, i)
-			}
-		}
-	}
-}
-
-func TestMerkleProofBadIndex(t *testing.T) {
-	leaves := []Hash{Transaction{ID: 1}.Hash()}
-	if _, err := MerkleProof(leaves, -1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if _, err := MerkleProof(leaves, 1); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
-func TestMerkleProofProperty(t *testing.T) {
-	f := func(ids []uint64, pick uint8) bool {
-		if len(ids) == 0 {
-			return true
-		}
-		leaves := make([]Hash, len(ids))
-		for i, id := range ids {
-			leaves[i] = Transaction{ID: id}.Hash()
-		}
-		i := int(pick) % len(leaves)
-		proof, err := MerkleProof(leaves, i)
-		if err != nil {
-			return false
-		}
-		return VerifyMerkleProof(leaves[i], i, proof, MerkleRoot(leaves))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if a.Hash() == header(t, 1, 1, 0, 4).Hash() {
+		t.Fatal("different tx counts share a hash")
 	}
 }
 
@@ -213,8 +63,8 @@ func TestRootChainAppendAndVerify(t *testing.T) {
 	}
 	var lastHash Hash
 	for epoch := 1; epoch <= 4; epoch++ {
-		s1, _ := NewShardBlock(0, epoch, 0, makeTxs(3, uint64(epoch*100)))
-		s2, _ := NewShardBlock(1, epoch, 0, makeTxs(2, uint64(epoch*200)))
+		s1 := header(t, 0, epoch, uint64(epoch*100), 3)
+		s2 := header(t, 1, epoch, uint64(epoch*200), 2)
 		fb, err := c.Append(epoch, time.Duration(epoch)*time.Hour, []*ShardBlock{s1, s2})
 		if err != nil {
 			t.Fatal(err)
@@ -237,8 +87,8 @@ func TestRootChainAppendAndVerify(t *testing.T) {
 
 func TestRootChainRejectsBadShard(t *testing.T) {
 	c := NewRootChain()
-	s, _ := NewShardBlock(0, 1, 0, makeTxs(3, 0))
-	s.Transactions[0].Amount++ // tamper
+	s := header(t, 0, 1, 0, 3)
+	s.MerkleRoot = Hash{} // tamper
 	if _, err := c.Append(1, 0, []*ShardBlock{s}); err == nil {
 		t.Fatal("tampered shard accepted")
 	}
@@ -265,12 +115,10 @@ func TestRootChainEmptyFinalBlock(t *testing.T) {
 
 func TestRootChainVerifyDetectsTamper(t *testing.T) {
 	c := NewRootChain()
-	s, _ := NewShardBlock(0, 1, 0, makeTxs(3, 0))
-	if _, err := c.Append(1, 0, []*ShardBlock{s}); err != nil {
+	if _, err := c.Append(1, 0, []*ShardBlock{header(t, 0, 1, 0, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := NewShardBlock(0, 2, 0, makeTxs(3, 50))
-	if _, err := c.Append(2, 0, []*ShardBlock{s2}); err != nil {
+	if _, err := c.Append(2, 0, []*ShardBlock{header(t, 0, 2, 50, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	c.tail[0].Height = 5
@@ -293,11 +141,7 @@ func TestRootChainKeepsBoundedTail(t *testing.T) {
 	const n = 3 * tailLen
 	want := 0
 	for e := 1; e <= n; e++ {
-		s, err := NewShardHeader(0, e, 0, Transaction{ID: uint64(e)}.Hash(), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := c.Append(e, time.Duration(e)*time.Second, []*ShardBlock{s})
+		fb, err := c.Append(e, time.Duration(e)*time.Second, []*ShardBlock{header(t, 0, e, uint64(e), e)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,13 +169,11 @@ func TestRootChainKeepsBoundedTail(t *testing.T) {
 
 func TestRandomnessRefreshChanges(t *testing.T) {
 	c := NewRootChain()
-	s1, _ := NewShardBlock(0, 1, 0, makeTxs(1, 0))
-	fb1, err := c.Append(1, 0, []*ShardBlock{s1})
+	fb1, err := c.Append(1, 0, []*ShardBlock{header(t, 0, 1, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := NewShardBlock(0, 2, 0, makeTxs(1, 10))
-	fb2, err := c.Append(2, 0, []*ShardBlock{s2})
+	fb2, err := c.Append(2, 0, []*ShardBlock{header(t, 0, 2, 10, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,24 +190,26 @@ func TestHeaderOnlyShardBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sb.HeaderOnly() {
-		t.Fatal("not header-only")
+	if sb.Committee != 2 || sb.Epoch != 1 || sb.Latency != time.Second || sb.TxCount != 100 {
+		t.Fatalf("block %+v", sb)
 	}
 	if err := sb.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardHeader(2, 1, 0, Hash{}, 100); err == nil {
-		t.Fatal("zero root accepted")
+	if _, err := NewShardHeader(2, 1, 0, Hash{}, 100); !errors.Is(err, ErrEmptyShard) {
+		t.Fatalf("zero root: err = %v, want ErrEmptyShard", err)
 	}
-	if _, err := NewShardHeader(2, 1, 0, Transaction{ID: 1}.Hash(), 0); err == nil {
-		t.Fatal("zero count accepted")
+	if _, err := NewShardHeader(2, 1, 0, Transaction{ID: 1}.Hash(), 0); !errors.Is(err, ErrEmptyShard) {
+		t.Fatalf("zero count: err = %v, want ErrEmptyShard", err)
 	}
-	full, err := NewShardBlock(0, 1, 0, makeTxs(2, 0))
-	if err != nil {
-		t.Fatal(err)
+	zeroRoot, zeroCount := *sb, *sb
+	zeroRoot.MerkleRoot = Hash{}
+	zeroCount.TxCount = 0
+	if err := zeroRoot.Verify(); !errors.Is(err, ErrBadMerkleRoot) {
+		t.Fatalf("zeroed root verified: %v", err)
 	}
-	if full.HeaderOnly() {
-		t.Fatal("full block claims header-only")
+	if err := zeroCount.Verify(); !errors.Is(err, ErrEmptyShard) {
+		t.Fatalf("zeroed count verified: %v", err)
 	}
 }
 

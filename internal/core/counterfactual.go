@@ -15,15 +15,10 @@ type Marginal struct {
 	Binding bool `json:"binding,omitempty"`
 }
 
-// Marginals computes the per-committee marginal utility of every
-// selected shard, in ascending shard order.
-func Marginals(in *Instance, sol Solution) []Marginal {
-	return MarginalsInto(nil, in, sol)
-}
-
-// MarginalsInto is Marginals appending into dst's truncated capacity —
-// the decision journal's pooled entries call it every epoch, so the
-// steady state must not allocate.
+// MarginalsInto computes the per-committee marginal utility of every
+// selected shard, in ascending shard order, appending into dst's
+// truncated capacity — the decision journal's pooled entries call it
+// every epoch, so the steady state must not allocate.
 func MarginalsInto(dst []Marginal, in *Instance, sol Solution) []Marginal {
 	dst = dst[:0]
 	for i, sel := range sol.Selected {
@@ -61,15 +56,6 @@ type Rejection struct {
 	// (false when the shard alone exceeds capacity or evictions would
 	// break Nmin).
 	Feasible bool `json:"feasible,omitempty"`
-}
-
-// RejectedCounterfactuals explains the top-k arrived-but-refused shards
-// (highest Value first): for each, the cheapest greedy eviction set that
-// would free enough capacity, and the net utility of the swap. It is the
-// "what would admission have cost elsewhere" record the decision journal
-// stores per epoch.
-func RejectedCounterfactuals(in *Instance, sol Solution, k int) []Rejection {
-	return RejectedCounterfactualsInto(nil, in, sol, k)
 }
 
 // counterfactualScratchLen bounds the stack-allocated index scratch the
@@ -119,10 +105,13 @@ func insertByValueAsc(s []int, in *Instance, i int) []int {
 	return s
 }
 
-// RejectedCounterfactualsInto is RejectedCounterfactuals appending into
-// dst's truncated capacity, reusing each recycled element's Evicted
-// backing array — the decision journal's pooled entries call it every
-// epoch, so the steady state must not allocate.
+// RejectedCounterfactualsInto explains the top-k arrived-but-refused
+// shards (highest Value first): for each, the cheapest greedy eviction
+// set that would free enough capacity, and the net utility of the swap.
+// It is the "what would admission have cost elsewhere" record the
+// decision journal stores per epoch, so it appends into dst's truncated
+// capacity, reusing each recycled element's Evicted backing array, and
+// the steady state does not allocate.
 func RejectedCounterfactualsInto(dst []Rejection, in *Instance, sol Solution, k int) []Rejection {
 	dst = dst[:0]
 	if k <= 0 {

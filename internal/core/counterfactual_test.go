@@ -23,7 +23,7 @@ func counterfactualInstance() Instance {
 func TestMarginalsMatchValues(t *testing.T) {
 	in := counterfactualInstance()
 	sol := NewSolution(&in, []bool{true, true, false, false, false})
-	ms := Marginals(&in, sol)
+	ms := MarginalsInto(nil, &in, sol)
 	if len(ms) != 2 {
 		t.Fatalf("marginals = %+v, want 2 entries", ms)
 	}
@@ -43,7 +43,7 @@ func TestMarginalsMatchValues(t *testing.T) {
 
 	// With three selected, removing any one keeps Count >= Nmin.
 	sol3 := NewSolution(&in, []bool{true, true, true, false, false})
-	for _, m := range Marginals(&in, sol3) {
+	for _, m := range MarginalsInto(nil, &in, sol3) {
 		if m.Binding {
 			t.Fatalf("shard %d binding with slack above Nmin", m.Shard)
 		}
@@ -58,7 +58,7 @@ func TestRejectedCounterfactuals(t *testing.T) {
 	// shard 1 goes first. Shard 4 is a straggler (latency 60 > DDL 50)
 	// and must not appear among the rejections at all.
 	sol := NewSolution(&in, []bool{true, true, false, false, false})
-	rej := RejectedCounterfactuals(&in, sol, 10)
+	rej := RejectedCounterfactualsInto(nil, &in, sol, 10)
 	if len(rej) != 2 {
 		t.Fatalf("rejections = %+v, want 2 (shards 2 and 3; straggler 4 excluded)", rej)
 	}
@@ -96,7 +96,7 @@ func TestRejectedCounterfactualsOverCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := NewSolution(&in, []bool{true, true, false})
-	rej := RejectedCounterfactuals(&in, sol, 5)
+	rej := RejectedCounterfactualsInto(nil, &in, sol, 5)
 	if len(rej) != 1 || rej[0].Shard != 2 {
 		t.Fatalf("rejections = %+v, want only shard 2", rej)
 	}
@@ -124,7 +124,7 @@ func TestRejectedCounterfactualsNminFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := NewSolution(&in, []bool{true, true, false})
-	rej := RejectedCounterfactuals(&in, sol, 5)
+	rej := RejectedCounterfactualsInto(nil, &in, sol, 5)
 	if len(rej) != 1 {
 		t.Fatalf("rejections = %+v, want 1", rej)
 	}

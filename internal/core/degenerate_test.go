@@ -22,7 +22,7 @@ func TestProposalStarvationObservable(t *testing.T) {
 		Capacity:  1, // only {0} is feasible; the 0↔1 swap never fits
 		Nmin:      1,
 	}
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	seObs := obs.NewSEObserver(reg)
 	sol, _, err := core.NewSE(core.SEConfig{
 		Seed: 3, MaxIters: 200, ConvergenceWindow: 200, Obs: seObs,

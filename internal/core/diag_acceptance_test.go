@@ -47,7 +47,7 @@ func smallDiagInstance() core.Instance {
 // agree with the brute-force optimum.
 func TestDiagEmpiricalDTVAgainstGibbsTarget(t *testing.T) {
 	in := smallDiagInstance()
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	diag := seobs.New(seobs.Config{Registry: reg})
 	cfg := core.SEConfig{
 		Seed:              7,

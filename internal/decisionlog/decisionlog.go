@@ -25,7 +25,9 @@ package decisionlog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -355,6 +357,25 @@ func segmentFiles(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// RequireEmptyDir refuses a journal directory that already holds files,
+// for a run whose journal must hold its own epochs only: Open would
+// append to the earlier journal, and a replay gate would count that
+// run's entries as this one's. A missing directory passes; Open creates
+// it.
+func RequireEmptyDir(dir string) error {
+	names, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("decisionlog: %w", err)
+	}
+	if len(names) > 0 {
+		return fmt.Errorf("decision journal directory %s is not empty: a new run would append to the earlier journal and its replay gate would count that run's epochs; remove it or choose another directory", dir)
+	}
+	return nil
 }
 
 // Open creates (or resumes) a journal in opts.Dir. A directory holding

@@ -59,8 +59,8 @@ func solveEntryOf(t testing.TB, in core.Instance, epoch int, seed int64) Entry {
 			Committee: i, Size: in.Sizes[i], Latency: in.Latencies[i], Age: in.Age(i),
 		})
 	}
-	e.Marginals = core.Marginals(&in, sol)
-	e.Rejected = core.RejectedCounterfactuals(&in, sol, 3)
+	e.Marginals = core.MarginalsInto(nil, &in, sol)
+	e.Rejected = core.RejectedCounterfactualsInto(nil, &in, sol, 3)
 	return e
 }
 
@@ -480,6 +480,28 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
+// TestRequireEmptyDir: a missing or empty directory passes; one that
+// holds a journal is refused with an error naming it.
+func TestRequireEmptyDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := RequireEmptyDir(filepath.Join(dir, "missing")); err != nil {
+		t.Fatalf("missing directory refused: %v", err)
+	}
+	if err := RequireEmptyDir(dir); err != nil {
+		t.Fatalf("empty directory refused: %v", err)
+	}
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := RequireEmptyDir(dir); err == nil || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("used directory: err = %v, want a refusal naming %s", err, dir)
+	}
+}
+
 func TestNilJournalIsOff(t *testing.T) {
 	var j *Journal
 	if e := j.Acquire(); e != nil {
@@ -501,7 +523,7 @@ func TestNilJournalIsOff(t *testing.T) {
 }
 
 func TestJournalInstrumentsAndDebug(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	dir := t.TempDir()
 	j, err := Open(Options{Dir: dir, Registry: reg, RecentEntries: 2})
 	if err != nil {

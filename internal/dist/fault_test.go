@@ -50,7 +50,7 @@ func TestDistFaultWorkerKilledMidRun(t *testing.T) {
 	}
 	clean := cleanRunUtility(t, cfg, 3)
 
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 	wObs := obs.NewDistObserver(reg, "worker")
 
@@ -125,7 +125,7 @@ func TestDistFaultWorkerKilledMidRun(t *testing.T) {
 // orphaned task back up, and finish the run.
 func TestDistFaultWorkerReconnects(t *testing.T) {
 	in := distInstance(22, 16)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 	wObs := obs.NewDistObserver(reg, "worker")
 
@@ -185,7 +185,7 @@ func TestDistFaultWorkerReconnects(t *testing.T) {
 // down) reconnects and the task lands on the fresh connection.
 func TestDistFaultAssignFailureRedispatched(t *testing.T) {
 	in := distInstance(23, 16)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 
 	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
@@ -240,7 +240,7 @@ func TestDistFaultAssignFailureRedispatched(t *testing.T) {
 // must degrade to the in-process solve instead of failing the epoch.
 func TestDistFaultAllWorkersLostFallsBackLocal(t *testing.T) {
 	in := distInstance(24, 16)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 
 	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
@@ -320,7 +320,7 @@ func TestDistFaultTheorem2LeaveAndKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
 		Instance:      in,
@@ -429,7 +429,7 @@ func TestCodecRecvDeadlineIsNetTimeout(t *testing.T) {
 // degrades to the local solve.
 func TestCoordinatorHeartbeatDetectsSilentWorker(t *testing.T) {
 	in := distInstance(26, 12)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 
 	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
@@ -522,7 +522,7 @@ func TestCoordinatorPartialConnect(t *testing.T) {
 // coordinator must return the in-process solution instead of an error.
 func TestCoordinatorZeroWorkersLocalFallback(t *testing.T) {
 	in := distInstance(28, 12)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
 		Instance:      in,

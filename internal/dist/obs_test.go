@@ -76,7 +76,7 @@ func TestTaskRefDefaults(t *testing.T) {
 // per-type message counters, task latency, the best-utility gauge, and
 // the connected-workers gauge.
 func TestSessionPopulatesObservers(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(reg, "coordinator")
 	wObs := obs.NewDistObserver(reg, "worker")
 

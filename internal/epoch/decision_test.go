@@ -227,7 +227,7 @@ func TestDecisionJournalAcceptAllRecorded(t *testing.T) {
 // TraceID matches an epoch root span in the tracer ring, and the journal
 // emits an EvDecision event carrying it.
 func TestDecisionJournalTraceLink(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	cfg := decisionPipelineConfig(5)
 	cfg.Obs = obs.NewEpochObserver(reg)
 	j := openTestJournal(t, reg)

@@ -889,9 +889,10 @@ func (p *Pipeline) RunEpochs(n int, sched Scheduler, alpha float64, capacity, nm
 	return out, err
 }
 
-// shardRoot derives a header-only Merkle commitment for a shard from the
-// committee identity and epoch (full transaction materialization is
-// reserved for the examples; see chain.ShardBlock header-only semantics).
+// shardRoot derives a shard block's commitment from the committee
+// identity, the epoch and the TX count: the pipeline models a member
+// committee's shard by its size alone, so there are no transactions to
+// build a Merkle tree over.
 func (p *Pipeline) shardRoot(rep CommitteeReport) chain.Hash {
 	tx := chain.Transaction{
 		ID:     uint64(rep.Committee)<<32 | uint64(p.epoch),

@@ -24,7 +24,7 @@ func seScheduler(seed int64) Scheduler {
 func TestCommitteeFailureDipAndReconvergence(t *testing.T) {
 	const committees = 8
 	cfg := fastConfig(committees, 31)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	cfg.Obs = obs.NewEpochObserver(reg)
 	// The point is evaluated once per committee per epoch: hits 1-8 are
 	// epoch 1 (pass), hits 9-11 fail three committees of epoch 2, and

@@ -16,7 +16,7 @@ import (
 func TestEpochObservabilityEndToEnd(t *testing.T) {
 	const epochs = 3
 	cfg := fastConfig(8, 7)
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	cfg.Obs = obs.NewEpochObserver(reg)
 
 	p, err := NewPipeline(cfg)

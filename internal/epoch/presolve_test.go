@@ -184,7 +184,7 @@ func TestPresolveKeepsAlg1BelowBlock(t *testing.T) {
 // journal's presolved rows verify, and the counter counts them.
 func TestPresolveRefusesInReportOrder(t *testing.T) {
 	cfg := fastConfig(8, 5)
-	cfg.Obs = obs.NewEpochObserver(obs.NewRegistry())
+	cfg.Obs = obs.NewEpochObserver(obs.NewRegistryWithTrace(obs.DefaultTraceCapacity))
 	j := openTestJournal(t, nil)
 	cfg.DecisionLog = j
 	p, err := NewPipeline(cfg)

@@ -118,7 +118,7 @@ func TestSwarmCancel(t *testing.T) {
 // is one the ingest recognizer counts without encoding/json, and every
 // transaction it counts is admitted.
 func TestSwarmBodiesNeverFallBack(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	stream := ingest.NewStream(ingest.StreamConfig{
 		Committees: 4,
 		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},

@@ -3,10 +3,12 @@ package ingest
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 
+	"mvcom/internal/chain"
 	"mvcom/internal/epoch"
 )
 
@@ -136,4 +138,58 @@ func TestTCPRawFrames(t *testing.T) {
 	if st.ShedInvalid != 2 || st.ShedBody != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+}
+
+// Client is the dial side of the framed front end in these tests: it
+// streams batches over one connection.
+type Client struct {
+	conn net.Conn
+	enc  *json.Encoder
+	sc   *bufio.Scanner
+}
+
+// DialTCP connects a framed ingest client.
+func DialTCP(addr string) (*Client, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 4096), DefaultMaxBody)
+	return &Client{conn: conn, enc: json.NewEncoder(conn), sc: sc}, nil
+}
+
+// Close closes the connection.
+func (c *Client) Close() error { return c.conn.Close() }
+
+// send frames one envelope and reads its ack.
+func (c *Client) send(typ string, body any) (Ack, error) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return Ack{}, err
+	}
+	if err := c.enc.Encode(Envelope{Type: typ, Body: raw}); err != nil {
+		return Ack{}, err
+	}
+	if !c.sc.Scan() {
+		if err := c.sc.Err(); err != nil {
+			return Ack{}, err
+		}
+		return Ack{}, errors.New("ingest: connection closed before ack")
+	}
+	var ack Ack
+	if err := json.Unmarshal(c.sc.Bytes(), &ack); err != nil {
+		return Ack{}, err
+	}
+	return ack, nil
+}
+
+// SubmitTxs streams one transaction batch and returns the server's ack.
+func (c *Client) SubmitTxs(source string, txs []chain.Transaction) (Ack, error) {
+	return c.send(MsgTxs, txsRequest{Source: source, Txs: txs})
+}
+
+// SubmitReport streams one shard report and returns the server's ack.
+func (c *Client) SubmitReport(rep Report) (Ack, error) {
+	return c.send(MsgReport, rep)
 }

@@ -108,7 +108,7 @@ func FuzzTxsBody(f *testing.F) {
 // as a decode fallback and admitted exactly as encoding/json reads it
 // (here case-insensitive keys: one transaction).
 func TestTxsNearMissFallsBack(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	stream := NewStream(StreamConfig{
 		Committees: 4,
 		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},

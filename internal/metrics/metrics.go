@@ -1,14 +1,12 @@
 // Package metrics computes the evaluation metrics of the MVCom paper and
 // provides the recorders the experiment harness uses to turn solver output
-// into figure series: converged utilities, convergence curves resampled on
-// a common iteration grid, the Valuable Degree of a schedule, and
-// root-chain throughput/age accounting for the epoch pipeline.
+// into figure series: convergence curves resampled on a common iteration
+// grid, the Valuable Degree of a schedule, and root-chain throughput/age
+// accounting for the epoch pipeline.
 package metrics
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"sort"
 
 	"mvcom/internal/core"
@@ -16,38 +14,6 @@ import (
 
 // ErrNoTrace is returned when an operation needs a non-empty trace.
 var ErrNoTrace = errors.New("metrics: empty trace")
-
-// ConvergedUtility returns the final best utility of a trace.
-func ConvergedUtility(trace []core.TracePoint) (float64, error) {
-	if len(trace) == 0 {
-		return 0, ErrNoTrace
-	}
-	return trace[len(trace)-1].Utility, nil
-}
-
-// ConvergenceIteration returns the first iteration at which the trace
-// reaches the given fraction (0,1] of its final utility. Only meaningful
-// for traces with positive final utility.
-func ConvergenceIteration(trace []core.TracePoint, fraction float64) (int, error) {
-	if len(trace) == 0 {
-		return 0, ErrNoTrace
-	}
-	if fraction <= 0 || fraction > 1 {
-		return 0, fmt.Errorf("metrics: fraction %v out of (0,1]", fraction)
-	}
-	final := trace[len(trace)-1].Utility
-	target := final * fraction
-	if final < 0 {
-		// For negative utilities "within fraction" flips direction.
-		target = final / fraction
-	}
-	for _, p := range trace {
-		if p.Utility >= target {
-			return p.Iteration, nil
-		}
-	}
-	return trace[len(trace)-1].Iteration, nil
-}
 
 // Resample evaluates a best-so-far trace on an explicit iteration grid
 // (step function, last value carried forward). Iterations before the first
@@ -88,28 +54,6 @@ func Grid(maxIter, points int) []int {
 	return out
 }
 
-// MeanCurve averages several resampled curves pointwise; all curves must
-// share a length.
-func MeanCurve(curves [][]float64) ([]float64, error) {
-	if len(curves) == 0 {
-		return nil, ErrNoTrace
-	}
-	n := len(curves[0])
-	out := make([]float64, n)
-	for _, c := range curves {
-		if len(c) != n {
-			return nil, errors.New("metrics: curve length mismatch")
-		}
-		for i, v := range c {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(curves))
-	}
-	return out, nil
-}
-
 // ValuableDegree evaluates the paper's Section VI-E metric for a solution:
 // Σ_i x_i · s_i / Π_i with a 1-second age floor.
 func ValuableDegree(in *core.Instance, sol core.Solution) float64 {
@@ -134,15 +78,6 @@ func (o EpochOutcome) Throughput() float64 {
 		return 0
 	}
 	return float64(o.PermittedTxs) / o.DDL
-}
-
-// MeanAge returns the mean cumulative age per permitted shard, or 0 when
-// nothing was permitted.
-func (o EpochOutcome) MeanAge() float64 {
-	if o.CommitteeCount == 0 {
-		return 0
-	}
-	return o.CumulativeAge / float64(o.CommitteeCount)
 }
 
 // Outcome derives an EpochOutcome from an instance and a solution.
@@ -191,22 +126,4 @@ func AggregateOutcomes(outcomes []EpochOutcome) Aggregate {
 		agg.MeanPermitRate = rateSum / float64(rated)
 	}
 	return agg
-}
-
-// WriteTraceTSV writes a convergence trace as two tab-separated columns
-// (iteration, utility) with a comment header — ready for any plotting
-// tool.
-func WriteTraceTSV(w io.Writer, label string, trace []core.TracePoint) error {
-	if len(trace) == 0 {
-		return ErrNoTrace
-	}
-	if _, err := fmt.Fprintf(w, "# %s\n# iteration\tutility\n", label); err != nil {
-		return err
-	}
-	for _, p := range trace {
-		if _, err := fmt.Fprintf(w, "%d\t%g\n", p.Iteration, p.Utility); err != nil {
-			return err
-		}
-	}
-	return nil
 }

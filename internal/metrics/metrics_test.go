@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"mvcom/internal/core"
@@ -14,90 +13,6 @@ func tracePoints(pairs ...float64) []core.TracePoint {
 		out = append(out, core.TracePoint{Iteration: int(pairs[i]), Utility: pairs[i+1]})
 	}
 	return out
-}
-
-func TestConvergedUtility(t *testing.T) {
-	got, err := ConvergedUtility(tracePoints(1, 10, 5, 30))
-	if err != nil || got != 30 {
-		t.Fatalf("got %v err %v", got, err)
-	}
-	if _, err := ConvergedUtility(nil); err != ErrNoTrace {
-		t.Fatal("want ErrNoTrace")
-	}
-}
-
-func TestConvergenceIteration(t *testing.T) {
-	tr := tracePoints(1, 10, 50, 80, 200, 100)
-	it, err := ConvergenceIteration(tr, 0.8)
-	if err != nil || it != 50 {
-		t.Fatalf("it %v err %v", it, err)
-	}
-	it, err = ConvergenceIteration(tr, 1.0)
-	if err != nil || it != 200 {
-		t.Fatalf("it %v err %v", it, err)
-	}
-	if _, err := ConvergenceIteration(tr, 0); err == nil {
-		t.Fatal("fraction 0 accepted")
-	}
-	if _, err := ConvergenceIteration(tr, 1.5); err == nil {
-		t.Fatal("fraction >1 accepted")
-	}
-	if _, err := ConvergenceIteration(nil, 0.5); err != ErrNoTrace {
-		t.Fatal("want ErrNoTrace")
-	}
-}
-
-func TestConvergenceIterationNegativeUtility(t *testing.T) {
-	tr := tracePoints(1, -100, 10, -50)
-	it, err := ConvergenceIteration(tr, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target is -50/0.9 ≈ -55.6; first point reaching ≥ -55.6 is iter 10.
-	if it != 10 {
-		t.Fatalf("it %v", it)
-	}
-
-	// fraction 1.0 with a negative final: target equals the final value
-	// exactly, reached only at the last point.
-	it, err = ConvergenceIteration(tr, 1.0)
-	if err != nil || it != 10 {
-		t.Fatalf("fraction 1.0: it %v err %v", it, err)
-	}
-
-	// A mid-trace point already within the band converges early: the
-	// target for final -50 at 0.5 is -100, met by the very first point.
-	it, err = ConvergenceIteration(tr, 0.5)
-	if err != nil || it != 1 {
-		t.Fatalf("fraction 0.5: it %v err %v", it, err)
-	}
-
-	// Deep negative trail: no point before the last reaches -40/0.9 ≈
-	// -44.4, so the fall-through returns the final iteration.
-	deep := tracePoints(1, -500, 20, -300, 80, -40)
-	it, err = ConvergenceIteration(deep, 0.9)
-	if err != nil || it != 80 {
-		t.Fatalf("deep negative: it %v err %v", it, err)
-	}
-
-	// Mixed-sign trace ending negative must use the flipped target, not
-	// final*fraction (which would sit above every point and pick iter 1).
-	mixed := tracePoints(1, 50, 30, -200, 90, -20)
-	it, err = ConvergenceIteration(mixed, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target is -20/0.5 = -40; iter 1 (+50) already satisfies ≥ -40.
-	if it != 1 {
-		t.Fatalf("mixed signs: it %v", it)
-	}
-
-	// Zero final utility: target is 0 regardless of direction.
-	zero := tracePoints(1, -10, 40, 0)
-	it, err = ConvergenceIteration(zero, 0.8)
-	if err != nil || it != 40 {
-		t.Fatalf("zero final: it %v err %v", it, err)
-	}
 }
 
 func TestResample(t *testing.T) {
@@ -136,25 +51,6 @@ func TestGrid(t *testing.T) {
 	}
 	if g := Grid(0, 3); g[len(g)-1] != 1 {
 		t.Fatalf("maxIter clamp failed: %v", g)
-	}
-}
-
-func TestMeanCurve(t *testing.T) {
-	got, err := MeanCurve([][]float64{{1, 2, 3}, {3, 4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mean curve %v", got)
-		}
-	}
-	if _, err := MeanCurve(nil); err != ErrNoTrace {
-		t.Fatal("want ErrNoTrace")
-	}
-	if _, err := MeanCurve([][]float64{{1}, {1, 2}}); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 
@@ -201,14 +97,11 @@ func TestOutcome(t *testing.T) {
 	if math.Abs(o.Throughput()-0.4) > 1e-9 {
 		t.Fatalf("throughput %v", o.Throughput())
 	}
-	if math.Abs(o.MeanAge()-150) > 1e-9 {
-		t.Fatalf("mean age %v", o.MeanAge())
-	}
 }
 
 func TestOutcomeZeroDivisionGuards(t *testing.T) {
 	var o EpochOutcome
-	if o.Throughput() != 0 || o.MeanAge() != 0 {
+	if o.Throughput() != 0 {
 		t.Fatal("zero outcome should not divide by zero")
 	}
 }
@@ -231,20 +124,5 @@ func TestAggregateOutcomes(t *testing.T) {
 	empty := AggregateOutcomes(nil)
 	if empty.Epochs != 0 || empty.MeanPermitRate != 0 {
 		t.Fatal("empty aggregate wrong")
-	}
-}
-
-func TestWriteTraceTSV(t *testing.T) {
-	var buf strings.Builder
-	tr := tracePoints(1, 10, 5, 30)
-	if err := WriteTraceTSV(&buf, "SE", tr); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# SE") || !strings.Contains(out, "5\t30") {
-		t.Fatalf("tsv %q", out)
-	}
-	if err := WriteTraceTSV(&buf, "x", nil); err != ErrNoTrace {
-		t.Fatal("want ErrNoTrace")
 	}
 }

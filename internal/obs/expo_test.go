@@ -10,7 +10,7 @@ import (
 // labeled and unlabeled counters sharing a base name, a gauge, and a
 // histogram exercising the exact-bound and overflow buckets.
 func goldenRegistry() *Registry {
-	r := NewRegistry()
+	r := NewRegistryWithTrace(DefaultTraceCapacity)
 	r.Counter("mvcom_test_total", "test events").Add(3)
 	r.Counter(`mvcom_msgs_total{dir="rx"}`, "messages").Add(2)
 	r.Counter(`mvcom_msgs_total{dir="tx"}`, "messages").Inc()
@@ -183,7 +183,7 @@ func TestPromFloat(t *testing.T) {
 }
 
 func TestLabeledHistogramBucketNames(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryWithTrace(DefaultTraceCapacity)
 	h := r.Histogram(`mvcom_lab_seconds{role="worker"}`, "labeled", []float64{1})
 	h.Observe(0.5)
 	var sb strings.Builder

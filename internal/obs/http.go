@@ -158,7 +158,7 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.addr, "metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-	fs.IntVar(&f.traceBuf, "trace-buf", 4096, "trace ring-buffer capacity (events retained for /trace)")
+	fs.IntVar(&f.traceBuf, "trace-buf", DefaultTraceCapacity, "trace ring-buffer capacity (events retained for /trace)")
 	return f
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 func TestServeEndpoints(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistryWithTrace(DefaultTraceCapacity)
 	reg.Counter("mvcom_http_test_total", "endpoint test").Add(7)
 	reg.Tracer().Emit(EvEpochPhase, "epoch", 1, "formation")
 
@@ -105,7 +105,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeIndexHealthAndDebugProviders(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistryWithTrace(DefaultTraceCapacity)
 	server, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestRegistryWithTraceCapacity(t *testing.T) {
 }
 
 func TestServeBadAddr(t *testing.T) {
-	if _, err := Serve("127.0.0.1:-1", NewRegistry()); err == nil {
+	if _, err := Serve("127.0.0.1:-1", NewRegistryWithTrace(DefaultTraceCapacity)); err == nil {
 		t.Fatal("expected listen error for invalid address")
 	}
 }

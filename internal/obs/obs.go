@@ -186,13 +186,9 @@ type Registry struct {
 	traceCtx *TraceContext
 }
 
-// DefaultTraceCapacity bounds the registry's built-in tracer ring.
+// DefaultTraceCapacity is the tracer ring's capacity when -trace-buf is
+// not set.
 const DefaultTraceCapacity = 4096
-
-// NewRegistry returns an empty registry with a bounded tracer attached.
-func NewRegistry() *Registry {
-	return NewRegistryWithTrace(DefaultTraceCapacity)
-}
 
 // NewRegistryWithTrace returns an empty registry whose tracer ring holds
 // up to capacity events (the -trace-buf knob of the CLIs; NewTracer

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryWithTrace(DefaultTraceCapacity)
 	c := r.Counter("c_total", "test")
 	c.Inc()
 	c.Add(4)
@@ -83,7 +83,7 @@ func TestNilContract(t *testing.T) {
 // below the first bound land in the first bucket, values above the last
 // bound land in +Inf, and negative bounds work.
 func TestHistogramBucketBoundaries(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryWithTrace(DefaultTraceCapacity)
 	h := r.Histogram("h", "", []float64{1, 2, 3})
 	for _, v := range []float64{1, 2, 3} { // exact bounds
 		h.Observe(v)
@@ -141,7 +141,7 @@ func TestBucketHelpers(t *testing.T) {
 func TestConcurrentWriters(t *testing.T) {
 	const goroutines = 16
 	const perG = 1000
-	r := NewRegistry()
+	r := NewRegistryWithTrace(DefaultTraceCapacity)
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{0.25, 0.5, 0.75})

@@ -138,7 +138,7 @@ func TestSpanEventJSONRoundTrip(t *testing.T) {
 }
 
 func TestRegistryTraceContextIdentity(t *testing.T) {
-	reg := NewRegistry()
+	reg := NewRegistryWithTrace(DefaultTraceCapacity)
 	a, b := reg.TraceContext(), reg.TraceContext()
 	if a == nil || a != b {
 		t.Fatalf("TraceContext not a stable singleton: %p vs %p", a, b)

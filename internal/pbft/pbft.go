@@ -197,6 +197,3 @@ func MaxFaulty(n int) int {
 	}
 	return (n - 1) / 3
 }
-
-// QuorumSize returns the PBFT quorum 2f+1 for f faulty replicas.
-func QuorumSize(f int) int { return 2*f + 1 }

@@ -178,12 +178,6 @@ func TestMaxFaulty(t *testing.T) {
 	}
 }
 
-func TestQuorumSize(t *testing.T) {
-	if QuorumSize(0) != 1 || QuorumSize(3) != 7 {
-		t.Fatal("quorum arithmetic wrong")
-	}
-}
-
 func TestSafetyBoundProperty(t *testing.T) {
 	// For every valid (n, f): quorum 2f+1 correct replicas always exist
 	// (n - f >= 2f + 1), so consensus must succeed.
@@ -194,7 +188,7 @@ func TestSafetyBoundProperty(t *testing.T) {
 		if fmax > 0 {
 			fl = int(rawF) % (fmax + 1)
 		}
-		if n-fl < QuorumSize(fl) {
+		if n-fl < 2*fl+1 {
 			return false // would violate PBFT safety precondition
 		}
 		res, err := Run(randx.New(seed), Config{Replicas: n, Faulty: fl})

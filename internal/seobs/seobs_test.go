@@ -379,7 +379,7 @@ func TestNilProbeAndDisabledProbe(t *testing.T) {
 }
 
 func TestRegistryExports(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	d := New(Config{Registry: reg})
 	fn := reg.DebugProvider("convergence")
 	if fn == nil {

@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics used by the MVCom
-// experiment harness: summaries, percentiles, empirical CDFs, histograms,
-// and a least-squares linear fit. It exists so that every figure in the
-// paper can be regenerated from raw simulation output with stdlib-only
-// code.
+// experiment harness: summaries, percentiles, empirical CDFs, box-plot
+// statistics, and a least-squares linear fit. It exists so that every
+// figure in the paper can be regenerated from raw simulation output with
+// stdlib-only code.
 package stats
 
 import (
@@ -57,18 +57,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty sample.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. It returns ErrNoData for an empty
 // sample and an error for an out-of-range p.
@@ -93,9 +81,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
 // CDFPoint is one point of an empirical CDF: P(X ≤ Value) = Fraction.
 type CDFPoint struct {
@@ -124,57 +109,6 @@ func ECDF(xs []float64) []CDFPoint {
 		})
 	}
 	return points
-}
-
-// CDFAt evaluates an empirical CDF built by ECDF at value v.
-func CDFAt(points []CDFPoint, v float64) float64 {
-	// Binary search for the last point with Value <= v.
-	idx := sort.Search(len(points), func(i int) bool { return points[i].Value > v })
-	if idx == 0 {
-		return 0
-	}
-	return points[idx-1].Fraction
-}
-
-// HistogramBin is one bin of a fixed-width histogram over [Lo, Hi).
-type HistogramBin struct {
-	Lo    float64
-	Hi    float64
-	Count int
-}
-
-// Histogram builds a fixed-width histogram with the given number of bins
-// spanning [min(xs), max(xs)]. The final bin is closed on the right so the
-// maximum lands inside it. Returns ErrNoData for an empty sample and an
-// error for bins < 1.
-func Histogram(xs []float64, bins int) ([]HistogramBin, error) {
-	if len(xs) == 0 {
-		return nil, ErrNoData
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: bins = %d, need >= 1", bins)
-	}
-	s, err := Summarize(xs)
-	if err != nil {
-		return nil, err
-	}
-	width := (s.Max - s.Min) / float64(bins)
-	out := make([]HistogramBin, bins)
-	for i := range out {
-		out[i].Lo = s.Min + float64(i)*width
-		out[i].Hi = s.Min + float64(i+1)*width
-	}
-	for _, x := range xs {
-		var idx int
-		if width > 0 {
-			idx = int((x - s.Min) / width)
-		}
-		if idx >= bins { // x == max
-			idx = bins - 1
-		}
-		out[idx].Count++
-	}
-	return out, nil
 }
 
 // LinearFit holds the parameters of a least-squares line y = Slope·x +
@@ -222,27 +156,6 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// MovingAverage returns the trailing moving average of xs with the given
-// window (each output point averages the up-to-window most recent inputs).
-// A window < 1 returns nil.
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 || len(xs) == 0 {
-		return nil
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-			out[i] = sum / float64(window)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
-	}
-	return out
-}
-
 // BoxStats summarizes a sample the way a box plot does; the paper's Fig. 13
 // reports converged-utility distributions in this form.
 type BoxStats struct {
@@ -275,34 +188,4 @@ func Box(xs []float64) (BoxStats, error) {
 		return BoxStats{}, err
 	}
 	return BoxStats{Min: s.Min, Q1: q1, Median: med, Q3: q3, Max: s.Max}, nil
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns ErrNoData for fewer than two points and an error when the
-// slices differ in length or either side has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: x/y length mismatch %d != %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, ErrNoData
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -44,15 +44,6 @@ func TestSummarizeSingle(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) should be 0")
-	}
-	if !almost(Mean([]float64{1, 2, 3}), 2, 1e-12) {
-		t.Fatal("Mean([1 2 3]) != 2")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	tests := []struct {
@@ -103,11 +94,11 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 }
 
 func TestMedianOddEven(t *testing.T) {
-	m, err := Median([]float64{9, 1, 5})
+	m, err := Percentile([]float64{9, 1, 5}, 50)
 	if err != nil || m != 5 {
 		t.Fatalf("odd median %v %v", m, err)
 	}
-	m, err = Median([]float64{4, 1, 3, 2})
+	m, err = Percentile([]float64{4, 1, 3, 2}, 50)
 	if err != nil || !almost(m, 2.5, 1e-12) {
 		t.Fatalf("even median %v %v", m, err)
 	}
@@ -153,69 +144,6 @@ func TestECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	pts := ECDF([]float64{10, 20, 30, 40})
-	tests := []struct {
-		v    float64
-		want float64
-	}{
-		{5, 0},
-		{10, 0.25},
-		{25, 0.5},
-		{40, 1},
-		{100, 1},
-	}
-	for _, tt := range tests {
-		if got := CDFAt(pts, tt.v); !almost(got, tt.want, 1e-12) {
-			t.Fatalf("CDFAt(%v) = %v, want %v", tt.v, got, tt.want)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 5 {
-		t.Fatalf("bins %v", bins)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost samples: %d", total)
-	}
-	// The max value must land in the final bin.
-	if bins[4].Count == 0 {
-		t.Fatal("max value not in final bin")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := Histogram(nil, 3); err != ErrNoData {
-		t.Fatal("want ErrNoData")
-	}
-	if _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Fatal("want bins error")
-	}
-}
-
-func TestHistogramConstantSample(t *testing.T) {
-	bins, err := Histogram([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Fatalf("constant sample mishandled: %v", bins)
-	}
-}
-
 func TestFitLineExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{5, 7, 9, 11} // y = 2x + 3
@@ -257,22 +185,6 @@ func TestFitLineErrors(t *testing.T) {
 	}
 	if _, err := FitLine([]float64{2, 2}, []float64{1, 5}); err == nil {
 		t.Fatal("want zero-variance error")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	got := MovingAverage([]float64{1, 2, 3, 4, 5}, 2)
-	want := []float64{1, 1.5, 2.5, 3.5, 4.5}
-	for i := range want {
-		if !almost(got[i], want[i], 1e-12) {
-			t.Fatalf("index %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-	if MovingAverage(nil, 2) != nil {
-		t.Fatal("nil input should return nil")
-	}
-	if MovingAverage([]float64{1}, 0) != nil {
-		t.Fatal("window 0 should return nil")
 	}
 }
 
@@ -334,45 +246,5 @@ func TestPercentileAgreesWithSortedExtremes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	perfect := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, perfect)
-	if err != nil || !almost(r, 1, 1e-12) {
-		t.Fatalf("perfect correlation r=%v err=%v", r, err)
-	}
-	inverse := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, inverse)
-	if err != nil || !almost(r, -1, 1e-12) {
-		t.Fatalf("inverse correlation r=%v err=%v", r, err)
-	}
-	if _, err := Pearson(xs, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{1}); err != ErrNoData {
-		t.Fatal("want ErrNoData")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("zero variance accepted")
-	}
-}
-
-func TestPearsonUncorrelatedNearZero(t *testing.T) {
-	r := randx.New(3)
-	xs := make([]float64, 5000)
-	ys := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = r.Normal(0, 1)
-		ys[i] = r.Normal(0, 1)
-	}
-	rho, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rho) > 0.05 {
-		t.Fatalf("independent samples correlate: %v", rho)
 	}
 }

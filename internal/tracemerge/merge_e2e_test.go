@@ -69,9 +69,9 @@ func collectSpans(list []*obs.TimelineSpan, out *[]*obs.TimelineSpan) {
 func TestMergeFaultInjectedSessionCompleteTimeline(t *testing.T) {
 	in := mergeInstance(31, 20)
 
-	regCo := obs.NewRegistry()
-	regW0 := obs.NewRegistry()
-	regW1 := obs.NewRegistry()
+	regCo := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	regW0 := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	regW1 := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	coObs := obs.NewDistObserver(regCo, "coordinator")
 
 	co, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordinatorConfig{

@@ -175,7 +175,7 @@ func TestReadDumpRoundTrip(t *testing.T) {
 // from a bare host:port source, the way -merge mixes live processes with
 // saved files.
 func TestFetchDumpLiveEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	server, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

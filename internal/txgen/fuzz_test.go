@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mvcom/internal/randx"
 )
 
 // FuzzReadCSV checks that arbitrary input never panics the parser and
 // that anything it accepts survives a write/read round trip.
 func FuzzReadCSV(f *testing.F) {
 	var seed bytes.Buffer
-	tr := GenerateDefault(1)
+	tr := Generate(randx.New(1), Config{})
 	tr.Blocks = tr.Blocks[:8]
 	if err := tr.WriteCSV(&seed); err != nil {
 		f.Fatal(err)

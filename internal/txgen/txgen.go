@@ -118,11 +118,6 @@ func Generate(rng *randx.RNG, cfg Config) *Trace {
 	return &Trace{Blocks: blocks}
 }
 
-// GenerateDefault synthesizes the paper-sized trace (1,378 blocks).
-func GenerateDefault(seed int64) *Trace {
-	return Generate(randx.New(seed), Config{})
-}
-
 // TotalTxs returns the total number of transactions across all blocks.
 func (tr *Trace) TotalTxs() int {
 	total := 0

@@ -14,7 +14,7 @@ import (
 )
 
 func TestGenerateDefaultShape(t *testing.T) {
-	tr := GenerateDefault(1)
+	tr := Generate(randx.New(1), Config{})
 	if len(tr.Blocks) != DefaultBlocks {
 		t.Fatalf("blocks %d, want %d", len(tr.Blocks), DefaultBlocks)
 	}
@@ -35,14 +35,14 @@ func TestGenerateDefaultShape(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := GenerateDefault(99)
-	b := GenerateDefault(99)
+	a := Generate(randx.New(99), Config{})
+	b := Generate(randx.New(99), Config{})
 	for i := range a.Blocks {
 		if a.Blocks[i] != b.Blocks[i] {
 			t.Fatalf("same seed diverged at block %d", i)
 		}
 	}
-	c := GenerateDefault(100)
+	c := Generate(randx.New(100), Config{})
 	same := 0
 	for i := range a.Blocks {
 		if a.Blocks[i].Txs == c.Blocks[i].Txs {
@@ -99,7 +99,7 @@ func TestGenerateCustomConfig(t *testing.T) {
 }
 
 func TestIntoShardsPartition(t *testing.T) {
-	tr := GenerateDefault(5)
+	tr := Generate(randx.New(5), Config{})
 	shards, err := tr.IntoShards(randx.New(1), 50)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestIntoShardsPartition(t *testing.T) {
 func TestIntoShardsBalanced(t *testing.T) {
 	// Round-robin assignment keeps shard block counts within one of each
 	// other.
-	tr := GenerateDefault(6)
+	tr := Generate(randx.New(6), Config{})
 	shards, err := tr.IntoShards(randx.New(2), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestIntoShardsBalanced(t *testing.T) {
 }
 
 func TestIntoShardsErrors(t *testing.T) {
-	tr := GenerateDefault(1)
+	tr := Generate(randx.New(1), Config{})
 	if _, err := tr.IntoShards(randx.New(1), 0); err == nil {
 		t.Fatal("n=0 accepted")
 	}

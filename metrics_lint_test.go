@@ -115,7 +115,7 @@ func TestMetricsNamesDocumented(t *testing.T) {
 func TestMetricsRuntimeNamesDocumented(t *testing.T) {
 	docs := documentedBases(t)
 
-	reg := obs.NewRegistry()
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	obs.NewSEObserver(reg)
 	eo := obs.NewEpochObserver(reg)
 	eo.PhaseWall("formation", 0.01) // registers the labeled phase gauge

@@ -1,0 +1,40 @@
+// Package lib is the fixture library of the test-only-export lint.
+package lib
+
+// TestOnly has no caller outside lib_test.go, so the lint flags it.
+func TestOnly() int { return 1 }
+
+// Recursive calls only itself, which does not count as a caller.
+func Recursive(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recursive(n - 1)
+}
+
+// Shadowed shares its name with a struct field and a method that
+// non-test code uses; neither counts as a reference to it.
+func Shadowed() int { return 2 }
+
+// ForBenchmark is called only from benchmark/.
+func ForBenchmark() int { return 3 }
+
+// ForExample is called only from examples/.
+func ForExample() int { return 4 }
+
+// ViaAlias is called only through an aliased import.
+func ViaAlias() int { return 5 }
+
+// InPackage is called only inside its own package.
+func InPackage() int { return 6 }
+
+// T has a field named after Shadowed.
+type T struct{ Shadowed int }
+
+// U has a method named after Shadowed.
+type U struct{}
+
+// Shadowed returns the field's namesake.
+func (U) Shadowed() int { return T{Shadowed: 7}.Shadowed }
+
+func sum() int { return InPackage() + U{}.Shadowed() }

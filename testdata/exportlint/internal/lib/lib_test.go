@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestCalls(t *testing.T) {
+	if TestOnly()+Recursive(3)+Shadowed()+sum() == 0 {
+		t.Fatal("zero")
+	}
+}
