@@ -41,8 +41,9 @@ stage_fast() {
 	# register must match ^mvcom_[a-z0-9_]+$ and appear in the committed
 	# docs/metrics.txt index, so a new metric cannot ship undocumented;
 	# OBSERVABILITY.md must name every metric family and trace event type.
-	# Dead-export lint: no exported function under internal/ may have
-	# test callers only (the fixture test checks the scan itself).
+	# Dead-export lint: no exported function or method under internal/
+	# may have test callers only (the fixture test checks the scan
+	# itself).
 	go test -run '^(TestMetricsNamesDocumented|TestObservabilityIndexCurrent|TestNoTestOnlyExports(Fixture)?)$' .
 
 	go test -race -timeout 10m ./...
@@ -237,8 +238,7 @@ stage_serve() {
 
 stage_cluster() {
 	# Multi-process deployment chaos (DESIGN.md §5i): a coordinator and
-	# two workers as separate OS processes over loopback TCP, a txgen
-	# traffic-generator process feeding the epoch stream, one worker
+	# two workers as separate OS processes over loopback TCP, one worker
 	# SIGKILLed mid-run and restarted. mvcom-cluster exits nonzero unless
 	# every gate holds: all processes exit 0, no task abandoned, no local
 	# fallback, the kill absorbed by task reassignment, best utility
@@ -247,13 +247,12 @@ stage_cluster() {
 	# mvcom-cluster refuses an -out that holds an earlier run's decision
 	# journal, so the stage starts from a fresh directory.
 	mkdir -p results/bin
-	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-trace ./cmd/mvcom-cluster
+	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-cluster
 	rm -rf results/cluster
 	results/bin/mvcom-cluster -out results/cluster \
 		-workers 2 -epochs 3 -shards 16 -capacity 12000 \
-		-iters 3000 -report-every 50 -throttle 8ms -trace-blocks 32 \
-		-kill w1 -kill-after-progress 4 -restart-delay 250ms \
-		-tree
+		-iters 3000 -report-every 50 -throttle 8ms \
+		-kill w1 -kill-after-progress 4 -restart-delay 250ms
 }
 
 stage_nightly() {
@@ -266,14 +265,13 @@ stage_nightly() {
 	# many ticks the host squeezes in. Twin equality, orphan-free merge,
 	# and leak-freedom still gate.
 	mkdir -p results/bin
-	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-trace ./cmd/mvcom-cluster
+	go build -o results/bin ./cmd/mvcom-dist ./cmd/mvcom-cluster
 	rm -rf results/nightly
 	results/bin/mvcom-cluster -out results/nightly \
 		-workers 3 -epochs 8 -shards 20 -capacity 14000 \
-		-iters 3000 -report-every 50 -throttle 8ms -trace-blocks 48 \
+		-iters 3000 -report-every 50 -throttle 8ms \
 		-proc-fault 'proc.w1:after=2,times=2,action=restart,delay=200ms;proc.w2:prob=0.15,action=restart,delay=300ms' \
-		-proc-tick 100ms -fault-seed 3 -task-attempts 8 \
-		-tree
+		-proc-tick 100ms -fault-seed 3 -task-attempts 8
 
 	# Informational journal diff: sample the bench stage's benchmark set
 	# and diff against the committed baseline without gating — the nightly

@@ -17,7 +17,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	build := exec.Command("go", "build", "-o", dir,
-		"./cmd/mvcom-dist", "./cmd/mvcom-trace", "./cmd/mvcom-cluster")
+		"./cmd/mvcom-dist", "./cmd/mvcom-cluster")
 	build.Dir = "../.."
 	if out, err := build.CombinedOutput(); err != nil {
 		os.RemoveAll(dir)
@@ -58,7 +58,7 @@ func TestClusterChaosEndToEnd(t *testing.T) {
 		"-workers", "2", "-epochs", "2",
 		"-shards", "12", "-capacity", "9000",
 		"-iters", "2500", "-report-every", "50", "-throttle", "8ms",
-		"-trace-blocks", "24", "-seed", "7",
+		"-seed", "7",
 		"-kill", "w1", "-kill-after-progress", "4", "-restart-delay", "250ms",
 		"-epoch-timeout", "45s",
 	})
@@ -84,7 +84,7 @@ func TestClusterChaosEndToEnd(t *testing.T) {
 		}
 	}
 	for _, artifact := range []string{
-		"trace.csv", "cluster_timeline.json",
+		"cluster_timeline.json", "cluster_timeline.txt",
 		"coordinator_result.json", "twin_result.json",
 		"coordinator.0.stdout.log", "w1.0.stdout.log", "w1.1.stdout.log",
 	} {
@@ -109,7 +109,7 @@ func TestClusterLeaveEventExcludesShard(t *testing.T) {
 		"-workers", "2", "-epochs", "1",
 		"-shards", "12", "-capacity", "9000",
 		"-iters", "3000", "-report-every", "50", "-throttle", "8ms",
-		"-trace-blocks", "24", "-seed", "11",
+		"-seed", "11",
 		"-kill", "", "-twin=false", // events shift the run away from its eventless twin
 		"-events", "leave@300ms:index=3",
 		"-expect-excluded", "3",

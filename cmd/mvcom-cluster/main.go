@@ -1,8 +1,8 @@
 // Command mvcom-cluster deploys the full MVCom distributed execution
-// mode as separate OS processes — a txgen traffic generator, a
-// coordinator, and N workers talking real TCP over loopback — drives an
-// epoch stream through it under process-level chaos (a worker SIGKILLed
-// mid-run and restarted), and gates the outcome:
+// mode as separate OS processes — a coordinator and N workers talking
+// real TCP over loopback — drives an epoch stream through it under
+// process-level chaos (a worker SIGKILLed mid-run and restarted), and
+// gates the outcome:
 //
 //   - the run completes every epoch with exit 0 everywhere,
 //   - the best utility equals a clean single-process twin of the same
@@ -11,28 +11,30 @@
 //   - the per-process trace dumps merge into one causal forest with
 //     zero orphan spans.
 //
-// It is the binary behind the CI chaos stage (./ci.sh cluster) and the
-// nightly extended soak. Quick start:
+// Every process runs the one mvcom-dist binary: the coordinator and the
+// twin build epoch e's instance from seed+e, and the span dumps merge
+// in-process. It is the binary behind the CI chaos stage (./ci.sh
+// cluster) and the nightly extended soak. Quick start:
 //
-//	go build -o /tmp/bin ./cmd/mvcom-dist ./cmd/mvcom-trace ./cmd/mvcom-cluster
+//	go build -o /tmp/bin ./cmd/mvcom-dist ./cmd/mvcom-cluster
 //	/tmp/bin/mvcom-cluster -out /tmp/cluster -workers 2 -epochs 3 -kill w1
 //
 // Artifacts land in -out: per-process stdout/stderr logs, per-process
-// span dumps, the merged cluster_timeline.json, result JSONs for the
-// chaos run and its twin, the coordinator's decision journal, and
-// summary.json with every gate verdict. A -out whose decisions
-// directory already holds a journal is refused: the coordinator would
-// append to it, and the decision-replay gate would count the earlier
-// run's entries too.
+// span dumps, the merged cluster_timeline.json and its text tree
+// cluster_timeline.txt, result JSONs for the chaos run and its twin,
+// the coordinator's decision journal, and summary.json with every gate
+// verdict. A -out whose decisions directory already holds a journal is
+// refused: the coordinator would append to it, and the decision-replay
+// gate would count the earlier run's entries too.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +51,11 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// heartbeat is the coordinator's heartbeat timeout: silence this long
+// declares a worker dead, so a SIGKILLed worker's task is reassigned
+// well inside the epoch.
+const heartbeat = 2 * time.Second
 
 // gate is one pass/fail verdict in the summary.
 type gate struct {
@@ -125,7 +132,7 @@ func run(args []string) error {
 		epochTO  = fs.Duration("epoch-timeout", 60*time.Second, "run timeout per epoch")
 
 		outDir = fs.String("out", "cluster-out", "artifact directory (logs, dumps, timeline, summary)")
-		binDir = fs.String("bin-dir", "", "directory holding mvcom-dist and mvcom-trace (default: this binary's directory)")
+		binDir = fs.String("bin-dir", "", "directory holding mvcom-dist (default: this binary's directory)")
 
 		kill      = fs.String("kill", "w1", "worker to SIGKILL and restart mid-run ('' disables the built-in chaos)")
 		killAfter = fs.Int("kill-after-progress", 4, "fire the kill once the coordinator has received this many progress reports")
@@ -134,14 +141,10 @@ func run(args []string) error {
 		procTick  = fs.Duration("proc-tick", 150*time.Millisecond, "chaos evaluation cadence for -proc-fault")
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the process fault injector")
 
-		twin       = fs.Bool("twin", true, "run the clean single-process twin and require utility equality")
-		events     = fs.String("events", "", "dynamic committee events forwarded to the coordinator (mvcom-dist -events grammar)")
-		excluded   = fs.String("expect-excluded", "", "comma-separated shard indices that must be absent from every epoch's selection (Theorem 2 leave check)")
-		treeOut    = fs.Bool("tree", false, "also render the merged timeline as a text tree")
-		blocks     = fs.Int("trace-blocks", 48, "blocks the txgen traffic generator emits")
-		heartbeat  = fs.Duration("heartbeat", 2*time.Second, "coordinator heartbeat timeout")
-		taskTries  = fs.Int("task-attempts", 3, "dispatch attempts per task before it is abandoned (raise under high fault rates)")
-		summaryOut = fs.String("summary", "", "summary JSON path (default <out>/summary.json)")
+		twin      = fs.Bool("twin", true, "run the clean single-process twin and require utility equality")
+		events    = fs.String("events", "", "dynamic committee events forwarded to the coordinator (mvcom-dist -events grammar)")
+		excluded  = fs.String("expect-excluded", "", "comma-separated shard indices that must be absent from every epoch's selection (Theorem 2 leave check)")
+		taskTries = fs.Int("task-attempts", 3, "dispatch attempts per task before it is abandoned (raise under high fault rates)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -153,15 +156,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *summaryOut == "" {
-		*summaryOut = filepath.Join(*outDir, "summary.json")
-	}
 	decisionsDir := filepath.Join(*outDir, "decisions")
 	if err := decisionlog.RequireEmptyDir(decisionsDir); err != nil {
 		return err
 	}
 
-	distBin, traceBin, err := resolveBinaries(*binDir)
+	distBin, err := resolveBinaries(*binDir)
 	if err != nil {
 		return err
 	}
@@ -187,25 +187,7 @@ func run(args []string) error {
 	h := procharness.New(procharness.Options{LogDir: *outDir, FI: fi})
 	defer func() { _ = h.Close() }()
 
-	// Stage 1: the traffic generator emits the epoch stream's shared
-	// transaction trace as its own process.
-	traceCSV := filepath.Join(*outDir, "trace.csv")
-	if err := h.Define(procharness.Spec{
-		Name: "txgen",
-		Path: traceBin,
-		Args: []string{"-blocks", strconv.Itoa(*blocks), "-seed", strconv.FormatInt(*seed, 10), "-out", traceCSV},
-	}); err != nil {
-		return err
-	}
-	if _, err := h.Start("txgen"); err != nil {
-		return err
-	}
-	if code, err := h.WaitExit("txgen", 30*time.Second); err != nil || code != 0 {
-		return fmt.Errorf("txgen failed (code %d, %v)", code, err)
-	}
-	fmt.Printf("txgen: %d-block trace at %s\n", *blocks, traceCSV)
-
-	// Stage 2: coordinator with an ephemeral port, discovered through
+	// Stage 1: coordinator with an ephemeral port, discovered through
 	// the readiness probe's capture group; likewise its metrics port.
 	coordResult := filepath.Join(*outDir, "coordinator_result.json")
 	coordArgs := []string{
@@ -213,7 +195,6 @@ func run(args []string) error {
 		"-workers", strconv.Itoa(*workers), "-epochs", strconv.Itoa(*epochs),
 		"-shards", strconv.Itoa(*shards), "-capacity", strconv.Itoa(*capacity),
 		"-alpha", fmt.Sprint(*alpha), "-seed", strconv.FormatInt(*seed, 10),
-		"-trace-csv", traceCSV,
 		"-iters", strconv.Itoa(*iters), "-report-every", strconv.Itoa(*repEvery),
 		"-stable-reports", "1000000", // run every task to the cap: twin-comparable
 		"-timeout", epochTO.String(), "-accept-timeout", "30s",
@@ -250,7 +231,7 @@ func run(args []string) error {
 	metricsURL := "http://" + mm[1] + "/metrics"
 	fmt.Printf("coordinator: %s (metrics %s)\n", addr, metricsURL)
 
-	// Stage 3: workers, staggered, in -loop mode so they serve the whole
+	// Stage 2: workers, staggered, in -loop mode so they serve the whole
 	// epoch stream and exit cleanly once the coordinator is gone.
 	var workerNames []string
 	for i := 1; i <= *workers; i++ {
@@ -275,7 +256,7 @@ func run(args []string) error {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Stage 4: chaos. The built-in trigger waits until the coordinator
+	// Stage 3: chaos. The built-in trigger waits until the coordinator
 	// has consumed real mid-task progress, then lets the injector's
 	// one-shot restart rule fire — SIGKILL, pause, fresh incarnation.
 	var stopChaos func()
@@ -290,7 +271,7 @@ func run(args []string) error {
 		fmt.Printf("chaos: fired %v on %s\n", firedActions(fired), *kill)
 	}
 
-	// Stage 5: completion. The coordinator exits after the last epoch;
+	// Stage 4: completion. The coordinator exits after the last epoch;
 	// loop workers notice the dead address and exit 0 on their own.
 	coordDeadline := time.Duration(*epochs)**epochTO + 30*time.Second
 	coordCode, coordErr := h.WaitExit("coordinator", coordDeadline)
@@ -326,7 +307,7 @@ func run(args []string) error {
 		})
 	}
 
-	// Stage 6: results and the clean twin.
+	// Stage 5: results and the clean twin.
 	var res distResult
 	if err := readJSON(coordResult, &res); err != nil {
 		return fmt.Errorf("coordinator result: %w", err)
@@ -360,7 +341,6 @@ func run(args []string) error {
 				"-mode", "demo", "-workers", strconv.Itoa(*workers), "-epochs", strconv.Itoa(*epochs),
 				"-shards", strconv.Itoa(*shards), "-capacity", strconv.Itoa(*capacity),
 				"-alpha", fmt.Sprint(*alpha), "-seed", strconv.FormatInt(*seed, 10),
-				"-trace-csv", traceCSV,
 				"-iters", strconv.Itoa(*iters), "-report-every", strconv.Itoa(*repEvery),
 				"-stable-reports", "1000000",
 				"-timeout", epochTO.String(),
@@ -382,63 +362,40 @@ func run(args []string) error {
 		gates = append(gates, gate{Name: "twin-utility-equal", Pass: equal, Detail: detail})
 	}
 
-	// Stage 7: merge every surviving process's span dump into one
+	// Stage 6: merge every surviving process's span dump into one
 	// causal timeline. SIGKILLed incarnations never wrote theirs — the
 	// merge works from the survivors, whose parents all live in the
 	// coordinator dump, so a healthy run still has zero orphan spans.
-	var sources []string
+	var dumps []*tracemerge.Dump
 	for _, name := range append([]string{"coordinator"}, workerNames...) {
 		path := filepath.Join(*outDir, name+"_trace.json")
-		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-			sources = append(sources, name+"="+path)
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			continue
 		}
+		d, err := tracemerge.Load(name + "=" + path)
+		if err != nil {
+			return err
+		}
+		dumps = append(dumps, d)
 	}
-	timeline := filepath.Join(*outDir, "cluster_timeline.json")
-	mergeArgs := append([]string{"-merge", "-out", timeline}, sources...)
-	if err := h.Define(procharness.Spec{Name: "merge", Path: traceBin, Args: mergeArgs}); err != nil {
+	merged := tracemerge.Merge(dumps)
+	if err := writeFile(filepath.Join(*outDir, "cluster_timeline.json"), merged.WriteJSON); err != nil {
 		return err
 	}
-	if _, err := h.Start("merge"); err != nil {
+	if err := writeFile(filepath.Join(*outDir, "cluster_timeline.txt"), merged.WriteTree); err != nil {
 		return err
 	}
-	if code, err := h.WaitExit("merge", 30*time.Second); err != nil || code != 0 {
-		return fmt.Errorf("trace merge failed (code %d, %v)", code, err)
-	}
-	dumps, spans, orphans, err := parseMergeStats(h.Proc("merge").Output())
-	if err != nil {
-		return err
-	}
+	spans, orphans := merged.Timeline.Spans, len(merged.Timeline.Orphans)
 	gates = append(gates, gate{
 		Name: "zero-orphan-spans", Pass: orphans == 0,
-		Detail: fmt.Sprintf("dumps=%d spans=%d orphans=%d", dumps, spans, orphans),
+		Detail: fmt.Sprintf("dumps=%d spans=%d orphans=%d", len(dumps), spans, orphans),
 	})
-	// Lift the merged timeline's per-node ingest stats (ring fill/drops,
-	// clock-offset estimates) and alignment warnings into the summary.
-	var merged struct {
-		Nodes    []tracemerge.NodeInfo `json:"nodes"`
-		Warnings []string              `json:"warnings"`
-	}
-	if err := readJSON(timeline, &merged); err != nil {
-		return fmt.Errorf("merged timeline: %w", err)
-	}
 	for _, n := range merged.Nodes {
 		fmt.Printf("node %-14s events=%-6d dropped=%-6d offset=%+.6fs (%d clock samples)\n",
 			n.Name, n.Events, n.Dropped, n.OffsetSec, n.ClockSamples)
 	}
-	if *treeOut {
-		treeArgs := append([]string{"-merge", "-tree", "-out", filepath.Join(*outDir, "cluster_timeline.txt")}, sources...)
-		if err := h.Define(procharness.Spec{Name: "merge-tree", Path: traceBin, Args: treeArgs}); err != nil {
-			return err
-		}
-		if _, err := h.Start("merge-tree"); err != nil {
-			return err
-		}
-		if code, err := h.WaitExit("merge-tree", 30*time.Second); err != nil || code != 0 {
-			return fmt.Errorf("tree merge failed (code %d, %v)", code, err)
-		}
-	}
 
-	// Stage 8: teardown and the leak gate — after Close, no incarnation
+	// Stage 7: teardown and the leak gate — after Close, no incarnation
 	// may still exist from the kernel's point of view.
 	procs := h.Procs()
 	if err := h.Close(); err != nil {
@@ -464,7 +421,7 @@ func run(args []string) error {
 		EpochUtilities: utilities(res), BestUtility: res.BestUtility,
 		TasksReassigned: res.TasksReassigned, TasksAbandoned: res.TasksAbandoned,
 		LocalFallbacks: res.LocalFallbacks, Decisions: res.Decisions,
-		MergedDumps: dumps, Spans: spans, Orphans: orphans,
+		MergedDumps: len(dumps), Spans: spans, Orphans: orphans,
 		Nodes: merged.Nodes, MergeWarnings: merged.Warnings,
 		Procs: infos, Gates: gates, Pass: true,
 	}
@@ -484,34 +441,32 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*summaryOut, append(data, '\n'), 0o644); err != nil {
+	summaryPath := filepath.Join(*outDir, "summary.json")
+	if err := os.WriteFile(summaryPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("summary: %s (best utility %.1f, %d restarts, %d spans)\n", *summaryOut, sum.BestUtility, restarts, spans)
+	fmt.Printf("summary: %s (best utility %.1f, %d restarts, %d spans)\n", summaryPath, sum.BestUtility, restarts, spans)
 	if !sum.Pass {
 		return fmt.Errorf("%d gate(s) failed", countFailed(gates))
 	}
 	return nil
 }
 
-// resolveBinaries locates mvcom-dist and mvcom-trace next to this
-// binary unless -bin-dir overrides.
-func resolveBinaries(binDir string) (distBin, traceBin string, err error) {
+// resolveBinaries locates the one binary the harness launches,
+// mvcom-dist, next to this binary unless -bin-dir overrides.
+func resolveBinaries(binDir string) (string, error) {
 	if binDir == "" {
 		exe, err := os.Executable()
 		if err != nil {
-			return "", "", err
+			return "", err
 		}
 		binDir = filepath.Dir(exe)
 	}
-	distBin = filepath.Join(binDir, "mvcom-dist")
-	traceBin = filepath.Join(binDir, "mvcom-trace")
-	for _, b := range []string{distBin, traceBin} {
-		if _, err := os.Stat(b); err != nil {
-			return "", "", fmt.Errorf("missing binary %s (build with: go build -o %s ./cmd/mvcom-dist ./cmd/mvcom-trace)", b, binDir)
-		}
+	distBin := filepath.Join(binDir, "mvcom-dist")
+	if _, err := os.Stat(distBin); err != nil {
+		return "", fmt.Errorf("missing binary %s (build with: go build -o %s ./cmd/mvcom-dist)", distBin, binDir)
 	}
-	return distBin, traceBin, nil
+	return distBin, nil
 }
 
 // waitProgress polls the coordinator's Prometheus endpoint until the
@@ -539,20 +494,6 @@ func metricValue(body, name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-var mergeStatsRe = regexp.MustCompile(`merged (\d+) dumps \((\d+) spans, (\d+) orphans\)`)
-
-// parseMergeStats reads mvcom-trace -merge's summary line.
-func parseMergeStats(out string) (dumps, spans, orphans int, err error) {
-	m := mergeStatsRe.FindStringSubmatch(out)
-	if m == nil {
-		return 0, 0, 0, fmt.Errorf("merge output lacks the summary line: %q", tail(out, 200))
-	}
-	dumps, _ = strconv.Atoi(m[1])
-	spans, _ = strconv.Atoi(m[2])
-	orphans, _ = strconv.Atoi(m[3])
-	return dumps, spans, orphans, nil
 }
 
 // decisionGate judges the coordinator's decision-journal verification: a
@@ -632,6 +573,19 @@ func readJSON(path string, v any) error {
 	return json.Unmarshal(data, v)
 }
 
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
+}
+
 func utilities(r distResult) []float64 {
 	out := make([]float64, len(r.Epochs))
 	for i, ep := range r.Epochs {
@@ -656,12 +610,4 @@ func countFailed(gates []gate) int {
 		}
 	}
 	return n
-}
-
-// tail bounds an error excerpt.
-func tail(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return "…" + s[len(s)-n:]
 }

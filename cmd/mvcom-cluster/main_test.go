@@ -22,16 +22,6 @@ mvcom_dist_workers_connected 2
 	}
 }
 
-func TestParseMergeStats(t *testing.T) {
-	d, s, o, err := parseMergeStats("merged 3 dumps (142 spans, 0 orphans)\n")
-	if err != nil || d != 3 || s != 142 || o != 0 {
-		t.Fatalf("got %d %d %d %v", d, s, o, err)
-	}
-	if _, _, _, err := parseMergeStats("nothing useful"); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
 func TestUtilitiesEqual(t *testing.T) {
 	mk := func(us ...float64) distResult {
 		var r distResult
@@ -88,7 +78,7 @@ func TestParseExcluded(t *testing.T) {
 }
 
 func TestResolveBinariesMissing(t *testing.T) {
-	if _, _, err := resolveBinaries(t.TempDir()); err == nil {
+	if _, err := resolveBinaries(t.TempDir()); err == nil {
 		t.Fatal("empty bin dir accepted")
 	}
 }
@@ -111,7 +101,7 @@ func TestRunRefusesUsedDecisionsDir(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), decisions) {
 		t.Fatalf("run = %v, want a refusal naming %s", err, decisions)
 	}
-	if _, statErr := os.Stat(filepath.Join(out, "trace.csv")); !os.IsNotExist(statErr) {
+	if _, statErr := os.Stat(filepath.Join(out, "coordinator.0.stdout.log")); !os.IsNotExist(statErr) {
 		t.Fatalf("a process ran before the refusal: %v", statErr)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"mvcom/internal/experiments"
 	"mvcom/internal/faultinject"
 	"mvcom/internal/obs"
-	"mvcom/internal/txgen"
 )
 
 func main() {
@@ -95,7 +94,6 @@ func run(args []string) error {
 		epochs    = fs.Int("epochs", 1, "scheduling epochs to stream through the deployment (coordinator/demo)")
 		loop      = fs.Bool("loop", false, "worker mode: re-dial after each session; exit cleanly once the coordinator is gone")
 		loopGrace = fs.Duration("loop-grace", 5*time.Second, "worker -loop: how long dials may fail before concluding the coordinator is gone")
-		traceCSV  = fs.String("trace-csv", "", "build instances from this txgen CSV trace instead of the synthetic paper trace")
 		traceOut  = fs.String("trace-out", "", "write this process's span dump (the /trace format) here on clean exit")
 		resultOut = fs.String("result-json", "", "write the run summary (per-epoch utilities + recovery counters) here")
 		decLogDir = fs.String("decision-log", "", "coordinator/demo: write the schema-versioned decision journal (one entry per epoch) to this directory and replay-verify it on clean exit")
@@ -113,7 +111,6 @@ func run(args []string) error {
 		backoffCap = fs.Duration("backoff-cap", 2*time.Second, "reconnect backoff ceiling")
 		heartbeat  = fs.Duration("heartbeat", 10*time.Second, "coordinator heartbeat timeout: silence before a worker is declared dead")
 		taskTries  = fs.Int("task-attempts", 3, "dispatch attempts per task before it is abandoned")
-		noFallback = fs.Bool("no-local-fallback", false, "fail instead of degrading to a local in-process solve when every worker is lost")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,19 +126,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var trace *txgen.Trace
-	if *traceCSV != "" {
-		f, err := os.Open(*traceCSV)
-		if err != nil {
-			return err
-		}
-		trace, err = txgen.ReadCSV(f)
-		_ = f.Close()
-		if err != nil {
-			return fmt.Errorf("trace %s: %w", *traceCSV, err)
-		}
-	}
-
 	reg, stopObs, err := obsFlags.Start("mvcom-dist", *traceOut != "" || *resultOut != "")
 	if err != nil {
 		return err
@@ -230,28 +214,30 @@ func run(args []string) error {
 			lastInst core.Instance
 		)
 		for e := 0; e < *epochs; e++ {
+			// Epoch e's instance is a pure function of seed+e, so a
+			// chaos-ridden multi-process run and its clean
+			// single-process twin solve byte-identical instances.
 			epochSeed := *seed + int64(e)
-			in, err := buildInstance(trace, epochSeed, *shards, *capacity, *alpha)
+			in, err := experiments.PaperInstance(epochSeed, *shards, *capacity, *alpha, 0.5)
 			if err != nil {
 				return err
 			}
 			co, err := dist.NewCoordinator(bindAddr, dist.CoordinatorConfig{
-				Instance:             in,
-				Workers:              *workers,
-				AcceptTimeout:        *acceptTO,
-				RunTimeout:           *timeout,
-				StableReports:        *stableRep,
-				ReportEvery:          *repEvery,
-				MaxIterations:        *iters,
-				HeartbeatTimeout:     *heartbeat,
-				MaxTaskAttempts:      *taskTries,
-				DisableLocalFallback: *noFallback,
-				Seed:                 epochSeed,
-				Gamma:                *gamma,
-				SEWorkers:            *sework,
-				Events:               events,
-				FI:                   fi,
-				Obs:                  coObs,
+				Instance:         in,
+				Workers:          *workers,
+				AcceptTimeout:    *acceptTO,
+				RunTimeout:       *timeout,
+				StableReports:    *stableRep,
+				ReportEvery:      *repEvery,
+				MaxIterations:    *iters,
+				HeartbeatTimeout: *heartbeat,
+				MaxTaskAttempts:  *taskTries,
+				Seed:             epochSeed,
+				Gamma:            *gamma,
+				SEWorkers:        *sework,
+				Events:           events,
+				FI:               fi,
+				Obs:              coObs,
 			})
 			if err != nil {
 				return err
@@ -415,18 +401,6 @@ func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in cor
 	if hasEvents {
 		e.NonReplayable = "events"
 	}
-}
-
-// buildInstance makes epoch e's scheduling input: from the external
-// txgen trace when one was supplied, else from the synthetic paper
-// trace. Either way the construction is a pure function of the seed, so
-// a chaos-ridden multi-process run and its clean single-process twin
-// solve byte-identical instances.
-func buildInstance(trace *txgen.Trace, seed int64, shards, capacity int, alpha float64) (core.Instance, error) {
-	if trace != nil {
-		return experiments.TraceInstance(trace, seed, shards, capacity, alpha, 0.5)
-	}
-	return experiments.PaperInstance(seed, shards, capacity, alpha, 0.5)
 }
 
 // parseEvents parses the -events grammar: semicolon-separated

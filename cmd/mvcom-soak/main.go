@@ -2,7 +2,8 @@
 // many epochs — optionally under fault injection — and gates on process
 // health: goroutine counts must return to baseline and the post-GC heap
 // must not grow with epoch count. It samples runtime.MemStats and
-// goroutine counts in fixed epoch windows, prints a per-window table,
+// goroutine counts in equal epoch windows (at most maxWindows, folding
+// pairwise as they fill), prints a per-window table,
 // and can journal the steady-state epoch latency through
 // internal/benchjournal so mvcom-benchdiff gates serving throughput in
 // CI exactly like the kernel benchmarks.
@@ -52,6 +53,12 @@ type window struct {
 	heap       uint64
 	goroutines int
 }
+
+// maxWindows caps the sampler's window list. When it fills, adjacent
+// windows fold pairwise and the window length doubles, so a soak of any
+// length keeps at most maxWindows windows of equal length (the trailing
+// one may be partial) and forces one GC per window.
+const maxWindows = 64
 
 // soakStream drives Serve: it budgets epochs (count and/or wall clock),
 // times each epoch, and folds per-epoch results into windows.
@@ -114,7 +121,8 @@ func (s *soakStream) Deliver(res *epoch.Result) error {
 }
 
 // closeWindow forces a GC so HeapAlloc measures live bytes, snapshots
-// the process, and appends the window.
+// the process, and appends the window, folding the list once it holds
+// maxWindows.
 func (s *soakStream) closeWindow() {
 	if s.winEpochs == 0 {
 		return
@@ -141,6 +149,37 @@ func (s *soakStream) closeWindow() {
 	}
 	s.winNs, s.winLoad, s.winTTE = 0, 0, 0
 	s.winEpochs, s.winTTEn = 0, 0
+	if len(s.windows) == maxWindows {
+		s.fold()
+	}
+}
+
+// fold merges adjacent windows pairwise and doubles the window length.
+// A folded window takes the epoch-weighted means, the smaller heap
+// sample (the heap gate compares minima) and the later goroutine count.
+func (s *soakStream) fold() {
+	ws := s.windows[:0]
+	for i := 0; i+1 < len(s.windows); i += 2 {
+		a, b := s.windows[i], s.windows[i+1]
+		n := float64(a.epochs + b.epochs)
+		w := window{
+			epochs:     a.epochs + b.epochs,
+			meanNs:     (a.meanNs*float64(a.epochs) + b.meanNs*float64(b.epochs)) / n,
+			meanLoad:   (a.meanLoad*float64(a.epochs) + b.meanLoad*float64(b.epochs)) / n,
+			meanTTE:    a.meanTTE,
+			heap:       min(a.heap, b.heap),
+			goroutines: b.goroutines,
+		}
+		switch {
+		case a.meanTTE < 0:
+			w.meanTTE = b.meanTTE
+		case b.meanTTE >= 0:
+			w.meanTTE = (a.meanTTE*float64(a.epochs) + b.meanTTE*float64(b.epochs)) / n
+		}
+		ws = append(ws, w)
+	}
+	s.windows = ws
+	s.sampleEvery *= 2
 }
 
 // heapSlack is the post-warm-up heap growth the health gate tolerates.
@@ -166,7 +205,7 @@ func run(args []string) error {
 		seIters     = fs.Int("se-iters", 2000, "SE rounds per epoch")
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
 		seed        = fs.Int64("seed", 1, "random seed")
-		sampleEvery = fs.Int("sample-every", 0, "epochs per MemStats/goroutine sampling window (0 = epochs/10, min 1)")
+		sampleEvery = fs.Int("sample-every", 0, "epochs per MemStats/goroutine sampling window (0 = epochs/10, min 1; doubles whenever 64 windows fill)")
 		journalPath = fs.String("journal", "", "write a benchjournal (steady-state epoch latency) to this path")
 		note        = fs.String("note", "", "free-form note stored in the journal")
 		quiet       = fs.Bool("q", false, "suppress the per-window table")

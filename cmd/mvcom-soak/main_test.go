@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"mvcom/internal/benchjournal"
+	"mvcom/internal/core"
 	"mvcom/internal/decisionlog"
+	"mvcom/internal/epoch"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -14,6 +16,34 @@ func TestRunSmoke(t *testing.T) {
 		"-se-iters", "400", "-sample-every", "4", "-q"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSoakStreamWindowsBounded: a duration-only soak starts at one epoch
+// per window, so the sampler must fold its windows instead of growing
+// one per epoch; the folded windows still account for every epoch, and
+// their heap minimum and load mean survive the folds.
+func TestSoakStreamWindowsBounded(t *testing.T) {
+	s := &soakStream{sampleEvery: 1}
+	const served = 3000
+	for i := 0; i < served; i++ {
+		if err := s.Deliver(&epoch.Result{Solution: core.Solution{Load: 10}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.closeWindow()
+	if len(s.windows) > maxWindows {
+		t.Fatalf("%d windows after %d epochs, cap %d", len(s.windows), served, maxWindows)
+	}
+	sum := 0
+	for _, w := range s.windows {
+		sum += w.epochs
+		if w.meanLoad != 10 || w.heap == 0 || w.goroutines == 0 {
+			t.Fatalf("folded window %+v lost its samples", w)
+		}
+	}
+	if sum != served {
+		t.Fatalf("windows hold %d epochs, %d served", sum, served)
 	}
 }
 

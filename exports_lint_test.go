@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -14,10 +15,19 @@ import (
 	"testing"
 )
 
-// exportLintAllow lists the files whose exported functions may have test
-// callers only: theory.go states the paper's equations (7)–(8) and
-// Theorem 1 so that tests can check the SE kernel against them.
-var exportLintAllow = map[string]bool{"internal/core/theory.go": true}
+// exportLintAllow lists what may have test callers only, or callers the
+// scan cannot see. theory.go states the paper's equations (7)–(8) and
+// Theorem 1 so that tests can check the SE kernel against them. The root
+// metrics lint calls Registry.MetricNames, and the other three methods
+// satisfy standard-library interfaces: math/rand.Source and
+// encoding/json's Marshaler and Unmarshaler.
+var exportLintAllow = map[string]bool{
+	"internal/core/theory.go":     true,
+	"obs.Registry.MetricNames":    true,
+	"randx.source.Int63":          true,
+	"obs.EventType.MarshalJSON":   true,
+	"obs.EventType.UnmarshalJSON": true,
+}
 
 // goFile is one parsed non-test source file of the scanned tree.
 type goFile struct {
@@ -27,15 +37,19 @@ type goFile struct {
 }
 
 // testOnlyExports parses every non-test .go file under root, the
-// directory of module, and returns the package-level exported functions
-// declared under internal/ that no non-test file references outside
-// their own declaration, as "file:line: pkg.Name" lines in file order.
-// A reference is a selector on an import of the function's package,
-// under whatever name the file imports it, or a bare identifier inside
-// its own package. Every directory the go tool builds holds callers,
-// examples/ and benchmark/ included; like the go tool, the scan skips
-// testdata and names starting with "." or "_". Files in allow (slash
-// paths under root) declare nothing the scan checks.
+// directory of module, and returns the exported functions and methods
+// declared under internal/ that no non-test file references, as
+// "file:line: pkg.Name" or "file:line: pkg.Recv.Name" lines in file
+// order. A function's reference, outside its own declaration, is a
+// selector on an import of its package, under whatever name the file
+// imports it, or a bare identifier inside its own package. A method's
+// reference is any selector of its name or a method of that name in an
+// interface type: names are matched without type checking. Every
+// directory the go tool builds holds callers, examples/ and benchmark/
+// included; like the go tool, the scan skips testdata and names
+// starting with "." or "_". A key of allow is a slash path under root,
+// whose file declares nothing the scan checks, or a "pkg.Name" or
+// "pkg.Recv.Name" the scan does not report.
 func testOnlyExports(root, module string, allow map[string]bool) ([]string, error) {
 	fset := token.NewFileSet()
 	var files []goFile
@@ -74,7 +88,8 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 		return nil, err
 	}
 
-	refs := map[string]bool{} // "importpath.Name" referenced by some file
+	refs := map[string]bool{}     // "importpath.Name" referenced by some file
+	selected := map[string]bool{} // names selected or declared as interface methods
 	for _, f := range files {
 		imports := map[string]string{} // name in this file → import path
 		for _, spec := range f.file.Imports {
@@ -94,6 +109,7 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
+					selected[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok {
 						if ip, ok := imports[x.Name]; ok {
 							refs[ip+"."+n.Sel.Name] = true
@@ -102,6 +118,12 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 					}
 					ast.Inspect(n.X, visit) // n.Sel names a field or method
 					return false
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							selected[name.Name] = true
+						}
+					}
 				case *ast.Field: // parameter, result, field and method names
 					ast.Inspect(n.Type, visit)
 					return false
@@ -141,11 +163,19 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 		}
 		for _, decl := range f.file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !fn.Name.IsExported() || refs[f.pkg+"."+fn.Name.Name] {
+			if !ok || !fn.Name.IsExported() {
 				continue
 			}
-			found = append(found, fmt.Sprintf("%s:%d: %s.%s",
-				f.rel, fset.Position(fn.Pos()).Line, f.file.Name.Name, fn.Name.Name))
+			name, referenced := f.file.Name.Name+"."+fn.Name.Name, refs[f.pkg+"."+fn.Name.Name]
+			if fn.Recv != nil {
+				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*"), "[")
+				name = f.file.Name.Name + "." + recv + "." + fn.Name.Name
+				referenced = selected[fn.Name.Name]
+			}
+			if referenced || allow[name] {
+				continue
+			}
+			found = append(found, fmt.Sprintf("%s:%d: %s", f.rel, fset.Position(fn.Pos()).Line, name))
 		}
 	}
 	return found, nil
@@ -166,8 +196,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // TestNoTestOnlyExportsFixture runs the scan on a fixture module whose
-// library exports functions with every kind of caller the lint tells
-// apart; see testdata/exportlint/internal/lib/lib.go.
+// library exports functions and methods with every kind of caller the
+// lint tells apart; see testdata/exportlint/internal/lib/lib.go.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	got, err := testOnlyExports(filepath.Join("testdata", "exportlint"), "fixture", nil)
 	if err != nil {
@@ -177,6 +207,7 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 		"internal/lib/lib.go:5: lib.TestOnly",
 		"internal/lib/lib.go:8: lib.Recursive",
 		"internal/lib/lib.go:17: lib.Shadowed",
+		"internal/lib/lib.go:48: lib.V.TestOnlyMethod",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flagged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

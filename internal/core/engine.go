@@ -33,17 +33,10 @@ func NewEngine(in Instance, cfg SEConfig) (*Engine, error) {
 	return e, nil
 }
 
-// Converged reports whether the engine was born converged (trivial case).
-func (e *Engine) Converged() bool { return e.trivial != nil }
-
-// Step advances every explorer by one transition round and reports whether
-// the global best improved. Stepping a trivially converged engine is a
-// no-op returning false.
-func (e *Engine) Step() bool { return e.StepN(1) }
-
 // StepN advances every explorer by n transition rounds — concurrently
 // across explorers when the configuration allows — and reports whether
-// the global best improved anywhere in the window. Batching rounds
+// the global best improved anywhere in the window. Stepping a trivially
+// converged engine is a no-op returning false. Batching rounds
 // through StepN is what lets a driver keep the parallel kernel busy
 // between coordination points instead of paying a goroutine fan-out per
 // round.

@@ -15,12 +15,12 @@ func TestEngineStepwiseMatchesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Converged() {
+	if eng.trivial != nil {
 		t.Fatal("binding instance should not be born converged")
 	}
 	improved := 0
 	for i := 0; i < 1500; i++ {
-		if eng.Step() {
+		if eng.StepN(1) {
 			improved++
 		}
 	}
@@ -54,10 +54,10 @@ func TestEngineTrivialCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Converged() {
+	if eng.trivial == nil {
 		t.Fatal("everything fits: engine should be born converged")
 	}
-	if eng.Step() {
+	if eng.StepN(1) {
 		t.Fatal("stepping a converged engine reported improvement")
 	}
 	sol, err := eng.Best()
@@ -82,7 +82,7 @@ func TestEngineApplyEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		eng.Step()
+		eng.StepN(1)
 	}
 	if err := eng.ApplyEvent(Event{Kind: EventJoin, Index: -1, Size: 1000, Latency: in.DDL - 1}); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestEngineApplyEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		eng.Step()
+		eng.StepN(1)
 	}
 	sol, err := eng.Best()
 	if err != nil {
@@ -124,11 +124,11 @@ func TestEngineApplyEventOnTrivialEngine(t *testing.T) {
 	if err := eng.ApplyEvent(Event{Kind: EventJoin, Index: -1, Size: 90, Latency: 750}); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Converged() {
+	if eng.trivial != nil {
 		t.Fatal("engine still trivially converged after event")
 	}
 	for i := 0; i < 300; i++ {
-		eng.Step()
+		eng.StepN(1)
 	}
 	sol, err := eng.Best()
 	if err != nil {

@@ -133,11 +133,6 @@ func (r *run) applyJoin(ev Event) error {
 	if ev.Size < 0 || ev.Latency < 0 {
 		return fmt.Errorf("core: join event with invalid shard (size=%d latency=%v)", ev.Size, ev.Latency)
 	}
-	if r.cfg.MaxCandidates > 0 && len(r.candidates) >= r.cfg.MaxCandidates {
-		// Termination rule (Alg. 1 lines 29–30): the final committee has
-		// received its Nmax quota and stops listening to new arrivals.
-		return nil
-	}
 	var idx int
 	if ev.Index >= 0 && ev.Index < r.in.NumShards() {
 		// Rejoin of a departed committee: refresh its features.

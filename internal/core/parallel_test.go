@@ -74,8 +74,9 @@ func TestSolveOnlineDeterministicAcrossWorkers(t *testing.T) {
 
 // TestEngineStepNMatchesStep verifies that batching rounds through StepN
 // is purely an execution-schedule change: the merge replays improvements
-// in the same (round, explorer) order whether the coordinator syncs every
-// round or every 64, so the observed best must match exactly.
+// in the same (round, explorer) order whether the coordinator steps one
+// round at a time (StepN(1)) or 64, so the observed best must match
+// exactly.
 func TestEngineStepNMatchesStep(t *testing.T) {
 	in := testInstance(47, 50, 2, 0.4, 2)
 	cfg := SEConfig{Seed: 23, Gamma: 4}
@@ -89,7 +90,7 @@ func TestEngineStepNMatchesStep(t *testing.T) {
 	}
 	const rounds = 512
 	for i := 0; i < rounds; i++ {
-		byOne.Step()
+		byOne.StepN(1)
 	}
 	for i := 0; i < rounds/64; i++ {
 		byBatch.StepN(64)

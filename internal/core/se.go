@@ -55,13 +55,6 @@ type SEConfig struct {
 	// SwapRetries bounds the resampling attempts Set-timer makes to find
 	// a capacity-feasible swap for a solution thread. Default 8.
 	SwapRetries int
-	// MaxCandidates, when positive, caps how many live candidates the
-	// online algorithm will accept: once the candidate set reaches this
-	// size, further join events are ignored — Alg. 1 lines 29–30 ("once
-	// the final committee receives more than a specified maximum
-	// percentage Nmax of all member committees, stop listening to the
-	// member committees newly arrived"). Zero means unlimited.
-	MaxCandidates int
 	// MaxThreads caps the number of solution threads per explorer. Alg. 1
 	// nominally keeps one thread per cardinality n ∈ {1..|I|−1}; for
 	// hundreds of shards that spreads the transition budget over hundreds

@@ -86,7 +86,6 @@ type SolverFingerprint struct {
 	MaxIters          int     `json:"maxIters,omitempty"`
 	ConvergenceWindow int     `json:"convergenceWindow,omitempty"`
 	SwapRetries       int     `json:"swapRetries,omitempty"`
-	MaxCandidates     int     `json:"maxCandidates,omitempty"`
 	MaxThreads        int     `json:"maxThreads,omitempty"`
 	RawRates          bool    `json:"rawRates,omitempty"`
 	WarmStart         bool    `json:"warmStart,omitempty"`
@@ -112,7 +111,6 @@ func FingerprintSE(cfg core.SEConfig) SolverFingerprint {
 		MaxIters:          cfg.MaxIters,
 		ConvergenceWindow: cfg.ConvergenceWindow,
 		SwapRetries:       cfg.SwapRetries,
-		MaxCandidates:     cfg.MaxCandidates,
 		MaxThreads:        cfg.MaxThreads,
 		RawRates:          cfg.DisableRateNormalization,
 		WarmStart:         cfg.WarmStart,
@@ -129,7 +127,6 @@ func (f SolverFingerprint) SEConfig() core.SEConfig {
 		MaxIters:                 f.MaxIters,
 		ConvergenceWindow:        f.ConvergenceWindow,
 		SwapRetries:              f.SwapRetries,
-		MaxCandidates:            f.MaxCandidates,
 		MaxThreads:               f.MaxThreads,
 		DisableRateNormalization: f.RawRates,
 		WarmStart:                f.WarmStart,

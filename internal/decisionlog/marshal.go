@@ -155,9 +155,6 @@ func appendFingerprint(b []byte, f *SolverFingerprint) []byte {
 	if f.SwapRetries != 0 {
 		b = appendIntField(b, "swapRetries", f.SwapRetries)
 	}
-	if f.MaxCandidates != 0 {
-		b = appendIntField(b, "maxCandidates", f.MaxCandidates)
-	}
 	if f.MaxThreads != 0 {
 		b = appendIntField(b, "maxThreads", f.MaxThreads)
 	}

@@ -36,8 +36,8 @@ func marshalCases() []Entry {
 			Solver: SolverFingerprint{
 				Kind: KindSE, Seed: -7, Beta: 2, Gamma: 25, Workers: 4,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,
-				MaxCandidates: 32, MaxThreads: 1024,
-				RawRates: true, WarmStart: true,
+				MaxThreads: 1024,
+				RawRates:   true, WarmStart: true,
 			},
 			Warm: true, WarmPrev: []int{0, 1},
 			NonReplayable: "events",

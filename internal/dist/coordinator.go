@@ -13,11 +13,8 @@ import (
 	"mvcom/internal/obs"
 )
 
-// Coordinator errors.
-var (
-	ErrNoWorkers = errors.New("dist: no workers connected")
-	ErrNoResult  = errors.New("dist: no worker produced a feasible solution")
-)
+// ErrNoWorkers reports that no worker connected before AcceptTimeout.
+var ErrNoWorkers = errors.New("dist: no workers connected")
 
 // CoordinatorConfig tunes a coordinated run.
 type CoordinatorConfig struct {
@@ -26,8 +23,7 @@ type CoordinatorConfig struct {
 	// Workers is how many workers to wait for before starting. Required.
 	// Fewer workers at AcceptTimeout expiry is tolerated: the session
 	// proceeds with the connected subset, and with zero workers the
-	// coordinator degrades to a local in-process solve (unless
-	// DisableLocalFallback is set).
+	// coordinator degrades to a local in-process solve.
 	Workers int
 	// AcceptTimeout bounds the wait for workers to connect. Default 10 s.
 	AcceptTimeout time.Duration
@@ -52,11 +48,6 @@ type CoordinatorConfig struct {
 	// task, or to a worker that reconnects mid-run — until the cap is
 	// reached, after which it is abandoned. Default 3.
 	MaxTaskAttempts int
-	// DisableLocalFallback turns off the graceful degradation to an
-	// in-process SE solve when no worker delivers a feasible result; the
-	// run then fails with ErrNoWorkers/ErrNoResult as the pre-hardening
-	// coordinator did.
-	DisableLocalFallback bool
 	// Beta and Seed mirror core.SEConfig; worker g receives Seed+g.
 	Beta float64
 	Seed int64
@@ -228,9 +219,8 @@ type session struct {
 // relays events, detects and recovers from worker failures, and returns
 // the best solution any worker reported. If every worker is lost (or none
 // ever connects) the coordinator degrades to a local in-process solve of
-// the same instance unless DisableLocalFallback is set. The instance
-// returned alongside reflects join events so the selection can be
-// interpreted.
+// the same instance. The instance returned alongside reflects join
+// events so the selection can be interpreted.
 func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 	inst := co.cfg.Instance.Clone()
 	root := co.cfg.Obs.TraceCtx().StartSpan("epoch", "coordinator", co.cfg.Parent)
@@ -241,10 +231,6 @@ func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 		return core.Solution{}, inst, err
 	}
 	if len(conns) == 0 {
-		if co.cfg.DisableLocalFallback {
-			root.FinishOutcome("no-workers")
-			return core.Solution{}, inst, err
-		}
 		co.setOutcome(nil, true)
 		sol, lerr := co.localSolve(inst, root.Context())
 		return sol, inst, lerr
@@ -337,10 +323,6 @@ func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 
 	best, ok := pickBest(s.results)
 	if !ok {
-		if co.cfg.DisableLocalFallback {
-			root.FinishOutcome("no-result")
-			return core.Solution{}, inst, ErrNoResult
-		}
 		co.setOutcome(s.results, true)
 		sol, lerr := co.localSolve(inst, root.Context())
 		return sol, inst, lerr

@@ -159,22 +159,6 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-func TestCoordinatorNoWorkers(t *testing.T) {
-	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
-		Instance:             distInstance(5, 8),
-		Workers:              1,
-		AcceptTimeout:        200 * time.Millisecond,
-		DisableLocalFallback: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	if _, _, err := co.Run(); !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestWorkerNeedsID(t *testing.T) {
 	if _, err := (Worker{}).Run("127.0.0.1:1"); err == nil {
 		t.Fatal("empty worker ID accepted")

@@ -277,8 +277,8 @@ func TestOutcomeAccounting(t *testing.T) {
 	if o.PermittedTxs != res.Solution.Load {
 		t.Fatalf("outcome txs %d != load %d", o.PermittedTxs, res.Solution.Load)
 	}
-	if o.Throughput() <= 0 {
-		t.Fatalf("throughput %v", o.Throughput())
+	if tput := float64(o.PermittedTxs) / o.DDL; tput <= 0 {
+		t.Fatalf("throughput %v", tput)
 	}
 	if o.CumulativeAge < 0 {
 		t.Fatalf("negative cumulative age %v", o.CumulativeAge)

@@ -184,61 +184,8 @@ func paperInstance(rng *randx.RNG, nShards, capacity int, alpha float64, nminFra
 		// Validate will reject.
 		return core.Instance{}
 	}
-	return shapeInstance(rng, txgen.ShardSizes(shards), capacity, alpha, nminFrac)
-}
-
-// TraceInstance builds one epoch's scheduling instance out of an
-// externally supplied transaction trace — the input the multi-process
-// cluster harness's txgen traffic-generator process produces. The
-// trace's blocks are partitioned into nShards shards with a seeded
-// shuffle (so epoch e of a stream is reproducible from seed+e alone),
-// the shard sizes are rescaled to the same knapsack-binding load factor
-// PaperInstance targets (total ≈ 2×capacity), and latencies, deadline,
-// and Nmin follow the same construction.
-func TraceInstance(tr *txgen.Trace, seed int64, nShards, capacity int, alpha, nminFrac float64) (core.Instance, error) {
-	if tr == nil || len(tr.Blocks) == 0 {
-		return core.Instance{}, errors.New("experiments: empty trace")
-	}
-	if nShards < 1 || capacity < 1 {
-		return core.Instance{}, fmt.Errorf("experiments: invalid instance shape (shards=%d capacity=%d)", nShards, capacity)
-	}
-	rng := randx.New(seed)
-	shards, err := tr.IntoShards(rng.Split(), nShards)
-	if err != nil {
-		return core.Instance{}, err
-	}
-	sizes := txgen.ShardSizes(shards)
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	const loadFactor = 2.0
-	if total > 0 {
-		f := loadFactor * float64(capacity) / float64(total)
-		for i := range sizes {
-			sizes[i] = int(float64(sizes[i]) * f)
-			if sizes[i] < 1 {
-				sizes[i] = 1
-			}
-		}
-	}
-	in := shapeInstance(rng, sizes, capacity, alpha, nminFrac)
-	if err := in.Validate(); err != nil {
-		return core.Instance{}, err
-	}
-	return in, nil
-}
-
-// shapeInstance finishes an instance whose shard sizes are fixed: it
-// draws the two-phase PoW+PBFT latencies, couples sizes to latencies
-// (the straggler committee holds the largest shard, the paper's
-// motivating dilemma) with a mean-preserving rescale, and derives the
-// online-admission deadline and Nmin exactly as paperInstance always
-// has.
-func shapeInstance(rng *randx.RNG, sizes []int, capacity int, alpha, nminFrac float64) core.Instance {
-	nShards := len(sizes)
 	in := core.Instance{
-		Sizes:     sizes,
+		Sizes:     txgen.ShardSizes(shards),
 		Latencies: make([]float64, nShards),
 		Alpha:     alpha,
 		Capacity:  capacity,

@@ -6,14 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mvcom/internal/randx"
 	"mvcom/internal/stats"
-	"mvcom/internal/txgen"
 )
 
 // smallOpts shrinks every figure to CI size.
@@ -354,47 +352,6 @@ func TestExtThroughputShape(t *testing.T) {
 		if _, ok := byName[name]; !ok {
 			t.Fatalf("missing scheduler %s", name)
 		}
-	}
-}
-
-func TestTraceInstanceDeterministicAndBound(t *testing.T) {
-	tr := txgen.Generate(randx.New(7), txgen.Config{Blocks: 120, MeanTxs: 900})
-	a, err := TraceInstance(tr, 42, 30, 10000, 1.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TraceInstance(tr, 42, 30, 10000, 1.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same trace + seed produced different instances")
-	}
-	c, err := TraceInstance(tr, 43, 30, 10000, 1.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Sizes, c.Sizes) && reflect.DeepEqual(a.Latencies, c.Latencies) {
-		t.Fatal("different seeds produced an identical instance")
-	}
-	// Load factor: total size lands near 2x capacity (the coupling rescale
-	// is mean-preserving up to integer truncation).
-	total := 0
-	for _, s := range a.Sizes {
-		total += s
-	}
-	if total < 15000 || total > 25000 {
-		t.Fatalf("total size %d, want ~2x capacity (20000)", total)
-	}
-	if a.Nmin < 1 || a.DDL <= 0 {
-		t.Fatalf("degenerate instance: Nmin=%d DDL=%v", a.Nmin, a.DDL)
-	}
-
-	if _, err := TraceInstance(nil, 1, 10, 1000, 1.5, 0.5); err == nil {
-		t.Fatal("nil trace accepted")
-	}
-	if _, err := TraceInstance(tr, 1, 0, 1000, 1.5, 0.5); err == nil {
-		t.Fatal("zero shards accepted")
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -179,45 +178,4 @@ func (in *Injector) Eval(point string) Decision {
 		d.Err = fmt.Errorf("%w at %s", ErrInjected, point)
 	}
 	return d
-}
-
-// Fires reports how many times the named point has fired (0 for nil).
-func (in *Injector) Fires(point string) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.rules[point]; ok {
-		return st.fires
-	}
-	return 0
-}
-
-// Hits reports how many passes the named point has seen (0 for nil).
-func (in *Injector) Hits(point string) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if st, ok := in.rules[point]; ok {
-		return st.hits
-	}
-	return 0
-}
-
-// Points lists the armed points in sorted order (nil for nil).
-func (in *Injector) Points() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.rules))
-	for p := range in.rules {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -21,12 +21,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d := in.Eval("anything"); d.Action != ActNone || d.Err != nil {
 		t.Fatalf("nil injector fired: %+v", d)
 	}
-	if in.Fires("anything") != 0 || in.Hits("anything") != 0 {
-		t.Fatal("nil injector kept state")
-	}
-	if in.Points() != nil {
-		t.Fatal("nil injector lists points")
-	}
 }
 
 func TestUnknownPointNeverFires(t *testing.T) {
@@ -52,8 +46,8 @@ func TestAfterWindowThenFires(t *testing.T) {
 	if !errors.Is(d.Err, ErrInjected) {
 		t.Fatalf("decision error %v does not wrap ErrInjected", d.Err)
 	}
-	if in.Hits("p") != 4 || in.Fires("p") != 1 {
-		t.Fatalf("hits=%d fires=%d, want 4/1", in.Hits("p"), in.Fires("p"))
+	if st := in.rules["p"]; st.hits != 4 || st.fires != 1 {
+		t.Fatalf("hits=%d fires=%d, want 4/1", st.hits, st.fires)
 	}
 }
 
@@ -137,20 +131,6 @@ func TestNewRejectsBadRules(t *testing.T) {
 	}
 }
 
-func TestPointsSorted(t *testing.T) {
-	in := mustNew(t, 1, Rule{Point: "z"}, Rule{Point: "a"}, Rule{Point: "m"})
-	got := in.Points()
-	want := []string{"a", "m", "z"}
-	if len(got) != len(want) {
-		t.Fatalf("points %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("points %v, want %v", got, want)
-		}
-	}
-}
-
 func TestConcurrentEvalIsSafe(t *testing.T) {
 	in := mustNew(t, 1, Rule{Point: "p", Prob: 0.5, Times: 100})
 	var wg sync.WaitGroup
@@ -164,10 +144,10 @@ func TestConcurrentEvalIsSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if hits := in.Hits("p"); hits != 1600 {
+	if hits := in.rules["p"].hits; hits != 1600 {
 		t.Fatalf("hits = %d, want 1600", hits)
 	}
-	if fires := in.Fires("p"); fires != 100 {
+	if fires := in.rules["p"].fires; fires != 100 {
 		t.Fatalf("fires = %d, want the Times cap 100", fires)
 	}
 }

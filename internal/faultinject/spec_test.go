@@ -23,9 +23,8 @@ func TestParseFullGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := in.Points()
-	if len(points) != 3 {
-		t.Fatalf("points %v", points)
+	if len(in.rules) != 3 {
+		t.Fatalf("armed %d points, want 3", len(in.rules))
 	}
 	// worker.send: two passes free, then one drop, then exhausted.
 	if d := in.Eval("worker.send"); d.Action != ActNone {

@@ -46,9 +46,6 @@ func NewBuckets(rate, burst float64, maxSources int) *Buckets {
 	}
 }
 
-// SetClock overrides the bucket clock for tests.
-func (b *Buckets) SetClock(now func() time.Time) { b.now = now }
-
 // Allow reports whether source may submit n transactions now, consuming
 // the tokens when it may. A single submission larger than the burst can
 // never pass; nil Buckets or rate <= 0 always allows.
@@ -88,16 +85,6 @@ func (b *Buckets) Allow(source string, n int) bool {
 	}
 	bk.tokens -= need
 	return true
-}
-
-// Sources returns how many sources currently hold a bucket.
-func (b *Buckets) Sources() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.m)
 }
 
 // evictStalest drops the least-recently-refilled bucket (caller holds

@@ -25,7 +25,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *NetStream, *fakeClock) {
 		Burst:      50,
 	})
 	clock := newFakeClock()
-	stream.Buckets().SetClock(clock.now)
+	stream.buckets.now = clock.now
 	ts := httptest.NewServer(NewHandler(stream, 4096))
 	t.Cleanup(ts.Close)
 	return ts, stream, clock

@@ -128,9 +128,6 @@ func NewStream(cfg StreamConfig) *NetStream {
 	}
 }
 
-// Buckets exposes the admission buckets (tests override the clock).
-func (s *NetStream) Buckets() *Buckets { return s.buckets }
-
 // Submit runs a transaction batch through admission. It returns "" when
 // the batch was admitted into the queue, else the shed reason ("drain",
 // "rate", "queue", "invalid").

@@ -72,14 +72,6 @@ type EpochOutcome struct {
 	Utility        float64
 }
 
-// Throughput returns permitted transactions per second of epoch deadline.
-func (o EpochOutcome) Throughput() float64 {
-	if o.DDL <= 0 {
-		return 0
-	}
-	return float64(o.PermittedTxs) / o.DDL
-}
-
 // Outcome derives an EpochOutcome from an instance and a solution.
 func Outcome(epoch int, in *core.Instance, sol core.Solution) EpochOutcome {
 	out := EpochOutcome{

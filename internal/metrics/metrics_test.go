@@ -94,15 +94,14 @@ func TestOutcome(t *testing.T) {
 	if o.DDL != 1000 {
 		t.Fatalf("ddl %v", o.DDL)
 	}
-	if math.Abs(o.Throughput()-0.4) > 1e-9 {
-		t.Fatalf("throughput %v", o.Throughput())
-	}
 }
 
 func TestOutcomeZeroDivisionGuards(t *testing.T) {
-	var o EpochOutcome
-	if o.Throughput() != 0 {
-		t.Fatal("zero outcome should not divide by zero")
+	// An epoch where nothing arrived has no permit rate: it must not
+	// divide by zero, and it must not count toward the mean.
+	agg := AggregateOutcomes([]EpochOutcome{{PermittedTxs: 5}})
+	if agg.MeanPermitRate != 0 {
+		t.Fatalf("permit rate %v over an epoch with no arrivals, want 0", agg.MeanPermitRate)
 	}
 }
 

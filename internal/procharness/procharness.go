@@ -458,9 +458,6 @@ func (p *Proc) KilledByHarness() bool {
 	return p.killed
 }
 
-// Output returns the combined stdout+stderr captured so far.
-func (p *Proc) Output() string { return p.out.String() }
-
 // WaitLog blocks until the combined output matches the regexp (full
 // match plus capture groups returned) or the timeout expires. A process
 // that exits without ever matching fails immediately.
@@ -591,12 +588,6 @@ func (b *logBuf) markClosed() {
 	b.closed = true
 	b.cond.Broadcast()
 	b.mu.Unlock()
-}
-
-func (b *logBuf) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }
 
 // waitMatch blocks until the buffer matches re, the stream closes (the

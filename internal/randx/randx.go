@@ -109,11 +109,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
 
-// Normal returns a sample from N(mean, stddev²).
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
-}
-
 // LogNormal returns a sample X = exp(N(mu, sigma²)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())

@@ -51,8 +51,8 @@ func TestNewMatchesMathRandSamplers(t *testing.T) {
 		if g, w := got.Intn(1000), want.Intn(1000); g != w {
 			t.Fatalf("Intn draw %d: %d != %d", i, g, w)
 		}
-		if g, w := got.Normal(0, 1), want.NormFloat64(); g != w {
-			t.Fatalf("NormFloat64 draw %d: %v != %v", i, g, w)
+		if g, w := got.LogNormal(0, 1), math.Exp(want.NormFloat64()); g != w {
+			t.Fatalf("LogNormal draw %d: %v != %v", i, g, w)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func TestFitLineNoisy(t *testing.T) {
 	ys := make([]float64, 500)
 	for i := range xs {
 		xs[i] = float64(i)
-		ys[i] = 3*xs[i] + 10 + r.Normal(0, 5)
+		ys[i] = 3*xs[i] + 10 + math.Log(r.LogNormal(0, 5)) // N(0, 5²) noise
 	}
 	fit, err := FitLine(xs, ys)
 	if err != nil {

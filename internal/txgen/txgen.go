@@ -5,7 +5,8 @@
 // transactions of January 2016; each record carries blockID, bhash (block
 // hash), btime (creation timestamp), and txs (number of transactions).
 // That trace is not redistributable, so this package generates a synthetic
-// trace with the same schema and the same first- and second-order
+// trace that keeps the blockID, btime and txs columns (nothing reads a
+// block hash, so bhash is left out) with the same first- and second-order
 // statistics: per-block transaction counts are lognormal with mean ≈ 1,850
 // (the Jan-2016 Bitcoin average) clamped to [200, 12,000], and inter-block
 // times are exponential with a 600-second mean. The scheduler only consumes
@@ -20,15 +21,8 @@
 package txgen
 
 import (
-	"bufio"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"mvcom/internal/chain"
@@ -52,7 +46,6 @@ var ErrNoBlocks = errors.New("txgen: trace has no blocks")
 // Block is one record of the trace, mirroring the paper's dataset schema.
 type Block struct {
 	BlockID int           // blockID
-	BHash   chain.Hash    // bhash
 	BTime   time.Duration // btime, virtual time since trace start
 	Txs     int           // txs, number of transactions in the block
 }
@@ -108,12 +101,7 @@ func Generate(rng *randx.RNG, cfg Config) *Trace {
 		if txs > cfg.MaxTxs {
 			txs = cfg.MaxTxs
 		}
-		blocks[i] = Block{
-			BlockID: i,
-			BHash:   blockHash(i, t, txs),
-			BTime:   t,
-			Txs:     txs,
-		}
+		blocks[i] = Block{BlockID: i, BTime: t, Txs: txs}
 	}
 	return &Trace{Blocks: blocks}
 }
@@ -211,82 +199,6 @@ func (tr *Trace) Transactions(s Shard, rng *randx.RNG) []chain.Transaction {
 		}
 	}
 	return txs
-}
-
-// WriteCSV serializes the trace in the dataset's four-column schema:
-// blockID,bhash,btime_seconds,txs.
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("blockID,bhash,btime,txs\n"); err != nil {
-		return err
-	}
-	for _, b := range tr.Blocks {
-		line := fmt.Sprintf("%d,%s,%.3f,%d\n", b.BlockID, b.BHash, b.BTime.Seconds(), b.Txs)
-		if _, err := bw.WriteString(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	tr := &Trace{}
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if first {
-			first = false
-			if strings.HasPrefix(line, "blockID") {
-				continue // header
-			}
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("txgen: malformed line %q", line)
-		}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("txgen: blockID %q: %w", fields[0], err)
-		}
-		var h chain.Hash
-		raw, err := hex.DecodeString(fields[1])
-		if err != nil || len(raw) != len(h) {
-			return nil, fmt.Errorf("txgen: bhash %q invalid", fields[1])
-		}
-		copy(h[:], raw)
-		secs, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("txgen: btime %q: %w", fields[2], err)
-		}
-		txs, err := strconv.Atoi(fields[3])
-		if err != nil {
-			return nil, fmt.Errorf("txgen: txs %q: %w", fields[3], err)
-		}
-		tr.Blocks = append(tr.Blocks, Block{
-			BlockID: id,
-			BHash:   h,
-			BTime:   sDuration(secs),
-			Txs:     txs,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-func blockHash(id int, t time.Duration, txs int) chain.Hash {
-	var buf [24]byte
-	binary.BigEndian.PutUint64(buf[0:8], uint64(id))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(t))
-	binary.BigEndian.PutUint64(buf[16:24], uint64(txs))
-	return sha256.Sum256(buf[:])
 }
 
 func sDuration(secs float64) time.Duration {

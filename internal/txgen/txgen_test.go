@@ -1,10 +1,8 @@
 package txgen
 
 import (
-	"bytes"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,9 +22,6 @@ func TestGenerateDefaultShape(t *testing.T) {
 		}
 		if b.Txs < DefaultMinTxs || b.Txs > DefaultMaxTxs {
 			t.Fatalf("txs %d out of clamp range", b.Txs)
-		}
-		if b.BHash.IsZero() {
-			t.Fatalf("zero hash at block %d", i)
 		}
 		if i > 0 && b.BTime <= tr.Blocks[i-1].BTime {
 			t.Fatalf("non-increasing btime at %d", i)
@@ -236,63 +231,6 @@ func TestTransactionsSkipsBadBlockIDs(t *testing.T) {
 	txs := tr.Transactions(s, randx.New(2))
 	if len(txs) != tr.Blocks[0].Txs {
 		t.Fatalf("got %d txs, want %d", len(txs), tr.Blocks[0].Txs)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tr := Generate(randx.New(11), Config{Blocks: 25})
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Blocks) != len(tr.Blocks) {
-		t.Fatalf("blocks %d, want %d", len(got.Blocks), len(tr.Blocks))
-	}
-	for i := range tr.Blocks {
-		a, b := tr.Blocks[i], got.Blocks[i]
-		if a.BlockID != b.BlockID || a.Txs != b.Txs || a.BHash != b.BHash {
-			t.Fatalf("block %d mismatch: %+v vs %+v", i, a, b)
-		}
-		// btime survives with millisecond precision.
-		if math.Abs((a.BTime - b.BTime).Seconds()) > 0.002 {
-			t.Fatalf("block %d btime drift %v vs %v", i, a.BTime, b.BTime)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		give string
-	}{
-		{name: "missing column", give: "1,abc,3\n"},
-		{name: "bad id", give: "x,00,1.0,5\n"},
-		{name: "bad hash", give: "1,zz,1.0,5\n"},
-		{name: "short hash", give: "1,abcd,1.0,5\n"},
-		{name: "bad time", give: "1," + strings.Repeat("00", 32) + ",x,5\n"},
-		{name: "bad txs", give: "1," + strings.Repeat("00", 32) + ",1.0,x\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tt.give)); err == nil {
-				t.Fatalf("malformed input accepted: %q", tt.give)
-			}
-		})
-	}
-}
-
-func TestReadCSVSkipsHeaderAndBlankLines(t *testing.T) {
-	in := "blockID,bhash,btime,txs\n\n1," + strings.Repeat("00", 32) + ",1.5,10\n"
-	tr, err := ReadCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Blocks) != 1 || tr.Blocks[0].Txs != 10 {
-		t.Fatalf("parsed %+v", tr.Blocks)
 	}
 }
 

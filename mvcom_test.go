@@ -62,7 +62,7 @@ func TestPublicEngineStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 400; i++ {
-		eng.Step()
+		eng.StepN(1)
 	}
 	sol, err := eng.Best()
 	if err != nil {

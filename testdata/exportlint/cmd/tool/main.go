@@ -8,6 +8,11 @@ type local struct{}
 
 func (local) TestOnly() int { return 0 }
 
+// viaInterface declares lib.V's method, which no file selects.
+type viaInterface interface{ ViaInterface() int }
+
+var _ viaInterface = l.V{}
+
 func main() {
 	lib := local{}
 	println(l.ViaAlias() + lib.TestOnly())

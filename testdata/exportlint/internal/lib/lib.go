@@ -38,3 +38,14 @@ type U struct{}
 func (U) Shadowed() int { return T{Shadowed: 7}.Shadowed }
 
 func sum() int { return InPackage() + U{}.Shadowed() }
+
+// V has a method only lib_test.go calls, which the lint flags, and one
+// that no file selects but a non-test interface declares, which it does
+// not.
+type V struct{}
+
+// TestOnlyMethod has no caller outside lib_test.go.
+func (*V) TestOnlyMethod() int { return 8 }
+
+// ViaInterface satisfies the interface cmd/tool declares.
+func (V) ViaInterface() int { return 9 }
