@@ -62,7 +62,7 @@ func run(args []string, w io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing command")
 	}
-	entries, err := decisionlog.ReadDir(*dir)
+	entries, torn, err := decisionlog.ReadDir(*dir)
 	if err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func run(args []string, w io.Writer) error {
 		}
 		return cmdDiff(w, a, b, *asJSON)
 	case "verify":
-		return cmdVerify(w, entries, rest, *asJSON)
+		return cmdVerify(w, entries, torn, rest, *asJSON)
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown command %q", cmd)
@@ -586,7 +586,9 @@ func cmdDiff(w io.Writer, a, b *decisionlog.Entry, asJSON bool) error {
 	return nil
 }
 
-func cmdVerify(w io.Writer, entries []decisionlog.Entry, rest []string, asJSON bool) error {
+// cmdVerify replays the journal's entries (or one epoch's); torn reports
+// the torn final line ReadDir skipped.
+func cmdVerify(w io.Writer, entries []decisionlog.Entry, torn bool, rest []string, asJSON bool) error {
 	if len(rest) == 1 {
 		e, err := oneEpoch(entries, rest, "verify")
 		if err != nil {
@@ -597,6 +599,7 @@ func cmdVerify(w io.Writer, entries []decisionlog.Entry, rest []string, asJSON b
 		return fmt.Errorf("verify takes at most one epoch")
 	}
 	st := decisionlog.VerifyAll(entries)
+	st.TornTail = torn
 	if asJSON {
 		if err := writeJSON(w, st); err != nil {
 			return err
@@ -604,6 +607,9 @@ func cmdVerify(w io.Writer, entries []decisionlog.Entry, rest []string, asJSON b
 	} else {
 		fmt.Fprintf(w, "%d entries: %d replayed bit-identically, %d skipped (non-replayable), %d failed\n",
 			st.Entries, st.Replayed, st.Skipped, st.Failed)
+		if st.TornTail {
+			fmt.Fprintln(w, "  torn tail: the last segment's final line lacks its newline (an append cut short) and was skipped")
+		}
 		for _, msg := range st.Errors {
 			fmt.Fprintf(w, "  FAIL: %s\n", msg)
 		}

@@ -86,7 +86,7 @@ func TestExplainSubcommands(t *testing.T) {
 // the JSON rendering round-trips.
 func TestExplainWhyCoversEveryCommittee(t *testing.T) {
 	dir := writeJournal(t)
-	entries, err := decisionlog.ReadDir(dir)
+	entries, _, err := decisionlog.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestExplainWhyCoversEveryCommittee(t *testing.T) {
 // verdicts must carry the marginal utility the solver recorded.
 func TestExplainSelectedShardsArePermitted(t *testing.T) {
 	dir := writeJournal(t)
-	entries, err := decisionlog.ReadDir(dir)
+	entries, _, err := decisionlog.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestExplainWhyPresolved(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(dir)
+	entries, _, err := decisionlog.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

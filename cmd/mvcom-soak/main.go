@@ -2,8 +2,8 @@
 // many epochs — optionally under fault injection — and gates on process
 // health: goroutine counts must return to baseline and the post-GC heap
 // must not grow with epoch count. It samples runtime.MemStats and
-// goroutine counts in equal epoch windows (at most maxWindows, folding
-// pairwise as they fill), prints a per-window table,
+// goroutine counts in windows of a tenth of the epochs (at most
+// maxWindows, folding pairwise as they fill), prints a per-window table,
 // and can journal the steady-state epoch latency through
 // internal/benchjournal so mvcom-benchdiff gates serving throughput in
 // CI exactly like the kernel benchmarks.
@@ -205,7 +205,6 @@ func run(args []string) error {
 		seIters     = fs.Int("se-iters", 2000, "SE rounds per epoch")
 		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
 		seed        = fs.Int64("seed", 1, "random seed")
-		sampleEvery = fs.Int("sample-every", 0, "epochs per MemStats/goroutine sampling window (0 = epochs/10, min 1; doubles whenever 64 windows fill)")
 		journalPath = fs.String("journal", "", "write a benchjournal (steady-state epoch latency) to this path")
 		note        = fs.String("note", "", "free-form note stored in the journal")
 		quiet       = fs.Bool("q", false, "suppress the per-window table")
@@ -277,13 +276,9 @@ func run(args []string) error {
 		Obs:       obs.NewSEObserver(reg),
 	})}
 
-	every := *sampleEvery
-	if every <= 0 {
-		every = *epochs / 10
-	}
-	if every < 1 {
-		every = 1
-	}
+	// A sampling window spans a tenth of the epochs (one epoch for a
+	// duration-only soak) and doubles whenever maxWindows windows fill.
+	every := max(*epochs/10, 1)
 	stream := &soakStream{
 		params:      epoch.EpochParams{Alpha: *alpha, Capacity: capacity, Nmin: nmin},
 		maxEpochs:   *epochs,
@@ -378,8 +373,12 @@ func gateDecisionReplay(dj *decisionlog.Journal, served int) error {
 		return fmt.Errorf("decision journal: %w", err)
 	}
 	dj.ReplayVerified(st.Ok())
-	fmt.Printf("decision journal: %d entries, %d replayed, %d skipped, %d failed\n",
-		st.Entries, st.Replayed, st.Skipped, st.Failed)
+	torn := ""
+	if st.TornTail {
+		torn = ", torn tail skipped"
+	}
+	fmt.Printf("decision journal: %d entries, %d replayed, %d skipped, %d failed%s\n",
+		st.Entries, st.Replayed, st.Skipped, st.Failed, torn)
 	if st.Entries == 0 && served > 0 {
 		return fmt.Errorf("decision journal empty after %d epochs", served)
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,7 +15,7 @@ import (
 
 func TestRunSmoke(t *testing.T) {
 	args := []string{"-committees", "6", "-committee-size", "4", "-epochs", "20",
-		"-se-iters", "400", "-sample-every", "4", "-q"}
+		"-se-iters", "400", "-q"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestSoakStreamWindowsBounded(t *testing.T) {
 func TestRunWithFaultsAndJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "BENCH_SOAK.json")
 	args := []string{"-committees", "6", "-committee-size", "4", "-epochs", "20",
-		"-se-iters", "400", "-sample-every", "4", "-q",
+		"-se-iters", "400", "-q",
 		"-fault-spec", "epoch.committee:prob=0.2",
 		"-journal", journal, "-note", "test"}
 	if err := run(args); err != nil {
@@ -74,7 +76,7 @@ func TestRunWithFaultsAndJournal(t *testing.T) {
 
 func TestRunColdComparison(t *testing.T) {
 	args := []string{"-committees", "6", "-committee-size", "4", "-epochs", "12",
-		"-se-iters", "400", "-sample-every", "4", "-warm=false", "-q"}
+		"-se-iters", "400", "-warm=false", "-q"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +95,47 @@ func TestRunRefusesUsedDecisionLog(t *testing.T) {
 	if err := run(args); err == nil || !strings.Contains(err.Error(), dir) {
 		t.Fatalf("second run = %v, want a refusal naming %s", err, dir)
 	}
-	entries, err := decisionlog.ReadDir(dir)
+	entries, _, err := decisionlog.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 5 {
 		t.Fatalf("journal holds %d entries, want the first run's 5", len(entries))
+	}
+}
+
+// TestRunJournalDeterministic is a cross-run determinism gate: two runs
+// with the presolve soak's flags (./ci.sh soak) write byte-identical
+// decision journals. Replay cannot show this, since it re-solves the
+// recorded inputs; this pins that the stage models, the trace and
+// presolve are pure functions of the seed. -timeline stays off: its
+// tracer seeds trace IDs from the pid and the wall clock, and every
+// entry records its epoch's trace ID.
+func TestRunJournalDeterministic(t *testing.T) {
+	var journals [2][]byte
+	for i := range journals {
+		dir := filepath.Join(t.TempDir(), "decisions")
+		args := []string{"-epochs", "30", "-se-iters", "800", "-alpha", "0.2", "-q", "-decision-log", dir}
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "decisions-*.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journals[i] = append(journals[i], b...)
+		}
+	}
+	if !bytes.Contains(journals[0], []byte(`"presolved":[`)) {
+		t.Fatal("the journal records no presolved shard: the gate no longer covers presolve")
+	}
+	if !bytes.Equal(journals[0], journals[1]) {
+		t.Fatalf("same-flag runs wrote different journals (%d vs %d bytes)", len(journals[0]), len(journals[1]))
 	}
 }
 

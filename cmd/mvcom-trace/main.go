@@ -70,9 +70,12 @@ func mergeDumps(sources []string, outPath string, tree bool, decDir string) erro
 		fmt.Fprintf(os.Stderr, "mvcom-trace: warning: %s\n", w)
 	}
 	if decDir != "" {
-		entries, err := decisionlog.ReadDir(decDir)
+		entries, torn, err := decisionlog.ReadDir(decDir)
 		if err != nil {
 			return err
+		}
+		if torn {
+			fmt.Fprintln(os.Stderr, "mvcom-trace: warning: the decision journal's final line is torn (an append cut short); skipped")
 		}
 		joined := m.JoinDecisions(entries)
 		fmt.Fprintf(os.Stderr, "mvcom-trace: joined %d of %d decision entries onto the timeline\n",

@@ -24,6 +24,7 @@
 package decisionlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -377,7 +378,8 @@ func RequireEmptyDir(dir string) error {
 
 // Open creates (or resumes) a journal in opts.Dir. A directory holding
 // earlier segments is continued: the highest-numbered segment is
-// appended to until it rotates.
+// appended to until it rotates, after truncateTornTail has cut a torn
+// final line from it.
 func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("decisionlog: Options.Dir is required")
@@ -404,9 +406,13 @@ func Open(opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decisionlog: %w", err)
 	}
+	torn := false
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
 		fmt.Sscanf(filepath.Base(last), "decisions-%06d.jsonl", &j.segIndex)
+		if torn, err = truncateTornTail(last); err != nil {
+			return nil, fmt.Errorf("decisionlog: %w", err)
+		}
 		st, err := os.Stat(last)
 		if err != nil {
 			return nil, fmt.Errorf("decisionlog: %w", err)
@@ -429,6 +435,10 @@ func Open(opts Options) (*Journal, error) {
 		j.gBytes = reg.Gauge("mvcom_decision_bytes", "decision-journal bytes retained on disk across segments")
 		j.cReplays = reg.Counter("mvcom_decision_replays_total", "decision-journal replay verifications executed")
 		j.cReplayFailed = reg.Counter("mvcom_decision_replay_failures_total", "decision-journal replays that diverged from the recorded decision")
+		tornTails := reg.Counter("mvcom_decision_torn_tails_total", "torn final journal lines truncated away when a journal resumed")
+		if torn {
+			tornTails.Inc()
+		}
 		j.tracer = reg.Tracer()
 		reg.RegisterDebug("decisions", j.debugSnapshot)
 	}
@@ -442,6 +452,26 @@ func Open(opts Options) (*Journal, error) {
 	j.wdone = make(chan struct{})
 	go j.writer()
 	return j, nil
+}
+
+// truncateTornTail cuts a segment whose final line is torn — it lacks
+// its newline, or it does not decode — back to the end of the previous
+// complete line, and reports whether it cut. A writer killed mid-append
+// leaves such a line; appending after it would fuse the next entry onto
+// it and leave both unreadable.
+func truncateTornTail(path string) (bool, error) {
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) == 0 {
+		return false, err
+	}
+	keep := bytes.LastIndexByte(b[:len(b)-1], '\n') + 1 // the final line's start
+	if b[len(b)-1] == '\n' {
+		var e Entry
+		if json.Unmarshal(b[keep:], &e) == nil {
+			return false, nil
+		}
+	}
+	return true, os.Truncate(path, int64(keep))
 }
 
 // entryPool sizes the Acquire pool and the writer queue: the serve

@@ -269,7 +269,7 @@ func TestNonReplayableKinds(t *testing.T) {
 		if err := os.WriteFile(path, []byte(old+"\n"+line+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		entries, err := ReadFile(path)
+		entries, _, err := ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -395,7 +395,7 @@ func TestJournalRoundTripAndVerifyDir(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := ReadDir(dir)
+	entries, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestJournalResume(t *testing.T) {
 	}
 	j2.Close()
 
-	entries, err := ReadDir(dir)
+	entries, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +478,79 @@ func TestJournalResume(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("resume opened a new segment: %v", segs)
 	}
+}
+
+// TestJournalTornTail cuts the last 40 bytes off a 5-entry journal, as a
+// writer killed mid-append leaves it. Readers skip and report the torn
+// line instead of failing on it, and a resumed journal truncates it, so
+// the next append starts on a line boundary. A final line that has its
+// newline but does not decode fails readers and is truncated the same
+// way.
+func TestJournalTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		e := solveEntry(t, i, int64(100+i))
+		if err := j.Append(&e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segmentName(0))
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, st.Size()-40); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := VerifyDir(dir); err != nil || v.Entries != 4 || !v.TornTail || !v.Ok() {
+		t.Fatalf("cut journal: stats %+v, err %v; want 4 entries verified and a torn tail", v, err)
+	}
+
+	// resume reopens the journal, appends epoch's entry and checks that
+	// Open truncated one torn line and that all epoch+1 entries verify.
+	resume := func(epoch int) {
+		t.Helper()
+		reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+		j, err := Open(Options{Dir: dir, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := solveEntry(t, epoch, int64(100+epoch))
+		if err := j.Append(&e); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("mvcom_decision_torn_tails_total", "").Value(); got != 1 {
+			t.Fatalf("torn-tail counter = %d, want 1", got)
+		}
+		v, err := VerifyDir(dir)
+		if err != nil || v.Entries != epoch+1 || v.TornTail || !v.Ok() {
+			t.Fatalf("resumed journal: stats %+v, err %v; want %d entries verified", v, err, epoch+1)
+		}
+	}
+	resume(4)
+
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("{\"schema\":1,\"epoch\":\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := VerifyDir(dir); err == nil || !strings.Contains(err.Error(), ":6:") {
+		t.Fatalf("undecodable final line: err = %v, want a line-6 decode failure", err)
+	}
+	resume(5)
 }
 
 // TestRequireEmptyDir: a missing or empty directory passes; one that
@@ -635,7 +708,7 @@ func TestAcquireRecyclesPooledEntries(t *testing.T) {
 		t.Fatal("Acquire never returned a recycled entry with retained capacity")
 	}
 
-	entries, err := ReadDir(dir)
+	entries, _, err := ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,10 +728,10 @@ func TestReadFileErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{\"schema\":1}\nnot json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(bad); err == nil || !strings.Contains(err.Error(), ":2:") {
+	if _, _, err := ReadFile(bad); err == nil || !strings.Contains(err.Error(), ":2:") {
 		t.Fatalf("corrupt line error = %v, want line-2 decode failure", err)
 	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.jsonl")); err == nil {
+	if _, _, err := ReadFile(filepath.Join(dir, "missing.jsonl")); err == nil {
 		t.Fatal("missing file read succeeded")
 	}
 }

@@ -1,11 +1,10 @@
 package decisionlog
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"mvcom/internal/core"
@@ -245,6 +244,9 @@ type VerifyStats struct {
 	Skipped  int      `json:"skipped"`
 	Failed   int      `json:"failed"`
 	Errors   []string `json:"errors,omitempty"`
+	// TornTail reports that the last segment ended in a line without its
+	// newline — an append cut short by a crash — which was skipped.
+	TornTail bool `json:"tornTail,omitempty"`
 }
 
 // Ok reports whether every replayable entry verified.
@@ -271,64 +273,69 @@ func VerifyAll(entries []Entry) VerifyStats {
 
 // ReadFile decodes one journal segment (JSON lines). Unknown fields are
 // ignored; entries from a newer schema are returned as-is (Replay
-// rejects them).
-func ReadFile(path string) ([]Entry, error) {
-	f, err := os.Open(path)
+// rejects them). A final line without its newline is an append the
+// writer never finished: it is skipped and reported as torn.
+func ReadFile(path string) (entries []Entry, torn bool, err error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("decisionlog: %w", err)
+		return nil, false, fmt.Errorf("decisionlog: %w", err)
 	}
-	defer f.Close()
-	return readEntries(f, path)
+	return decodeSegment(b, path)
 }
 
-// readEntries decodes JSON-lines entries from r; name labels its errors.
-func readEntries(r io.Reader, name string) ([]Entry, error) {
-	var out []Entry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
+// decodeSegment decodes a segment's JSON lines; name labels its errors.
+// Empty lines are skipped, and so is a final line without its newline,
+// which is reported as torn.
+func decodeSegment(b []byte, name string) (out []Entry, torn bool, err error) {
+	for line := 1; len(b) > 0; line++ {
+		n := bytes.IndexByte(b, '\n')
+		if n < 0 {
+			return out, true, nil
 		}
-		var e Entry
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("decisionlog: %s:%d: %w", name, line, err)
+		if n > 0 {
+			var e Entry
+			if err := json.Unmarshal(b[:n], &e); err != nil {
+				return nil, false, fmt.Errorf("decisionlog: %s:%d: %w", name, line, err)
+			}
+			out = append(out, e)
 		}
-		out = append(out, e)
+		b = b[n+1:]
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("decisionlog: %s: %w", name, err)
-	}
-	return out, nil
+	return out, false, nil
 }
 
 // ReadDir decodes every segment in a journal directory, oldest segment
-// first, so entries come back in append order.
-func ReadDir(dir string) ([]Entry, error) {
+// first, so entries come back in append order. A torn final line of the
+// last segment (Open truncates it when the journal resumes) is skipped
+// and reported; a torn line in an earlier segment, or a line that does
+// not decode, fails the read.
+func ReadDir(dir string) (entries []Entry, tornTail bool, err error) {
 	segs, err := segmentFiles(dir)
 	if err != nil {
-		return nil, fmt.Errorf("decisionlog: %w", err)
+		return nil, false, fmt.Errorf("decisionlog: %w", err)
 	}
-	var out []Entry
-	for _, s := range segs {
-		es, err := ReadFile(s)
+	for i, s := range segs {
+		es, torn, err := ReadFile(s)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		out = append(out, es...)
+		if torn && i < len(segs)-1 {
+			return nil, false, fmt.Errorf("decisionlog: %s: torn final line in a rotated segment", s)
+		}
+		entries = append(entries, es...)
+		tornTail = torn
 	}
-	return out, nil
+	return entries, tornTail, nil
 }
 
 // VerifyDir reads and verifies a whole journal directory — the CI-gate
 // entry point used by mvcom-soak and mvcom-cluster.
 func VerifyDir(dir string) (VerifyStats, error) {
-	entries, err := ReadDir(dir)
+	entries, torn, err := ReadDir(dir)
 	if err != nil {
 		return VerifyStats{}, err
 	}
-	return VerifyAll(entries), nil
+	st := VerifyAll(entries)
+	st.TornTail = torn
+	return st, nil
 }

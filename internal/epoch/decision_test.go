@@ -50,7 +50,7 @@ func TestDecisionJournalReplaysRunEpochs(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(j.Dir())
+	entries, _, err := decisionlog.ReadDir(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDecisionJournalReplaysServeWarm(t *testing.T) {
 			if err := j.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			entries, err := decisionlog.ReadDir(j.Dir())
+			entries, _, err := decisionlog.ReadDir(j.Dir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestDecisionJournalDeferralAttribution(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(j.Dir())
+	entries, _, err := decisionlog.ReadDir(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDecisionJournalAcceptAllRecorded(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(j.Dir())
+	entries, _, err := decisionlog.ReadDir(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDecisionJournalTraceLink(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(j.Dir())
+	entries, _, err := decisionlog.ReadDir(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}

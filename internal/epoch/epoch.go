@@ -1,19 +1,19 @@
 // Package epoch orchestrates the five stages of an Elastico-style epoch
 // (Section I of the paper):
 //
-//  1. Committee formation — PoW election (package pow);
-//  2. Overlay configuration — members discover each other (package overlay);
-//  3. Intra-committee consensus — PBFT over the committee's shard
-//     (package pbft);
+//  1. Committee formation — PoW election;
+//  2. Overlay configuration — members discover each other;
+//  3. Intra-committee consensus — PBFT over the committee's shard;
 //  4. Final consensus — the final committee permits a subset of the
 //     submitted shards (the MVCom scheduling decision, package core) and
 //     appends a final block to the root chain (package chain);
 //  5. Epoch randomness refreshing — derived while appending the final
 //     block.
 //
-// The pipeline produces exactly the two features the scheduler consumes —
-// per-committee two-phase latency l_i and shard size s_i — plus the full
-// accounting (deadline, throughput, cumulative age) behind Fig. 2 and the
+// Stages 1–3 are the stage models of stages.go. The pipeline produces
+// exactly the two features the scheduler consumes — per-committee
+// two-phase latency l_i and shard size s_i — plus the full accounting
+// (deadline, throughput, cumulative age) behind Fig. 2 and the
 // trace-driven experiments.
 package epoch
 
@@ -30,9 +30,6 @@ import (
 	"mvcom/internal/decisionlog"
 	"mvcom/internal/faultinject"
 	"mvcom/internal/obs"
-	"mvcom/internal/overlay"
-	"mvcom/internal/pbft"
-	"mvcom/internal/pow"
 	"mvcom/internal/randx"
 	"mvcom/internal/seobs"
 	"mvcom/internal/txgen"
@@ -78,7 +75,7 @@ type Config struct {
 	// a failed committee through ping probes (Section V) and excludes it
 	// from the scheduling instance; its shard is lost for the epoch. If the
 	// coin would leave no committee alive, it spares the first committee
-	// that FaultInjector and consensus left alive.
+	// that FaultInjector left alive.
 	FailureRate float64
 	// FaultInjector, when non-nil, evaluates FaultPointCommittee once per
 	// member committee per epoch; firings fail targeted committees
@@ -127,7 +124,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CommitteeSize < 4 {
 		return c, fmt.Errorf("%w: committee size %d below PBFT minimum 4", ErrBadConfig, c.CommitteeSize)
 	}
-	if maxF := pbft.MaxFaulty(c.CommitteeSize); c.FaultyPerCommittee > maxF {
+	if maxF := (c.CommitteeSize - 1) / 3; c.FaultyPerCommittee > maxF {
 		return c, fmt.Errorf("%w: %d faulty replicas exceeds (n-1)/3 = %d",
 			ErrBadConfig, c.FaultyPerCommittee, maxF)
 	}
@@ -315,13 +312,9 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	rng := randx.New(cfg.Seed)
-	step, err := pbft.CalibrateMeanStep(rng.Split(), pbft.Config{
-		Replicas: cfg.CommitteeSize,
-		Faulty:   cfg.FaultyPerCommittee,
-	}, pbft.DefaultMeanTotal, 400)
-	if err != nil {
-		return nil, fmt.Errorf("calibrate pbft: %w", err)
-	}
+	// The calibration stream splits off before the trace's; that order
+	// fixes every later draw.
+	step := calibrateMeanStep(rng.Split(), cfg.CommitteeSize, cfg.FaultyPerCommittee)
 	return &Pipeline{
 		cfg:       cfg,
 		rng:       rng,
@@ -707,18 +700,8 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	cfg := p.cfg
 	nodes := cfg.Committees * cfg.CommitteeSize
-	solvers, err := pow.Election{}.Run(p.rng.Split(), nodes)
-	if err != nil {
-		return nil, 0, fmt.Errorf("pow election: %w", err)
-	}
-	committees, err := pow.FormCommittees(solvers, cfg.Committees, cfg.CommitteeSize)
-	if err != nil {
-		return nil, 0, fmt.Errorf("form committees: %w", err)
-	}
-	net, err := overlay.NewNetwork(p.rng.Split(), nodes, overlay.Config{})
-	if err != nil {
-		return nil, 0, fmt.Errorf("overlay: %w", err)
-	}
+	committees := formCommittees(elect(p.rng.Split(), nodes), cfg.Committees, cfg.CommitteeSize)
+	net := newNetwork(p.rng.Split(), nodes)
 	shards, err := p.trace.IntoShards(p.rng.Split(), cfg.Committees)
 	if err != nil {
 		return nil, 0, fmt.Errorf("shard trace: %w", err)
@@ -731,29 +714,21 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	// perIdentity per participant regardless of committee.
 	identityLatency := time.Duration(nodes) * perIdentity
 	// Stage 1 finishes when the committee's last seat fills. Seats are
-	// dealt round-robin in solve order, so FormedAt never decreases with
+	// dealt round-robin in solve order, so formedAt never decreases with
 	// the committee ID: ID order is formation order, and the last
 	// committee forms last.
 	var formed time.Duration
 	for ci, com := range committees {
-		formed = com.FormedAt
-		cfgLatency, cErr := net.ConfigureOverlay(com.Members, 0)
-		if cErr != nil {
-			cfgLatency = 0
-		}
-		cfgLatency += identityLatency
-		total, consErr := p.consensusLatency(pbftRNG)
-		rep := CommitteeReport{
-			Committee: com.ID,
+		formed = com.formedAt
+		cfgLatency := net.configureOverlay(com.members) + identityLatency
+		total := consensusLatency(pbftRNG, cfg.CommitteeSize, cfg.FaultyPerCommittee, p.pbftStep)
+		reports[ci] = CommitteeReport{
+			Committee: ci,
 			Formation: formed + cfgLatency,
 			Consensus: total,
 			TwoPhase:  formed + cfgLatency + total,
 			TxCount:   shards[ci].TxTotal,
 		}
-		if consErr != nil {
-			markConsensusFailed(&rep)
-		}
-		reports[ci] = rep
 	}
 	if fi := cfg.FaultInjector; fi != nil {
 		anyLive := false
@@ -764,21 +739,13 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 					o.Trace.Emit(obs.EvDistFault, FaultPointCommittee,
 						float64(p.epoch), fmt.Sprintf("committee-%d", reports[ci].Committee))
 				}
-			} else if !reports[ci].Failed {
+			} else {
 				anyLive = true
 			}
 		}
-		if !anyLive && len(reports) > 0 {
-			// Keep at least one committee alive so the epoch can proceed —
-			// one that reached consensus, if any did (reviving a
-			// consensus-failed committee would leave the epoch with only a
-			// sentinel-latency straggler).
-			for ci := range reports {
-				if reports[ci].Consensus != consensusFailedLatency {
-					reports[ci].Failed = false
-					break
-				}
-			}
+		if !anyLive {
+			// Keep the first committee alive so the epoch can proceed.
+			reports[0].Failed = false
 		}
 	}
 	if cfg.FailureRate > 0 {
@@ -802,41 +769,6 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	return reports, formed, nil
 }
 
-// consensusFailedLatency is the sentinel two-phase contribution of a
-// committee whose consensus stage failed: far beyond any admission
-// deadline, yet small enough that Formation + sentinel stays inside
-// time.Duration's ~292-year range. The committee "submits very late or
-// not at all" — the previous code returned a zero latency here, which
-// made a crashed committee the *fastest* submitter and let it define
-// the admission deadline.
-const consensusFailedLatency = 100 * 365 * 24 * time.Hour
-
-// markConsensusFailed rewrites a report whose consensus stage errored:
-// the committee is failed (the final committee's pings find no live
-// quorum, Section V) and its two-phase latency becomes the sentinel, so
-// it can neither arrive nor close the admission window.
-func markConsensusFailed(rep *CommitteeReport) {
-	rep.Failed = true
-	rep.Consensus = consensusFailedLatency
-	rep.TwoPhase = rep.Formation + consensusFailedLatency
-}
-
-// consensusLatency runs stage 3 for one committee with the analytic
-// order-statistics PBFT model. A non-nil error means the committee
-// reached no consensus this epoch; the caller marks the report failed
-// with a sentinel late latency rather than aborting the epoch.
-func (p *Pipeline) consensusLatency(rng *randx.RNG) (time.Duration, error) {
-	consensus, err := pbft.Run(rng, pbft.Config{
-		Replicas: p.cfg.CommitteeSize,
-		Faulty:   p.cfg.FaultyPerCommittee,
-		MeanStep: p.pbftStep,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return consensus.Total, nil
-}
-
 // injectFailures fails committees with the configured probability. The
 // final committee perceives a failed member committee through ping
 // probes (Section V: "the final committee can perceive a failed member
@@ -854,7 +786,7 @@ func (p *Pipeline) injectFailures(reports []CommitteeReport) {
 	}
 	if !anyLive {
 		// Keep at least one committee alive so the epoch can proceed:
-		// the first one the fault injector and consensus left alive.
+		// the first one the fault injector left alive.
 		for ci := range reports {
 			if !reports[ci].Failed {
 				failing[ci] = false

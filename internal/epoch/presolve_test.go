@@ -252,7 +252,7 @@ func TestPresolveRefusesInReportOrder(t *testing.T) {
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := decisionlog.ReadDir(j.Dir())
+	entries, _, err := decisionlog.ReadDir(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}

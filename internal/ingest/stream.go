@@ -42,10 +42,6 @@ type StreamConfig struct {
 	// Obs receives the mvcom_serve_* instruments and ingest trace
 	// events; nil is off.
 	Obs *obs.ServeObserver
-	// OnDeliver, when non-nil, runs after each epoch's settlement
-	// accounting with the delivered result (still pipeline-owned
-	// scratch — copy to keep).
-	OnDeliver func(*epoch.Result)
 }
 
 // DefaultQueueTxs is the queue high-watermark when StreamConfig.QueueTxs
@@ -435,9 +431,6 @@ func (s *NetStream) Deliver(res *epoch.Result) error {
 	if s.span != nil {
 		s.span.Finish()
 		s.span = nil
-	}
-	if s.cfg.OnDeliver != nil {
-		s.cfg.OnDeliver(res)
 	}
 	return nil
 }

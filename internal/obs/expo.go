@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -130,117 +129,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonHistogram is the JSON exposition shape of one histogram. P50/P95/
-// P99 are quantile estimates interpolated from the fixed buckets
-// (histogram_quantile-style); they are as coarse as the bucket layout.
-type jsonHistogram struct {
-	Count   int64        `json:"count"`
-	Sum     float64      `json:"sum"`
-	P50     float64      `json:"p50"`
-	P95     float64      `json:"p95"`
-	P99     float64      `json:"p99"`
-	Buckets []jsonBucket `json:"buckets"`
-}
-
-// histQuantile estimates quantile q (0..1) from fixed bucket bounds and
-// non-cumulative counts (counts has len(bounds)+1, the last entry being
-// the +Inf bucket), interpolating linearly within the bucket holding the
-// rank — the same estimate Prometheus's histogram_quantile computes. A
-// rank landing in the +Inf bucket degrades to the highest finite bound.
-// Returns 0 on an empty histogram.
-func histQuantile(q float64, bounds []float64, counts []int64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, b := range bounds {
-		prev := cum
-		cum += counts[i]
-		if float64(cum) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = bounds[i-1]
-			}
-			if counts[i] == 0 {
-				return b
-			}
-			return lower + (b-lower)*(rank-float64(prev))/float64(counts[i])
-		}
-	}
-	if len(bounds) == 0 {
-		return 0
-	}
-	return bounds[len(bounds)-1]
-}
-
-// jsonBucket is one non-cumulative bucket; LE is +Inf for the overflow
-// bucket (serialized as the string "+Inf" since JSON has no infinities).
-type jsonBucket struct {
-	LE    json.RawMessage `json:"le"`
-	Count int64           `json:"count"`
-}
-
-// jsonSnapshot is the full JSON exposition document.
-type jsonSnapshot struct {
-	Counters   map[string]int64         `json:"counters"`
-	Gauges     map[string]float64       `json:"gauges"`
-	Histograms map[string]jsonHistogram `json:"histograms"`
-	Trace      *jsonTrace               `json:"trace,omitempty"`
-}
-
-type jsonTrace struct {
-	Emitted uint64 `json:"emitted"`
-	Dropped uint64 `json:"dropped"`
-}
-
-// WriteJSON renders every registered instrument as one JSON document
-// (counters, gauges, histograms with per-bucket counts, tracer totals).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	r.mu.Lock()
-	snap := jsonSnapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]jsonHistogram, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		snap.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		bounds, counts := h.Buckets()
-		jh := jsonHistogram{
-			Count: h.Count(), Sum: h.Sum(),
-			P50:     histQuantile(0.50, bounds, counts),
-			P95:     histQuantile(0.95, bounds, counts),
-			P99:     histQuantile(0.99, bounds, counts),
-			Buckets: make([]jsonBucket, 0, len(counts)),
-		}
-		for i, b := range bounds {
-			le, _ := json.Marshal(b)
-			jh.Buckets = append(jh.Buckets, jsonBucket{LE: le, Count: counts[i]})
-		}
-		jh.Buckets = append(jh.Buckets, jsonBucket{LE: json.RawMessage(`"+Inf"`), Count: counts[len(counts)-1]})
-		snap.Histograms[name] = jh
-	}
-	tracer := r.tracer
-	r.mu.Unlock()
-	if tracer != nil {
-		snap.Trace = &jsonTrace{Emitted: tracer.Emitted(), Dropped: tracer.Dropped()}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
 }

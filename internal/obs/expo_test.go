@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -57,119 +56,11 @@ mvcom_trace_events_total 1
 	}
 }
 
-func TestWriteJSONGolden(t *testing.T) {
-	var sb strings.Builder
-	if err := goldenRegistry().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	const want = `{
-  "counters": {
-    "mvcom_msgs_total{dir=\"rx\"}": 2,
-    "mvcom_msgs_total{dir=\"tx\"}": 1,
-    "mvcom_test_total": 3
-  },
-  "gauges": {
-    "mvcom_gauge": 2.5
-  },
-  "histograms": {
-    "mvcom_lat_seconds": {
-      "count": 3,
-      "sum": 4.5,
-      "p50": 0.75,
-      "p95": 2,
-      "p99": 2,
-      "buckets": [
-        {
-          "le": 1,
-          "count": 2
-        },
-        {
-          "le": 2,
-          "count": 0
-        },
-        {
-          "le": "+Inf",
-          "count": 1
-        }
-      ]
-    }
-  },
-  "trace": {
-    "emitted": 1,
-    "dropped": 0
-  }
-}
-`
-	if got := sb.String(); got != want {
-		t.Fatalf("json exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-// TestWriteJSONRoundTrips guards against hand-rolled encoding bugs: the
-// document must parse back and agree with the live instruments.
-func TestWriteJSONRoundTrips(t *testing.T) {
-	var sb strings.Builder
-	if err := goldenRegistry().WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Count   int64 `json:"count"`
-			Buckets []struct {
-				LE    json.RawMessage `json:"le"`
-				Count int64           `json:"count"`
-			} `json:"buckets"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("exposition does not parse as JSON: %v", err)
-	}
-	if doc.Counters["mvcom_test_total"] != 3 {
-		t.Fatalf("counters round-trip: %v", doc.Counters)
-	}
-	h := doc.Histograms["mvcom_lat_seconds"]
-	if h.Count != 3 || len(h.Buckets) != 3 {
-		t.Fatalf("histogram round-trip: %+v", h)
-	}
-	if string(h.Buckets[2].LE) != `"+Inf"` {
-		t.Fatalf("overflow bucket le = %s, want \"+Inf\"", h.Buckets[2].LE)
-	}
-}
-
 func TestWriteNilRegistry(t *testing.T) {
 	var r *Registry
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil WritePrometheus: err=%v out=%q", err, sb.String())
-	}
-	sb.Reset()
-	if err := r.WriteJSON(&sb); err != nil || sb.String() != "{}\n" {
-		t.Fatalf("nil WriteJSON: err=%v out=%q", err, sb.String())
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	bounds := []float64{1, 2}
-	counts := []int64{2, 0, 1} // observations 0.5, 1, 3
-	cases := []struct {
-		q, want float64
-	}{
-		{0.50, 0.75}, // rank 1.5 of 2 in [0,1] -> 0.75
-		{0.95, 2},    // rank lands in +Inf -> highest finite bound
-		{0.99, 2},
-	}
-	for _, c := range cases {
-		if got := histQuantile(c.q, bounds, counts); got != c.want {
-			t.Fatalf("histQuantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := histQuantile(0.5, bounds, []int64{0, 0, 0}); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	// A rank inside the second bucket interpolates from the first bound.
-	if got := histQuantile(0.5, bounds, []int64{0, 4, 0}); got != 1.5 {
-		t.Fatalf("mid-bucket quantile = %v, want 1.5", got)
 	}
 }
 

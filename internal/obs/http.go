@@ -19,7 +19,6 @@ import (
 //	/                   index page linking every endpoint below
 //	/healthz            liveness probe + tracer fill/drop stats
 //	/metrics            Prometheus text exposition
-//	/metrics.json       the same instruments as one JSON document
 //	/trace              recent structured trace events (streamed JSON, oldest first)
 //	/debug/timeline     causal span timeline reconstructed from the tracer ring
 //	/debug/convergence  SE convergence diagnostics (registered provider)
@@ -41,7 +40,7 @@ func NewMux(reg *Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprint(w, "<html><head><title>mvcom observability</title></head><body>\n")
 		fmt.Fprint(w, "<h1>mvcom observability</h1>\n<ul>\n")
-		links := []string{"/healthz", "/metrics", "/metrics.json", "/trace", "/debug/timeline", "/debug/convergence", "/debug/decisions", "/debug/vars", "/debug/pprof/"}
+		links := []string{"/healthz", "/metrics", "/trace", "/debug/timeline", "/debug/convergence", "/debug/decisions", "/debug/vars", "/debug/pprof/"}
 		seen := map[string]bool{}
 		for _, l := range links {
 			seen[l] = true
@@ -89,14 +88,10 @@ func NewMux(reg *Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
-	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		// Streamed in bounded chunks — a large -trace-buf no longer
-		// materializes the whole window on export.
+		// Streamed in bounded chunks, so the export never materializes
+		// the whole window.
 		_ = reg.Tracer().StreamJSON(w)
 	})
 	// Explicit registration wins over the /debug/ provider dispatch.
@@ -147,22 +142,20 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close shuts the endpoint down.
 func (s *Server) Close() error { return s.hs.Close() }
 
-// Flags are the observability flags the CLIs share: -metrics-addr and
-// -trace-buf.
+// Flags are the observability flag the CLIs share: -metrics-addr.
 type Flags struct {
-	addr     string
-	traceBuf int
+	addr string
 }
 
-// RegisterFlags declares -metrics-addr and -trace-buf on fs.
+// RegisterFlags declares -metrics-addr on fs.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.addr, "metrics-addr", "", "serve live metrics on this address (e.g. 127.0.0.1:9100); empty disables")
-	fs.IntVar(&f.traceBuf, "trace-buf", DefaultTraceCapacity, "trace ring-buffer capacity (events retained for /trace)")
 	return f
 }
 
-// Start returns the run's registry and a func that shuts its endpoint
+// Start returns the run's registry, its tracer ring holding
+// DefaultTraceCapacity events, and a func that shuts its endpoint
 // down. With -metrics-addr set, the registry is served there and
 // "<prog>: metrics on http://ADDR/metrics" goes to stderr, the line
 // mvcom-cluster waits for. Otherwise the registry is nil, which turns
@@ -172,7 +165,7 @@ func (f *Flags) Start(prog string, need bool) (*Registry, func(), error) {
 	if f.addr == "" && !need {
 		return nil, func() {}, nil
 	}
-	reg := NewRegistryWithTrace(f.traceBuf)
+	reg := NewRegistryWithTrace(DefaultTraceCapacity)
 	if f.addr == "" {
 		return reg, func() {}, nil
 	}

@@ -47,20 +47,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("/metrics content type %q", ctype)
 	}
 
-	js, ctype := get("/metrics.json")
-	if !strings.HasPrefix(ctype, "application/json") {
-		t.Fatalf("/metrics.json content type %q", ctype)
-	}
-	var doc struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(js), &doc); err != nil {
-		t.Fatalf("/metrics.json does not parse: %v", err)
-	}
-	if doc.Counters["mvcom_http_test_total"] != 7 {
-		t.Fatalf("/metrics.json counters = %v", doc.Counters)
-	}
-
 	trace, _ := get("/trace")
 	var tdoc struct {
 		Dropped uint64  `json:"dropped"`
@@ -219,9 +205,10 @@ func TestServeBadAddr(t *testing.T) {
 }
 
 // TestFlagsStart pins the CLI bootstrap: without -metrics-addr the
-// registry is nil unless the caller needs one, -trace-buf sizes its
-// ring, and with -metrics-addr the registry is served and announced on
-// stderr in the exact line mvcom-cluster waits for.
+// registry is nil unless the caller needs one, its ring holds
+// DefaultTraceCapacity events, and with -metrics-addr the registry is
+// served and announced on stderr in the exact line mvcom-cluster waits
+// for.
 func TestFlagsStart(t *testing.T) {
 	start := func(need bool, args ...string) (*Registry, func()) {
 		t.Helper()
@@ -241,9 +228,9 @@ func TestFlagsStart(t *testing.T) {
 	if reg != nil {
 		t.Fatal("registry built with no endpoint and no need for one")
 	}
-	reg, stop = start(true, "-trace-buf", "32")
+	reg, stop = start(true)
 	stop()
-	if reg == nil || reg.Tracer().Capacity() != 32 {
+	if reg == nil || reg.Tracer().Capacity() != DefaultTraceCapacity {
 		t.Fatalf("needed registry missing or mis-sized: %+v", reg)
 	}
 

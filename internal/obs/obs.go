@@ -186,13 +186,12 @@ type Registry struct {
 	traceCtx *TraceContext
 }
 
-// DefaultTraceCapacity is the tracer ring's capacity when -trace-buf is
-// not set.
+// DefaultTraceCapacity is the tracer ring's capacity in every CLI's
+// registry.
 const DefaultTraceCapacity = 4096
 
 // NewRegistryWithTrace returns an empty registry whose tracer ring holds
-// up to capacity events (the -trace-buf knob of the CLIs; NewTracer
-// clamps to a minimum of 16).
+// up to capacity events (NewTracer clamps to a minimum of 16).
 func NewRegistryWithTrace(capacity int) *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),

@@ -273,11 +273,10 @@ const streamChunk = 256
 // StreamJSON writes the retained window as {"dropped":N,"events":[...]}
 // without materializing it: events are copied out in streamChunk-sized
 // batches under short lock holds and encoded as they go, so exporting a
-// large ring costs O(chunk) extra heap instead of O(capacity) — the
-// -trace-buf heap spike the pre-streaming export had. Events evicted by
-// concurrent writers mid-export are skipped (the dropped count in the
-// header is the value at export start). A nil tracer writes an empty
-// document.
+// large ring costs O(chunk) extra heap instead of O(capacity). Events
+// evicted by concurrent writers mid-export are skipped (the dropped count
+// in the header is the value at export start). A nil tracer writes an
+// empty document.
 func (t *Tracer) StreamJSON(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "{\"dropped\":0,\"events\":[]}\n")

@@ -212,8 +212,10 @@ type NodeInfo struct {
 	Dropped uint64 `json:"dropped"`
 	// OffsetSec is the clock correction applied to this node's events.
 	OffsetSec float64 `json:"offsetSec"`
-	// ClockSamples is how many EvClockSync estimates backed the offset
-	// (0 = reference node, no correction).
+	// ClockSamples is how many EvClockSync estimates backed the offset.
+	// 0 means no correction: the first node is the reference clock, and a
+	// later node without samples merges on its own clock (Merged.Warnings
+	// names it).
 	ClockSamples int `json:"clockSamples"`
 }
 
@@ -328,9 +330,9 @@ func (m *Merged) WriteJSON(w io.Writer) error {
 // WriteTree renders the node summary, merge warnings, joined decisions,
 // and the flamegraph-style text tree.
 func (m *Merged) WriteTree(w io.Writer) error {
-	for _, n := range m.Nodes {
+	for i, n := range m.Nodes {
 		ref := ""
-		if n.ClockSamples == 0 {
+		if i == 0 {
 			ref = " (reference clock)"
 		}
 		if _, err := fmt.Fprintf(w, "node %-14s events=%d dropped=%d offset=%+.3fms%s\n",

@@ -262,3 +262,25 @@ func TestMergedWriteTree(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteTreeLabelsOnlyFirstDumpReference pins that the first dump is
+// the one reference clock: a later dump with no clock-sync samples merges
+// on its own clock, and its tree line must not claim the reference.
+func TestWriteTreeLabelsOnlyFirstDumpReference(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0).UTC()
+	a := &Dump{Name: "a", Events: span(0x30, 0x30, 0, "epoch", "a", base, 30*time.Millisecond)}
+	b := &Dump{Name: "b", Events: span(0x30, 0x31, 0x30, "solve", "b", base.Add(time.Millisecond), 5*time.Millisecond)}
+	var buf bytes.Buffer
+	if err := Merge([]*Dump{a, b}).WriteTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		ref := strings.Contains(line, "reference clock")
+		switch {
+		case strings.HasPrefix(line, "node a ") && !ref:
+			t.Fatalf("first dump not labelled the reference: %q", line)
+		case strings.HasPrefix(line, "node b ") && ref:
+			t.Fatalf("second dump labelled the reference: %q", line)
+		}
+	}
+}
