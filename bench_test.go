@@ -7,6 +7,7 @@
 package mvcom_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -606,6 +607,75 @@ func BenchmarkEpochServeDecisionLog(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(on)/float64(off), benchjournal.OverheadUnit)
+}
+
+// servePlaneConfig is the pipeline of mvcom-serve's default plane: 8
+// committees of 4, every committee admitted (Nmax 1), deferrals bounded
+// at 2, a 24-block trace, telemetry on reg, and supply feeding the
+// epochs.
+func servePlaneConfig(reg *obs.Registry, supply epoch.ShardSupply) epoch.Config {
+	return epoch.Config{
+		Committees:    8,
+		CommitteeSize: 4,
+		NmaxFraction:  1,
+		MaxDeferrals:  2,
+		Trace:         txgen.Config{Blocks: 24, MeanTxs: 1200},
+		Seed:          1,
+		Obs:           obs.NewEpochObserver(reg),
+		Supply:        supply,
+	}
+}
+
+// evenSupply spreads txs transactions evenly over each epoch's fresh
+// committees.
+type evenSupply struct{ txs int }
+
+func (s evenSupply) Fill(_ int, reports []epoch.CommitteeReport) {
+	for i := range reports {
+		reports[i].TxCount = s.txs / len(reports)
+	}
+}
+
+// BenchmarkNewPipeline measures building the default serving plane's
+// pipeline, most of it the PBFT step calibration's 400 pilot rounds:
+// the pipeline's share of a plane's set-up time. The journal diff fails
+// on allocs/op growth.
+func BenchmarkNewPipeline(b *testing.B) {
+	cfg := servePlaneConfig(obs.NewRegistryWithTrace(obs.DefaultTraceCapacity), evenSupply{txs: 500})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := epoch.NewPipeline(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeEpoch measures one served epoch of the default plane:
+// Supply-fed member stages, a 500-tx batch (mvcom-serve's default
+// min-batch) that fits the 50 000-tx block, so the warm SE of the plane
+// takes its trivial path, the final block, and the telemetry. Each op
+// is one epoch of a single Serve loop, after ten untimed epochs have
+// sized the scratch and seeded the warm start. The journal diff fails
+// on allocs/op growth.
+func BenchmarkServeEpoch(b *testing.B) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	p, err := epoch.NewPipeline(servePlaneConfig(reg, evenSupply{txs: 500}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
+		Seed: 1, Gamma: 4, MaxIters: 800, WarmStart: true, Obs: obs.NewSEObserver(reg),
+	})}
+	params := epoch.EpochParams{Alpha: 1.5, Capacity: 50000, Nmin: 1}
+	ctx := context.Background()
+	if err := p.Serve(ctx, sched, &epoch.FixedStream{N: 10, Params: params}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := p.Serve(ctx, sched, &epoch.FixedStream{N: b.N, Params: params}); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkAblationThreadLattice compares the per-cardinality thread

@@ -105,6 +105,8 @@ bench_sample() {
 		^BenchmarkSpanOff$ 200000x 3
 		^BenchmarkSESolveObs 100x 3
 		^BenchmarkEpochServeDecisionLog$ 300x 5
+		^BenchmarkNewPipeline$ 300x 5
+		^BenchmarkServeEpoch$ 2000x 5
 	EOF
 	cat "$1"
 }

@@ -21,16 +21,16 @@ func TestFailedCommitteeNeverClosesWindow(t *testing.T) {
 		{TwoPhase: 200 * time.Second},
 	}
 	for _, frac := range []float64{0.01, 0.25, 0.5} {
-		if got := admissionDeadline(reports, frac); got < 100*time.Second {
+		if got := admissionDeadline(nil, reports, frac); got < 100*time.Second {
 			t.Fatalf("frac %v: deadline %v tainted by the failed committee", frac, got)
 		}
 	}
-	if got := admissionDeadline(reports, 1.0); got != 300*time.Second {
+	if got := admissionDeadline(nil, reports, 1.0); got != 300*time.Second {
 		t.Fatalf("frac 1.0 over live committees: got %v want 300s", got)
 	}
 	// Every committee failed: no one can close the window.
 	allFailed := []CommitteeReport{{Failed: true, TwoPhase: time.Second}}
-	if got := admissionDeadline(allFailed, 0.8); got != 0 {
+	if got := admissionDeadline(nil, allFailed, 0.8); got != 0 {
 		t.Fatalf("all-failed deadline %v, want 0", got)
 	}
 }
@@ -45,18 +45,18 @@ func TestAdmissionDeadlineQuantile(t *testing.T) {
 	for i := range many {
 		many[i] = CommitteeReport{TwoPhase: time.Duration(i+1) * time.Second}
 	}
-	if got := admissionDeadline(many, 0.8); got != 28*time.Second {
+	if got := admissionDeadline(nil, many, 0.8); got != 28*time.Second {
 		t.Fatalf("0.8 of 35: got %v want 28s (⌈0.8·35⌉ = 28th arrival)", got)
 	}
-	if got := admissionDeadline(many, 0); got != time.Second {
+	if got := admissionDeadline(nil, many, 0); got != time.Second {
 		t.Fatalf("fraction 0: got %v want the first arrival", got)
 	}
-	if got := admissionDeadline(many, 1); got != 35*time.Second {
+	if got := admissionDeadline(nil, many, 1); got != 35*time.Second {
 		t.Fatalf("fraction 1: got %v want the last arrival", got)
 	}
 	single := []CommitteeReport{{TwoPhase: 7 * time.Second}}
 	for _, frac := range []float64{0, 0.01, 0.5, 1} {
-		if got := admissionDeadline(single, frac); got != 7*time.Second {
+		if got := admissionDeadline(nil, single, frac); got != 7*time.Second {
 			t.Fatalf("single report, frac %v: got %v want 7s", frac, got)
 		}
 	}
@@ -66,7 +66,7 @@ func TestAdmissionDeadlineQuantile(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mixed[i].Failed = true // the five fastest die
 	}
-	if got := admissionDeadline(mixed, 0.8); got != 29*time.Second {
+	if got := admissionDeadline(nil, mixed, 0.8); got != 29*time.Second {
 		t.Fatalf("0.8 of 30 live: got %v want 29s (24th live arrival)", got)
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"mvcom/internal/chain"
@@ -92,12 +92,12 @@ type Config struct {
 	// epoch count, and so do the live set and the heap.
 	MaxDeferrals int
 	// Supply, when non-nil, feeds each epoch's fresh shard contents from
-	// an external source instead of the synthetic trace: after stages 1–3
-	// the fresh reports' TxCounts are zeroed and Supply.Fill distributes
-	// real ingested demand over them (deferred committees keep the shard
-	// they already packaged). Epochs where Fill leaves every shard empty
-	// are a quiet window: the final committee appends an empty block.
-	// Nil is off.
+	// an external source instead of the synthetic trace: stages 1–3 leave
+	// the fresh reports' TxCounts at 0 (the trace shuffle is skipped, its
+	// seed draw kept) and Supply.Fill distributes real ingested demand
+	// over them (deferred committees keep the shard they already
+	// packaged). Epochs where Fill leaves every shard empty are a quiet
+	// window: the final committee appends an empty block. Nil is off.
 	Supply ShardSupply
 	// Seed drives every stochastic component.
 	Seed int64
@@ -267,8 +267,15 @@ type Pipeline struct {
 	rng   *randx.RNG
 	chain *chain.RootChain
 	trace *txgen.Trace
-	// pbftStep is the calibrated per-step mean.
-	pbftStep time.Duration
+	// pbftMu is the location of the calibrated message delay.
+	pbftMu float64
+	// stageRNG and netRNG are the pipeline's generators, reseeded in
+	// place with the seeds rng.Split would give. stageRNG carries the
+	// calibration and trace streams in NewPipeline, then each epoch's
+	// election stream, trace shuffle and PBFT stream, each used up
+	// before the next is seeded; netRNG carries the network stream,
+	// which interleaves with PBFT.
+	stageRNG, netRNG *randx.RNG
 	// deferred carries refused committees into the next epoch with
 	// reduced two-phase latency.
 	deferred []CommitteeReport
@@ -280,6 +287,15 @@ type Pipeline struct {
 	// reports backs memberStages' per-epoch slice (including the
 	// deferred entries appended after it).
 	reports []CommitteeReport
+	// solvers, committees, net and quorum back stages 1–3.
+	solvers    []solver
+	committees []committee
+	net        network
+	quorum     []float64
+	// arrivals backs admissionDeadline's ranking.
+	arrivals []time.Duration
+	// actors holds each committee ID's trace actor name.
+	actors []string
 	// sizes and lats back the scheduling instance's slices.
 	sizes []int
 	lats  []float64
@@ -311,18 +327,23 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := randx.New(cfg.Seed)
+	p := &Pipeline{
+		cfg:       cfg,
+		rng:       randx.New(cfg.Seed),
+		chain:     chain.NewRootChain(),
+		stageRNG:  new(randx.RNG),
+		netRNG:    new(randx.RNG),
+		quorum:    make([]float64, 2*cfg.FaultyPerCommittee+1),
+		permitted: make(map[int]bool),
+	}
 	// The calibration stream splits off before the trace's; that order
 	// fixes every later draw.
-	step := calibrateMeanStep(rng.Split(), cfg.CommitteeSize, cfg.FaultyPerCommittee)
-	return &Pipeline{
-		cfg:       cfg,
-		rng:       rng,
-		chain:     chain.NewRootChain(),
-		trace:     txgen.Generate(rng.Split(), cfg.Trace),
-		pbftStep:  step,
-		permitted: make(map[int]bool),
-	}, nil
+	p.rng.SplitInto(p.stageRNG)
+	step := calibrateMeanStep(p.stageRNG, cfg.CommitteeSize, cfg.FaultyPerCommittee)
+	p.pbftMu = randx.LogNormalMu(step.Seconds(), pbftSigma)
+	p.rng.SplitInto(p.stageRNG)
+	p.trace = txgen.Generate(p.stageRNG, cfg.Trace)
+	return p, nil
 }
 
 // Chain exposes the root chain for inspection.
@@ -387,11 +408,8 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	endConsensus("")
 	endCollect := p.startPhase(root, "collect")
 	if p.cfg.Supply != nil {
-		// External supply replaces the trace-derived shard sizes on the
-		// fresh reports; deferred entries (appended below) keep theirs.
-		for i := range reports {
-			reports[i].TxCount = 0
-		}
+		// External supply sets the fresh reports' shard sizes; deferred
+		// entries (appended below) keep theirs.
 		p.cfg.Supply.Fill(p.epoch, reports)
 	}
 	// Carried-over committees re-submit with their residual latency.
@@ -402,7 +420,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 
 	// The admission window closes when ⌈Nmax·count⌉ committees have
 	// submitted; that arrival instant is the deadline t_j.
-	ddl := admissionDeadline(reports, p.cfg.NmaxFraction)
+	ddl := p.deadline(reports)
 	res.DDL = ddl.Seconds()
 	for i := range reports {
 		reports[i].Arrived = reports[i].TwoPhase <= ddl
@@ -512,7 +530,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 				age := in.Age(li)
 				cumAge += age
 				o.ShardAge.Observe(age)
-				o.Trace.Emit(obs.EvShardAge, fmt.Sprintf("committee-%d", rep.Committee), age, "")
+				o.Trace.Emit(obs.EvShardAge, p.actor(rep.Committee), age, "")
 			}
 			continue
 		}
@@ -688,7 +706,7 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 	}
 	// memberStages fills pipeline scratch; the caller gets its own copy.
 	reports = append([]CommitteeReport(nil), reports...)
-	ddl := admissionDeadline(reports, p.cfg.NmaxFraction)
+	ddl := p.deadline(reports)
 	for i := range reports {
 		reports[i].Arrived = reports[i].TwoPhase <= ddl
 	}
@@ -696,19 +714,35 @@ func (p *Pipeline) Measure() ([]CommitteeReport, float64, error) {
 }
 
 // memberStages simulates stages 1–3 for every member committee and
-// returns their reports with the time the last committee formed.
+// returns their reports with the time the last committee formed. Each
+// stage's stream is split off p.rng in a fixed order — election,
+// network, trace shuffle, PBFT — into the pipeline's two generators.
+// Under a Supply the reports' TxCounts stay 0: the shuffle that would
+// set them is skipped, and its seed draw is consumed so that every
+// later stream keeps its seed.
 func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	cfg := p.cfg
 	nodes := cfg.Committees * cfg.CommitteeSize
-	committees := formCommittees(elect(p.rng.Split(), nodes), cfg.Committees, cfg.CommitteeSize)
-	net := newNetwork(p.rng.Split(), nodes)
-	shards, err := p.trace.IntoShards(p.rng.Split(), cfg.Committees)
-	if err != nil {
-		return nil, 0, fmt.Errorf("shard trace: %w", err)
-	}
+	p.rng.SplitInto(p.stageRNG)
+	p.solvers = elect(p.solvers, p.stageRNG, nodes)
+	p.committees = formCommittees(p.committees, p.solvers, cfg.Committees, cfg.CommitteeSize)
+	p.rng.SplitInto(p.netRNG)
+	p.net = newNetwork(p.net.factors, p.netRNG, nodes)
 
 	reports := p.scratchReports(cfg.Committees)
-	pbftRNG := p.rng.Split()
+	if cfg.Supply != nil {
+		p.rng.Uint64() // the shuffle's seed draw
+	} else {
+		p.rng.SplitInto(p.stageRNG)
+		shards, err := p.trace.IntoShards(p.stageRNG, cfg.Committees)
+		if err != nil {
+			return nil, 0, fmt.Errorf("shard trace: %w", err)
+		}
+		for ci := range reports {
+			reports[ci].TxCount = shards[ci].TxTotal
+		}
+	}
+	p.rng.SplitInto(p.stageRNG)
 	// Stage 2's network-wide identity establishment: every node's PoW
 	// solution and key are verified through the directory, costing
 	// perIdentity per participant regardless of committee.
@@ -718,16 +752,16 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 	// the committee ID: ID order is formation order, and the last
 	// committee forms last.
 	var formed time.Duration
-	for ci, com := range committees {
+	for ci, com := range p.committees {
 		formed = com.formedAt
-		cfgLatency := net.configureOverlay(com.members) + identityLatency
-		total := consensusLatency(pbftRNG, cfg.CommitteeSize, cfg.FaultyPerCommittee, p.pbftStep)
+		cfgLatency := p.net.configureOverlay(com.members) + identityLatency
+		total := consensusLatency(p.quorum, p.stageRNG, cfg.CommitteeSize, cfg.FaultyPerCommittee, p.pbftMu)
 		reports[ci] = CommitteeReport{
 			Committee: ci,
 			Formation: formed + cfgLatency,
 			Consensus: total,
 			TwoPhase:  formed + cfgLatency + total,
-			TxCount:   shards[ci].TxTotal,
+			TxCount:   reports[ci].TxCount,
 		}
 	}
 	if fi := cfg.FaultInjector; fi != nil {
@@ -737,7 +771,7 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 				reports[ci].Failed = true
 				if o := cfg.Obs; o != nil {
 					o.Trace.Emit(obs.EvDistFault, FaultPointCommittee,
-						float64(p.epoch), fmt.Sprintf("committee-%d", reports[ci].Committee))
+						float64(p.epoch), p.actor(reports[ci].Committee))
 				}
 			} else {
 				anyLive = true
@@ -833,13 +867,28 @@ func (p *Pipeline) shardRoot(rep CommitteeReport) chain.Hash {
 	return tx.Hash()
 }
 
+// actor returns committee id's trace actor name, built once per ID.
+func (p *Pipeline) actor(id int) string {
+	for len(p.actors) <= id {
+		p.actors = append(p.actors, fmt.Sprintf("committee-%d", len(p.actors)))
+	}
+	return p.actors[id]
+}
+
+// deadline is admissionDeadline at the configured Nmax, ranking in the
+// pipeline's arrivals scratch.
+func (p *Pipeline) deadline(reports []CommitteeReport) time.Duration {
+	p.arrivals = slices.Grow(p.arrivals[:0], len(reports))
+	return admissionDeadline(p.arrivals, reports, p.cfg.NmaxFraction)
+}
+
 // admissionDeadline returns the arrival time of the ⌈fraction·n⌉-th
 // committee (ascending two-phase latency) among the committees that can
 // still submit: failed committees never arrive (the final committee's
 // pings have confirmed their death, Section V), so they cannot close
-// the admission window.
-func admissionDeadline(reports []CommitteeReport, fraction float64) time.Duration {
-	lat := make([]time.Duration, 0, len(reports))
+// the admission window. It ranks the latencies in lat's backing array.
+func admissionDeadline(lat []time.Duration, reports []CommitteeReport, fraction float64) time.Duration {
+	lat = lat[:0]
 	for _, r := range reports {
 		if !r.Failed {
 			lat = append(lat, r.TwoPhase)
@@ -848,7 +897,7 @@ func admissionDeadline(reports []CommitteeReport, fraction float64) time.Duratio
 	if len(lat) == 0 {
 		return 0
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.Sort(lat)
 	// The ⌈fraction·n⌉-th order statistic. The 1e-9 slack keeps exact
 	// products that land just above an integer in floating point
 	// (0.8·35 = 28.000000000000004) from rounding up one extra rank;

@@ -517,11 +517,11 @@ func TestAdmissionDeadlineEdgeFractions(t *testing.T) {
 		{0.01, 100 * time.Second}, // rounds up to the first arrival
 	}
 	for _, tt := range tests {
-		if got := admissionDeadline(reports, tt.frac); got != tt.want {
+		if got := admissionDeadline(nil, reports, tt.frac); got != tt.want {
 			t.Fatalf("frac %v: got %v want %v", tt.frac, got, tt.want)
 		}
 	}
-	if got := admissionDeadline(nil, 0.8); got != 0 {
+	if got := admissionDeadline(nil, nil, 0.8); got != 0 {
 		t.Fatalf("empty reports: %v", got)
 	}
 }
