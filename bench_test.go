@@ -361,6 +361,25 @@ func BenchmarkSpanOff(b *testing.B) {
 	}
 }
 
+// BenchmarkTracerEmit measures the tracing-on emit path on a full
+// DefaultTraceCapacity ring, where every event evicts one: a span's
+// begin and end events plus a plain event per op. The journaled
+// baseline is 0 allocs/op, and the journal diff fails on any growth.
+func BenchmarkTracerEmit(b *testing.B) {
+	tr := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity).Tracer()
+	for i := 0; i < obs.DefaultTraceCapacity; i++ {
+		tr.Emit(obs.EvSERound, "bench", float64(i), "")
+	}
+	sc := obs.SpanContext{TraceID: 1, SpanID: 2, ParentID: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.EmitSpan(obs.EvSpanBegin, "pipeline", 0, "solve", sc)
+		tr.EmitSpan(obs.EvSpanEnd, "pipeline", 1e-4, "solve", sc)
+		tr.Emit(obs.EvEpochPhase, "epoch", float64(i), "schedule")
+	}
+}
+
 // BenchmarkSESolveSize measures the solver end-to-end at three instance
 // sizes.
 func BenchmarkSESolveSize(b *testing.B) {

@@ -103,6 +103,7 @@ bench_sample() {
 		^BenchmarkSESolveSize$ 30x 5
 		^BenchmarkSERounds$ 20000x 3
 		^BenchmarkSpanOff$ 200000x 3
+		^BenchmarkTracerEmit$ 200000x 3
 		^BenchmarkSESolveObs 100x 3
 		^BenchmarkEpochServeDecisionLog$ 300x 5
 		^BenchmarkNewPipeline$ 300x 5
@@ -116,8 +117,9 @@ stage_bench() {
 	# with a convergence probe and diffed against the committed baseline.
 	# Three gates hold in every environment:
 	#   - allocs/op may not grow over the baseline, so the SE round loop
-	#     (BenchmarkSERounds) and the tracing-off span path
-	#     (BenchmarkSpanOff) stay at 0;
+	#     (BenchmarkSERounds), the tracing-off span path
+	#     (BenchmarkSpanOff) and the ring's emit path (BenchmarkTracerEmit)
+	#     stay at 0;
 	#   - the paired on/off overhead ratios of the SE observer, span and
 	#     decision-log benchmarks must keep their best sample within 1.03
 	#     (DESIGN.md §5c/§5h/§5j);

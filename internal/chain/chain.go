@@ -73,11 +73,11 @@ type ShardBlock struct {
 // NewShardHeader assembles a shard block from the committee's Merkle
 // commitment and TX count. The root must be non-zero and txCount
 // positive; it returns ErrEmptyShard otherwise.
-func NewShardHeader(committee, epoch int, latency time.Duration, root Hash, txCount int) (*ShardBlock, error) {
+func NewShardHeader(committee, epoch int, latency time.Duration, root Hash, txCount int) (ShardBlock, error) {
 	if txCount <= 0 || root.IsZero() {
-		return nil, ErrEmptyShard
+		return ShardBlock{}, ErrEmptyShard
 	}
-	return &ShardBlock{
+	return ShardBlock{
 		Committee:  committee,
 		Epoch:      epoch,
 		MerkleRoot: root,
@@ -88,7 +88,7 @@ func NewShardHeader(committee, epoch int, latency time.Duration, root Hash, txCo
 
 // Verify checks what NewShardHeader requires: a positive TX count and a
 // non-zero commitment.
-func (b *ShardBlock) Verify() error {
+func (b ShardBlock) Verify() error {
 	if b.TxCount <= 0 {
 		return ErrEmptyShard
 	}
@@ -99,7 +99,7 @@ func (b *ShardBlock) Verify() error {
 }
 
 // Hash returns the shard-block digest (header fields + Merkle root).
-func (b *ShardBlock) Hash() Hash {
+func (b ShardBlock) Hash() Hash {
 	var buf [8*3 + sha256.Size]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(b.Committee))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(b.Epoch))
@@ -197,7 +197,7 @@ func (c *RootChain) TotalTxs() int { return c.totalTxs }
 // appends it to the chain. Shards are verified first; the epoch randomness
 // is derived from the shard roots and the parent hash (the paper's stage 5
 // randomness refresh). It returns the appended block.
-func (c *RootChain) Append(epoch int, at time.Duration, shards []*ShardBlock) (*FinalBlock, error) {
+func (c *RootChain) Append(epoch int, at time.Duration, shards []ShardBlock) (*FinalBlock, error) {
 	roots := make([]Hash, 0, len(shards))
 	total := 0
 	for _, s := range shards {

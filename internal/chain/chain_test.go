@@ -7,7 +7,7 @@ import (
 )
 
 // header builds a shard block committing to root Transaction{ID: id}.
-func header(t *testing.T, committee, epoch int, id uint64, txCount int) *ShardBlock {
+func header(t *testing.T, committee, epoch int, id uint64, txCount int) ShardBlock {
 	t.Helper()
 	b, err := NewShardHeader(committee, epoch, 0, Transaction{ID: id}.Hash(), txCount)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestRootChainAppendAndVerify(t *testing.T) {
 	for epoch := 1; epoch <= 4; epoch++ {
 		s1 := header(t, 0, epoch, uint64(epoch*100), 3)
 		s2 := header(t, 1, epoch, uint64(epoch*200), 2)
-		fb, err := c.Append(epoch, time.Duration(epoch)*time.Hour, []*ShardBlock{s1, s2})
+		fb, err := c.Append(epoch, time.Duration(epoch)*time.Hour, []ShardBlock{s1, s2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestRootChainRejectsBadShard(t *testing.T) {
 	c := NewRootChain()
 	s := header(t, 0, 1, 0, 3)
 	s.MerkleRoot = Hash{} // tamper
-	if _, err := c.Append(1, 0, []*ShardBlock{s}); err == nil {
+	if _, err := c.Append(1, 0, []ShardBlock{s}); err == nil {
 		t.Fatal("tampered shard accepted")
 	}
 	if c.Height() != 0 {
@@ -115,10 +115,10 @@ func TestRootChainEmptyFinalBlock(t *testing.T) {
 
 func TestRootChainVerifyDetectsTamper(t *testing.T) {
 	c := NewRootChain()
-	if _, err := c.Append(1, 0, []*ShardBlock{header(t, 0, 1, 0, 3)}); err != nil {
+	if _, err := c.Append(1, 0, []ShardBlock{header(t, 0, 1, 0, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Append(2, 0, []*ShardBlock{header(t, 0, 2, 50, 3)}); err != nil {
+	if _, err := c.Append(2, 0, []ShardBlock{header(t, 0, 2, 50, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	c.tail[0].Height = 5
@@ -141,7 +141,7 @@ func TestRootChainKeepsBoundedTail(t *testing.T) {
 	const n = 3 * tailLen
 	want := 0
 	for e := 1; e <= n; e++ {
-		fb, err := c.Append(e, time.Duration(e)*time.Second, []*ShardBlock{header(t, 0, e, uint64(e), e)})
+		fb, err := c.Append(e, time.Duration(e)*time.Second, []ShardBlock{header(t, 0, e, uint64(e), e)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,11 +169,11 @@ func TestRootChainKeepsBoundedTail(t *testing.T) {
 
 func TestRandomnessRefreshChanges(t *testing.T) {
 	c := NewRootChain()
-	fb1, err := c.Append(1, 0, []*ShardBlock{header(t, 0, 1, 0, 1)})
+	fb1, err := c.Append(1, 0, []ShardBlock{header(t, 0, 1, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb2, err := c.Append(2, 0, []*ShardBlock{header(t, 0, 2, 10, 1)})
+	fb2, err := c.Append(2, 0, []ShardBlock{header(t, 0, 2, 10, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHeaderOnlyShardBlock(t *testing.T) {
 	if _, err := NewShardHeader(2, 1, 0, Transaction{ID: 1}.Hash(), 0); !errors.Is(err, ErrEmptyShard) {
 		t.Fatalf("zero count: err = %v, want ErrEmptyShard", err)
 	}
-	zeroRoot, zeroCount := *sb, *sb
+	zeroRoot, zeroCount := sb, sb
 	zeroRoot.MerkleRoot = Hash{}
 	zeroCount.TxCount = 0
 	if err := zeroRoot.Verify(); !errors.Is(err, ErrBadMerkleRoot) {

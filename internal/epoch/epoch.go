@@ -303,7 +303,7 @@ type Pipeline struct {
 	sel []bool
 	// shards backs the final-block assembly slice (the final block keeps
 	// only the shard hashes, not the ShardBlocks).
-	shards []*chain.ShardBlock
+	shards []chain.ShardBlock
 	// result is the reused per-epoch Result.
 	result Result
 	// permitted holds the committee IDs the previous epoch's decision
@@ -352,17 +352,27 @@ func (p *Pipeline) Chain() *chain.RootChain { return p.chain }
 // Trace exposes the generated transaction trace.
 func (p *Pipeline) Trace() *txgen.Trace { return p.trace }
 
-// startPhase opens one wall-clock phase of an epoch run: a child span
-// under the epoch root plus the per-phase wall-clock gauge on finish.
-// The returned func ends the phase with an outcome ("" = ok). Everything
-// no-ops when Obs is nil.
-func (p *Pipeline) startPhase(root *obs.Span, name string) func(outcome string) {
-	sp := p.cfg.Obs.TraceCtx().StartSpan(name, "pipeline", root.Context())
-	start := time.Now()
-	return func(outcome string) {
-		sp.FinishOutcome(outcome)
-		p.cfg.Obs.PhaseWall(name, time.Since(start).Seconds())
-	}
+// phase is one wall-clock phase of an epoch run: a child span under the
+// epoch root, timed for the per-phase wall-clock gauge.
+type phase struct {
+	o     *obs.EpochObserver
+	span  *obs.Span
+	start time.Time
+	name  string
+}
+
+// startPhase opens the named phase under root. Everything no-ops when
+// Obs is nil.
+func (p *Pipeline) startPhase(root *obs.Span, name string) phase {
+	o := p.cfg.Obs
+	return phase{o: o, span: o.TraceCtx().StartSpan(name, "pipeline", root.Context()), start: time.Now(), name: name}
+}
+
+// end finishes the phase with an outcome ("" = ok) and records its wall
+// time.
+func (ph phase) end(outcome string) {
+	ph.span.FinishOutcome(outcome)
+	ph.o.PhaseWall(ph.name, time.Since(ph.start).Seconds())
 }
 
 // RunEpoch executes the five stages once, using sched for the stage-4
@@ -399,14 +409,14 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		}
 	}()
 
-	endConsensus := p.startPhase(root, "consensus")
+	consensus := p.startPhase(root, "consensus")
 	reports, formed, err := p.memberStages()
 	if err != nil {
-		endConsensus("error")
+		consensus.end("error")
 		return nil, err
 	}
-	endConsensus("")
-	endCollect := p.startPhase(root, "collect")
+	consensus.end("")
+	collect := p.startPhase(root, "collect")
 	if p.cfg.Supply != nil {
 		// External supply sets the fresh reports' shard sizes; deferred
 		// entries (appended below) keep theirs.
@@ -439,19 +449,19 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		if p.cfg.Supply != nil {
 			// A quiet window: no transactions arrived, so the final
 			// committee appends an empty block and the epoch ends.
-			endCollect("quiet-window")
-			endCommit := p.startPhase(root, "commit")
+			collect.end("quiet-window")
+			commit := p.startPhase(root, "commit")
 			fb, aErr := p.chain.Append(p.epoch, formed+ddl, nil)
 			if aErr != nil {
-				endCommit("error")
+				commit.end("error")
 				return nil, fmt.Errorf("epoch %d empty block: %w", p.epoch, aErr)
 			}
-			endCommit("empty-block")
+			commit.end("empty-block")
 			res.FinalBlock = fb
 			committed = true
 			return res, nil
 		}
-		endCollect("all-failed")
+		collect.end("all-failed")
 		return nil, fmt.Errorf("epoch %d: every committee failed", p.epoch)
 	}
 	sizes, lats := p.scratchInstance(len(res.Live))
@@ -468,20 +478,20 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		in.Latencies[li] = reports[ri].TwoPhase.Seconds()
 	}
 	if err := in.Validate(); err != nil {
-		endCollect("invalid-instance")
+		collect.end("invalid-instance")
 		return nil, fmt.Errorf("epoch %d instance: %w", p.epoch, err)
 	}
 	in = presolve(in, res)
 	res.Instance = in
-	endCollect("")
+	collect.end("")
 
-	endSolve := p.startPhase(root, "solve")
+	solve := p.startPhase(root, "solve")
 	sol, err := p.schedule(sched, in, res)
 	if err != nil {
-		endSolve("error")
+		solve.end("error")
 		return nil, fmt.Errorf("epoch %d schedule: %w", p.epoch, err)
 	}
-	endSolve("")
+	solve.end("")
 	res.Solution = sol
 	// Journal the decision before recordPermitted rewrites the warm-start
 	// state; deferral events are filled in by the commit loop below and
@@ -505,7 +515,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	// the live shards in report order, presolved ones in their places, so
 	// a presolve that leaves the decision unchanged leaves the deferral
 	// order and the block unchanged too.
-	endCommit := p.startPhase(root, "commit")
+	commit := p.startPhase(root, "commit")
 	shards := p.shards[:0]
 	cumAge := 0.0
 	nl, np := 0, 0 // next unvisited entries of res.Live and res.Presolved
@@ -522,7 +532,7 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 		if li >= 0 && li < len(sol.Selected) && sol.Selected[li] {
 			sb, sbErr := chain.NewShardHeader(rep.Committee, p.epoch, rep.TwoPhase, p.shardRoot(rep), rep.TxCount)
 			if sbErr != nil {
-				endCommit("error")
+				commit.end("error")
 				return nil, fmt.Errorf("epoch %d shard header: %w", p.epoch, sbErr)
 			}
 			shards = append(shards, sb)
@@ -568,10 +578,10 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 
 	fb, err := p.chain.Append(p.epoch, formed+ddl, shards)
 	if err != nil {
-		endCommit("error")
+		commit.end("error")
 		return nil, fmt.Errorf("epoch %d final block: %w", p.epoch, err)
 	}
-	endCommit("")
+	commit.end("")
 	res.FinalBlock = fb
 	if o := p.cfg.Obs; o != nil {
 		o.Trace.Emit(obs.EvEpochPhase, "epoch", float64(p.epoch), "final-block-assembly")

@@ -193,12 +193,14 @@ const DefaultTraceCapacity = 4096
 // NewRegistryWithTrace returns an empty registry whose tracer ring holds
 // up to capacity events (NewTracer clamps to a minimum of 16).
 func NewRegistryWithTrace(capacity int) *Registry {
+	tracer := NewTracer(capacity)
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		debug:    make(map[string]func() any),
-		tracer:   NewTracer(capacity),
+		tracer:   tracer,
+		traceCtx: NewTraceContext(tracer),
 	}
 }
 

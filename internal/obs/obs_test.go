@@ -187,3 +187,18 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Fatalf("snapshot len %d + dropped %d != %d", len(ev), dropped, total)
 	}
 }
+
+// TestRequestShedAllocs: refusing a request allocates nothing once its
+// reason's counters exist, and the trace ring pins no per-request
+// string (each reason's detail is a constant).
+func TestRequestShedAllocs(t *testing.T) {
+	reg := NewRegistryWithTrace(DefaultTraceCapacity)
+	o := NewServeObserver(reg)
+	if allocs := testing.AllocsPerRun(100, func() { o.RequestShed("rate", 100) }); allocs != 0 {
+		t.Fatalf("RequestShed made %.0f allocations, want 0", allocs)
+	}
+	events, _ := reg.Tracer().Snapshot()
+	if last := events[len(events)-1]; last.Type != EvIngest || last.Detail != "shed:rate" || last.Value != 100 {
+		t.Fatalf("shed event = %+v, want ingest shed:rate 100", last)
+	}
+}

@@ -510,7 +510,26 @@ func (o *ServeObserver) RequestShed(reason string, txs int) {
 	if txs > 0 {
 		o.shedCounter(&o.shedTxs, "mvcom_serve_shed_txs_total", "transactions shed by admission control, by reason", reason).Add(int64(txs))
 	}
-	o.Trace.Emit(EvIngest, "ingest", float64(txs), "shed:"+reason)
+	o.Trace.Emit(EvIngest, "ingest", float64(txs), shedDetail(reason))
+}
+
+// shedDetail is a shed event's Detail, "shed:<reason>": a constant for
+// each reason the ingest stream sheds with, so refusing a request
+// allocates nothing and the trace ring pins no per-request string.
+func shedDetail(reason string) string {
+	switch reason {
+	case "rate":
+		return "shed:rate"
+	case "queue":
+		return "shed:queue"
+	case "body":
+		return "shed:body"
+	case "drain":
+		return "shed:drain"
+	case "invalid":
+		return "shed:invalid"
+	}
+	return "shed:" + reason
 }
 
 // DecodeFallback counts one txs body decoded by encoding/json because

@@ -134,17 +134,11 @@ func (s *Span) FinishOutcome(outcome string) {
 	s.tc.tracer.EmitSpan(EvSpanEnd, s.actor, time.Since(s.start).Seconds(), detail, s.ctx)
 }
 
-// TraceContext returns the registry's span allocator, creating it on
-// first use (bound to the registry's tracer). Nil registry returns nil —
-// the inert allocator.
+// TraceContext returns the registry's span allocator, bound to the
+// registry's tracer. Nil registry returns nil — the inert allocator.
 func (r *Registry) TraceContext() *TraceContext {
 	if r == nil {
 		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.traceCtx == nil {
-		r.traceCtx = NewTraceContext(r.tracer)
 	}
 	return r.traceCtx
 }

@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanNilIsOff(t *testing.T) {
@@ -151,33 +153,67 @@ func TestRegistryTraceContextIdentity(t *testing.T) {
 }
 
 func TestTracerStreamJSON(t *testing.T) {
+	// 50 events of every kind and field mix into 32 slots: 18 drops.
 	tr := NewTracer(32)
-	for i := 0; i < 50; i++ { // overflow: 18 drops
-		tr.Emit(EvSERound, "k", float64(i), "")
+	type emitted struct {
+		typ           EventType
+		actor, detail string
+		value         float64
+		sc            SpanContext
+		lo, hi        time.Time // time.Now() just before and after the emit
+	}
+	var em []emitted
+	for i := 0; i < 50; i++ {
+		e := emitted{typ: EventType(1 + i%int(evLast)), actor: []string{"", "pipeline", "committee-3"}[i%3], value: float64(i) / 4}
+		if i%2 == 0 {
+			e.detail = "solve:error"
+			e.sc = SpanContext{TraceID: uint64(i) << 40, SpanID: uint64(i) + 1, ParentID: uint64(i) >> 1}
+		}
+		e.lo = time.Now()
+		tr.EmitSpan(e.typ, e.actor, e.value, e.detail, e.sc)
+		e.hi = time.Now()
+		em = append(em, e)
 	}
 	var buf bytes.Buffer
 	if err := tr.StreamJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// When quiescent the stream is, byte for byte, the Snapshot's events
+	// marshaled one by one.
+	snap, dropped := tr.Snapshot()
+	if dropped != 18 || len(snap) != 32 {
+		t.Fatalf("snapshot: %d events, %d dropped; want 32, 18", len(snap), dropped)
+	}
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "{\"dropped\":%d,\"events\":[", dropped)
+	for i, ev := range snap {
+		raw, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			want.WriteByte(',')
+		}
+		want.Write(raw)
+	}
+	want.WriteString("]}\n")
+	if buf.String() != want.String() {
+		t.Fatalf("stream differs from the marshaled snapshot:\n got %s\nwant %s", buf.String(), want.String())
+	}
+	// Each rebuilt event is the one emitted, stamped inside its emit.
+	for i, ev := range snap {
+		e := em[18+i]
+		if ev.Seq != uint64(18+i) || ev.Type != e.typ || ev.Actor != e.actor || ev.Value != e.value || ev.Detail != e.detail ||
+			ev.TraceID != e.sc.TraceID || ev.SpanID != e.sc.SpanID || ev.ParentID != e.sc.ParentID || ev.Node != "" {
+			t.Fatalf("event %d = %+v, emitted %+v", i, ev, e)
+		}
+		if ev.At.Before(e.lo) || ev.At.After(e.hi) || ev.At.Location() != e.lo.Location() {
+			t.Fatalf("event %d at %v, emitted between %v and %v", i, ev.At, e.lo, e.hi)
+		}
+	}
 	var doc struct {
 		Dropped uint64  `json:"dropped"`
 		Events  []Event `json:"events"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("stream output not valid JSON: %v\n%s", err, buf.String())
-	}
-	if doc.Dropped != 18 {
-		t.Fatalf("dropped = %d, want 18", doc.Dropped)
-	}
-	if len(doc.Events) != 32 {
-		t.Fatalf("events = %d, want 32", len(doc.Events))
-	}
-	// Must match the Snapshot view exactly when quiescent.
-	snap, _ := tr.Snapshot()
-	for i := range snap {
-		if doc.Events[i].Seq != snap[i].Seq {
-			t.Fatalf("event %d seq %d != snapshot %d", i, doc.Events[i].Seq, snap[i].Seq)
-		}
 	}
 	// Nil tracer writes the empty document.
 	var nilBuf bytes.Buffer

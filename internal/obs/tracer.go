@@ -177,9 +177,32 @@ type Event struct {
 // reports exactly how much history it lost.
 type Tracer struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []slot // event s lives at buf[s%len(buf)]
 	next    uint64 // total events ever emitted == next Seq
 	dropped uint64
+}
+
+// slot is one ring entry: the fields an emitter writes, 80 bytes where
+// an Event takes 120. Seq is the slot's position (event s lives at
+// s%cap), Node is stamped only on loaded dumps, and At is kept as Unix
+// nanoseconds; Snapshot and StreamJSON rebuild each Event with event.
+type slot struct {
+	at     int64 // emission time, Unix nanoseconds
+	value  float64
+	sc     SpanContext
+	actor  string
+	detail string
+	typ    EventType
+}
+
+// event rebuilds the Event held in slot seq. time.Unix returns the Local
+// zone, as time.Now does, so the JSON matches the emitted time's.
+func (sl *slot) event(seq uint64) Event {
+	return Event{
+		Seq: seq, At: time.Unix(0, sl.at), Type: sl.typ, Actor: sl.actor,
+		Value: sl.value, Detail: sl.detail,
+		TraceID: sl.sc.TraceID, SpanID: sl.sc.SpanID, ParentID: sl.sc.ParentID,
+	}
 }
 
 // NewTracer returns a tracer bounded to the given capacity (min 16).
@@ -187,7 +210,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{buf: make([]slot, capacity)}
 }
 
 // Emit appends an event, evicting the oldest when full. Safe for
@@ -203,17 +226,14 @@ func (t *Tracer) EmitSpan(typ EventType, actor string, value float64, detail str
 	if t == nil {
 		return
 	}
-	now := time.Now()
+	at := time.Now().UnixNano()
 	t.mu.Lock()
 	seq := t.next
 	t.next++
 	if seq >= uint64(len(t.buf)) {
 		t.dropped++
 	}
-	t.buf[seq%uint64(len(t.buf))] = Event{
-		Seq: seq, At: now, Type: typ, Actor: actor, Value: value, Detail: detail,
-		TraceID: sc.TraceID, SpanID: sc.SpanID, ParentID: sc.ParentID,
-	}
+	t.buf[seq%uint64(len(t.buf))] = slot{at: at, value: value, sc: sc, actor: actor, detail: detail, typ: typ}
 	t.mu.Unlock()
 }
 
@@ -233,7 +253,7 @@ func (t *Tracer) Snapshot() ([]Event, uint64) {
 	}
 	out := make([]Event, 0, n-start)
 	for s := start; s < n; s++ {
-		out = append(out, t.buf[s%capU])
+		out = append(out, t.buf[s%capU].event(s))
 	}
 	return out, t.dropped
 }
@@ -294,23 +314,25 @@ func (t *Tracer) StreamJSON(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "{\"dropped\":%d,\"events\":[", dropped); err != nil {
 		return err
 	}
-	chunk := make([]Event, 0, streamChunk)
+	chunk := make([]slot, 0, streamChunk)
 	first := true
 	for s := start; s < n; {
-		hi := s + streamChunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(s+streamChunk, n)
 		chunk = chunk[:0]
 		t.mu.Lock()
-		for ; s < hi; s++ {
-			if ev := t.buf[s%capU]; ev.Seq == s {
-				chunk = append(chunk, ev)
-			}
+		// Slot s%cap still holds event s exactly when s+cap >= next, so
+		// the chunk keeps its events from lo on: the earlier ones were
+		// evicted since the export began.
+		lo := s
+		if t.next > capU {
+			lo = min(max(s, t.next-capU), hi)
+		}
+		for s = lo; s < hi; s++ {
+			chunk = append(chunk, t.buf[s%capU])
 		}
 		t.mu.Unlock()
 		for i := range chunk {
-			raw, err := json.Marshal(chunk[i])
+			raw, err := json.Marshal(chunk[i].event(lo + uint64(i)))
 			if err != nil {
 				return err
 			}
