@@ -229,8 +229,7 @@ stage_serve() {
 	# its own ledger and refuses transport errors.
 	results/bin/mvcom-serve -swarm -target "http://$(cat results/serve_addr)" \
 		-swarm-clients 4 -swarm-rate 2000 -swarm-batch 100 \
-		-swarm-duration 30s -swarm-report-every 8 -committees 6 \
-		| tee results/serve_swarm.log
+		-swarm-duration 30s | tee results/serve_swarm.log
 
 	# Graceful drain: first SIGTERM settles the backlog into final epochs.
 	kill -TERM "$serve_pid"

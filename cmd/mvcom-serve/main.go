@@ -1,6 +1,6 @@
 // Command mvcom-serve runs the networked serving plane: a long-lived
-// process that accepts transaction and shard-report traffic over HTTP
-// and a framed-TCP codec, batches it into epochs through the bounded
+// process that accepts transaction batches over HTTP and a framed-TCP
+// codec, batches them into epochs through the bounded
 // internal/ingest queue, and schedules each epoch with the MVCom SE
 // solver. Admission control — per-source token buckets, body caps, and
 // a queue high-watermark — sheds overload with retry hints instead of
@@ -69,7 +69,6 @@ func run(args []string) error {
 		maxDefer  = fs.Int("max-deferrals", 2, "epochs a refused shard may re-queue before expiring")
 		rate      = fs.Float64("rate", 0, "admitted tx/s per source (0 = rate limiting off)")
 		burst     = fs.Float64("burst", 0, "token-bucket burst in txs (0 = rate)")
-		maxSrc    = fs.Int("max-sources", 0, "token-bucket map bound (0 = 1024)")
 		queueCap  = fs.Int("queue-cap", ingest.DefaultQueueTxs, "ingest queue high-watermark in txs")
 		maxBody   = fs.Int64("max-body", ingest.DefaultMaxBody, "request body / frame cap in bytes")
 		minBatch  = fs.Int("min-batch", 500, "txs that trigger an epoch flush")
@@ -91,19 +90,18 @@ func run(args []string) error {
 		swRate    = fs.Float64("swarm-rate", 1000, "swarm: offered tx/s per client")
 		swBatch   = fs.Int("swarm-batch", 100, "swarm: txs per request")
 		swDur     = fs.Duration("swarm-duration", 10*time.Second, "swarm: offering window")
-		swReports = fs.Int("swarm-report-every", 8, "swarm: send a shard report every N batches (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *swarmMode {
-		return runSwarm(*target, *swClients, *swRate, *swBatch, *swDur, *swReports, *comms, *seed, *quiet)
+		return runSwarm(*target, *swClients, *swRate, *swBatch, *swDur, *seed, *quiet)
 	}
 	return runServer(&serverConfig{
 		addr: *addr, tcpAddr: *tcpAddr, metrAddr: *metrAddr, addrFile: *addrFile,
 		committees: *comms, size: *size, alpha: *alpha, capacity: *capacity,
 		nmin: *nmin, nmaxFrac: *nmaxFrac, maxDefer: *maxDefer,
-		rate: *rate, burst: *burst, maxSources: *maxSrc,
+		rate: *rate, burst: *burst,
 		queueCap: *queueCap, maxBody: *maxBody, minBatch: *minBatch, maxWait: *maxWait,
 		epochs: *epochs, duration: *duration, seed: *seed,
 		seIters: *seIters, gamma: *gamma, warm: *warm, decLogDir: *decLogDir,
@@ -119,7 +117,7 @@ type serverConfig struct {
 	nmaxFrac                          float64
 	maxDefer                          int
 	rate, burst                       float64
-	maxSources, queueCap              int
+	queueCap                          int
 	maxBody                           int64
 	minBatch                          int
 	maxWait                           time.Duration
@@ -161,12 +159,10 @@ func runServer(cfg *serverConfig) error {
 	}
 
 	stream := ingest.NewStream(ingest.StreamConfig{
-		Committees:  cfg.committees,
 		Params:      epoch.EpochParams{Alpha: cfg.alpha, Capacity: cfg.capacity, Nmin: cfg.nmin},
 		QueueTxs:    cfg.queueCap,
 		Rate:        cfg.rate,
 		Burst:       cfg.burst,
-		MaxSources:  cfg.maxSources,
 		MinBatchTxs: cfg.minBatch,
 		MaxWait:     cfg.maxWait,
 		MaxEpochs:   cfg.epochs,
@@ -324,7 +320,7 @@ func runServer(cfg *serverConfig) error {
 // committed, shedding observed when the load demanded it, the post-GC
 // heap trend flat, and the process back at its goroutine baseline.
 func gateServe(st ingest.Stats, heaps []uint64, baseline int, cfg *serverConfig, drained bool) error {
-	if st.Accepted+st.Reports+st.Shed() != st.Requests {
+	if st.Accepted+st.Shed() != st.Requests {
 		return fmt.Errorf("gate: request accounting leak: %+v", st)
 	}
 	if st.AccountingErrors != 0 {
@@ -352,21 +348,19 @@ func gateServe(st ingest.Stats, heaps []uint64, baseline int, cfg *serverConfig,
 
 // runSwarm is the client-fleet mode: hammer a serve process and print
 // the fleet ledger.
-func runSwarm(target string, clients int, rate float64, batch int, dur time.Duration, reportEvery, committees int, seed int64, quiet bool) error {
+func runSwarm(target string, clients int, rate float64, batch int, dur time.Duration, seed int64, quiet bool) error {
 	if target == "" {
 		return fmt.Errorf("-swarm needs -target")
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancel()
 	fleet, err := swarm.Run(ctx, swarm.Config{
-		Clients:     clients,
-		Trace:       txgen.Config{Blocks: 64, MeanTxs: 800, MinTxs: 200, MaxTxs: 3000},
-		Seed:        seed,
-		Rate:        rate,
-		Batch:       batch,
-		Duration:    dur,
-		ReportEvery: reportEvery,
-		Committees:  committees,
+		Clients:  clients,
+		Trace:    txgen.Config{Blocks: 64, MeanTxs: 800, MinTxs: 200, MaxTxs: 3000},
+		Seed:     seed,
+		Rate:     rate,
+		Batch:    batch,
+		Duration: dur,
 	}, swarm.Dial(target))
 	if err != nil {
 		return err

@@ -45,8 +45,7 @@ func TestServeSwarmEndToEnd(t *testing.T) {
 	if err := run([]string{
 		"-swarm", "-target", "http://" + addr,
 		"-swarm-clients", "2", "-swarm-rate", "1000", "-swarm-batch", "50",
-		"-swarm-duration", "1500ms", "-swarm-report-every", "6",
-		"-committees", "4", "-q",
+		"-swarm-duration", "1500ms", "-q",
 	}); err != nil {
 		t.Fatalf("swarm: %v", err)
 	}

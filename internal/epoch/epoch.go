@@ -143,9 +143,8 @@ func (c Config) withDefaults() (Config, error) {
 // ShardSupply feeds epochs from an external transaction source (the
 // networked serving plane): Fill receives the epoch's fresh committee
 // reports with TxCount zeroed and distributes the ingested demand over
-// them — setting TxCount, and optionally overriding the two-phase
-// latency of committees whose reports arrived over the wire. Fill runs
-// on the epoch goroutine; implementations synchronize internally.
+// them by setting each report's TxCount. Fill runs on the epoch
+// goroutine; implementations synchronize internally.
 type ShardSupply interface {
 	Fill(epoch int, reports []CommitteeReport)
 }

@@ -8,18 +8,20 @@ import (
 // Buckets is a bounded set of per-source token buckets: each source
 // refills at Rate transactions per second up to Burst, and a submission
 // of n transactions needs n tokens. The map itself is bounded — above
-// MaxSources the stalest source is evicted — so a rotating swarm of
+// maxSources the stalest source is evicted — so a rotating swarm of
 // client identities cannot grow the heap ("never unbounded" applies to
 // the admission state too, not just the queue).
 type Buckets struct {
-	rate       float64
-	burst      float64
-	maxSources int
-	now        func() time.Time
+	rate  float64
+	burst float64
+	now   func() time.Time
 
 	mu sync.Mutex
 	m  map[string]*bucket
 }
+
+// maxSources bounds the bucket map.
+const maxSources = 1024
 
 type bucket struct {
 	tokens float64
@@ -28,21 +30,16 @@ type bucket struct {
 
 // NewBuckets returns a bucket set refilling at rate tx/s with the given
 // burst. rate <= 0 disables rate limiting (Allow always true). burst <= 0
-// defaults to rate (a one-second burst); maxSources <= 0 defaults to
-// 1024.
-func NewBuckets(rate, burst float64, maxSources int) *Buckets {
+// defaults to rate (a one-second burst).
+func NewBuckets(rate, burst float64) *Buckets {
 	if burst <= 0 {
 		burst = rate
 	}
-	if maxSources <= 0 {
-		maxSources = 1024
-	}
 	return &Buckets{
-		rate:       rate,
-		burst:      burst,
-		maxSources: maxSources,
-		now:        time.Now,
-		m:          make(map[string]*bucket),
+		rate:  rate,
+		burst: burst,
+		now:   time.Now,
+		m:     make(map[string]*bucket),
 	}
 }
 
@@ -65,7 +62,7 @@ func (b *Buckets) Allow(source string, n int) bool {
 	defer b.mu.Unlock()
 	bk, ok := b.m[source]
 	if !ok {
-		if len(b.m) >= b.maxSources {
+		if len(b.m) >= maxSources {
 			b.evictStalest()
 		}
 		bk = &bucket{tokens: b.burst, last: now}

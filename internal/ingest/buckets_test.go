@@ -72,7 +72,7 @@ func TestBucketsAdmission(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
-			b := clocked(NewBuckets(tc.rate, tc.burst, 0), clock)
+			b := clocked(NewBuckets(tc.rate, tc.burst), clock)
 			for i, st := range tc.steps {
 				clock.advance(st.advance)
 				if got := b.Allow(st.source, st.n); got != st.want {
@@ -83,25 +83,38 @@ func TestBucketsAdmission(t *testing.T) {
 	}
 }
 
-// TestBucketsBounded pins the admission-state bound: a rotating swarm
-// of sources never grows the bucket map past MaxSources.
+// TestBucketsBounded pins the admission-state bound: the map holds
+// maxSources sources, and a new one past it evicts the stalest, so a
+// rotating swarm of sources never grows it.
 func TestBucketsBounded(t *testing.T) {
 	clock := newFakeClock()
-	b := clocked(NewBuckets(10, 10, 8), clock)
-	for i := 0; i < 100; i++ {
+	b := clocked(NewBuckets(10, 10), clock)
+	for i := 0; i < maxSources; i++ {
 		clock.advance(time.Millisecond)
 		b.Allow(fmt.Sprintf("src-%d", i), 1)
 	}
-	if n := len(b.m); n > 8 {
-		t.Fatalf("bucket map grew to %d sources, bound is 8", n)
+	if n := len(b.m); n != maxSources {
+		t.Fatalf("bucket map holds %d sources, want %d", n, maxSources)
+	}
+	clock.advance(time.Millisecond)
+	b.Allow("src-new", 1)
+	if n := len(b.m); n != maxSources {
+		t.Fatalf("bucket map grew to %d sources, bound is %d", n, maxSources)
+	}
+	if _, ok := b.m["src-0"]; ok {
+		t.Fatal("the stalest source survived the eviction")
+	}
+	if _, ok := b.m["src-1"]; !ok {
+		t.Fatal("a source other than the stalest was evicted")
 	}
 	// Recently active sources keep their state across evictions of
-	// stale ones: src-99 just spent a token from its burst of 10.
-	if !b.Allow("src-99", 9) {
+	// stale ones: the last filler just spent a token from its burst.
+	last := fmt.Sprintf("src-%d", maxSources-1)
+	if !b.Allow(last, 9) {
 		t.Fatal("recently active source lost its bucket state")
 	}
-	if b.Allow("src-99", 1) {
-		t.Fatal("src-99 should be out of tokens")
+	if b.Allow(last, 1) {
+		t.Fatalf("%s should be out of tokens", last)
 	}
 }
 

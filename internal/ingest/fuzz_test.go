@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mvcom/internal/epoch"
 )
 
 // fuzzMaxBody caps one fuzzed frame or body. It equals the scanner's
@@ -21,14 +19,10 @@ import (
 const fuzzMaxBody = 4096
 
 // fuzzStream is the plane a fuzz input runs against: a small queue
-// watermark and block capacity the inputs can reach, and rate limiting
-// off so every decoded request reaches the books.
+// watermark the inputs can reach, and rate limiting off so every
+// decoded request reaches the books.
 func fuzzStream() *NetStream {
-	return NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
-		QueueTxs:   100,
-	})
+	return NewStream(StreamConfig{QueueTxs: 100})
 }
 
 func mustJSON(f *testing.F, v any) []byte {
@@ -40,12 +34,12 @@ func mustJSON(f *testing.F, v any) []byte {
 }
 
 // checkBooks asserts the invariants no input may break: every request
-// is accepted or shed, the settlement identity is exact, the queue
-// stays under its watermark, and declared counts never go negative.
+// is accepted or shed, the settlement identity is exact, and the queue
+// stays under its watermark.
 func checkBooks(t *testing.T, s *NetStream) {
 	t.Helper()
 	st := s.Stats()
-	if st.Accepted+st.Reports+st.Shed() != st.Requests {
+	if st.Accepted+st.Shed() != st.Requests {
 		t.Fatalf("request accounting leak: %+v", st)
 	}
 	if gap := st.AccountingGap(); gap != 0 {
@@ -53,9 +47,6 @@ func checkBooks(t *testing.T, s *NetStream) {
 	}
 	if st.QueueTxs > int64(s.cfg.QueueTxs) {
 		t.Fatalf("queue %d past its watermark %d", st.QueueTxs, s.cfg.QueueTxs)
-	}
-	if st.ReportTxs < 0 || st.PendingReportTxs < 0 {
-		t.Fatalf("negative declared count: %+v", st)
 	}
 }
 
@@ -67,12 +58,13 @@ func FuzzTCPFrames(f *testing.F) {
 		return mustJSON(f, Envelope{Type: typ, Body: mustJSON(f, body)})
 	}
 	lines := func(frames ...[]byte) []byte { return bytes.Join(frames, []byte("\n")) }
-	// TestTCPFramedIngest's conversation, and TestTCPRawFrames' frames.
+	// TestTCPFramedIngest's conversation with a shard-report frame, a
+	// type the plane does not take, and TestTCPRawFrames' frames.
 	f.Add(lines(
 		frame(MsgTxs, txsRequest{Source: "alice", Txs: mkTxs(60, 0)}),
-		frame(MsgReport, Report{Committee: 2, TxCount: 9}),
+		[]byte(`{"type":"report","body":{"committee":2,"txCount":9}}`),
 		frame(MsgTxs, txsRequest{Source: "alice", Txs: mkTxs(60, 100)}),
-		frame(MsgReport, Report{Committee: 77, TxCount: 1}),
+		frame(MsgTxs, txsRequest{Source: "alice"}),
 	))
 	// A canonical txs body the recognizer counts, and a near miss
 	// (lower-case keys) it leaves to encoding/json.
@@ -82,9 +74,6 @@ func FuzzTCPFrames(f *testing.F) {
 	))
 	f.Add([]byte(`{"type":"bogus"}` + "\nthis is not json\n\r\n"))
 	f.Add([]byte(`{"type":"txs","body":{"txs":[` + strings.Repeat(`{"ID":1},`, 500) + `{"ID":2}]}}`))
-	// Two declarations whose sum overflows an int64 counter.
-	overflow := frame(MsgReport, Report{Committee: 0, TxCount: 1 << 62})
-	f.Add(lines(overflow, overflow))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		stream := fuzzStream()
 		srv := &TCPServer{stream: stream, maxLine: fuzzMaxBody}
@@ -138,33 +127,30 @@ func FuzzTCPFrames(f *testing.F) {
 	})
 }
 
-// FuzzHTTPIngest posts one body to /tx, /txs or /report, twice, so the
-// second request meets the queue and declarations the first left.
-// Every request must get a JSON ack whose status matches its reason.
+// FuzzHTTPIngest posts one body to /txs twice, so the second request
+// meets the queue the first left. Every request must get a JSON ack
+// whose status matches its reason.
 func FuzzHTTPIngest(f *testing.F) {
 	// TestHTTPAdmission's bodies, a canonical txs body and a near miss
-	// the recognizer leaves to encoding/json, and a declaration that
-	// overflows an int64 counter when posted twice.
-	f.Add(uint8(0), mustJSON(f, mkTxs(1, 0)[0]))
-	f.Add(uint8(1), mustJSON(f, txsRequest{Txs: mkTxs(40, 100)}))
-	f.Add(uint8(1), []byte(`{"txs":[`+strings.Repeat(`{"ID":1},`, 600)+`{"ID":2}]}`))
-	f.Add(uint8(1), mustJSON(f, txsRequest{Source: "gen-0", Txs: mkTxs(3, 0)}))
-	f.Add(uint8(1), []byte(`{"TXS":[{"id":1}]}`))
-	f.Add(uint8(0), []byte("{not json"))
-	f.Add(uint8(2), mustJSON(f, Report{Committee: 1, TxCount: 5}))
-	f.Add(uint8(2), mustJSON(f, Report{Committee: 99, TxCount: 5}))
-	f.Add(uint8(2), mustJSON(f, Report{Committee: 0, TxCount: 1 << 62}))
-	paths := [...]string{"/tx", "/txs", "/report"}
+	// the recognizer leaves to encoding/json, and the bodies a client of
+	// the deleted one-transaction and shard-report endpoints would send.
+	f.Add(mustJSON(f, mkTxs(1, 0)[0]))
+	f.Add(mustJSON(f, txsRequest{Txs: mkTxs(40, 100)}))
+	f.Add([]byte(`{"txs":[` + strings.Repeat(`{"ID":1},`, 600) + `{"ID":2}]}`))
+	f.Add(mustJSON(f, txsRequest{Source: "gen-0", Txs: mkTxs(3, 0)}))
+	f.Add([]byte(`{"TXS":[{"id":1}]}`))
+	f.Add([]byte("{not json"))
+	f.Add([]byte(`{"committee":1,"txCount":5}`))
 	status := map[string]int{
 		"": http.StatusOK, "rate": http.StatusTooManyRequests, "queue": http.StatusTooManyRequests,
 		"body": http.StatusRequestEntityTooLarge, "drain": http.StatusServiceUnavailable, "invalid": http.StatusBadRequest,
 	}
-	f.Fuzz(func(t *testing.T, path uint8, body []byte) {
+	f.Fuzz(func(t *testing.T, body []byte) {
 		stream := fuzzStream()
 		h := NewHandler(stream, fuzzMaxBody)
 		for i := 0; i < 2; i++ {
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, paths[int(path)%len(paths)], bytes.NewReader(body)))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txs", bytes.NewReader(body)))
 			var ack ackResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
 				t.Fatalf("request %d: status %d, bad ack %q: %v", i, rec.Code, rec.Body.Bytes(), err)

@@ -24,8 +24,10 @@ const SourceHeader = "X-MVCom-Source"
 // one epoch's worth of backoff is enough for the queue to flush.
 const retryAfterSeconds = "1"
 
-// txsRequest is the POST /txs body: a transaction batch, optionally
-// naming its source (the header wins when both are set).
+// txsRequest is a txs body: a transaction batch, optionally naming its
+// source. Admission never reads that name (HTTP keys on SourceHeader or
+// the peer host, TCP on the peer host); the field keeps encoding/json
+// refusing a source that is not a string, as countTxs does.
 type txsRequest struct {
 	Source string              `json:"source,omitempty"`
 	Txs    []chain.Transaction `json:"txs"`
@@ -39,9 +41,7 @@ type ackResponse struct {
 
 // NewHandler returns the HTTP ingest front end for stream:
 //
-//	POST /tx      one chain.Transaction
 //	POST /txs     {"source": "...", "txs": [...]}
-//	POST /report  {"committee": N, "txCount": N, "latency": S}
 //	GET  /stats   accounting snapshot (ingest.Stats)
 //
 // Bodies above maxBody bytes (default DefaultMaxBody) are rejected with
@@ -52,24 +52,10 @@ func NewHandler(stream *NetStream, maxBody int64) http.Handler {
 		maxBody = DefaultMaxBody
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /tx", func(w http.ResponseWriter, r *http.Request) {
-		var tx chain.Transaction
-		if !decodeBody(w, r, stream, maxBody, &tx) {
-			return
-		}
-		writeAck(w, stream.Submit(sourceOf(r), []chain.Transaction{tx}))
-	})
 	mux.HandleFunc("POST /txs", func(w http.ResponseWriter, r *http.Request) {
-		if src, n, ok := readTxs(w, r, stream, maxBody); ok {
-			writeAck(w, stream.SubmitCount(src, n))
+		if n, ok := readTxs(w, r, stream, maxBody); ok {
+			writeAck(w, stream.SubmitCount(sourceOf(r), n))
 		}
-	})
-	mux.HandleFunc("POST /report", func(w http.ResponseWriter, r *http.Request) {
-		var rep Report
-		if !decodeBody(w, r, stream, maxBody, &rep) {
-			return
-		}
-		writeAck(w, stream.SubmitReport(sourceOf(r), rep))
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -99,13 +85,11 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // 1 MiB default cap is left to the collector rather than pinned.
 const maxPooledBody = 64 << 10
 
-// readTxs reads a POST /txs body under the cap and returns its admission
-// source (the header or peer, else the body's) and transaction count.
-// countTxs counts a canonical body without decoding it; any body it
-// declines, or one over the cap, goes to encoding/json as decodeBody
-// would take it. Returns false when a response was already written.
-func readTxs(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody int64) (string, int, bool) {
-	src := sourceOf(r)
+// readTxs reads a POST /txs body under the cap and returns its
+// transaction count. countTxs counts a canonical body without decoding
+// it; any body it declines, or one over the cap, goes to encoding/json.
+// Returns false when a response was already written.
+func readTxs(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody int64) (int, bool) {
 	body := http.MaxBytesReader(w, r.Body, maxBody)
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -115,33 +99,21 @@ func readTxs(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody 
 		}
 	}()
 	if _, err := buf.ReadFrom(body); err == nil {
-		if bodySrc, n, ok := countTxs(buf.Bytes()); ok {
-			if src == "" {
-				src = string(bodySrc)
-			}
-			return src, n, true
+		if n, ok := countTxs(buf.Bytes()); ok {
+			return n, true
 		}
 	}
 	stream.cfg.Obs.DecodeFallback()
 	var req txsRequest
 	if !decodeJSON(w, io.MultiReader(bytes.NewReader(buf.Bytes()), body), stream, &req) {
-		return "", 0, false
+		return 0, false
 	}
-	if src == "" {
-		src = req.Source
-	}
-	return src, len(req.Txs), true
+	return len(req.Txs), true
 }
 
-// decodeBody decodes a capped JSON body into v, answering 413 on an
-// oversized body (counted as a "body" shed) and 400 on malformed JSON.
-// Returns false when a response was already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, stream *NetStream, maxBody int64, v any) bool {
-	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBody), stream, v)
-}
-
-// decodeJSON is decodeBody over a body already capped by
-// http.MaxBytesReader.
+// decodeJSON decodes a body capped by http.MaxBytesReader into v,
+// answering 413 on an oversized body (counted as a "body" shed) and 400
+// on malformed JSON. Returns false when a response was already written.
 func decodeJSON(w http.ResponseWriter, body io.Reader, stream *NetStream, v any) bool {
 	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError

@@ -18,11 +18,10 @@ import (
 func newTestServer(t *testing.T) (*httptest.Server, *NetStream, *fakeClock) {
 	t.Helper()
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   100,
-		Rate:       10,
-		Burst:      50,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 100,
+		Rate:     10,
+		Burst:    50,
 	})
 	clock := newFakeClock()
 	stream.buckets.now = clock.now
@@ -70,7 +69,7 @@ func TestHTTPAdmission(t *testing.T) {
 	ts, stream, clock := newTestServer(t)
 
 	// Accepted single tx.
-	resp := postJSON(t, ts.URL+"/tx", "alice", mkTxs(1, 0)[0])
+	resp := postJSON(t, ts.URL+"/txs", "alice", txsRequest{Txs: mkTxs(1, 0)})
 	if resp.StatusCode != http.StatusOK || !decodeAck(t, resp).Accepted {
 		t.Fatalf("single tx: status %d", resp.StatusCode)
 	}
@@ -135,7 +134,7 @@ func TestHTTPAdmission(t *testing.T) {
 	}
 
 	// Malformed JSON: 400.
-	bad, _ := http.NewRequest(http.MethodPost, ts.URL+"/tx", strings.NewReader("{not json"))
+	bad, _ := http.NewRequest(http.MethodPost, ts.URL+"/txs", strings.NewReader("{not json"))
 	badResp, err := http.DefaultClient.Do(bad)
 	if err != nil {
 		t.Fatal(err)
@@ -145,29 +144,19 @@ func TestHTTPAdmission(t *testing.T) {
 		t.Fatalf("malformed body: status %d, want 400", badResp.StatusCode)
 	}
 
-	// Reports: accepted, then invalid committee.
-	resp = postJSON(t, ts.URL+"/report", "shard-1", Report{Committee: 1, TxCount: 5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report: status %d", resp.StatusCode)
-	}
-	resp = postJSON(t, ts.URL+"/report", "shard-1", Report{Committee: 99, TxCount: 5})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid report: status %d, want 400", resp.StatusCode)
-	}
-
 	// Drain: 503.
 	stream.Drain()
-	resp = postJSON(t, ts.URL+"/tx", "alice", mkTxs(1, 600)[0])
+	resp = postJSON(t, ts.URL+"/txs", "alice", txsRequest{Txs: mkTxs(1, 600)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drain shed: status %d, want 503", resp.StatusCode)
 	}
 
 	// Every request is accounted: accepted + shed == requests.
 	st := stream.Stats()
-	if st.Accepted+st.Reports+st.Shed() != st.Requests {
+	if st.Accepted+st.Shed() != st.Requests {
 		t.Fatalf("request accounting leak: %+v", st)
 	}
-	if st.ShedRate != 1 || st.ShedQueue != 1 || st.ShedBody != 1 || st.ShedDrain != 1 || st.ShedInvalid != 2 {
+	if st.ShedRate != 1 || st.ShedQueue != 1 || st.ShedBody != 1 || st.ShedDrain != 1 || st.ShedInvalid != 1 {
 		t.Fatalf("shed breakdown: %+v", st)
 	}
 }
@@ -208,5 +197,49 @@ func TestHTTPSourceFallback(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/txs", "", txsRequest{Txs: mkTxs(25, 1000)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shared-host bucket: status %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestWireAcceptsOnlyTxs: a transaction batch is the only request the
+// plane takes. The deleted one-transaction and shard-report endpoints
+// answer 404 without touching the books, and a TCP report frame is shed
+// "invalid" without declaring anything.
+func TestWireAcceptsOnlyTxs(t *testing.T) {
+	ts, stream, _ := newTestServer(t)
+	before := stream.Stats()
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/tx", mkTxs(1, 0)[0]},
+		{"/report", map[string]int{"committee": 1, "txCount": 5}},
+	} {
+		resp := postJSON(t, ts.URL+req.path, "alice", req.body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", req.path, resp.StatusCode)
+		}
+	}
+	if after := stream.Stats(); after != before {
+		t.Fatalf("404s moved the books: %+v, then %+v", before, after)
+	}
+
+	c, err := DialTCP(serveTCP(t, stream, 4096).Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ack, err := c.send("report", map[string]int{"committee": 1, "txCount": 50000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Accepted || ack.Reason != "invalid" {
+		t.Fatalf("report frame ack: %+v", ack)
+	}
+	st := stream.Stats()
+	if st.ShedInvalid != before.ShedInvalid+1 || st.Requests != before.Requests+1 {
+		t.Fatalf("report frame: %+v, want one more invalid request than %+v", st, before)
+	}
+	if gap := st.AccountingGap(); gap != 0 {
+		t.Fatalf("accounting gap %d after a report frame: %+v", gap, st)
 	}
 }

@@ -1,46 +1,31 @@
 // Package ingest is the networked serving plane: it accepts transaction
-// and shard-report traffic over HTTP/JSON and a framed-TCP codec,
-// batches it into epochs through a bounded queue, and applies admission
-// control — per-source token buckets, body-size caps, and a queue
-// high-watermark that sheds with 429 + Retry-After instead of growing
-// the heap. NetStream bridges the front ends to epoch.Pipeline.Serve:
-// it implements epoch.EpochStream (cancellable blocking NextContext) and
+// batches over HTTP/JSON and a framed-TCP codec, batches them into
+// epochs through a bounded queue, and applies admission control —
+// per-source token buckets, body-size caps, and a queue high-watermark
+// that sheds with 429 + Retry-After instead of growing the heap.
+// NetStream bridges the front ends to epoch.Pipeline.Serve: it
+// implements epoch.EpochStream (cancellable blocking NextContext) and
 // epoch.ShardSupply (real ingested demand replaces the synthetic
 // trace's shard sizes), and settles every admitted transaction as
 // committed, expired, or still outstanding after each epoch — the
 // accounting the serve gates check.
 package ingest
 
-// Report is one shard report arriving over the wire: a member committee
-// declaring TxCount transactions for the coming epoch, optionally with
-// an observed two-phase latency (seconds) that overrides the simulated
-// one. Multiple reports for one committee accumulate TxCount; the
-// latest positive Latency wins.
-type Report struct {
-	Committee int     `json:"committee"`
-	TxCount   int     `json:"txCount"`
-	Latency   float64 `json:"latency,omitempty"`
-}
-
 // Stats is an atomic snapshot of the serving plane's accounting. Every
 // admitted transaction is in exactly one bucket on the right-hand side
 // of the identity
 //
-//	AcceptedTxs + ReportTxs ==
-//	    CommittedTxs + ExpiredTxs + OutstandingTxs +
-//	    QueueTxs + PendingReportTxs + AssignedTxs
+//	AcceptedTxs == CommittedTxs + ExpiredTxs + OutstandingTxs +
+//	    QueueTxs + AssignedTxs
 //
-// and after a graceful drain the last four terms are zero: everything
+// and after a graceful drain the last three terms are zero: everything
 // ever admitted has settled as committed or expired.
 type Stats struct {
 	// Requests counts ingest requests seen before admission; Accepted
-	// those admitted (AcceptedTxs their transactions); Reports admitted
-	// shard reports (ReportTxs their declared transactions).
+	// those admitted (AcceptedTxs their transactions).
 	Requests    int64 `json:"requests"`
 	Accepted    int64 `json:"accepted"`
 	AcceptedTxs int64 `json:"acceptedTxs"`
-	Reports     int64 `json:"reports"`
-	ReportTxs   int64 `json:"reportTxs"`
 	// Shed* count refused requests by reason; ShedTxs the transactions
 	// they carried.
 	ShedRate    int64 `json:"shedRate"`
@@ -51,14 +36,12 @@ type Stats struct {
 	ShedTxs     int64 `json:"shedTxs"`
 	// Settlement: committed into final blocks, expired by the deferral
 	// bound, outstanding in the deferral backlog, queued awaiting a
-	// flush, declared by pending reports, or assigned to the in-flight
-	// epoch.
-	CommittedTxs     int64 `json:"committedTxs"`
-	ExpiredTxs       int64 `json:"expiredTxs"`
-	OutstandingTxs   int64 `json:"outstandingTxs"`
-	QueueTxs         int64 `json:"queueTxs"`
-	PendingReportTxs int64 `json:"pendingReportTxs"`
-	AssignedTxs      int64 `json:"assignedTxs"`
+	// flush, or assigned to the in-flight epoch.
+	CommittedTxs   int64 `json:"committedTxs"`
+	ExpiredTxs     int64 `json:"expiredTxs"`
+	OutstandingTxs int64 `json:"outstandingTxs"`
+	QueueTxs       int64 `json:"queueTxs"`
+	AssignedTxs    int64 `json:"assignedTxs"`
 	// Epochs counts delivered epochs; Draining reports drain mode;
 	// AccountingErrors counts epochs whose settlement identity went
 	// negative (a bug — the serve gates fail on it).
@@ -74,11 +57,11 @@ func (s Stats) Shed() int64 {
 
 // Unsettled sums the not-yet-final buckets; zero after a graceful drain.
 func (s Stats) Unsettled() int64 {
-	return s.OutstandingTxs + s.QueueTxs + s.PendingReportTxs + s.AssignedTxs
+	return s.OutstandingTxs + s.QueueTxs + s.AssignedTxs
 }
 
 // AccountingGap is admitted minus settled transactions; zero when the
 // identity holds.
 func (s Stats) AccountingGap() int64 {
-	return s.AcceptedTxs + s.ReportTxs - (s.CommittedTxs + s.ExpiredTxs + s.Unsettled())
+	return s.AcceptedTxs - (s.CommittedTxs + s.ExpiredTxs + s.Unsettled())
 }

@@ -40,7 +40,6 @@ func TestOverloadBoundedHeap(t *testing.T) {
 		queueCap      = 4000
 	)
 	stream := NewStream(StreamConfig{
-		Committees:  4,
 		Params:      epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
 		QueueTxs:    queueCap,
 		Rate:        ratePerSource,
@@ -111,7 +110,7 @@ func TestOverloadBoundedHeap(t *testing.T) {
 
 	st := stream.Stats()
 	checkSettled(t, st)
-	if st.Accepted+st.Reports+st.Shed() != st.Requests {
+	if st.Accepted+st.Shed() != st.Requests {
 		t.Fatalf("request accounting leak: %+v", st)
 	}
 	if st.ShedRate == 0 {

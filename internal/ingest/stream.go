@@ -13,9 +13,9 @@ import (
 
 // StreamConfig parameterizes a NetStream.
 type StreamConfig struct {
-	// Committees must match the pipeline's committee count; wire reports
-	// naming a committee outside [0, Committees) are shed as invalid,
-	// which also bounds the pending-report map.
+	// Committees is read by nothing: Fill spreads each flush over
+	// whatever committees the epoch's reports name. It stays only while
+	// the benchmark module's plane (benchmark/plane.go) still sets it.
 	Committees int
 	// Params are the scheduling parameters handed to every epoch.
 	Params epoch.EpochParams
@@ -24,10 +24,8 @@ type StreamConfig struct {
 	// defaults to DefaultQueueTxs.
 	QueueTxs int
 	// Rate and Burst configure the per-source token buckets (tx/s and
-	// txs); Rate <= 0 disables rate limiting. MaxSources bounds the
-	// bucket map (default 1024).
+	// txs); Rate <= 0 disables rate limiting.
 	Rate, Burst float64
-	MaxSources  int
 	// MinBatchTxs flushes an epoch as soon as the queue holds this many
 	// transactions (<= 0 defaults to 1: any traffic starts an epoch).
 	MinBatchTxs int
@@ -62,12 +60,13 @@ func (c StreamConfig) withDefaults() StreamConfig {
 }
 
 // NetStream bridges the network front ends to epoch.Pipeline.Serve. The
-// front ends call Submit/SubmitReport from many goroutines; the serve
-// goroutine calls NextContext and Deliver (epoch.EpochStream) and Fill
-// (epoch.ShardSupply). The queue is a count of admitted transactions:
-// shards are header-only (a block commits to each shard's TxCount), so
-// the flush that hands the count to the coming epoch needs no
-// per-transaction state, and admission and flush are O(1).
+// front ends call SubmitCount (in-process callers Submit) from many
+// goroutines; the serve goroutine calls NextContext and Deliver
+// (epoch.EpochStream) and Fill (epoch.ShardSupply). The queue is a
+// count of admitted transactions: shards are header-only (a block
+// commits to each shard's TxCount), so the flush that hands the count
+// to the coming epoch needs no per-transaction state, and admission and
+// flush are O(1).
 type NetStream struct {
 	cfg     StreamConfig
 	queued  atomic.Int64 // admitted txs not yet flushed, <= QueueTxs
@@ -78,13 +77,8 @@ type NetStream struct {
 	drainOnce sync.Once
 	drainCh   chan struct{}
 
-	repMu      sync.Mutex
-	pendingRep map[int]Report
-	pendingTxs atomic.Int64
-
 	// Counters shared with the front ends (Stats snapshots).
 	requests, accepted, acceptedTxs atomic.Int64
-	reports, reportTxs              atomic.Int64
 	shedRate, shedQueue, shedBody   atomic.Int64
 	shedDrain, shedInvalid, shedTxs atomic.Int64
 	committedTxs, expiredTxs        atomic.Int64
@@ -92,8 +86,7 @@ type NetStream struct {
 	epochs, accountingErrors        atomic.Int64
 
 	// Epoch-goroutine state (only touched by NextContext/Fill/Deliver).
-	fillRep     []Report // snapshot of pending reports for the in-flight epoch
-	batchTxs    int      // queue txs flushed into the in-flight epoch
+	batchTxs    int // queue txs flushed into the in-flight epoch
 	served      int
 	drainEpochs int
 	finished    bool
@@ -116,11 +109,10 @@ var (
 func NewStream(cfg StreamConfig) *NetStream {
 	cfg = cfg.withDefaults()
 	return &NetStream{
-		cfg:        cfg,
-		buckets:    NewBuckets(cfg.Rate, cfg.Burst, cfg.MaxSources),
-		wake:       make(chan struct{}, 1),
-		drainCh:    make(chan struct{}),
-		pendingRep: make(map[int]Report),
+		cfg:     cfg,
+		buckets: NewBuckets(cfg.Rate, cfg.Burst),
+		wake:    make(chan struct{}, 1),
+		drainCh: make(chan struct{}),
 	}
 }
 
@@ -167,49 +159,10 @@ func (s *NetStream) SubmitCount(source string, count int) string {
 	return ""
 }
 
-// SubmitReport runs a shard report through admission. Reports bypass
-// the queue watermark (they are O(1) pending state per committee) but
-// still pay token-bucket tokens for the transactions they declare, and
-// a report that would take its committee's pending declared count
-// above the block capacity is shed as invalid: no block could hold it.
-func (s *NetStream) SubmitReport(source string, rep Report) string {
-	s.requests.Add(1)
-	s.cfg.Obs.RequestSeen()
-	if rep.Committee < 0 || rep.Committee >= s.cfg.Committees || rep.TxCount < 0 || rep.Latency < 0 {
-		return s.shed("invalid", rep.TxCount)
-	}
-	if s.draining.Load() {
-		return s.shed("drain", rep.TxCount)
-	}
-	if !s.buckets.Allow(source, rep.TxCount) {
-		return s.shed("rate", rep.TxCount)
-	}
-	s.repMu.Lock()
-	cur := s.pendingRep[rep.Committee]
-	if rep.TxCount > s.cfg.Params.Capacity-cur.TxCount {
-		s.repMu.Unlock()
-		return s.shed("invalid", rep.TxCount)
-	}
-	cur.Committee = rep.Committee
-	cur.TxCount += rep.TxCount
-	if rep.Latency > 0 {
-		cur.Latency = rep.Latency
-	}
-	s.pendingRep[rep.Committee] = cur
-	s.repMu.Unlock()
-	s.pendingTxs.Add(int64(rep.TxCount))
-	s.reports.Add(1)
-	s.reportTxs.Add(int64(rep.TxCount))
-	s.cfg.Obs.ReportAccepted(rep.TxCount)
-	s.wakeUp()
-	return ""
-}
-
 // Drain switches the stream into graceful-drain mode: new traffic is
-// shed with reason "drain", the queue and pending reports flush into a
-// final run of epochs that settles the deferral backlog, and the stream
-// then ends cleanly so Serve returns nil with every admitted
-// transaction settled.
+// shed with reason "drain", the queue flushes into a final run of
+// epochs that settles the deferral backlog, and the stream then ends
+// cleanly so Serve returns nil with every admitted transaction settled.
 func (s *NetStream) Drain() {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
@@ -221,8 +174,6 @@ func (s *NetStream) Stats() Stats {
 		Requests:         s.requests.Load(),
 		Accepted:         s.accepted.Load(),
 		AcceptedTxs:      s.acceptedTxs.Load(),
-		Reports:          s.reports.Load(),
-		ReportTxs:        s.reportTxs.Load(),
 		ShedRate:         s.shedRate.Load(),
 		ShedQueue:        s.shedQueue.Load(),
 		ShedBody:         s.shedBody.Load(),
@@ -233,7 +184,6 @@ func (s *NetStream) Stats() Stats {
 		ExpiredTxs:       s.expiredTxs.Load(),
 		OutstandingTxs:   s.outstandingTxs.Load(),
 		QueueTxs:         s.queued.Load(),
-		PendingReportTxs: s.pendingTxs.Load(),
 		AssignedTxs:      s.assignedTxs.Load(),
 		Epochs:           s.epochs.Load(),
 		Draining:         s.draining.Load(),
@@ -250,7 +200,7 @@ func (s *NetStream) ShedBody() string {
 }
 
 // ShedInvalid counts a request refused before it carries a batch: a
-// malformed body or frame, or an unknown message type.
+// malformed body or frame, or a frame type other than "txs".
 func (s *NetStream) ShedInvalid() string {
 	s.requests.Add(1)
 	s.cfg.Obs.RequestSeen()
@@ -286,7 +236,7 @@ func (s *NetStream) wakeUp() {
 
 // NextContext implements epoch.EpochStream: it blocks until the queue
 // reaches MinBatchTxs, MaxWait elapses, the stream drains, or ctx is
-// canceled, then flushes the pending traffic into the coming epoch.
+// canceled, then flushes the queued transactions into the coming epoch.
 func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochParams, bool) {
 	if s.finished || (s.cfg.MaxEpochs > 0 && s.served >= s.cfg.MaxEpochs) {
 		return epoch.EpochParams{}, false
@@ -297,10 +247,10 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 	for {
 		if s.draining.Load() {
 			// Drain epochs run until everything admitted has settled:
-			// the first flushes the queue and pending reports in, and
-			// the rest give the deferral backlog epochs to commit or
-			// expire via MaxDeferrals.
-			if s.queued.Load() == 0 && s.pendingTxs.Load() == 0 && s.outstandingTxs.Load() == 0 {
+			// the first flushes the queue in, and the rest give the
+			// deferral backlog epochs to commit or expire via
+			// MaxDeferrals.
+			if s.queued.Load() == 0 && s.outstandingTxs.Load() == 0 {
 				s.finished = true
 				return epoch.EpochParams{}, false
 			}
@@ -335,39 +285,23 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 	}
 }
 
-// flush moves the queued transactions and pending reports into the
-// in-flight epoch's fill plan. Runs on the epoch goroutine only.
+// flush moves the queued transactions into the in-flight epoch's fill
+// plan. Runs on the epoch goroutine only.
 func (s *NetStream) flush(draining bool) {
 	s.batchTxs = int(s.queued.Swap(0))
-
-	s.fillRep = s.fillRep[:0]
-	s.repMu.Lock()
-	for _, rep := range s.pendingRep {
-		s.fillRep = append(s.fillRep, rep)
-	}
-	for c := range s.pendingRep {
-		delete(s.pendingRep, c)
-	}
-	s.repMu.Unlock()
-	repTxs := 0
-	for _, rep := range s.fillRep {
-		repTxs += rep.TxCount
-	}
-	s.pendingTxs.Add(int64(-repTxs))
-	s.assignedTxs.Add(int64(s.batchTxs + repTxs))
+	s.assignedTxs.Add(int64(s.batchTxs))
 
 	s.cfg.Obs.SetQueueTxs(int(s.queued.Load()))
-	s.cfg.Obs.BatchFlushed(s.batchTxs + repTxs)
+	s.cfg.Obs.BatchFlushed(s.batchTxs)
 	if draining {
-		s.cfg.Obs.DrainFlushed(s.batchTxs + repTxs)
+		s.cfg.Obs.DrainFlushed(s.batchTxs)
 	}
 	s.span = s.cfg.Obs.TraceCtx().StartRoot("ingest-batch", "ingest")
 }
 
 // Fill implements epoch.ShardSupply: the flushed queue transactions are
-// spread round-robin over the epoch's fresh committees, and each wire
-// report adds its declared count to (and may override the latency of)
-// the committee it names. Runs on the epoch goroutine only.
+// spread round-robin over the epoch's fresh committees. Runs on the
+// epoch goroutine only.
 func (s *NetStream) Fill(epochN int, reports []epoch.CommitteeReport) {
 	if len(reports) == 0 {
 		return
@@ -377,25 +311,6 @@ func (s *NetStream) Fill(epochN int, reports []epoch.CommitteeReport) {
 		reports[i].TxCount = base
 		if i < rem {
 			reports[i].TxCount++
-		}
-	}
-	for _, rep := range s.fillRep {
-		idx := -1
-		for i := range reports {
-			if reports[i].Committee == rep.Committee {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			idx = rep.Committee % len(reports)
-		}
-		reports[idx].TxCount += rep.TxCount
-		if rep.Latency > 0 {
-			lat := time.Duration(rep.Latency * float64(time.Second))
-			reports[idx].Formation = lat
-			reports[idx].Consensus = 0
-			reports[idx].TwoPhase = lat
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,14 +57,12 @@ func checkSettled(t *testing.T, st Stats) {
 	}
 }
 
-// TestNetStreamServesAndSettles is the end-to-end integration: wire
-// traffic (tx batches and shard reports) batched into epochs through a
-// real pipeline, drained gracefully, every admitted transaction settled
-// committed-or-expired, and the final drain epoch delivered before
-// Serve returns.
+// TestNetStreamServesAndSettles is the end-to-end integration: tx
+// batches batched into epochs through a real pipeline, drained
+// gracefully, every admitted transaction settled committed-or-expired,
+// and the final drain epoch delivered before Serve returns.
 func TestNetStreamServesAndSettles(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees:  4,
 		Params:      epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
 		MinBatchTxs: 100,
 		MaxWait:     20 * time.Millisecond,
@@ -79,9 +78,6 @@ func TestNetStreamServesAndSettles(t *testing.T) {
 		if reason := stream.Submit("client", mkTxs(50, uint64(i)*1000)); reason != "" {
 			t.Errorf("batch %d shed: %s", i, reason)
 		}
-		if reason := stream.SubmitReport("shard", Report{Committee: i % 4, TxCount: 7}); reason != "" {
-			t.Errorf("report %d shed: %s", i, reason)
-		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -96,11 +92,11 @@ func TestNetStreamServesAndSettles(t *testing.T) {
 	}
 
 	st := stream.Stats()
-	if st.AcceptedTxs != 500 || st.ReportTxs != 70 {
-		t.Fatalf("admitted %d txs + %d report txs, want 500 + 70", st.AcceptedTxs, st.ReportTxs)
+	if st.AcceptedTxs != 500 {
+		t.Fatalf("admitted %d txs, want 500", st.AcceptedTxs)
 	}
-	if st.CommittedTxs != 570 {
-		t.Fatalf("committed %d, want all 570 (unbounded capacity): %+v", st.CommittedTxs, st)
+	if st.CommittedTxs != 500 {
+		t.Fatalf("committed %d, want all 500 (unbounded capacity): %+v", st.CommittedTxs, st)
 	}
 	checkSettled(t, st)
 	if st.Epochs < 1 {
@@ -120,7 +116,6 @@ func TestNetStreamServesAndSettles(t *testing.T) {
 // and the books still balance.
 func TestNetStreamExpiryAccounting(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees:  4,
 		Params:      epoch.EpochParams{Alpha: 1.5, Capacity: 120, Nmin: 1},
 		MinBatchTxs: 200,
 		MaxWait:     20 * time.Millisecond,
@@ -167,9 +162,8 @@ func TestNetStreamExpiryAccounting(t *testing.T) {
 // real networked stream.
 func TestNetStreamCancelUnblocks(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		MaxWait:    time.Hour, // never flush on its own
+		Params:  epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		MaxWait: time.Hour, // never flush on its own
 	})
 	p := testPipeline(t, 4, stream, 0, 63)
 
@@ -195,10 +189,9 @@ func TestNetStreamCancelUnblocks(t *testing.T) {
 // MaxEpochs bounds the run.
 func TestNetStreamQuietEpochs(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		MaxWait:    time.Millisecond,
-		MaxEpochs:  3,
+		Params:    epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		MaxWait:   time.Millisecond,
+		MaxEpochs: 3,
 	})
 	p := testPipeline(t, 4, stream, 0, 64)
 	if err := p.Serve(context.Background(), epoch.AcceptAll{}, stream); err != nil {
@@ -215,25 +208,14 @@ func TestNetStreamQuietEpochs(t *testing.T) {
 }
 
 // TestNetStreamInvalidAndWatermark covers the direct-submit admission
-// branches: empty batches and out-of-range reports are invalid, and the
-// queue watermark sheds whole batches until a flush makes room.
+// branches: empty batches are invalid, and the queue watermark sheds
+// whole batches until a flush makes room.
 func TestNetStreamInvalidAndWatermark(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees: 2,
-		QueueTxs:   100,
+		QueueTxs: 100,
 	})
 	if reason := stream.Submit("a", nil); reason != "invalid" {
 		t.Fatalf("empty batch: %q", reason)
-	}
-	for _, rep := range []Report{
-		{Committee: -1, TxCount: 1},
-		{Committee: 2, TxCount: 1},
-		{Committee: 0, TxCount: -1},
-		{Committee: 0, TxCount: 1, Latency: -2},
-	} {
-		if reason := stream.SubmitReport("a", rep); reason != "invalid" {
-			t.Fatalf("report %+v: reason %q, want invalid", rep, reason)
-		}
 	}
 	for _, step := range []struct {
 		name       string
@@ -262,7 +244,7 @@ func TestNetStreamInvalidAndWatermark(t *testing.T) {
 		}
 	}
 	st := stream.Stats()
-	if st.ShedInvalid != 5 || st.ShedQueue != 3 || st.AcceptedTxs != 200 || st.AssignedTxs != 200 {
+	if st.ShedInvalid != 1 || st.ShedQueue != 3 || st.AcceptedTxs != 200 || st.AssignedTxs != 200 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if gap := st.AccountingGap(); gap != 0 {
@@ -274,7 +256,7 @@ func TestNetStreamInvalidAndWatermark(t *testing.T) {
 // last room under the watermark never overshoot it, and every refused
 // batch is counted.
 func TestNetStreamWatermarkRacers(t *testing.T) {
-	stream := NewStream(StreamConfig{Committees: 2, QueueTxs: 55}) // room for 5 batches of 10
+	stream := NewStream(StreamConfig{QueueTxs: 55}) // room for 5 batches of 10
 	batch := mkTxs(10, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -298,7 +280,6 @@ func TestNetStreamWatermarkRacers(t *testing.T) {
 // drain the books settle and every admitted batch is accounted.
 func TestNetStreamProducersDuringServe(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees:  4,
 		Params:      epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
 		QueueTxs:    400,
 		MinBatchTxs: 50,
@@ -344,7 +325,7 @@ func TestNetStreamProducersDuringServe(t *testing.T) {
 // queue: one epoch of admission (200 batches of 100) plus its flush
 // allocates a constant few objects, none per transaction.
 func TestNetStreamAdmissionAllocs(t *testing.T) {
-	stream := NewStream(StreamConfig{Committees: 8, QueueTxs: 20000})
+	stream := NewStream(StreamConfig{QueueTxs: 20000})
 	batch := mkTxs(100, 0)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(5, func() {
@@ -362,42 +343,101 @@ func TestNetStreamAdmissionAllocs(t *testing.T) {
 	}
 }
 
-// TestNetStreamReportDeclarationCap: a committee's pending declared
-// count cannot exceed the block capacity, so declarations can neither
-// overflow the books nor name a shard no block could hold.
-func TestNetStreamReportDeclarationCap(t *testing.T) {
-	stream := NewStream(StreamConfig{
-		Committees: 2,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
-	})
-	for _, step := range []struct {
-		rep  Report
-		want string
-	}{
-		{Report{Committee: 0, TxCount: 1 << 62}, "invalid"},
-		{Report{Committee: 0, TxCount: 1 << 62}, "invalid"},
-		{Report{Committee: 0, TxCount: 600}, ""},
-		{Report{Committee: 0, TxCount: 401}, "invalid"},
-		{Report{Committee: 0, TxCount: 400}, ""},  // exactly at capacity
-		{Report{Committee: 1, TxCount: 1000}, ""}, // the cap is per committee
-	} {
-		if reason := stream.SubmitReport("shard", step.rep); reason != step.want {
-			t.Fatalf("report %+v: reason %q, want %q", step.rep, reason, step.want)
+// TestNetStreamBooksProperty: whatever the interleaving of admission
+// with the epoch loop, the books hold once a run is quiescent. Each
+// seed drives 1–3 sources of random SubmitCount calls (valid,
+// zero-count and over-watermark) into a rate-limited plane whose block
+// is smaller than its supply, so shards defer and, at MaxDeferrals 1,
+// expire. Even seeds stop the sources and then drain (an admission
+// still in flight when a drain ends stays queued, so a drain is only
+// checked for quiescent sources); odd seeds cancel the context while
+// the sources still run.
+func TestNetStreamBooksProperty(t *testing.T) {
+	const queueTxs = 300
+	var expired, shedRate, shedQueue, shedInvalid int64
+	for seed := int64(1); seed <= 40; seed++ {
+		drain := seed%2 == 0
+		stream := NewStream(StreamConfig{
+			Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 60, Nmin: 1},
+			QueueTxs: queueTxs,
+			Rate:     5000,
+			Burst:    150,
+			MaxWait:  time.Millisecond,
+		})
+		p := testPipeline(t, 4, stream, 1, seed)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() { errc <- p.Serve(ctx, epoch.AcceptAll{}, stream) }()
+
+		rng := rand.New(rand.NewPCG(uint64(seed), 0))
+		sources := 1 + rng.IntN(3)
+		cancelAt := rng.IntN(40)
+		var wg sync.WaitGroup
+		for g := 0; g < sources; g++ {
+			wg.Add(1)
+			go func(g int, rng *rand.Rand) {
+				defer wg.Done()
+				src := string(rune('a' + g))
+				for op := 0; op < 40; op++ {
+					if !drain && g == 0 && op == cancelAt {
+						cancel()
+					}
+					var n int
+					switch r := rng.IntN(10); {
+					case r == 0:
+						n = -rng.IntN(2) // zero or negative: invalid
+					case r == 1:
+						n = queueTxs + 1 + rng.IntN(100) // never fits
+					default:
+						n = 1 + rng.IntN(100)
+					}
+					stream.SubmitCount(src, n)
+					if d := rng.IntN(150); d < 100 {
+						time.Sleep(time.Duration(d) * time.Microsecond)
+					}
+				}
+			}(g, rand.New(rand.NewPCG(uint64(seed), uint64(g+1))))
 		}
+		wg.Wait()
+		if drain {
+			stream.Drain()
+		}
+		var err error
+		select {
+		case err = <-errc:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("seed %d: Serve did not return", seed)
+		}
+		cancel()
+
+		st := stream.Stats()
+		if drain {
+			if err != nil {
+				t.Fatalf("seed %d: Serve after drain: %v", seed, err)
+			}
+			if u := st.Unsettled(); u != 0 {
+				t.Fatalf("seed %d: %d unsettled after drain: %+v", seed, u, st)
+			}
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("seed %d: Serve after cancel: %v", seed, err)
+		}
+		if st.Accepted+st.Shed() != st.Requests {
+			t.Fatalf("seed %d: request accounting leak: %+v", seed, st)
+		}
+		if gap := st.AccountingGap(); gap != 0 {
+			t.Fatalf("seed %d: accounting gap %d: %+v", seed, gap, st)
+		}
+		if st.AccountingErrors != 0 {
+			t.Fatalf("seed %d: accounting errors: %+v", seed, st)
+		}
+		expired += st.ExpiredTxs
+		shedRate += st.ShedRate
+		shedQueue += st.ShedQueue
+		shedInvalid += st.ShedInvalid
 	}
-	st := stream.Stats()
-	if st.ReportTxs != 2000 || st.PendingReportTxs != 2000 || st.ShedInvalid != 3 {
-		t.Fatalf("stats: %+v", st)
-	}
-	// A flush empties the pending declarations, so the next epoch's
-	// reports get the whole capacity again.
-	if _, ok := stream.NextContext(context.Background(), 0); !ok {
-		t.Fatal("NextContext ended the stream")
-	}
-	if reason := stream.SubmitReport("shard", Report{Committee: 0, TxCount: 1000}); reason != "" {
-		t.Fatalf("report after flush: %q", reason)
-	}
-	if gap := stream.Stats().AccountingGap(); gap != 0 {
-		t.Fatalf("accounting gap %d", gap)
+	// The seeds must reach every path the books cover.
+	if expired == 0 || shedRate == 0 || shedQueue == 0 || shedInvalid == 0 {
+		t.Fatalf("seeds missed a path: expired %d, shed rate %d, queue %d, invalid %d",
+			expired, shedRate, shedQueue, shedInvalid)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mvcom/internal/chain"
-	"mvcom/internal/ingest"
 	"mvcom/internal/randx"
 	"mvcom/internal/txgen"
 )
@@ -28,8 +27,6 @@ type Submitter interface {
 	// SubmitTxs offers a batch; ok reports admission, reason the shed
 	// class when !ok, err a transport failure (nothing accounted).
 	SubmitTxs(source string, txs []chain.Transaction) (ok bool, reason string, err error)
-	// SubmitReport offers a shard report.
-	SubmitReport(source string, rep ingest.Report) (ok bool, reason string, err error)
 }
 
 // Config parameterizes the fleet.
@@ -52,13 +49,6 @@ type Config struct {
 	// Duration is the offering window; each client loops over its
 	// shard's transactions until it closes (<= 0 defaults to 2s).
 	Duration time.Duration
-	// ReportEvery sends a shard report (committee = client index modulo
-	// Committees, declaring Batch transactions) every that many batches;
-	// <= 0 disables reports.
-	ReportEvery int
-	// Committees bounds the report committee index (<= 0 defaults to
-	// Clients).
-	Committees int
 }
 
 func (c Config) withDefaults() Config {
@@ -73,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 2 * time.Second
-	}
-	if c.Committees <= 0 {
-		c.Committees = c.Clients
 	}
 	return c
 }
@@ -125,7 +112,7 @@ func Run(ctx context.Context, cfg Config, target Submitter) (Stats, error) {
 			defer tick.Stop()
 			deadline := time.NewTimer(cfg.Duration)
 			defer deadline.Stop()
-			pos, batches := 0, 0
+			pos := 0
 			for {
 				select {
 				case <-ctx.Done():
@@ -150,24 +137,6 @@ func Run(ctx context.Context, cfg Config, target Submitter) (Stats, error) {
 					txsAccepted.Add(int64(len(batch)))
 				default:
 					shed.Add(1)
-				}
-				batches++
-				if cfg.ReportEvery > 0 && batches%cfg.ReportEvery == 0 {
-					requests.Add(1)
-					txsOffered.Add(int64(cfg.Batch))
-					ok, _, err := target.SubmitReport(source, ingest.Report{
-						Committee: c % cfg.Committees,
-						TxCount:   cfg.Batch,
-					})
-					switch {
-					case err != nil:
-						errs.Add(1)
-					case ok:
-						accepted.Add(1)
-						txsAccepted.Add(int64(cfg.Batch))
-					default:
-						shed.Add(1)
-					}
 				}
 			}
 		}(c, rng.Split())

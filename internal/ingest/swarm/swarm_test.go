@@ -21,24 +21,21 @@ var smallTrace = txgen.Config{Blocks: 16, MeanTxs: 400, MinTxs: 100, MaxTxs: 100
 // per-source rate makes shedding deterministic.
 func TestSwarmLedgerMatchesServer(t *testing.T) {
 	stream := ingest.NewStream(ingest.StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   1 << 20, // no pipeline draining — keep the queue out of the way
-		Rate:       200,     // per source; clients offer ~1000 tx/s each
-		Burst:      200,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 1 << 20, // no pipeline draining — keep the queue out of the way
+		Rate:     200,     // per source; clients offer ~1000 tx/s each
+		Burst:    200,
 	})
 	ts := httptest.NewServer(ingest.NewHandler(stream, 1<<20))
 	defer ts.Close()
 
 	fleet, err := Run(context.Background(), Config{
-		Clients:     3,
-		Trace:       smallTrace,
-		Seed:        7,
-		Rate:        1000,
-		Batch:       50,
-		Duration:    400 * time.Millisecond,
-		ReportEvery: 4,
-		Committees:  4,
+		Clients:  3,
+		Trace:    smallTrace,
+		Seed:     7,
+		Rate:     1000,
+		Batch:    50,
+		Duration: 400 * time.Millisecond,
 	}, Dial(ts.URL))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +56,7 @@ func TestSwarmLedgerMatchesServer(t *testing.T) {
 	if st.Requests != fleet.Requests {
 		t.Fatalf("server saw %d requests, fleet sent %d", st.Requests, fleet.Requests)
 	}
-	if st.Accepted+st.Reports != fleet.Accepted || st.Shed() != fleet.Shed {
+	if st.Accepted != fleet.Accepted || st.Shed() != fleet.Shed {
 		t.Fatalf("server books %+v disagree with fleet ledger %+v", st, fleet)
 	}
 }
@@ -68,9 +65,8 @@ func TestSwarmLedgerMatchesServer(t *testing.T) {
 // open everything is accepted and the transaction ledgers agree.
 func TestSwarmDirect(t *testing.T) {
 	stream := ingest.NewStream(ingest.StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   1 << 20,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 1 << 20,
 	})
 	fleet, err := Run(context.Background(), Config{
 		Clients:  2,
@@ -96,9 +92,8 @@ func TestSwarmDirect(t *testing.T) {
 // with a long window.
 func TestSwarmCancel(t *testing.T) {
 	stream := ingest.NewStream(ingest.StreamConfig{
-		Committees: 2,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   1 << 20,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 1 << 20,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -120,10 +115,9 @@ func TestSwarmCancel(t *testing.T) {
 func TestSwarmBodiesNeverFallBack(t *testing.T) {
 	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	stream := ingest.NewStream(ingest.StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   1 << 20,
-		Obs:        obs.NewServeObserver(reg),
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 1 << 20,
+		Obs:      obs.NewServeObserver(reg),
 	})
 	ts := httptest.NewServer(ingest.NewHandler(stream, 1<<20))
 	defer ts.Close()

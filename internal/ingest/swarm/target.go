@@ -32,12 +32,17 @@ func Dial(base string) *HTTPTarget {
 	}
 }
 
-func (t *HTTPTarget) post(path, source string, v any) (bool, string, error) {
-	body, err := json.Marshal(v)
+// SubmitTxs implements Submitter: it posts the batch to /txs, naming
+// the client in the source header.
+func (t *HTTPTarget) SubmitTxs(source string, txs []chain.Transaction) (bool, string, error) {
+	body, err := json.Marshal(struct {
+		Source string              `json:"source,omitempty"`
+		Txs    []chain.Transaction `json:"txs"`
+	}{Source: source, Txs: txs})
 	if err != nil {
 		return false, "", err
 	}
-	req, err := http.NewRequest(http.MethodPost, t.base+path, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, t.base+"/txs", bytes.NewReader(body))
 	if err != nil {
 		return false, "", err
 	}
@@ -55,19 +60,6 @@ func (t *HTTPTarget) post(path, source string, v any) (bool, string, error) {
 	return ack.Accepted, ack.Reason, nil
 }
 
-// SubmitTxs implements Submitter.
-func (t *HTTPTarget) SubmitTxs(source string, txs []chain.Transaction) (bool, string, error) {
-	return t.post("/txs", source, struct {
-		Source string              `json:"source,omitempty"`
-		Txs    []chain.Transaction `json:"txs"`
-	}{Source: source, Txs: txs})
-}
-
-// SubmitReport implements Submitter.
-func (t *HTTPTarget) SubmitReport(source string, rep ingest.Report) (bool, string, error) {
-	return t.post("/report", source, rep)
-}
-
 // Direct submits straight into an in-process NetStream — no transport,
 // no sockets. Tests and the single-binary soak mode use it.
 type Direct struct{ Stream *ingest.NetStream }
@@ -75,11 +67,5 @@ type Direct struct{ Stream *ingest.NetStream }
 // SubmitTxs implements Submitter.
 func (d Direct) SubmitTxs(source string, txs []chain.Transaction) (bool, string, error) {
 	reason := d.Stream.Submit(source, txs)
-	return reason == "", reason, nil
-}
-
-// SubmitReport implements Submitter.
-func (d Direct) SubmitReport(source string, rep ingest.Report) (bool, string, error) {
-	reason := d.Stream.SubmitReport(source, rep)
 	return reason == "", reason, nil
 }

@@ -11,7 +11,8 @@ import (
 // The framed-TCP front end speaks internal/dist's wire idiom: one JSON
 // envelope per line, {"type": "...", "body": {...}}, answered line by
 // line with an Ack. It exists for clients that hold a connection open
-// and stream batches without per-request HTTP overhead.
+// and stream batches without per-request HTTP overhead. A connection is
+// one admission source, its peer host: no frame can name another.
 
 // Envelope is one framed request line.
 type Envelope struct {
@@ -19,11 +20,9 @@ type Envelope struct {
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// TCP envelope types.
-const (
-	MsgTxs    = "txs"
-	MsgReport = "report"
-)
+// MsgTxs is the one envelope type: a transaction batch, with the body of
+// POST /txs. Any other type is shed "invalid".
+const MsgTxs = "txs"
 
 // Ack is one framed response line.
 type Ack struct {
@@ -148,32 +147,22 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch routes one decoded envelope through admission.
+// dispatch routes one decoded envelope through admission under the
+// connection's source.
 func (s *TCPServer) dispatch(source string, env Envelope) string {
-	switch env.Type {
-	case MsgTxs:
-		bodySrc, n, ok := countTxs(env.Body)
-		if !ok {
-			s.stream.cfg.Obs.DecodeFallback()
-			var req txsRequest
-			if err := json.Unmarshal(env.Body, &req); err != nil {
-				return s.stream.ShedInvalid()
-			}
-			bodySrc, n = []byte(req.Source), len(req.Txs)
-		}
-		if len(bodySrc) > 0 {
-			source = string(bodySrc)
-		}
-		return s.stream.SubmitCount(source, n)
-	case MsgReport:
-		var rep Report
-		if err := json.Unmarshal(env.Body, &rep); err != nil {
-			return s.stream.ShedInvalid()
-		}
-		return s.stream.SubmitReport(source, rep)
-	default:
+	if env.Type != MsgTxs {
 		return s.stream.ShedInvalid()
 	}
+	n, ok := countTxs(env.Body)
+	if !ok {
+		s.stream.cfg.Obs.DecodeFallback()
+		var req txsRequest
+		if err := json.Unmarshal(env.Body, &req); err != nil {
+			return s.stream.ShedInvalid()
+		}
+		n = len(req.Txs)
+	}
+	return s.stream.SubmitCount(source, n)
 }
 
 // connSource buckets a connection by peer host.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -15,22 +16,28 @@ import (
 func newTCPTestServer(t *testing.T) (*TCPServer, *NetStream) {
 	t.Helper()
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
-		QueueTxs:   100,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		QueueTxs: 100,
 	})
+	return serveTCP(t, stream, 4096), stream
+}
+
+// serveTCP serves framed ingest into stream on a loopback port, with
+// frames capped at maxLine bytes, until the test ends.
+func serveTCP(t *testing.T, stream *NetStream, maxLine int) *TCPServer {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	server := ServeTCP(ln, stream, 4096)
+	server := ServeTCP(ln, stream, maxLine)
 	t.Cleanup(func() { _ = server.Close() })
-	return server, stream
+	return server
 }
 
 // TestTCPFramedIngest drives the framed front end through a client:
-// accepted batches and reports, queue watermark sheds with a retry
-// hint, and unknown/invalid envelopes.
+// accepted batches, queue watermark sheds with a retry hint, and a
+// batch with no transactions.
 func TestTCPFramedIngest(t *testing.T) {
 	server, stream := newTCPTestServer(t)
 	c, err := DialTCP(server.Addr().String())
@@ -43,10 +50,6 @@ func TestTCPFramedIngest(t *testing.T) {
 	if err != nil || !ack.Accepted {
 		t.Fatalf("batch: ack %+v err %v", ack, err)
 	}
-	ack, err = c.SubmitReport(Report{Committee: 2, TxCount: 9})
-	if err != nil || !ack.Accepted {
-		t.Fatalf("report: ack %+v err %v", ack, err)
-	}
 	// Watermark: 60 queued, another 60 overflows the 100-tx mark.
 	ack, err = c.SubmitTxs("alice", mkTxs(60, 100))
 	if err != nil {
@@ -55,17 +58,17 @@ func TestTCPFramedIngest(t *testing.T) {
 	if ack.Accepted || ack.Reason != "queue" || ack.RetryAfter <= 0 {
 		t.Fatalf("watermark ack: %+v", ack)
 	}
-	// Invalid report committee.
-	ack, err = c.SubmitReport(Report{Committee: 77, TxCount: 1})
+	// A batch without transactions.
+	ack, err = c.SubmitTxs("alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Accepted || ack.Reason != "invalid" {
-		t.Fatalf("invalid report ack: %+v", ack)
+		t.Fatalf("empty batch ack: %+v", ack)
 	}
 
 	st := stream.Stats()
-	if st.AcceptedTxs != 60 || st.ReportTxs != 9 || st.ShedQueue != 1 || st.ShedInvalid != 1 {
+	if st.AcceptedTxs != 60 || st.ShedQueue != 1 || st.ShedInvalid != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -189,7 +192,37 @@ func (c *Client) SubmitTxs(source string, txs []chain.Transaction) (Ack, error) 
 	return c.send(MsgTxs, txsRequest{Source: source, Txs: txs})
 }
 
-// SubmitReport streams one shard report and returns the server's ack.
-func (c *Client) SubmitReport(rep Report) (Ack, error) {
-	return c.send(MsgReport, rep)
+// TestTCPConnectionIsOneSource: a connection's frames share the peer's
+// token bucket whatever source their bodies name, so rotating names on
+// one connection earns no more than one bucket's burst.
+func TestTCPConnectionIsOneSource(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Params: epoch.EpochParams{Alpha: 1.5, Capacity: 1 << 30, Nmin: 1},
+		Rate:   100,
+		Burst:  100,
+	})
+	stream.buckets.now = newFakeClock().now // no refill between frames
+	c, err := DialTCP(serveTCP(t, stream, DefaultMaxBody).Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	admitted := 0
+	for i := 0; i < 10; i++ {
+		ack, err := c.SubmitTxs(fmt.Sprintf("rotated-%d", i), mkTxs(100, uint64(i)*100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Accepted {
+			admitted++
+		} else if ack.Reason != "rate" {
+			t.Fatalf("frame %d: ack %+v, want a rate shed", i, ack)
+		}
+	}
+	if admitted != 1 {
+		t.Fatalf("%d of 10 frames under rotated sources admitted, want 1", admitted)
+	}
+	if st := stream.Stats(); st.AcceptedTxs != 100 || st.ShedRate != 9 {
+		t.Fatalf("stats: %+v", st)
+	}
 }

@@ -3,45 +3,44 @@ package ingest
 import "math"
 
 // countTxs recognizes the canonical txs body, the bytes json.Marshal
-// writes for a txsRequest, and returns its source and transaction count
-// without building a chain.Transaction: the queue is a count, so the
+// writes for a txsRequest, and returns its transaction count without
+// building a chain.Transaction: the queue is a count, so the
 // transactions themselves would be thrown away. It claims a body (the
-// third result) only when it is an object whose keys are "source",
+// second result) only when it is an object whose keys are "source",
 // holding a plain string (printable ASCII, no escapes), and "txs",
 // holding an array of objects whose keys are among ID, From, To, Amount
 // and Created, each an integer literal in its field's range; each
 // top-level key at most once, JSON whitespace between tokens, and
-// nothing after the object. The source returned is a subslice of b.
+// nothing after the object. The source is checked but not returned:
+// admission keys on the transport, never on a name the body gives.
 //
 // A body countTxs declines goes to encoding/json, whose verdict is the
 // contract: whenever countTxs claims a body, json.Decoder decodes it
-// into a txsRequest without error, to the same source and count
-// (FuzzTxsBody).
-func countTxs(b []byte) ([]byte, int, bool) {
+// into a txsRequest without error, to the same count (FuzzTxsBody).
+func countTxs(b []byte) (int, bool) {
 	s := txsScanner{b: b}
 	if !s.eat('{') {
-		return nil, 0, false
+		return 0, false
 	}
-	var source []byte
 	n, haveSource, haveTxs := 0, false, false
 	for !s.eat('}') {
 		if (haveSource || haveTxs) && !s.eat(',') {
-			return nil, 0, false
+			return 0, false
 		}
 		key, ok := s.str()
 		if !ok || !s.eat(':') {
-			return nil, 0, false
+			return 0, false
 		}
 		switch string(key) {
 		case "source":
 			if haveSource {
-				return nil, 0, false
+				return 0, false
 			}
 			haveSource = true
-			source, ok = s.str()
+			_, ok = s.str()
 		case "txs":
 			if haveTxs {
-				return nil, 0, false
+				return 0, false
 			}
 			haveTxs = true
 			n, ok = s.txs()
@@ -49,14 +48,14 @@ func countTxs(b []byte) ([]byte, int, bool) {
 			ok = false
 		}
 		if !ok {
-			return nil, 0, false
+			return 0, false
 		}
 	}
 	s.ws()
 	if s.i != len(b) {
-		return nil, 0, false
+		return 0, false
 	}
-	return source, n, true
+	return n, true
 }
 
 // txsScanner walks a txs body for countTxs; every method skips the JSON

@@ -41,12 +41,12 @@ func TestCountTxsClaimsCanonicalBodies(t *testing.T) {
 		if err := json.Unmarshal(body, &want); err != nil {
 			t.Fatal(err)
 		}
-		src, n, ok := countTxs(body)
-		if !ok || string(src) != want.Source || n != len(want.Txs) {
-			t.Fatalf("%.60s: countTxs = (%q, %d, %v), want (%q, %d, true)", body, src, n, ok, want.Source, len(want.Txs))
+		n, ok := countTxs(body)
+		if !ok || n != len(want.Txs) {
+			t.Fatalf("%.60s: countTxs = (%d, %v), want (%d, true)", body, n, ok, len(want.Txs))
 		}
 		spaced := []byte(" \t\n" + strings.NewReplacer(",", " ,\r\n", ":", ": ").Replace(string(body)) + "\n")
-		if _, n, ok := countTxs(spaced); !ok || n != len(want.Txs) {
+		if n, ok := countTxs(spaced); !ok || n != len(want.Txs) {
 			t.Fatalf("%.60s with whitespace between tokens: declined", body)
 		}
 	}
@@ -90,7 +90,7 @@ func FuzzTxsBody(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		src, n, ok := countTxs(body)
+		n, ok := countTxs(body)
 		if !ok {
 			return
 		}
@@ -98,8 +98,8 @@ func FuzzTxsBody(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			t.Fatalf("claimed %q, but encoding/json refuses it: %v", body, err)
 		}
-		if string(src) != req.Source || n != len(req.Txs) {
-			t.Fatalf("claimed %q as (%q, %d); encoding/json reads (%q, %d)", body, src, n, req.Source, len(req.Txs))
+		if n != len(req.Txs) {
+			t.Fatalf("claimed %q as %d transactions; encoding/json reads %d", body, n, len(req.Txs))
 		}
 	})
 }
@@ -110,13 +110,12 @@ func FuzzTxsBody(f *testing.F) {
 func TestTxsNearMissFallsBack(t *testing.T) {
 	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
-		Obs:        obs.NewServeObserver(reg),
+		Params: epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+		Obs:    obs.NewServeObserver(reg),
 	})
 	h := NewHandler(stream, DefaultMaxBody)
 	for _, body := range txsNearMisses {
-		if _, _, ok := countTxs([]byte(body)); ok {
+		if _, ok := countTxs([]byte(body)); ok {
 			t.Errorf("recognizer claimed the near miss %q", body)
 		}
 	}
@@ -151,9 +150,8 @@ func TestTxsNearMissFallsBack(t *testing.T) {
 // (22 allocations; decoding them took 46).
 func TestTxsRequestAllocs(t *testing.T) {
 	stream := NewStream(StreamConfig{
-		Committees: 4,
-		Params:     epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
-		QueueTxs:   math.MaxInt,
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+		QueueTxs: math.MaxInt,
 	})
 	h := NewHandler(stream, DefaultMaxBody)
 	body := canonicalBodies(t)[1]

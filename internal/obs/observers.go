@@ -405,10 +405,6 @@ type ServeObserver struct {
 	Accepted *Counter
 	// AcceptedTxs counts transactions admitted into the ingest queue.
 	AcceptedTxs *Counter
-	// Reports counts admitted shard-report submissions; ReportTxs their
-	// declared transaction counts.
-	Reports   *Counter
-	ReportTxs *Counter
 	// CommittedTxs counts admitted transactions that reached a final
 	// block; ExpiredTxs those dropped by the MaxDeferrals backlog bound.
 	CommittedTxs *Counter
@@ -444,8 +440,6 @@ func NewServeObserver(reg *Registry) *ServeObserver {
 		Requests:        reg.Counter("mvcom_serve_requests_total", "ingest requests received before admission"),
 		Accepted:        reg.Counter("mvcom_serve_accepted_total", "requests admitted into the ingest queue"),
 		AcceptedTxs:     reg.Counter("mvcom_serve_accepted_txs_total", "transactions admitted into the ingest queue"),
-		Reports:         reg.Counter("mvcom_serve_reports_total", "shard-report submissions admitted"),
-		ReportTxs:       reg.Counter("mvcom_serve_report_txs_total", "transactions declared by admitted shard reports"),
 		CommittedTxs:    reg.Counter("mvcom_serve_committed_txs_total", "admitted transactions that reached a final block"),
 		ExpiredTxs:      reg.Counter("mvcom_serve_expired_txs_total", "admitted transactions dropped by the deferral bound"),
 		Batches:         reg.Counter("mvcom_serve_batches_total", "epoch batches flushed from the ingest queue"),
@@ -475,8 +469,8 @@ func (o *ServeObserver) RequestSeen() {
 	o.Requests.Inc()
 }
 
-// RequestAccepted counts one admitted request carrying txs transactions
-// (0 for a shard report). No-op on nil.
+// RequestAccepted counts one admitted request carrying txs transactions.
+// No-op on nil.
 func (o *ServeObserver) RequestAccepted(txs int) {
 	if o == nil {
 		return
@@ -484,18 +478,6 @@ func (o *ServeObserver) RequestAccepted(txs int) {
 	o.Accepted.Inc()
 	if txs > 0 {
 		o.AcceptedTxs.Add(int64(txs))
-	}
-}
-
-// ReportAccepted counts one admitted shard report declaring txs
-// transactions. No-op on nil.
-func (o *ServeObserver) ReportAccepted(txs int) {
-	if o == nil {
-		return
-	}
-	o.Reports.Inc()
-	if txs > 0 {
-		o.ReportTxs.Add(int64(txs))
 	}
 }
 

@@ -1,7 +1,10 @@
 package mvcom_test
 
 import (
+	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -152,8 +155,9 @@ func TestMetricsRuntimeNamesDocumented(t *testing.T) {
 
 // TestObservabilityIndexCurrent lints OBSERVABILITY.md against the
 // code: every trace event type (obs.EventType, by its exposition name)
-// appears in backticks, and every metric family prefix in
-// docs/metrics.txt (mvcom_<family>_) has a `mvcom_<family>_*` table row.
+// appears in backticks, every metric family prefix in docs/metrics.txt
+// (mvcom_<family>_) has a `mvcom_<family>_*` table row, and the "HTTP
+// endpoints" section names exactly the links the index page at / lists.
 func TestObservabilityIndexCurrent(t *testing.T) {
 	raw, err := os.ReadFile("OBSERVABILITY.md")
 	if err != nil {
@@ -182,4 +186,48 @@ func TestObservabilityIndexCurrent(t *testing.T) {
 			t.Errorf("OBSERVABILITY.md has no %s family row", row)
 		}
 	}
+
+	_, section, ok := strings.Cut(doc, "\n## HTTP endpoints\n")
+	if !ok {
+		t.Fatal("OBSERVABILITY.md has no \"## HTTP endpoints\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	srv := httptest.NewServer(obs.NewMux(obs.NewRegistryWithTrace(16)))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hrefs := map[string]bool{"/": true}
+	for _, m := range hrefRE.FindAllStringSubmatch(string(page), -1) {
+		hrefs[m[1]] = true
+		if !strings.Contains(section, "`"+m[1]+"`") {
+			t.Errorf("the index page links %s, but OBSERVABILITY.md's endpoint section does not name it", m[1])
+		}
+	}
+	if len(hrefs) == 1 {
+		t.Fatalf("the index page links nothing: %s", page)
+	}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		for _, m := range endpointRE.FindAllStringSubmatch(line, -1) {
+			if !hrefs[m[1]] {
+				t.Errorf("OBSERVABILITY.md's endpoint table names %s, which the index page does not link", m[1])
+			}
+		}
+	}
 }
+
+// hrefRE finds the links of the obs index page; endpointRE the
+// backticked paths of OBSERVABILITY.md's endpoint table.
+var (
+	hrefRE     = regexp.MustCompile(`href="([^"]*)"`)
+	endpointRE = regexp.MustCompile("`(/[^`]*)`")
+)
