@@ -11,8 +11,8 @@
 #   ./ci.sh nightly   extended multi-process soak + warn-only journal diff
 #   ./ci.sh           every gating stage (fast chaos bench soak serve cluster)
 #
-# The SE kernel is concurrent by default (SEConfig.Workers 0 =
-# GOMAXPROCS), so -race exercises the real production path.
+# The SE kernel runs min(GOMAXPROCS, Γ) goroutines, so -race exercises
+# the real production path.
 set -eux
 
 cd "$(dirname "$0")"
@@ -41,9 +41,9 @@ stage_fast() {
 	# register must match ^mvcom_[a-z0-9_]+$ and appear in the committed
 	# docs/metrics.txt index, so a new metric cannot ship undocumented;
 	# OBSERVABILITY.md must name every metric family and trace event type.
-	# Dead-export lint: no exported function or method under internal/
-	# may have test callers only (the fixture test checks the scan
-	# itself).
+	# Dead-code lint: no exported function or method under internal/,
+	# and no unexported one under internal/ or cmd/, may have test
+	# callers only (the fixture test checks the scan itself).
 	go test -run '^(TestMetricsNamesDocumented|TestObservabilityIndexCurrent|TestNoTestOnlyExports(Fixture)?)$' .
 
 	go test -race -timeout 10m ./...
@@ -114,7 +114,7 @@ bench_sample() {
 
 stage_bench() {
 	# Benchmark journal gate (DESIGN.md §5e): the sampled set is journaled
-	# with a convergence probe and diffed against the committed baseline.
+	# and diffed against the committed baseline.
 	# Three gates hold in every environment:
 	#   - allocs/op may not grow over the baseline, so the SE round loop
 	#     (BenchmarkSERounds), the tracing-off span path
@@ -126,7 +126,7 @@ stage_bench() {
 	#   - no benchmark carrying either gate may drop out of the journal.
 	bench_sample results/bench_journal_raw.txt
 	go run ./cmd/mvcom-benchdiff -ingest results/bench_journal_raw.txt \
-		-out results/BENCH_MVCOM.json -convergence -note "ci run"
+		-out results/BENCH_MVCOM.json -note "ci run"
 	# Wall time is gated only against a baseline with the same environment
 	# fingerprint (other runs degrade it to a warning). The differ's default
 	# 10% time threshold suits dedicated hardware; on a shared single-core

@@ -36,7 +36,6 @@ func run(args []string) error {
 		scale    = fs.Float64("scale", 1.0, "size scale in (0,1]; 1 = paper parameters")
 		seed     = fs.Int64("seed", 1, "random seed")
 		out      = fs.String("out", "", "output directory (default: stdout)")
-		workers  = fs.Int("workers", 0, "SE kernel worker goroutines for figure runs (0 = GOMAXPROCS)")
 		obsFlags = obs.RegisterFlags(fs)
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
@@ -77,7 +76,7 @@ func run(args []string) error {
 		return err
 	}
 	defer stopObs()
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, Obs: reg}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Obs: reg}
 
 	ids := []string{*fig}
 	if *fig == "all" {

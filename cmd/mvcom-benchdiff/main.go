@@ -3,12 +3,9 @@
 //
 // Usage:
 //
-//	mvcom-benchdiff -ingest raw.txt -out BENCH_MVCOM.json [-convergence]
+//	mvcom-benchdiff -ingest raw.txt -out BENCH_MVCOM.json
 //	    Parse `go test -bench -count N` output into a journal stamped
-//	    with the current environment fingerprint. -convergence also runs
-//	    a small deterministic SE solve with the convergence diagnostics
-//	    attached and records the headline stats (d_TV, time-to-ε,
-//	    mixing proxy).
+//	    with the current environment fingerprint.
 //
 //	mvcom-benchdiff -old BENCH_MVCOM.json -new results/BENCH_MVCOM.json
 //	    Diff two journals. Exits 1 when a regression fires: a median
@@ -26,9 +23,6 @@ import (
 	"time"
 
 	"mvcom/internal/benchjournal"
-	"mvcom/internal/core"
-	"mvcom/internal/experiments"
-	"mvcom/internal/seobs"
 )
 
 func main() {
@@ -41,14 +35,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mvcom-benchdiff", flag.ContinueOnError)
 	var (
-		ingest      = fs.String("ingest", "", "parse `go test -bench` output from this file ('-' = stdin) into a journal")
-		out         = fs.String("out", "BENCH_MVCOM.json", "output path for -ingest")
-		note        = fs.String("note", "", "free-form note stored in the journal")
-		convergence = fs.Bool("convergence", false, "with -ingest: record headline convergence diagnostics from a probe solve")
-		oldPath     = fs.String("old", "", "baseline journal for diffing")
-		newPath     = fs.String("new", "", "candidate journal for diffing")
-		timeThresh  = fs.Float64("time-threshold", 0.10, "minimum relative ns/op slowdown gated as a regression")
-		warnOnly    = fs.Bool("warn-only", false, "with -old/-new: print regressions but always exit 0 (nightly informational diffs)")
+		ingest     = fs.String("ingest", "", "parse `go test -bench` output from this file ('-' = stdin) into a journal")
+		out        = fs.String("out", "BENCH_MVCOM.json", "output path for -ingest")
+		note       = fs.String("note", "", "free-form note stored in the journal")
+		oldPath    = fs.String("old", "", "baseline journal for diffing")
+		newPath    = fs.String("new", "", "candidate journal for diffing")
+		timeThresh = fs.Float64("time-threshold", 0.10, "minimum relative ns/op slowdown gated as a regression")
+		warnOnly   = fs.Bool("warn-only", false, "with -old/-new: print regressions but always exit 0 (nightly informational diffs)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,13 +70,6 @@ func run(args []string) error {
 			Note:        *note,
 			Env:         benchjournal.CurrentEnv(),
 			Benchmarks:  benches,
-		}
-		if *convergence {
-			c, err := convergenceProbe()
-			if err != nil {
-				return fmt.Errorf("convergence probe: %w", err)
-			}
-			j.Convergence = c
 		}
 		if err := j.Save(*out); err != nil {
 			return err
@@ -121,38 +107,4 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("pick a mode: -ingest or -old/-new")
 	}
-}
-
-// convergenceProbe runs one small deterministic SE solve with the
-// convergence diagnostics attached — |I| = 12 keeps the d_TV estimator's
-// Gibbs enumeration live — and returns the headline stats.
-func convergenceProbe() (*benchjournal.Convergence, error) {
-	in, err := experiments.PaperInstance(1, 12, 800, 1.5, 0.5)
-	if err != nil {
-		return nil, err
-	}
-	diag := seobs.New(seobs.Config{})
-	if _, _, err := core.NewSE(core.SEConfig{
-		Seed:              1,
-		Gamma:             2,
-		MaxIters:          6000,
-		ConvergenceWindow: 6000,
-		Diag:              diag,
-	}).Solve(in.Clone()); err != nil {
-		return nil, err
-	}
-	s := diag.Snapshot()
-	c := &benchjournal.Convergence{
-		K:                      s.K,
-		Gamma:                  s.Gamma,
-		Rounds:                 s.Rounds,
-		BestUtility:            s.BestUtility,
-		TimeToEpsRounds:        s.TimeToEpsRounds,
-		SwapAcceptRate:         s.SwapAcceptRate,
-		IntegratedAutocorrTime: s.IntegratedAutocorrTime,
-	}
-	if s.DTV != nil {
-		c.DTV = s.DTV.Estimate
-	}
-	return c, nil
 }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"mvcom/internal/benchjournal"
 )
 
 func writeRaw(t *testing.T, dir, name string, slowdown float64) string {
@@ -52,31 +50,6 @@ func TestIngestAndDiffGate(t *testing.T) {
 	// nightly informational diff).
 	if err := run([]string{"-old", basePath, "-new", slowPath, "-warn-only"}); err != nil {
 		t.Fatalf("-warn-only still failed: %v", err)
-	}
-}
-
-func TestIngestWithConvergenceProbe(t *testing.T) {
-	dir := t.TempDir()
-	raw := writeRaw(t, dir, "raw.txt", 1.0)
-	out := filepath.Join(dir, "j.json")
-	if err := run([]string{"-ingest", raw, "-out", out, "-convergence"}); err != nil {
-		t.Fatal(err)
-	}
-	j, err := benchjournal.Load(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := j.Convergence
-	if c == nil {
-		t.Fatal("convergence record missing")
-	}
-	// The probe builds 12 shards; stragglers beyond the deadline are
-	// trimmed from the candidate set, so K can come out slightly lower.
-	if c.K < 2 || c.K > 12 || c.Rounds == 0 || c.DTV <= 0 || c.DTV >= 1 {
-		t.Fatalf("implausible convergence probe: %+v", c)
-	}
-	if c.TimeToEpsRounds < 0 || c.SwapAcceptRate <= 0 {
-		t.Fatalf("probe estimators unset: %+v", c)
 	}
 }
 

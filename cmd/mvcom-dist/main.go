@@ -83,7 +83,6 @@ func run(args []string) error {
 		id       = fs.String("id", "worker-1", "worker id (worker mode)")
 		workers  = fs.Int("workers", 2, "number of workers to wait for / spawn")
 		gamma    = fs.Int("gamma", 1, "explorers Γ each worker runs in-process")
-		sework   = fs.Int("se-workers", 0, "goroutines per worker's SE kernel (0 = GOMAXPROCS)")
 		shards   = fs.Int("shards", 50, "number of member committees |I|")
 		capacity = fs.Int("capacity", 40000, "final-block TX capacity Ĉ")
 		alpha    = fs.Float64("alpha", 1.5, "throughput weight α")
@@ -234,7 +233,6 @@ func run(args []string) error {
 				MaxTaskAttempts:  *taskTries,
 				Seed:             epochSeed,
 				Gamma:            *gamma,
-				SEWorkers:        *sework,
 				Events:           events,
 				FI:               fi,
 				Obs:              coObs,
@@ -380,7 +378,7 @@ func fillDistEntry(e *decisionlog.Entry, epoch int, co *dist.Coordinator, in cor
 	} else {
 		e.Solver = decisionlog.SolverFingerprint{
 			Kind: decisionlog.KindDist, Seed: eff.Seed, Beta: eff.Beta,
-			Gamma: eff.Gamma, Workers: eff.Workers, MaxIters: eff.MaxIters,
+			Gamma: eff.Gamma, MaxIters: eff.MaxIters,
 		}
 		for _, r := range tasks {
 			tr := decisionlog.TaskRecord{TaskID: r.TaskID, Iterations: r.Iterations, Utility: r.Utility, Err: r.Err}

@@ -21,6 +21,7 @@ import (
 	"mvcom/internal/baseline"
 	"mvcom/internal/core"
 	"mvcom/internal/epoch"
+	"mvcom/internal/faultinject"
 	"mvcom/internal/metrics"
 	"mvcom/internal/obs"
 	"mvcom/internal/txgen"
@@ -46,7 +47,6 @@ func run(args []string) error {
 		failureRate = fs.Float64("failure-rate", 0, "per-epoch committee failure probability")
 		scheduler   = fs.String("scheduler", "se", "se | sa | dp | woa | greedy | acceptall")
 		gamma       = fs.Int("gamma", 10, "SE parallel exploration threads")
-		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		obsFlags    = obs.RegisterFlags(fs)
 	)
@@ -54,6 +54,18 @@ func run(args []string) error {
 		return err
 	}
 
+	if !(*failureRate >= 0 && *failureRate < 1) {
+		return fmt.Errorf("failure rate %v out of [0,1)", *failureRate)
+	}
+	// The fault injector fails committees; a rule's prob 0 means
+	// always, so a zero rate arms no rule.
+	var fi *faultinject.Injector
+	if *failureRate > 0 {
+		var err error
+		if fi, err = faultinject.New(*seed, faultinject.Rule{Point: epoch.FaultPointCommittee, Prob: *failureRate}); err != nil {
+			return err
+		}
+	}
 	reg, stopObs, err := obsFlags.Start("mvcom-sim", false)
 	if err != nil {
 		return err
@@ -64,7 +76,7 @@ func run(args []string) error {
 		Committees:         *committees,
 		CommitteeSize:      *size,
 		FaultyPerCommittee: *faulty,
-		FailureRate:        *failureRate,
+		FaultInjector:      fi,
 		Trace: txgen.Config{
 			Blocks:  *committees * 3,
 			MeanTxs: 1200,
@@ -80,7 +92,7 @@ func run(args []string) error {
 		return fmt.Errorf("capacity fraction %v too small", *capFrac)
 	}
 	nmin := int(*nminFrac * float64(*committees))
-	sched, err := pickScheduler(*scheduler, *seed, *gamma, *workers, reg)
+	sched, err := pickScheduler(*scheduler, *seed, *gamma, reg)
 	if err != nil {
 		return err
 	}
@@ -125,11 +137,11 @@ func run(args []string) error {
 	return nil
 }
 
-func pickScheduler(name string, seed int64, gamma, workers int, reg *obs.Registry) (epoch.Scheduler, error) {
+func pickScheduler(name string, seed int64, gamma int, reg *obs.Registry) (epoch.Scheduler, error) {
 	switch strings.ToLower(name) {
 	case "se":
 		return epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
-			Seed: seed, Gamma: gamma, Workers: workers, MaxIters: 8000,
+			Seed: seed, Gamma: gamma, MaxIters: 8000,
 			Obs: obs.NewSEObserver(reg),
 		})}, nil
 	case "sa":

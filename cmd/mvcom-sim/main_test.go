@@ -29,3 +29,11 @@ func TestRunBadCapacity(t *testing.T) {
 		t.Fatal("zero capacity accepted")
 	}
 }
+
+func TestRunBadFailureRate(t *testing.T) {
+	for _, p := range []string{"1", "-0.1", "NaN"} {
+		if err := run([]string{"-committees", "4", "-failure-rate", p}); err == nil {
+			t.Fatalf("failure rate %s accepted", p)
+		}
+	}
+}

@@ -203,7 +203,6 @@ func run(args []string) error {
 		warm        = fs.Bool("warm", true, "thread each epoch's decision into the next as an SE warm start")
 		gamma       = fs.Int("gamma", 4, "SE parallel exploration threads")
 		seIters     = fs.Int("se-iters", 2000, "SE rounds per epoch")
-		workers     = fs.Int("workers", 0, "SE kernel worker goroutines (0 = GOMAXPROCS)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		journalPath = fs.String("journal", "", "write a benchjournal (steady-state epoch latency) to this path")
 		note        = fs.String("note", "", "free-form note stored in the journal")
@@ -269,7 +268,6 @@ func run(args []string) error {
 	sched := epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
 		Seed:      *seed,
 		Gamma:     *gamma,
-		Workers:   *workers,
 		MaxIters:  *seIters,
 		WarmStart: *warm,
 		Diag:      diag,

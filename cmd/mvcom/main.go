@@ -38,7 +38,6 @@ func run(args []string) error {
 		nminFrac = fs.Float64("nmin-frac", 0.5, "Nmin as a fraction of |I|")
 		algo     = fs.String("algo", "se", "algorithm: se | sa | dp | woa | greedy | brute")
 		gamma    = fs.Int("gamma", 10, "parallel exploration threads Γ (se only)")
-		workers  = fs.Int("workers", 0, "worker goroutines for the SE kernel (0 = GOMAXPROCS, se only)")
 		iters    = fs.Int("iters", 8000, "iteration budget")
 		seed     = fs.Int64("seed", 1, "random seed")
 		verbose  = fs.Bool("v", false, "print the full selection")
@@ -64,7 +63,7 @@ func run(args []string) error {
 	if reg != nil {
 		diag = seobs.New(seobs.Config{Registry: reg})
 	}
-	solver, err := pickSolver(*algo, *seed, *gamma, *workers, *iters, reg, diag)
+	solver, err := pickSolver(*algo, *seed, *gamma, *iters, reg, diag)
 	if err != nil {
 		return err
 	}
@@ -99,10 +98,10 @@ func run(args []string) error {
 	return nil
 }
 
-func pickSolver(name string, seed int64, gamma, workers, iters int, reg *obs.Registry, diag *seobs.Diag) (core.Solver, error) {
+func pickSolver(name string, seed int64, gamma, iters int, reg *obs.Registry, diag *seobs.Diag) (core.Solver, error) {
 	switch strings.ToLower(name) {
 	case "se":
-		return core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, Workers: workers, MaxIters: iters, Obs: obs.NewSEObserver(reg), Diag: diag}), nil
+		return core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, MaxIters: iters, Obs: obs.NewSEObserver(reg), Diag: diag}), nil
 	case "sa":
 		return baseline.SA{Seed: seed, Iterations: iters}, nil
 	case "dp":

@@ -37,19 +37,20 @@ type goFile struct {
 }
 
 // testOnlyExports parses every non-test .go file under root, the
-// directory of module, and returns the exported functions and methods
-// declared under internal/ that no non-test file references, as
-// "file:line: pkg.Name" or "file:line: pkg.Recv.Name" lines in file
-// order. A function's reference, outside its own declaration, is a
-// selector on an import of its package, under whatever name the file
-// imports it, or a bare identifier inside its own package. A method's
-// reference is any selector of its name or a method of that name in an
-// interface type: names are matched without type checking. Every
-// directory the go tool builds holds callers, examples/ and benchmark/
-// included; like the go tool, the scan skips testdata and names
-// starting with "." or "_". A key of allow is a slash path under root,
-// whose file declares nothing the scan checks, or a "pkg.Name" or
-// "pkg.Recv.Name" the scan does not report.
+// directory of module, and returns the functions and methods that no
+// non-test file references, as "file:line: pkg.Name" or "file:line:
+// pkg.Recv.Name" lines in file order: exported ones declared under
+// internal/, and unexported ones declared under internal/ or cmd/ (bar
+// init, and main in a main package). A function's reference, outside
+// its own declaration, is a selector on an import of its package, under
+// whatever name the file imports it, or a bare identifier inside its
+// own package. A method's reference is any selector of its name or a
+// method of that name in an interface type: names are matched without
+// type checking. Every directory the go tool builds holds callers,
+// examples/ and benchmark/ included; like the go tool, the scan skips
+// testdata and names starting with "." or "_". A key of allow is a
+// slash path under root, whose file declares nothing the scan checks,
+// or a "pkg.Name" or "pkg.Recv.Name" the scan does not report.
 func testOnlyExports(root, module string, allow map[string]bool) ([]string, error) {
 	fset := token.NewFileSet()
 	var files []goFile
@@ -158,12 +159,16 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 
 	var found []string
 	for _, f := range files {
-		if !strings.HasPrefix(f.rel, "internal/") || allow[f.rel] {
+		internal := strings.HasPrefix(f.rel, "internal/")
+		if (!internal && !strings.HasPrefix(f.rel, "cmd/")) || allow[f.rel] {
 			continue
 		}
 		for _, decl := range f.file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
+			if !ok || (fn.Name.IsExported() && !internal) {
+				continue
+			}
+			if name := fn.Name.Name; fn.Recv == nil && (name == "init" || name == "main" && f.file.Name.Name == "main") {
 				continue
 			}
 			name, referenced := f.file.Name.Name+"."+fn.Name.Name, refs[f.pkg+"."+fn.Name.Name]
@@ -181,8 +186,9 @@ func testOnlyExports(root, module string, allow map[string]bool) ([]string, erro
 	return found, nil
 }
 
-// TestNoTestOnlyExports is the dead-export lint ./ci.sh fast runs: an
-// exported function under internal/ that only _test.go files call is
+// TestNoTestOnlyExports is the dead-code lint ./ci.sh fast runs: an
+// exported function under internal/, or an unexported one under
+// internal/ or cmd/, that only _test.go files call (or nothing does) is
 // production code that production never runs. Delete it, or move it
 // into the test that uses it.
 func TestNoTestOnlyExports(t *testing.T) {
@@ -191,13 +197,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range found {
-		t.Errorf("%s is exported but only tests call it", f)
+		t.Errorf("%s: no non-test file references it", f)
 	}
 }
 
 // TestNoTestOnlyExportsFixture runs the scan on a fixture module whose
-// library exports functions and methods with every kind of caller the
-// lint tells apart; see testdata/exportlint/internal/lib/lib.go.
+// library declares exported and unexported functions and methods with
+// every kind of caller the lint tells apart; see
+// testdata/exportlint/internal/lib/lib.go.
 func TestNoTestOnlyExportsFixture(t *testing.T) {
 	got, err := testOnlyExports(filepath.Join("testdata", "exportlint"), "fixture", nil)
 	if err != nil {
@@ -207,7 +214,9 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 		"internal/lib/lib.go:5: lib.TestOnly",
 		"internal/lib/lib.go:8: lib.Recursive",
 		"internal/lib/lib.go:17: lib.Shadowed",
-		"internal/lib/lib.go:48: lib.V.TestOnlyMethod",
+		"internal/lib/lib.go:51: lib.V.TestOnlyMethod",
+		"internal/lib/lib.go:58: lib.testOnly",
+		"internal/lib/lib.go:60: lib.V.testOnlyMethod",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flagged\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

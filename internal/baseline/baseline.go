@@ -190,44 +190,6 @@ func (pr prepared) ensureNmin(sel []bool) bool {
 	return true
 }
 
-// repairCapacity drops the lowest value-density selected candidates until
-// the load fits the capacity.
-func (pr prepared) repairCapacity(sel []bool) {
-	load := pr.load(sel)
-	if load <= pr.in.Capacity {
-		return
-	}
-	type cand struct {
-		pos     int
-		density float64
-	}
-	var chosen []cand
-	for p, on := range sel {
-		if on {
-			d := pr.value(p) / float64(maxInt(pr.size(p), 1))
-			chosen = append(chosen, cand{pos: p, density: d})
-		}
-	}
-	sort.Slice(chosen, func(i, j int) bool {
-		if chosen[i].density != chosen[j].density {
-			return chosen[i].density < chosen[j].density
-		}
-		return chosen[i].pos < chosen[j].pos
-	})
-	for _, c := range chosen {
-		if load <= pr.in.Capacity {
-			break
-		}
-		sel[c.pos] = false
-		load -= pr.size(c.pos)
-	}
-}
-
-// feasible reports both constraints over candidate space.
-func (pr prepared) feasible(sel []bool) bool {
-	return pr.count(sel) >= pr.in.Nmin && pr.load(sel) <= pr.in.Capacity
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -373,30 +373,3 @@ func TestRepairNminPadsWithSmallest(t *testing.T) {
 		t.Fatalf("repair picked %v", sel)
 	}
 }
-
-func TestRepairCapacityDropsLowDensity(t *testing.T) {
-	in := core.Instance{
-		Sizes:     []int{100, 100},
-		Latencies: []float64{600, 1000}, // ages 400, 0
-		Alpha:     1,
-		Capacity:  100,
-		Nmin:      0,
-	}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pr, err := prepare(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := []bool{true, true} // load 200 > 100
-	pr.repairCapacity(sel)
-	// Shard 0 has value 100-400 = -300 (density -3); shard 1 has value
-	// 100 (density 1). Shard 0 must be dropped.
-	if sel[0] || !sel[1] {
-		t.Fatalf("repair kept the wrong shard: %v", sel)
-	}
-	if pr.load(sel) > in.Capacity {
-		t.Fatal("still over capacity")
-	}
-}

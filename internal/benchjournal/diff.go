@@ -181,20 +181,6 @@ func Diff(oldJ, newJ *Journal, opt Options) ([]Finding, bool) {
 		}
 	}
 
-	// Convergence headline: informational cross-check, never gated (the
-	// probe is a single stochastic run).
-	if oldJ.Convergence != nil && newJ.Convergence != nil {
-		oc, nc := oldJ.Convergence, newJ.Convergence
-		if nc.DTV > oc.DTV*2 && nc.DTV > 0.1 {
-			add(Finding{
-				Benchmark: "convergence-probe", Metric: "dtv",
-				Old: oc.DTV, New: nc.DTV, Ratio: safeRatio(nc.DTV, oc.DTV),
-				Severity: SevWarning,
-				Note:     "d_TV estimate worsened markedly; check the SE kernel's mixing",
-			})
-		}
-	}
-
 	sort.SliceStable(findings, func(a, b int) bool {
 		return sevRank(findings[a].Severity) > sevRank(findings[b].Severity)
 	})
@@ -226,11 +212,4 @@ func maxRelIQR(a, b Stat) float64 {
 		return ra
 	}
 	return rb
-}
-
-func safeRatio(n, d float64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return n / d
 }

@@ -148,20 +148,6 @@ func Summarize(name string, samples []Sample) Benchmark {
 	return b
 }
 
-// Convergence is the headline convergence-diagnostics record attached to
-// a journal: the seobs snapshot of one deterministic probe solve, so a
-// journal captures not just "how fast" but "does it still converge".
-type Convergence struct {
-	K                      int     `json:"k"`
-	Gamma                  int     `json:"gamma"`
-	Rounds                 int64   `json:"rounds"`
-	BestUtility            float64 `json:"bestUtility"`
-	DTV                    float64 `json:"dtv"`
-	TimeToEpsRounds        int     `json:"timeToEpsRounds"`
-	SwapAcceptRate         float64 `json:"swapAcceptRate"`
-	IntegratedAutocorrTime float64 `json:"integratedAutocorrTime"`
-}
-
 // Journal is one benchmark journal document.
 type Journal struct {
 	SchemaVersion int    `json:"schemaVersion"`
@@ -170,8 +156,6 @@ type Journal struct {
 	Env           Env    `json:"env"`
 
 	Benchmarks []Benchmark `json:"benchmarks"`
-
-	Convergence *Convergence `json:"convergence,omitempty"`
 }
 
 // Find returns the named benchmark, or nil.

@@ -3,38 +3,49 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mvcom/internal/randx"
 )
+
+// setMaxProcs sets GOMAXPROCS for the rest of the test and restores it
+// in Cleanup. The kernel runs min(GOMAXPROCS, Γ) workers, so this is
+// how a test picks the serial path or a pool of a given size.
+func setMaxProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestSolveDeterministicAcrossWorkers is the seed-determinism regression
 // for the parallel kernel: per-explorer split RNG streams plus the
 // deterministic (round, explorer) merge order mean the worker count must
 // not change a single bit of the result — not the solution, not the
 // trace — for one explorer, for a few, and for more explorers than
-// workers.
+// workers. GOMAXPROCS above 1 runs the pool path (under -race too) even
+// on a single-CPU machine.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	in := testInstance(41, 60, 2, 0.45, 3)
 	for _, gamma := range []int{1, 8, 25} {
 		var refSol Solution
 		var refTrace []TracePoint
-		for i, workers := range []int{1, 0, 2, 3, 8, 100} {
-			se := NewSE(SEConfig{Seed: 7, Gamma: gamma, Workers: workers, MaxIters: 4000})
+		for i, procs := range []int{1, 2, 3, 8} {
+			setMaxProcs(t, procs)
+			se := NewSE(SEConfig{Seed: 7, Gamma: gamma, MaxIters: 4000})
 			sol, trace, err := se.Solve(in)
 			if err != nil {
-				t.Fatalf("gamma=%d workers=%d: %v", gamma, workers, err)
+				t.Fatalf("gamma=%d GOMAXPROCS=%d: %v", gamma, procs, err)
 			}
 			if i == 0 {
 				refSol, refTrace = sol, trace
 				continue
 			}
 			if !reflect.DeepEqual(sol, refSol) {
-				t.Fatalf("gamma=%d workers=%d solution diverged: got utility %v iters %d, want %v iters %d",
-					gamma, workers, sol.Utility, sol.Iterations, refSol.Utility, refSol.Iterations)
+				t.Fatalf("gamma=%d GOMAXPROCS=%d solution diverged: got utility %v iters %d, want %v iters %d",
+					gamma, procs, sol.Utility, sol.Iterations, refSol.Utility, refSol.Iterations)
 			}
 			if !reflect.DeepEqual(trace, refTrace) {
-				t.Fatalf("gamma=%d workers=%d trace diverged (%d vs %d points)", gamma, workers, len(trace), len(refTrace))
+				t.Fatalf("gamma=%d GOMAXPROCS=%d trace diverged (%d vs %d points)", gamma, procs, len(trace), len(refTrace))
 			}
 		}
 	}
@@ -53,21 +64,22 @@ func TestSolveOnlineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var refSol Solution
 	var refTrace []TracePoint
-	for i, workers := range []int{1, 0, 4} {
-		se := NewSE(SEConfig{Seed: 17, Gamma: 6, Workers: workers, MaxIters: 1500})
+	for i, procs := range []int{1, 2, 3, 8} {
+		setMaxProcs(t, procs)
+		se := NewSE(SEConfig{Seed: 17, Gamma: 6, MaxIters: 1500})
 		sol, trace, err := se.SolveOnline(in, events)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if i == 0 {
 			refSol, refTrace = sol, trace
 			continue
 		}
 		if !reflect.DeepEqual(sol, refSol) {
-			t.Fatalf("workers=%d online solution diverged", workers)
+			t.Fatalf("GOMAXPROCS=%d online solution diverged", procs)
 		}
 		if !reflect.DeepEqual(trace, refTrace) {
-			t.Fatalf("workers=%d online trace diverged", workers)
+			t.Fatalf("GOMAXPROCS=%d online trace diverged", procs)
 		}
 	}
 }
@@ -248,7 +260,7 @@ func TestStationaryDistributionMatchesReferenceKernel(t *testing.T) {
 		}
 		return counts, best
 	}
-	newOcc, newMode := occupancy(func(ex *explorer) { ex.step() }, 5)
+	newOcc, newMode := occupancy(func(ex *explorer) { ex.stepRound(0) }, 5)
 	refOcc, refMode := occupancy(refStep, 905)
 	var tv float64
 	for s := 0; s < 16; s++ {

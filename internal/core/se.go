@@ -38,14 +38,6 @@ type SEConfig struct {
 	// reports the best solution across explorers after every round.
 	// Default 1.
 	Gamma int
-	// Workers bounds how many OS-level worker goroutines advance the Γ
-	// explorers between synchronization points. 0 (the default) means
-	// GOMAXPROCS; 1 forces the serial kernel; values above Γ are capped
-	// at Γ (one goroutine per explorer is the maximum useful
-	// parallelism). Because every explorer owns a split RNG stream and
-	// all cross-explorer state is merged deterministically at sync
-	// points, results are bit-identical for every Workers value.
-	Workers int
 	// MaxIters caps the number of transition rounds. Default 20000.
 	MaxIters int
 	// ConvergenceWindow stops the run once the best utility has not
@@ -113,22 +105,6 @@ func (c SEConfig) withDefaults() SEConfig {
 		c.MaxThreads = 64
 	}
 	return c
-}
-
-// resolveWorkers maps the Workers knob to an actual goroutine count: 0
-// (auto) takes GOMAXPROCS, and no more than one worker per explorer is
-// ever useful.
-func resolveWorkers(workers, gamma int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > gamma {
-		workers = gamma
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }
 
 // TracePoint records the best-so-far utility after a transition round; the
@@ -220,7 +196,7 @@ type run struct {
 	candidates []int // instance indices of arrived shards
 	explorers  []*explorer
 	rootRNG    *randx.RNG
-	workers    int
+	workers    int // min(GOMAXPROCS, Γ): see stepSegment
 	obs        *obs.SEObserver
 	diag       *seobs.Diag
 	// diagScratch is the reusable per-cardinality window buffer handed
@@ -293,7 +269,7 @@ func newRun(in *Instance, cfg SEConfig) (*run, error) {
 		cfg:        cfg,
 		candidates: cands,
 		rootRNG:    randx.New(cfg.Seed),
-		workers:    resolveWorkers(cfg.Workers, cfg.Gamma),
+		workers:    max(1, min(runtime.GOMAXPROCS(0), cfg.Gamma)),
 		obs:        cfg.Obs,
 	}
 	r.global.util = math.Inf(-1)
@@ -533,11 +509,13 @@ func (r *run) loop(ev *eventCursor) []TracePoint {
 }
 
 // stepSegment advances every explorer through transition rounds (a, b].
-// With one worker (or one explorer) it runs inline; otherwise a small
-// worker pool picks explorers off an atomic counter. Explorers share no
-// mutable state during a segment — they read the run's frozen caches and
-// write only their own fields — so the only synchronization is the final
-// WaitGroup barrier.
+// With one worker (GOMAXPROCS 1, or one explorer) it runs inline;
+// otherwise min(GOMAXPROCS, Γ) goroutines pick explorers off an atomic
+// counter. Every explorer owns a split RNG stream and mergeSegment folds
+// in a fixed order, so the worker count never changes a result bit.
+// Explorers share no mutable state during a segment — they read the
+// run's frozen caches and write only their own fields — so the only
+// synchronization is the final WaitGroup barrier.
 func (r *run) stepSegment(a, b int) {
 	if b <= a {
 		return
@@ -569,7 +547,7 @@ func (r *run) stepSegment(a, b int) {
 // mergeSegment folds the explorers' improvement logs for rounds (a, b]
 // into the global best in deterministic (round, explorer) order — the
 // same order the serial kernel would have observed — so traces and
-// results are bit-identical for every Workers value. It walks the rounds
+// results are bit-identical for every worker count. It walks the rounds
 // to maintain the convergence window exactly; when the window closes at
 // round t* < b, improvements recorded after t* are discarded, as if the
 // run had stopped there. forcedRound, when ≥ 0, forces a trace point at
@@ -1341,10 +1319,6 @@ func (ex *explorer) stepBatch(a, b int) {
 		ex.stepRound(round)
 	}
 }
-
-// step advances one round without event logging — kept for tests that
-// drive a single explorer directly.
-func (ex *explorer) step() { ex.stepRound(0) }
 
 // offer records a thread's state against the explorer's local best
 // (Alg. 1 lines 22–27, sharded per explorer). Improvements during a

@@ -323,7 +323,7 @@ func TestChainIsIrreducibleEmpirically(t *testing.T) {
 	}
 	record()
 	for iter := 0; iter < 3000 && len(visited) < 6; iter++ {
-		ex.step()
+		ex.stepRound(0)
 		record()
 	}
 	if len(visited) != 6 {

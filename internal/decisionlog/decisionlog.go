@@ -83,7 +83,6 @@ type SolverFingerprint struct {
 	Seed              int64   `json:"seed,omitempty"`
 	Beta              float64 `json:"beta,omitempty"`
 	Gamma             int     `json:"gamma,omitempty"`
-	Workers           int     `json:"workers,omitempty"`
 	MaxIters          int     `json:"maxIters,omitempty"`
 	ConvergenceWindow int     `json:"convergenceWindow,omitempty"`
 	SwapRetries       int     `json:"swapRetries,omitempty"`
@@ -108,7 +107,6 @@ func FingerprintSE(cfg core.SEConfig) SolverFingerprint {
 		Seed:              cfg.Seed,
 		Beta:              cfg.Beta,
 		Gamma:             cfg.Gamma,
-		Workers:           cfg.Workers,
 		MaxIters:          cfg.MaxIters,
 		ConvergenceWindow: cfg.ConvergenceWindow,
 		SwapRetries:       cfg.SwapRetries,
@@ -124,7 +122,6 @@ func (f SolverFingerprint) SEConfig() core.SEConfig {
 		Seed:                     f.Seed,
 		Beta:                     f.Beta,
 		Gamma:                    f.Gamma,
-		Workers:                  f.Workers,
 		MaxIters:                 f.MaxIters,
 		ConvergenceWindow:        f.ConvergenceWindow,
 		SwapRetries:              f.SwapRetries,
@@ -282,20 +279,24 @@ func (e *Entry) reset() {
 	}
 }
 
+// Journal bounds.
+const (
+	// maxSegmentBytes rotates the active segment once it would exceed
+	// this size.
+	maxSegmentBytes = 4 << 20
+	// maxSegments bounds the retained segment count; the oldest segment
+	// is removed when rotation would exceed it.
+	maxSegments = 8
+	// recentEntries bounds the in-memory ring served at
+	// /debug/decisions.
+	recentEntries = 32
+)
+
 // Options configures a Journal.
 type Options struct {
 	// Dir is the journal directory; segments are named
 	// decisions-NNNNNN.jsonl. Required.
 	Dir string
-	// MaxSegmentBytes rotates the active segment once it would exceed
-	// this size. Default 4 MiB.
-	MaxSegmentBytes int64
-	// MaxSegments bounds the retained segment count; the oldest segment
-	// is removed when rotation would exceed it. Default 8.
-	MaxSegments int
-	// RecentEntries bounds the in-memory ring served at
-	// /debug/decisions. Default 32.
-	RecentEntries int
 	// Registry, when non-nil, receives the mvcom_decision_* instruments,
 	// the "decisions" debug provider, and EvDecision trace events.
 	Registry *obs.Registry
@@ -309,8 +310,8 @@ type Options struct {
 type Journal struct {
 	mu       sync.Mutex
 	dir      string
-	maxBytes int64
-	maxSegs  int
+	maxBytes int64 // maxSegmentBytes; the rotation test lowers it
+	maxSegs  int   // maxSegments; the rotation test lowers it
 	f        *os.File
 	segIndex int
 	segBytes int64
@@ -384,23 +385,14 @@ func Open(opts Options) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("decisionlog: Options.Dir is required")
 	}
-	if opts.MaxSegmentBytes <= 0 {
-		opts.MaxSegmentBytes = 4 << 20
-	}
-	if opts.MaxSegments <= 0 {
-		opts.MaxSegments = 8
-	}
-	if opts.RecentEntries <= 0 {
-		opts.RecentEntries = 32
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("decisionlog: %w", err)
 	}
 	j := &Journal{
 		dir:      opts.Dir,
-		maxBytes: opts.MaxSegmentBytes,
-		maxSegs:  opts.MaxSegments,
-		recent:   make([]json.RawMessage, 0, opts.RecentEntries),
+		maxBytes: maxSegmentBytes,
+		maxSegs:  maxSegments,
+		recent:   make([]json.RawMessage, 0, recentEntries),
 	}
 	segs, err := segmentFiles(opts.Dir)
 	if err != nil {
@@ -667,7 +659,7 @@ func (j *Journal) flushLocked() error {
 }
 
 // rotateLocked closes the active segment, opens the next, and removes
-// the oldest segment when the retained count exceeds MaxSegments.
+// the oldest segment when the retained count exceeds maxSegs.
 func (j *Journal) rotateLocked() error {
 	if err := j.flushLocked(); err != nil {
 		return err

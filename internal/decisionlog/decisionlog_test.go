@@ -65,7 +65,7 @@ func solveEntryOf(t testing.TB, in core.Instance, epoch int, seed int64) Entry {
 }
 
 func TestFingerprintRoundTrip(t *testing.T) {
-	cfg := core.NewSE(core.SEConfig{Seed: 7, Beta: 3, Gamma: 2, Workers: 4}).Config()
+	cfg := core.NewSE(core.SEConfig{Seed: 7, Beta: 3, Gamma: 2}).Config()
 	got := FingerprintSE(cfg).SEConfig()
 	if got != cfg {
 		t.Fatalf("fingerprint round-trip changed config:\n got %+v\nwant %+v", got, cfg)
@@ -115,7 +115,7 @@ func TestReplaySEWarmStart(t *testing.T) {
 func distEntry(t testing.TB) Entry {
 	t.Helper()
 	in := testInstance()
-	cfg := core.SEConfig{Beta: 2, Gamma: 1, Workers: 2}
+	cfg := core.SEConfig{Beta: 2, Gamma: 1}
 	var tasks []TaskRecord
 	var bestU float64
 	var bestSel []int
@@ -123,7 +123,7 @@ func distEntry(t testing.TB) Entry {
 	for g := 0; g < 3; g++ {
 		seed := int64(11 + g*7919)
 		eng, err := core.NewEngine(in, core.SEConfig{
-			Beta: cfg.Beta, Gamma: cfg.Gamma, Workers: cfg.Workers, Seed: seed,
+			Beta: cfg.Beta, Gamma: cfg.Gamma, Seed: seed,
 		})
 		if err != nil {
 			t.Fatalf("engine: %v", err)
@@ -285,6 +285,23 @@ func TestNonReplayableKinds(t *testing.T) {
 	}
 }
 
+// TestWorkersKeyIgnored: builds that configured the SE worker count
+// wrote it into the solver object as "workers". The count never changed
+// a result, so such lines still decode and verify.
+func TestWorkersKeyIgnored(t *testing.T) {
+	for _, e := range []Entry{solveEntry(t, 7, 42), distEntry(t)} {
+		line := string(appendEntryJSON(nil, &e))
+		at := strings.Index(line, `"solver":{`) + len(`"solver":{`)
+		var old Entry
+		if err := json.Unmarshal([]byte(line[:at]+`"workers":4,`+line[at:]), &old); err != nil {
+			t.Fatalf("%s: %v", e.Solver.Kind, err)
+		}
+		if err := Verify(&old); err != nil {
+			t.Fatalf("%s entry with \"workers\": %v", e.Solver.Kind, err)
+		}
+	}
+}
+
 // replayWithin runs Replay on its own goroutine and fails the test if it
 // has not returned after d, so an unbounded replay fails instead of
 // hanging the package.
@@ -418,10 +435,11 @@ func TestJournalRoundTripAndVerifyDir(t *testing.T) {
 
 func TestJournalRotationAndPruning(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, MaxSegmentBytes: 512, MaxSegments: 2})
+	j, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.maxBytes, j.maxSegs = 512, 2
 	e := solveEntry(t, 0, 3)
 	for i := 0; i < 40; i++ {
 		e.Epoch = i
@@ -598,10 +616,11 @@ func TestNilJournalIsOff(t *testing.T) {
 func TestJournalInstrumentsAndDebug(t *testing.T) {
 	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, Registry: reg, RecentEntries: 2})
+	j, err := Open(Options{Dir: dir, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.recent = make([]json.RawMessage, 0, 2)
 	defer j.Close()
 	for i := 0; i < 3; i++ {
 		e := solveEntry(t, i, int64(i))

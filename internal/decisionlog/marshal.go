@@ -143,9 +143,6 @@ func appendFingerprint(b []byte, f *SolverFingerprint) []byte {
 	if f.Gamma != 0 {
 		b = appendIntField(b, "gamma", f.Gamma)
 	}
-	if f.Workers != 0 {
-		b = appendIntField(b, "workers", f.Workers)
-	}
 	if f.MaxIters != 0 {
 		b = appendIntField(b, "maxIters", f.MaxIters)
 	}

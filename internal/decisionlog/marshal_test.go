@@ -34,7 +34,7 @@ func marshalCases() []Entry {
 				{Committee: 5, Size: 40, Latency: 1000, Age: 1017.5},
 			},
 			Solver: SolverFingerprint{
-				Kind: KindSE, Seed: -7, Beta: 2, Gamma: 25, Workers: 4,
+				Kind: KindSE, Seed: -7, Beta: 2, Gamma: 25,
 				MaxIters: 20000, ConvergenceWindow: 600, SwapRetries: 8,
 				MaxThreads: 1024,
 				RawRates:   true, WarmStart: true,

@@ -109,11 +109,7 @@ func replayDist(e *Entry, in core.Instance) (core.Solution, error) {
 	if len(e.Tasks) == 0 {
 		return core.Solution{}, fmt.Errorf("%w (dist entry has no task records)", ErrNotReplayable)
 	}
-	base := core.SEConfig{
-		Beta:    e.Solver.Beta,
-		Gamma:   e.Solver.Gamma,
-		Workers: e.Solver.Workers,
-	}
+	base := core.SEConfig{Beta: e.Solver.Beta, Gamma: e.Solver.Gamma}
 	cfg := core.NewSE(base).Config()
 	var rounds int64
 	for _, t := range e.Tasks {

@@ -48,15 +48,12 @@ type CoordinatorConfig struct {
 	// task, or to a worker that reconnects mid-run — until the cap is
 	// reached, after which it is abandoned. Default 3.
 	MaxTaskAttempts int
-	// Beta and Seed mirror core.SEConfig; worker g receives Seed+g.
-	Beta float64
+	// Seed mirrors core.SEConfig.Seed; task g receives TaskSeed(g). β
+	// is core's default.
 	Seed int64
 	// Gamma is the explorer count each worker machine runs in-process
 	// (core.SEConfig.Gamma); zero keeps the core default of 1.
 	Gamma int
-	// SEWorkers bounds the goroutines each worker's kernel spreads its
-	// explorers over (core.SEConfig.Workers); zero means GOMAXPROCS.
-	SEWorkers int
 	// Events are pushed to all workers at the given wall-clock offsets
 	// after the run starts.
 	Events []TimedEvent
@@ -101,9 +98,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.MaxTaskAttempts <= 0 {
 		c.MaxTaskAttempts = 3
-	}
-	if c.Beta <= 0 {
-		c.Beta = 2
 	}
 	return c
 }
@@ -172,10 +166,8 @@ func (co *Coordinator) TaskSeed(g int) int64 { return co.cfg.Seed + int64(g)*791
 // TaskSeed), and the local-fallback kernel solves under them directly.
 func (co *Coordinator) SolverConfig() core.SEConfig {
 	return core.SEConfig{
-		Beta:     co.cfg.Beta,
 		Seed:     co.cfg.Seed,
 		Gamma:    co.cfg.Gamma,
-		Workers:  co.cfg.SEWorkers,
 		MaxIters: co.cfg.MaxIterations,
 	}
 }
@@ -354,10 +346,8 @@ func (co *Coordinator) task(g int) Task {
 		Alpha:         co.cfg.Instance.Alpha,
 		Capacity:      co.cfg.Instance.Capacity,
 		Nmin:          co.cfg.Instance.Nmin,
-		Beta:          co.cfg.Beta,
 		Seed:          co.TaskSeed(g),
 		Gamma:         co.cfg.Gamma,
-		SEWorkers:     co.cfg.SEWorkers,
 		ReportEvery:   co.cfg.ReportEvery,
 		MaxIterations: co.cfg.MaxIterations,
 	}

@@ -166,7 +166,7 @@ func TestWorkerNeedsID(t *testing.T) {
 }
 
 func TestWorkerDialFailure(t *testing.T) {
-	w := Worker{ID: "w", DialTimeout: 200 * time.Millisecond}
+	w := Worker{ID: "w"}
 	if _, err := w.Run("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
@@ -354,7 +354,7 @@ func TestIsDialError(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	_ = ln.Close()
-	w := Worker{ID: "probe", DialTimeout: time.Second}
+	w := Worker{ID: "probe"}
 	_, err = w.Run(addr)
 	if err == nil {
 		t.Fatal("dial to a closed port succeeded")

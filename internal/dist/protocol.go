@@ -111,14 +111,10 @@ type Task struct {
 	Capacity  int       `json:"capacity"`
 	Nmin      int       `json:"nmin"`
 
-	Beta float64 `json:"beta"`
-	Seed int64   `json:"seed"`
+	Seed int64 `json:"seed"`
 	// Gamma is the number of in-process explorers the worker runs; zero
 	// keeps the core default of 1.
-	Gamma int `json:"gamma,omitempty"`
-	// SEWorkers caps the goroutines the worker's kernel uses to advance
-	// its explorers (core.SEConfig.Workers); zero means GOMAXPROCS.
-	SEWorkers     int `json:"seWorkers,omitempty"`
+	Gamma         int `json:"gamma,omitempty"`
 	ReportEvery   int `json:"reportEvery"`
 	MaxIterations int `json:"maxIterations"`
 }

@@ -17,12 +17,23 @@ import (
 // Worker errors.
 var ErrBadTask = errors.New("dist: malformed task")
 
+// Worker timing constants.
+const (
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 5 * time.Second
+	// idleTimeout bounds the wait for a follow-up task after delivering
+	// a result; expiry is a clean exit. It doubles as the linger that
+	// keeps the socket open until the coordinator has consumed the
+	// result (closing with unread best-utility pushes buffered would
+	// turn the close into a TCP RST and could discard the report).
+	idleTimeout = 3 * time.Second
+)
+
 // Worker runs SE exploration tasks against a coordinator.
 type Worker struct {
-	// ID labels the worker in reports. Required.
+	// ID labels the worker in reports and seeds its reconnect jitter,
+	// so co-located workers never share a reconnect schedule. Required.
 	ID string
-	// DialTimeout bounds each connection attempt. Default 5 s.
-	DialTimeout time.Duration
 	// Throttle, when positive, sleeps this long every 100 transition
 	// rounds. It paces the chain against wall-clock event schedules (and
 	// keeps small instances from finishing before online events arrive).
@@ -38,16 +49,6 @@ type Worker struct {
 	BackoffBase time.Duration
 	// BackoffCap bounds the exponential growth. Default 2 s.
 	BackoffCap time.Duration
-	// BackoffSeed seeds the jitter stream; 0 derives it from ID so
-	// co-located workers never share a reconnect schedule.
-	BackoffSeed int64
-	// IdleTimeout bounds the wait for a follow-up task after delivering
-	// a result; expiry is a clean exit. It doubles as the linger that
-	// keeps the socket open until the coordinator has consumed the
-	// result (closing with unread best-utility pushes buffered would
-	// turn the close into a TCP RST and could discard the report).
-	// Default 3 s.
-	IdleTimeout time.Duration
 	// FI, when non-nil, evaluates the worker-side fault points
 	// (worker.dial / send / recv / task). Nil is off.
 	FI *faultinject.Injector
@@ -108,13 +109,9 @@ func (w Worker) Run(addr string) (Result, error) {
 	if capD <= 0 {
 		capD = 2 * time.Second
 	}
-	seed := w.BackoffSeed
-	if seed == 0 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(w.ID))
-		seed = int64(h.Sum64())
-	}
-	jitter := rand.New(rand.NewSource(seed))
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(w.ID))
+	jitter := rand.New(rand.NewSource(int64(h.Sum64())))
 
 	var res Result
 	var retryable bool
@@ -158,10 +155,6 @@ func (w Worker) session(addr string) (Result, bool, error) {
 			return Result{}, true, fmt.Errorf("dist: dial %s: %w", addr, d.Err)
 		}
 	}
-	dialTimeout := w.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return Result{}, true, fmt.Errorf("dist: dial %s: %w", addr, err)
@@ -197,16 +190,12 @@ func (w Worker) session(addr string) (Result, bool, error) {
 		}
 	}()
 
-	idle := w.IdleTimeout
-	if idle <= 0 {
-		idle = 3 * time.Second
-	}
 	var last Result
 	delivered := false
 	for {
 		wait := 30 * time.Second // generous window for the first task
 		if delivered {
-			wait = idle
+			wait = idleTimeout
 		}
 		timer := time.NewTimer(wait)
 		var te timedEnv
@@ -312,11 +301,9 @@ func (w Worker) runTask(c *codec, ctrl <-chan timedEnv, readErr <-chan error, ta
 	}
 
 	engine, err := core.NewEngine(task.Instance(), core.SEConfig{
-		Beta:    task.Beta,
-		Seed:    task.Seed,
-		Gamma:   task.Gamma,
-		Workers: task.SEWorkers,
-		Obs:     w.SEObs,
+		Seed:  task.Seed,
+		Gamma: task.Gamma,
+		Obs:   w.SEObs,
 	})
 	if err != nil {
 		err = fmt.Errorf("dist: %s (worker %s): %w", taskRef(task), w.ID, err)

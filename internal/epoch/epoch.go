@@ -70,18 +70,16 @@ type Config struct {
 	// admission window (the paper's Nmax, default 0.8): the deadline t_j
 	// is the arrival time of the ⌈Nmax·|I|⌉-th committee.
 	NmaxFraction float64
-	// FailureRate is the per-epoch probability that a member committee
-	// fails mid-epoch (e.g. a DoS attack). The final committee perceives
-	// a failed committee through ping probes (Section V) and excludes it
-	// from the scheduling instance; its shard is lost for the epoch. If the
-	// coin would leave no committee alive, it spares the first committee
-	// that FaultInjector left alive.
-	FailureRate float64
 	// FaultInjector, when non-nil, evaluates FaultPointCommittee once per
-	// member committee per epoch; firings fail targeted committees
-	// deterministically (unlike the FailureRate coin) and do not consume
-	// the pipeline's RNG stream, so a chaos run stays step-for-step
-	// alignable with its fault-free twin. Nil is off.
+	// member committee per epoch, and each firing fails that committee
+	// mid-epoch (e.g. a DoS attack; "epoch.committee:prob=p" fails each
+	// with probability p). The final committee perceives a failed
+	// committee through ping probes (Section V) and excludes it from the
+	// scheduling instance; its shard is lost for the epoch. If every
+	// committee would fail, the first one stays alive. The injector
+	// draws from its own seeded stream, not the pipeline's, so a chaos
+	// run stays step-for-step alignable with its fault-free twin. Nil
+	// is off.
 	FaultInjector *faultinject.Injector
 	// MaxDeferrals, when positive, bounds how many consecutive epochs a
 	// refused committee may re-submit before its shard expires and is
@@ -133,9 +131,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.NmaxFraction <= 0 || c.NmaxFraction > 1 {
 		c.NmaxFraction = 0.8
-	}
-	if c.FailureRate < 0 || c.FailureRate >= 1 {
-		return c, fmt.Errorf("%w: failure rate %v out of [0,1)", ErrBadConfig, c.FailureRate)
 	}
 	return c, nil
 }
@@ -501,7 +496,6 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	}
 	p.recordPermitted(res)
 	if o := p.cfg.Obs; o != nil {
-		o.Trace.Emit(obs.EvEpochPhase, "epoch", float64(p.epoch), "schedule")
 		o.PermittedTxs.Add(int64(sol.Load))
 		o.PermittedCommittees.Add(int64(sol.Count))
 		o.PresolvedShards.Add(int64(len(res.Presolved)))
@@ -583,7 +577,6 @@ func (p *Pipeline) runEpoch(sched Scheduler, alpha float64, capacity, nmin int) 
 	commit.end("")
 	res.FinalBlock = fb
 	if o := p.cfg.Obs; o != nil {
-		o.Trace.Emit(obs.EvEpochPhase, "epoch", float64(p.epoch), "final-block-assembly")
 		o.CumulativeAge.Set(cumAge)
 		o.DeferredCommittees.Add(int64(len(res.Deferred)))
 		o.Epochs.Inc()
@@ -791,13 +784,7 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 			reports[0].Failed = false
 		}
 	}
-	if cfg.FailureRate > 0 {
-		p.injectFailures(reports)
-	}
 	if o := cfg.Obs; o != nil {
-		epochN := float64(p.epoch)
-		o.Trace.Emit(obs.EvEpochPhase, "epoch", epochN, "formation")
-		o.Trace.Emit(obs.EvEpochPhase, "epoch", epochN, "intra-consensus")
 		failed := int64(0)
 		for _, rep := range reports {
 			o.Formation.Observe(rep.Formation.Seconds())
@@ -810,38 +797,6 @@ func (p *Pipeline) memberStages() ([]CommitteeReport, time.Duration, error) {
 		o.FailedCommittees.Add(failed)
 	}
 	return reports, formed, nil
-}
-
-// injectFailures fails committees with the configured probability. The
-// final committee perceives a failed member committee through ping
-// probes (Section V: "the final committee can perceive a failed member
-// committee by using the ping network protocol"); a dead leader answers
-// no ping, so every probe times out and each drawn failure is
-// confirmed.
-func (p *Pipeline) injectFailures(reports []CommitteeReport) {
-	failing := make([]bool, len(reports))
-	anyLive := false
-	for ci := range reports {
-		failing[ci] = p.rng.Bool(p.cfg.FailureRate)
-		if !failing[ci] && !reports[ci].Failed {
-			anyLive = true
-		}
-	}
-	if !anyLive {
-		// Keep at least one committee alive so the epoch can proceed:
-		// the first one the fault injector left alive.
-		for ci := range reports {
-			if !reports[ci].Failed {
-				failing[ci] = false
-				break
-			}
-		}
-	}
-	for ci := range reports {
-		if failing[ci] {
-			reports[ci].Failed = true
-		}
-	}
 }
 
 // RunEpochs runs n consecutive epochs with the same scheduler and instance

@@ -372,7 +372,7 @@ func TestRunEpochsHelper(t *testing.T) {
 
 func TestFailureInjectionExcludesCommittees(t *testing.T) {
 	cfg := fastConfig(12, 21)
-	cfg.FailureRate = 0.4
+	cfg.FaultInjector = failEach(t, 0.4, 21)
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -410,22 +410,10 @@ func TestFailureInjectionExcludesCommittees(t *testing.T) {
 	}
 }
 
-func TestFailureRateValidation(t *testing.T) {
-	cfg := fastConfig(4, 22)
-	cfg.FailureRate = 1.0
-	if _, err := NewPipeline(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-	cfg.FailureRate = -0.1
-	if _, err := NewPipeline(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestFailureInjectionDeterministic(t *testing.T) {
 	run := func() int {
 		cfg := fastConfig(12, 23)
-		cfg.FailureRate = 0.3
+		cfg.FaultInjector = failEach(t, 0.3, 23)
 		p, err := NewPipeline(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -451,12 +439,11 @@ func TestFailureInjectionDeterministic(t *testing.T) {
 // failures and Byzantine replicas: each epoch's failed and permitted
 // committees, and the chain tip, whose hash covers every block's
 // timestamp (the last committee's formation time plus the deadline).
-// A change to the committees' formation order, the failure draws or
-// the timestamps fails here. A committee can be permitted twice in one
-// epoch: its fresh shard and a deferred one.
+// A change to the committees' formation order, the injector's failure
+// draws or the timestamps fails here.
 func TestRunEpochsFailureGolden(t *testing.T) {
 	cfg := fastConfig(8, 41)
-	cfg.FailureRate = 0.2
+	cfg.FaultInjector = failEach(t, 0.2, 41)
 	cfg.FaultyPerCommittee = 1
 	p, err := NewPipeline(cfg)
 	if err != nil {
@@ -467,12 +454,12 @@ func TestRunEpochsFailureGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"failed [5] permitted [0 2 3 6]",
-		"failed [0] permitted [1 2 3 5]",
-		"failed [2] permitted [0 1 4]",
-		"failed [3 4] permitted [0 1 2 7]",
-		"failed [0 1 4] permitted [3 5 6 5]",
-		"failed [1 2 4 6] permitted [0 3 6 6]",
+		"failed [] permitted [0 2 5 6]",
+		"failed [3] permitted [0 2 4 5]",
+		"failed [2] permitted [0 3 4 7]",
+		"failed [3] permitted [2 4 5 6]",
+		"failed [0] permitted [2 4 7]",
+		"failed [5 6] permitted [1 2 6 7]",
 	}
 	if len(results) != len(want) {
 		t.Fatalf("%d epochs, want %d", len(results), len(want))
@@ -493,7 +480,7 @@ func TestRunEpochsFailureGolden(t *testing.T) {
 			t.Errorf("epoch %d: %s, want %s", res.Epoch, got, want[i])
 		}
 	}
-	const wantTip = "bcf531c8d63a21618bf7afe51b893c32606bcfd1531bf2962b662e0636b62713"
+	const wantTip = "c65f337b79fac380fe83815fd24e567022e6582f8b1d057ac60f763e048192c6"
 	if tip := p.Chain().TipHash().String(); tip != wantTip {
 		t.Errorf("chain tip %s, want %s", tip, wantTip)
 	}

@@ -15,6 +15,17 @@ func seScheduler(seed int64) Scheduler {
 	return SolverScheduler{Solver: core.NewSE(core.SEConfig{Seed: seed, MaxIters: 600})}
 }
 
+// failEach returns an injector that fails each committee with
+// probability prob, drawing from a stream seeded with seed.
+func failEach(t *testing.T, prob float64, seed int64) *faultinject.Injector {
+	t.Helper()
+	fi, err := faultinject.New(seed, faultinject.Rule{Point: FaultPointCommittee, Prob: prob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
 // TestCommitteeFailureDipAndReconvergence is the end-to-end Theorem 2
 // demonstration: epoch 1 runs clean, epoch 2 loses three of eight
 // committees to the injector (the perturbation — their shards leave the
@@ -221,29 +232,5 @@ func TestCommitteeFailureKeepsOneAlive(t *testing.T) {
 	}
 	if len(res.Live) != 1 {
 		t.Fatalf("live = %d, want exactly the kept-alive committee", len(res.Live))
-	}
-}
-
-// TestFailureRateAndInjectorKeepOneAlive fails committees through both
-// sources at once, each at a rate that often fails every committee on
-// its own. Each source keeps one committee alive, and together they
-// must too: every epoch needs a live committee.
-func TestFailureRateAndInjectorKeepOneAlive(t *testing.T) {
-	for seed := int64(1); seed <= 50; seed++ {
-		cfg := fastConfig(6, seed)
-		cfg.FailureRate = 0.9
-		fi, err := faultinject.Parse(FaultPointCommittee+":prob=0.9", seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FaultInjector = fi
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An epoch with no live committee fails the run.
-		if _, err := p.RunEpochs(5, AcceptAll{}, 1.5, p.Trace().TotalTxs(), 0); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 	}
 }

@@ -65,19 +65,19 @@ func TestEpochObservabilityEndToEnd(t *testing.T) {
 			o.PermittedTxs.Value(), o.PermittedCommittees.Value())
 	}
 
-	// The trace must carry phase transitions and shard-age events.
+	// The trace must carry span and shard-age events.
 	events, _ := reg.Tracer().Snapshot()
-	var phases, ages int
+	var spans, ages int
 	for _, e := range events {
 		switch e.Type {
-		case obs.EvEpochPhase:
-			phases++
+		case obs.EvSpanBegin:
+			spans++
 		case obs.EvShardAge:
 			ages++
 		}
 	}
-	if phases == 0 || ages == 0 {
-		t.Fatalf("trace events missing: phase=%d shard-age=%d", phases, ages)
+	if spans == 0 || ages == 0 {
+		t.Fatalf("trace events missing: span=%d shard-age=%d", spans, ages)
 	}
 
 	// End-to-end latency histogram: one observation per committed epoch.

@@ -36,11 +36,6 @@ type Options struct {
 	// Scale in (0, 1] shrinks instance sizes and iteration budgets; 1
 	// reproduces the paper's parameters. Default 1.
 	Scale float64
-	// Workers bounds the goroutines the SE kernel spreads its Γ explorers
-	// over (core.SEConfig.Workers); 0 means GOMAXPROCS, 1 forces the
-	// serial kernel. Results are identical either way — this knob only
-	// trades wall-clock time.
-	Workers int
 	// Obs, when non-nil, receives live instrumentation from every SE
 	// solver and epoch pipeline a runner builds (kernel counters, stage
 	// latency histograms, the cumulative-age gauge). Nil disables every
@@ -242,9 +237,9 @@ func paperInstance(rng *randx.RNG, nShards, capacity int, alpha float64, nminFra
 // solverSet builds the paper's four algorithms with budgets scaled for the
 // instance size. Only the SE solver is instrumented — the baselines have
 // no kernel hooks.
-func solverSet(seed int64, gamma, maxIters, workers int, reg *obs.Registry) []core.Solver {
+func solverSet(seed int64, gamma, maxIters int, reg *obs.Registry) []core.Solver {
 	return []core.Solver{
-		core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, Workers: workers, MaxIters: maxIters, ConvergenceWindow: maxIters / 10, Obs: obs.NewSEObserver(reg)}),
+		core.NewSE(core.SEConfig{Seed: seed, Gamma: gamma, MaxIters: maxIters, ConvergenceWindow: maxIters / 10, Obs: obs.NewSEObserver(reg)}),
 		baselineSA(seed, maxIters),
 		baselineDP(),
 		baselineWOA(seed, maxIters),

@@ -35,7 +35,7 @@ func ExtThroughput(opts Options) (FigureResult, error) {
 	}{
 		{name: "SE", make: func(seed int64) epoch.Scheduler {
 			return epoch.SolverScheduler{Solver: core.NewSE(core.SEConfig{
-				Seed: seed, Gamma: 4, Workers: opts.Workers, MaxIters: 4000,
+				Seed: seed, Gamma: 4, MaxIters: 4000,
 				Obs: obs.NewSEObserver(opts.Obs),
 			})}
 		}},

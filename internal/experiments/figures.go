@@ -143,7 +143,7 @@ func Fig8(opts Options) (FigureResult, error) {
 	}
 	for _, gamma := range []int{1, 5, 10, 15, 20, 25} {
 		se := core.NewSE(core.SEConfig{
-			Seed: opts.Seed, Gamma: gamma, Workers: opts.Workers,
+			Seed: opts.Seed, Gamma: gamma,
 			MaxIters: maxIters, ConvergenceWindow: maxIters,
 			Obs: obs.NewSEObserver(opts.Obs),
 		})
@@ -198,7 +198,7 @@ func Fig9a(opts Options) (FigureResult, error) {
 		{AtIteration: 2 * maxIters / 3, Kind: core.EventJoin, Index: target,
 			Size: in.Sizes[target], Latency: in.Latencies[target]},
 	}
-	se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 1, Workers: opts.Workers, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
+	se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 1, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
 	_, trace, err := se.SolveOnline(in.Clone(), events)
 	if err != nil {
 		return FigureResult{}, err
@@ -262,7 +262,7 @@ func Fig9b(opts Options) (FigureResult, error) {
 			Latency:     lat,
 		})
 	}
-	se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 1, Workers: opts.Workers, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
+	se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 1, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
 	_, trace, err := se.SolveOnline(in, events)
 	if err != nil {
 		return FigureResult{}, err
@@ -308,7 +308,7 @@ func Fig10(opts Options) (FigureResult, error) {
 			fmt.Sprintf("|I|=%d capacity=%d alpha=1.5 gamma=25", nShards, capacity),
 		},
 	}
-	for idx, s := range solverSet(opts.Seed, 25, maxIters, opts.Workers, opts.Obs) {
+	for idx, s := range solverSet(opts.Seed, 25, maxIters, opts.Obs) {
 		sol, _, err := s.Solve(in.Clone())
 		if err != nil {
 			return FigureResult{}, fmt.Errorf("%s: %w", s.Name(), err)
@@ -328,7 +328,7 @@ func convergenceComparison(opts Options, in core.Instance, gamma, maxIters int) 
 	grid := metrics.Grid(maxIters, 50)
 	var series []Series
 	finals := make(map[string]float64)
-	for _, s := range solverSet(opts.Seed, gamma, maxIters, opts.Workers, opts.Obs) {
+	for _, s := range solverSet(opts.Seed, gamma, maxIters, opts.Obs) {
 		sol, trace, err := s.Solve(in.Clone())
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", s.Name(), err)
@@ -440,7 +440,7 @@ func Fig13(opts Options) (FigureResult, error) {
 		in := paperInstance(rng, nShards, capacity, alpha, 0)
 		perAlgo := make(map[string][]float64)
 		for rep := 0; rep < repeats; rep++ {
-			for _, s := range solverSet(opts.Seed+int64(rep*131), 25, maxIters, opts.Workers, opts.Obs) {
+			for _, s := range solverSet(opts.Seed+int64(rep*131), 25, maxIters, opts.Obs) {
 				sol, _, err := s.Solve(in.Clone())
 				if err != nil {
 					return FigureResult{}, fmt.Errorf("alpha=%g rep=%d %s: %w", alpha, rep, s.Name(), err)
@@ -518,7 +518,7 @@ func Fig14(opts Options) (FigureResult, error) {
 				Latency:     lat,
 			})
 		}
-		se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 25, Workers: opts.Workers, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
+		se := core.NewSE(core.SEConfig{Seed: opts.Seed, Gamma: 25, MaxIters: maxIters, Obs: obs.NewSEObserver(opts.Obs)})
 		seSol, _, err := se.SolveOnline(in.Clone(), events)
 		if err != nil {
 			return FigureResult{}, fmt.Errorf("alpha=%g SE online: %w", alpha, err)
@@ -526,7 +526,7 @@ func Fig14(opts Options) (FigureResult, error) {
 		utilities["SE"] = append(utilities["SE"], seSol.Utility)
 		// Offline baselines on the final candidate set.
 		finalIn := full.Clone()
-		for _, s := range solverSet(opts.Seed, 25, maxIters, opts.Workers, opts.Obs)[1:] {
+		for _, s := range solverSet(opts.Seed, 25, maxIters, opts.Obs)[1:] {
 			sol, _, err := s.Solve(finalIn.Clone())
 			if err != nil {
 				return FigureResult{}, fmt.Errorf("alpha=%g %s: %w", alpha, s.Name(), err)

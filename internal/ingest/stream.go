@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +77,9 @@ type NetStream struct {
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drainCh   chan struct{}
+	// admitting counts admissions between their drain check and their
+	// queue add; a drain ends only once it reads 0 (see NextContext).
+	admitting atomic.Int64
 
 	// Counters shared with the front ends (Stats snapshots).
 	requests, accepted, acceptedTxs atomic.Int64
@@ -132,9 +136,17 @@ func (s *NetStream) SubmitCount(source string, count int) string {
 	if count <= 0 {
 		return s.shed("invalid", 0)
 	}
+	s.admitting.Add(1)
+	defer s.admitting.Add(-1)
 	if s.draining.Load() {
 		return s.shed("drain", count)
 	}
+	return s.admit(source, count)
+}
+
+// admit is SubmitCount past its drain check: the rate limit, then the
+// queue add. The caller holds an admitting count.
+func (s *NetStream) admit(source string, count int) string {
 	if !s.buckets.Allow(source, count) {
 		return s.shed("rate", count)
 	}
@@ -249,10 +261,23 @@ func (s *NetStream) NextContext(ctx context.Context, epochN int) (epoch.EpochPar
 			// Drain epochs run until everything admitted has settled:
 			// the first flushes the queue in, and the rest give the
 			// deferral backlog epochs to commit or expire via
-			// MaxDeferrals.
+			// MaxDeferrals. admitting is read before queued: a producer
+			// that passed its drain check before Drain adds to queued
+			// before it leaves admitting, and one that enters admitting
+			// after this read sees draining and sheds.
+			admitting := s.admitting.Load()
 			if s.queued.Load() == 0 && s.outstandingTxs.Load() == 0 {
-				s.finished = true
-				return epoch.EpochParams{}, false
+				if admitting == 0 {
+					s.finished = true
+					return epoch.EpochParams{}, false
+				}
+				// An admission is about to land or shed: wait for it
+				// rather than run an empty epoch.
+				if ctx.Err() != nil {
+					return epoch.EpochParams{}, false
+				}
+				runtime.Gosched()
+				continue
 			}
 			if s.drainEpochs >= drainEpochCap {
 				// A scheduler that defers the same shards forever would

@@ -343,15 +343,46 @@ func TestNetStreamAdmissionAllocs(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForAdmissionInFlight pins the drain race: a producer
+// passes its drain check, the plane drains while the queue and the
+// backlog are empty, and only then does the producer add its batch. The
+// drain must not end the stream before that batch lands, and must
+// settle it after.
+func TestDrainWaitsForAdmissionInFlight(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Params:  epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+		MaxWait: time.Millisecond,
+	})
+	stream.admitting.Add(1) // SubmitCount past its drain check
+	stream.Drain()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok := stream.NextContext(ctx, 1); ok || stream.finished {
+		t.Fatalf("drain ended the stream with an admission in flight (ok %v, finished %v)", ok, stream.finished)
+	}
+	if reason := stream.admit("a", 10); reason != "" {
+		t.Fatalf("admission shed: %s", reason)
+	}
+	stream.admitting.Add(-1)
+
+	p := testPipeline(t, 4, stream, 1, 7)
+	if err := p.Serve(context.Background(), epoch.AcceptAll{}, stream); err != nil {
+		t.Fatal(err)
+	}
+	st := stream.Stats()
+	if st.AcceptedTxs != 10 {
+		t.Fatalf("accepted %d txs, want 10: %+v", st.AcceptedTxs, st)
+	}
+	checkSettled(t, st)
+}
+
 // TestNetStreamBooksProperty: whatever the interleaving of admission
 // with the epoch loop, the books hold once a run is quiescent. Each
 // seed drives 1–3 sources of random SubmitCount calls (valid,
 // zero-count and over-watermark) into a rate-limited plane whose block
 // is smaller than its supply, so shards defer and, at MaxDeferrals 1,
-// expire. Even seeds stop the sources and then drain (an admission
-// still in flight when a drain ends stays queued, so a drain is only
-// checked for quiescent sources); odd seeds cancel the context while
-// the sources still run.
+// expire. While the sources still run, even seeds drain and odd seeds
+// cancel the context; a drain must still settle every admission.
 func TestNetStreamBooksProperty(t *testing.T) {
 	const queueTxs = 300
 	var expired, shedRate, shedQueue, shedInvalid int64
@@ -371,7 +402,7 @@ func TestNetStreamBooksProperty(t *testing.T) {
 
 		rng := rand.New(rand.NewPCG(uint64(seed), 0))
 		sources := 1 + rng.IntN(3)
-		cancelAt := rng.IntN(40)
+		stopAt := rng.IntN(40)
 		var wg sync.WaitGroup
 		for g := 0; g < sources; g++ {
 			wg.Add(1)
@@ -379,8 +410,12 @@ func TestNetStreamBooksProperty(t *testing.T) {
 				defer wg.Done()
 				src := string(rune('a' + g))
 				for op := 0; op < 40; op++ {
-					if !drain && g == 0 && op == cancelAt {
-						cancel()
+					if g == 0 && op == stopAt {
+						if drain {
+							stream.Drain()
+						} else {
+							cancel()
+						}
 					}
 					var n int
 					switch r := rng.IntN(10); {
@@ -399,9 +434,6 @@ func TestNetStreamBooksProperty(t *testing.T) {
 			}(g, rand.New(rand.NewPCG(uint64(seed), uint64(g+1))))
 		}
 		wg.Wait()
-		if drain {
-			stream.Drain()
-		}
 		var err error
 		select {
 		case err = <-errc:

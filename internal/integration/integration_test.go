@@ -13,6 +13,7 @@ import (
 	"mvcom/internal/core"
 	"mvcom/internal/dist"
 	"mvcom/internal/epoch"
+	"mvcom/internal/faultinject"
 	"mvcom/internal/metrics"
 	"mvcom/internal/txgen"
 )
@@ -121,7 +122,11 @@ func TestCarryOverBacklogRegimes(t *testing.T) {
 
 func TestFailuresAndCarryOverTogether(t *testing.T) {
 	cfg := pipelineConfig(12, 4)
-	cfg.FailureRate = 0.15
+	fi, err := faultinject.Parse(epoch.FaultPointCommittee+":prob=0.15", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FaultInjector = fi
 	p, err := epoch.NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistryWithTrace(DefaultTraceCapacity)
 	reg.Counter("mvcom_http_test_total", "endpoint test").Add(7)
-	reg.Tracer().Emit(EvEpochPhase, "epoch", 1, "formation")
+	reg.Tracer().Emit(EvIngest, "ingest", 1, "batch")
 
 	server, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(trace), &tdoc); err != nil {
 		t.Fatalf("/trace does not parse: %v", err)
 	}
-	if len(tdoc.Events) != 1 || tdoc.Events[0].Detail != "formation" {
+	if len(tdoc.Events) != 1 || tdoc.Events[0].Detail != "batch" {
 		t.Fatalf("/trace events = %+v", tdoc.Events)
 	}
 
@@ -125,7 +125,7 @@ func TestServeIndexHealthAndDebugProviders(t *testing.T) {
 		t.Fatalf("unknown path status %d, want 404", code)
 	}
 
-	reg.Tracer().Emit(EvEpochPhase, "epoch", 1, "formation")
+	reg.Tracer().Emit(EvIngest, "ingest", 1, "batch")
 	code, health := get("/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("/healthz status %d", code)

@@ -324,8 +324,8 @@ type EpochObserver struct {
 	DeferredCommittees  *Counter
 	FailedCommittees    *Counter
 	PresolvedShards     *Counter
-	// Trace receives EvEpochPhase and EvShardAge events plus the epoch
-	// pipeline's span begin/end pairs.
+	// Trace receives EvShardAge and committee-fault EvDistFault events
+	// plus the epoch pipeline's span begin/end pairs.
 	Trace *Tracer
 
 	phaseSeconds sync.Map // phase -> *Gauge mvcom_epoch_phase_seconds{phase=...}

@@ -34,9 +34,6 @@ const (
 	EvDistRecv
 	// EvDistTaskError marks a worker task failing (Detail = error).
 	EvDistTaskError
-	// EvEpochPhase marks an epoch pipeline phase transition (Detail =
-	// phase name, Value = epoch number).
-	EvEpochPhase
 	// EvShardAge records a permitted shard's age at inclusion in the
 	// final block (Value = age in seconds, Actor = committee).
 	EvShardAge
@@ -98,8 +95,6 @@ func (t EventType) String() string {
 		return "dist_recv"
 	case EvDistTaskError:
 		return "dist_task_error"
-	case EvEpochPhase:
-		return "epoch_phase"
 	case EvShardAge:
 		return "shard_age"
 	case EvDistFault:

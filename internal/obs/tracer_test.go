@@ -63,7 +63,7 @@ func TestTracerMinimumCapacity(t *testing.T) {
 }
 
 func TestEventTypeJSON(t *testing.T) {
-	ev := Event{Seq: 7, Type: EvEpochPhase, Actor: "epoch", Value: 3, Detail: "formation"}
+	ev := Event{Seq: 7, Type: EvIngest, Actor: "ingest", Value: 3, Detail: "batch"}
 	raw, err := json.Marshal(ev)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +72,8 @@ func TestEventTypeJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m["type"] != "epoch_phase" {
-		t.Fatalf("type marshals as %v, want symbolic name epoch_phase", m["type"])
+	if m["type"] != "ingest" {
+		t.Fatalf("type marshals as %v, want symbolic name ingest", m["type"])
 	}
 	if EventType(0).String() != "unknown" {
 		t.Fatal("zero EventType should stringify as unknown")

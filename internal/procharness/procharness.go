@@ -70,9 +70,6 @@ type Options struct {
 	// the point "proc.<name>" for each live process and applies kill /
 	// restart decisions. Nil is off, as everywhere in faultinject.
 	FI *faultinject.Injector
-	// KillGrace bounds the wait for a SIGKILLed child to be reaped.
-	// Default 5 s.
-	KillGrace time.Duration
 }
 
 // Harness supervises a set of processes. Safe for concurrent use.
@@ -90,9 +87,6 @@ type Harness struct {
 // New returns an empty harness. Callers must Close it (typically via
 // defer or t.Cleanup) to uphold the no-leaked-children guarantee.
 func New(opts Options) *Harness {
-	if opts.KillGrace <= 0 {
-		opts.KillGrace = 5 * time.Second
-	}
 	return &Harness{
 		opts:  opts,
 		specs: make(map[string]Spec),
@@ -165,7 +159,7 @@ func (h *Harness) Start(name string) (*Proc, error) {
 	if h.closed {
 		// Lost the race with Close: do not leak the fresh child.
 		h.mu.Unlock()
-		_ = p.kill(h.opts.KillGrace)
+		_ = p.kill()
 		return nil, errors.New("procharness: harness closed")
 	}
 	h.procs[name] = p
@@ -270,14 +264,14 @@ func (h *Harness) Kill(name string) error {
 	if p == nil {
 		return fmt.Errorf("procharness: unknown or never-started process %s", name)
 	}
-	return p.kill(h.opts.KillGrace)
+	return p.kill()
 }
 
 // Restart kills the named process (if alive) and launches a fresh
 // incarnation with the same spec.
 func (h *Harness) Restart(name string) (*Proc, error) {
 	if p := h.Proc(name); p != nil {
-		if err := p.kill(h.opts.KillGrace); err != nil {
+		if err := p.kill(); err != nil {
 			return nil, err
 		}
 	}
@@ -406,7 +400,7 @@ func (h *Harness) Close() error {
 
 	var errs []error
 	for _, p := range procs {
-		if err := p.kill(h.opts.KillGrace); err != nil {
+		if err := p.kill(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -480,8 +474,11 @@ func (p *Proc) WaitExit(timeout time.Duration) (int, error) {
 	}
 }
 
+// killGrace bounds the wait for a SIGKILLed child to be reaped.
+const killGrace = 5 * time.Second
+
 // kill SIGKILLs the process group and waits for the reap.
-func (p *Proc) kill(grace time.Duration) error {
+func (p *Proc) kill() error {
 	p.mu.Lock()
 	if p.exited || p.cmd == nil || p.cmd.Process == nil {
 		p.mu.Unlock()
@@ -495,8 +492,8 @@ func (p *Proc) kill(grace time.Duration) error {
 	select {
 	case <-p.done:
 		return nil
-	case <-time.After(grace):
-		return fmt.Errorf("procharness: %s (pid %d) not reaped %v after SIGKILL", p.Name, pid, grace)
+	case <-time.After(killGrace):
+		return fmt.Errorf("procharness: %s (pid %d) not reaped %v after SIGKILL", p.Name, pid, killGrace)
 	}
 }
 

@@ -52,12 +52,11 @@ type Block struct {
 
 // Config controls trace synthesis.
 type Config struct {
-	Blocks       int           // number of blocks; DefaultBlocks if <= 0
-	MeanTxs      float64       // mean TXs per block; DefaultMeanTxs if <= 0
-	Sigma        float64       // lognormal spread; DefaultSigma if <= 0
-	MinTxs       int           // lower clamp; DefaultMinTxs if <= 0
-	MaxTxs       int           // upper clamp; DefaultMaxTxs if <= 0
-	BlockSpacing time.Duration // mean inter-block time; DefaultBlockSpacing if <= 0
+	Blocks  int     // number of blocks; DefaultBlocks if <= 0
+	MeanTxs float64 // mean TXs per block; DefaultMeanTxs if <= 0
+	Sigma   float64 // lognormal spread; DefaultSigma if <= 0
+	MinTxs  int     // lower clamp; DefaultMinTxs if <= 0
+	MaxTxs  int     // upper clamp; DefaultMaxTxs if <= 0
 }
 
 func (c Config) withDefaults() Config {
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTxs <= 0 {
 		c.MaxTxs = DefaultMaxTxs
 	}
-	if c.BlockSpacing <= 0 {
-		c.BlockSpacing = DefaultBlockSpacing
-	}
 	return c
 }
 
@@ -93,7 +89,7 @@ func Generate(rng *randx.RNG, cfg Config) *Trace {
 	blocks := make([]Block, cfg.Blocks)
 	var t time.Duration
 	for i := range blocks {
-		t += sDuration(rng.Exponential(cfg.BlockSpacing.Seconds()))
+		t += sDuration(rng.Exponential(DefaultBlockSpacing.Seconds()))
 		txs := int(rng.LogNormalMeanSpread(cfg.MeanTxs, cfg.Sigma))
 		if txs < cfg.MinTxs {
 			txs = cfg.MinTxs

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mvcom/internal/randx"
 	"mvcom/internal/stats"
@@ -76,12 +75,11 @@ func TestGenerateMatchesTargetStatistics(t *testing.T) {
 
 func TestGenerateCustomConfig(t *testing.T) {
 	tr := Generate(randx.New(3), Config{
-		Blocks:       50,
-		MeanTxs:      100,
-		Sigma:        0.1,
-		MinTxs:       10,
-		MaxTxs:       500,
-		BlockSpacing: 10 * time.Second,
+		Blocks:  50,
+		MeanTxs: 100,
+		Sigma:   0.1,
+		MinTxs:  10,
+		MaxTxs:  500,
 	})
 	if len(tr.Blocks) != 50 {
 		t.Fatalf("blocks %d", len(tr.Blocks))

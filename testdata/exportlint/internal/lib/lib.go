@@ -23,7 +23,7 @@ func ForBenchmark() int { return 3 }
 func ForExample() int { return 4 }
 
 // ViaAlias is called only through an aliased import.
-func ViaAlias() int { return 5 }
+func ViaAlias() int { return 5 + sum() }
 
 // InPackage is called only inside its own package.
 func InPackage() int { return 6 }
@@ -37,7 +37,10 @@ type U struct{}
 // Shadowed returns the field's namesake.
 func (U) Shadowed() int { return T{Shadowed: 7}.Shadowed }
 
-func sum() int { return InPackage() + U{}.Shadowed() }
+// sum and used are unexported, and ViaAlias and sum call them.
+func sum() int { return InPackage() + U{}.Shadowed() + U{}.used() }
+
+func (U) used() int { return 10 }
 
 // V has a method only lib_test.go calls, which the lint flags, and one
 // that no file selects but a non-test interface declares, which it does
@@ -49,3 +52,9 @@ func (*V) TestOnlyMethod() int { return 8 }
 
 // ViaInterface satisfies the interface cmd/tool declares.
 func (V) ViaInterface() int { return 9 }
+
+// testOnly and testOnlyMethod are unexported and only lib_test.go calls
+// them, so the lint flags both.
+func testOnly() int { return 11 }
+
+func (V) testOnlyMethod() int { return 12 }
