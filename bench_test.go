@@ -21,6 +21,7 @@ import (
 	"mvcom/internal/decisionlog"
 	"mvcom/internal/epoch"
 	"mvcom/internal/experiments"
+	"mvcom/internal/ingest"
 	"mvcom/internal/metrics"
 	"mvcom/internal/obs"
 	"mvcom/internal/seobs"
@@ -698,6 +699,28 @@ func BenchmarkServeEpoch(b *testing.B) {
 	b.ResetTimer()
 	if err := p.Serve(ctx, sched, &epoch.FixedStream{N: b.N, Params: params}); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkBucketsFreshSource measures admission under a source name
+// the full bucket map does not hold, as a client rotating its names
+// sends: each op evicts the least recently refilled source. The 4 096
+// names are four times the map's bound, so every name has been evicted
+// before it comes round again. The journal diff fails on allocs/op
+// growth over its 0.
+func BenchmarkBucketsFreshSource(b *testing.B) {
+	bk := ingest.NewBuckets(1000, 1000)
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = fmt.Sprintf("src-%d", i)
+		bk.Allow(names[i], 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !bk.Allow(names[i%len(names)], 1) {
+			b.Fatal("a fresh source was refused")
+		}
 	}
 }
 

@@ -108,6 +108,7 @@ bench_sample() {
 		^BenchmarkEpochServeDecisionLog$ 300x 5
 		^BenchmarkNewPipeline$ 300x 5
 		^BenchmarkServeEpoch$ 2000x 5
+		^BenchmarkBucketsFreshSource$ 200000x 3
 	EOF
 	cat "$1"
 }
@@ -118,7 +119,8 @@ stage_bench() {
 	# Three gates hold in every environment:
 	#   - allocs/op may not grow over the baseline, so the SE round loop
 	#     (BenchmarkSERounds), the tracing-off span path
-	#     (BenchmarkSpanOff) and the ring's emit path (BenchmarkTracerEmit)
+	#     (BenchmarkSpanOff), the ring's emit path (BenchmarkTracerEmit)
+	#     and a fresh source's admission (BenchmarkBucketsFreshSource)
 	#     stay at 0;
 	#   - the paired on/off overhead ratios of the SE observer, span and
 	#     decision-log benchmarks must keep their best sample within 1.03

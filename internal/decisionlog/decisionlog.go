@@ -34,6 +34,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"mvcom/internal/core"
 	"mvcom/internal/obs"
@@ -287,8 +289,8 @@ const (
 	// maxSegments bounds the retained segment count; the oldest segment
 	// is removed when rotation would exceed it.
 	maxSegments = 8
-	// recentEntries bounds the in-memory ring served at
-	// /debug/decisions.
+	// recentEntries bounds the ring of line locations whose lines
+	// /debug/decisions serves.
 	recentEntries = 32
 )
 
@@ -318,12 +320,15 @@ type Journal struct {
 	line     []byte
 	// wbuf batches rendered lines between flushes so steady-state
 	// appends pay no per-entry write syscall; it drains to the active
-	// segment when it exceeds wbufFlushBytes, on rotation, on Sync, and
-	// on Close (a crash can lose at most one unflushed batch — Sync is
-	// the durability point).
+	// segment when it exceeds wbufFlushBytes, on rotation, on Sync, on
+	// Close, and before /debug/decisions reads lines back (a crash can
+	// lose at most one unflushed batch — Sync is the durability point).
 	wbuf   []byte
 	detail []byte
-	closed bool
+	// closed and werr are atomics so that Append reads them without
+	// taking mu, which the writer holds across a segment write: the
+	// only place Append waits is the writer queue.
+	closed atomic.Bool
 
 	// Background writer state: pooled entries cycle Acquire → Append →
 	// pending → writeEntry → free; werr is the sticky asynchronous
@@ -332,17 +337,30 @@ type Journal struct {
 	pending chan writeMsg
 	quit    chan struct{}
 	wdone   chan struct{}
-	werr    error
+	werr    atomic.Pointer[error]
 
 	totalBytes int64
-	recent     []json.RawMessage
+	// recent locates the last recentEntries lines in the segments, a
+	// ring whose oldest slot is recentNext once it is full. The lines
+	// themselves are read back from the files when /debug/decisions is
+	// served.
+	recent     []lineAt
 	recentNext int
 
 	cEntries      *obs.Counter
 	gBytes        *obs.Gauge
 	cReplays      *obs.Counter
 	cReplayFailed *obs.Counter
+	hAppendWait   *obs.Histogram
 	tracer        *obs.Tracer
+}
+
+// lineAt locates one journal line: segment index, byte offset in that
+// segment, and length with the newline.
+type lineAt struct {
+	seg int
+	off int64
+	n   int
 }
 
 // segmentName formats one segment's file name.
@@ -392,7 +410,7 @@ func Open(opts Options) (*Journal, error) {
 		dir:      opts.Dir,
 		maxBytes: maxSegmentBytes,
 		maxSegs:  maxSegments,
-		recent:   make([]json.RawMessage, 0, recentEntries),
+		recent:   make([]lineAt, 0, recentEntries),
 	}
 	segs, err := segmentFiles(opts.Dir)
 	if err != nil {
@@ -427,6 +445,7 @@ func Open(opts Options) (*Journal, error) {
 		j.gBytes = reg.Gauge("mvcom_decision_bytes", "decision-journal bytes retained on disk across segments")
 		j.cReplays = reg.Counter("mvcom_decision_replays_total", "decision-journal replay verifications executed")
 		j.cReplayFailed = reg.Counter("mvcom_decision_replay_failures_total", "decision-journal replays that diverged from the recorded decision")
+		j.hAppendWait = reg.Histogram("mvcom_decision_append_wait_seconds", "time Append blocked on a full writer queue, seconds", obs.ExponentialBuckets(1e-4, 2, 16))
 		tornTails := reg.Counter("mvcom_decision_torn_tails_total", "torn final journal lines truncated away when a journal resumed")
 		if torn {
 			tornTails.Inc()
@@ -502,39 +521,61 @@ func (j *Journal) Acquire() *Entry {
 
 // Append journals one entry: schema-stamps it and hands it to the
 // background writer, which renders the JSON line, appends it to the
-// active segment (rotating by size first), pushes it onto the recent
-// ring, updates the instruments, and emits an EvDecision trace event
-// carrying the entry's TraceID.
+// active segment (rotating by size first), records the line's location
+// in the recent ring, updates the instruments, and emits an EvDecision
+// trace event carrying the entry's TraceID.
 //
 // Entries that came from Acquire are queued and written asynchronously
 // so the epoch serve loop never pays the encode or the write syscall;
 // a write failure is sticky and surfaces on the next Append or Sync —
 // still loud, one epoch late. Caller-constructed entries are written
 // before Append returns (the caller keeps ownership), through the same
-// ordered queue. Nil-safe (both receiver and entry).
+// ordered queue. Append blocks only while the queue is full, the
+// writer entryPool entries behind; mvcom_decision_append_wait_seconds
+// times each such wait. Nil-safe (both receiver and entry).
 func (j *Journal) Append(e *Entry) error {
 	if j == nil || e == nil {
 		return nil
 	}
 	e.Schema = SchemaVersion
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
+	if j.closed.Load() {
 		return fmt.Errorf("decisionlog: journal closed")
 	}
-	werr := j.werr
-	j.mu.Unlock()
-	if werr != nil {
-		return werr
+	if err := j.err(); err != nil {
+		return err
 	}
 	if e.pooled {
-		j.pending <- writeMsg{e: e}
+		j.enqueue(writeMsg{e: e})
 		return nil
 	}
 	done := make(chan error, 1)
-	j.pending <- writeMsg{e: e, done: done}
+	j.enqueue(writeMsg{e: e, done: done})
 	return <-done
 }
+
+// enqueue hands m to the writer. Only a full queue makes it read the
+// clock, to time the wait.
+func (j *Journal) enqueue(m writeMsg) {
+	select {
+	case j.pending <- m:
+		return
+	default:
+	}
+	start := time.Now()
+	j.pending <- m
+	j.hAppendWait.Observe(time.Since(start).Seconds())
+}
+
+// err returns the sticky asynchronous write error, nil if none.
+func (j *Journal) err() error {
+	if p := j.werr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail records err as the sticky write error unless one is already set.
+func (j *Journal) fail(err error) { j.werr.CompareAndSwap(nil, &err) }
 
 // writeMsg is one unit of writer work: an entry to journal (with an
 // optional completion ack for synchronous appends) or, with a nil
@@ -571,11 +612,7 @@ func (j *Journal) handle(m writeMsg) {
 	if m.e != nil {
 		err = j.writeEntry(m.e)
 		if err != nil {
-			j.mu.Lock()
-			if j.werr == nil {
-				j.werr = err
-			}
-			j.mu.Unlock()
+			j.fail(err)
 		}
 		if m.e.pooled {
 			select {
@@ -585,8 +622,8 @@ func (j *Journal) handle(m writeMsg) {
 		}
 	} else {
 		j.mu.Lock()
-		err = j.werr
-		if err == nil && j.f != nil && !j.closed {
+		err = j.err()
+		if err == nil && j.f != nil && !j.closed.Load() {
 			if err = j.flushLocked(); err == nil {
 				err = j.f.Sync()
 			}
@@ -606,7 +643,7 @@ const wbufFlushBytes = 64 << 10
 func (j *Journal) writeEntry(e *Entry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
+	if j.closed.Load() {
 		return fmt.Errorf("decisionlog: journal closed")
 	}
 	j.line = appendEntryJSON(j.line[:0], e)
@@ -617,6 +654,7 @@ func (j *Journal) writeEntry(e *Entry) error {
 			return err
 		}
 	}
+	at := lineAt{seg: j.segIndex, off: j.segBytes, n: len(line)}
 	j.wbuf = append(j.wbuf, line...)
 	if len(j.wbuf) > wbufFlushBytes {
 		if err := j.flushLocked(); err != nil {
@@ -626,12 +664,10 @@ func (j *Journal) writeEntry(e *Entry) error {
 	j.segBytes += int64(len(line))
 	j.totalBytes += int64(len(line))
 
-	// Recycle the ring slot's backing array (debugSnapshot deep-copies
-	// on read, so a served snapshot never aliases a live slot).
 	if len(j.recent) < cap(j.recent) {
-		j.recent = append(j.recent, append(json.RawMessage(nil), line...))
+		j.recent = append(j.recent, at)
 	} else {
-		j.recent[j.recentNext] = append(j.recent[j.recentNext][:0], line...)
+		j.recent[j.recentNext] = at
 		j.recentNext = (j.recentNext + 1) % len(j.recent)
 	}
 
@@ -698,12 +734,9 @@ func (j *Journal) Sync() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
+	if j.closed.Load() {
 		return nil
 	}
-	j.mu.Unlock()
 	done := make(chan error, 1)
 	j.pending <- writeMsg{done: done}
 	return <-done
@@ -716,21 +749,15 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
+	if j.closed.Load() {
 		return nil
 	}
-	j.mu.Unlock()
 	close(j.quit)
 	<-j.wdone
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	err := j.werr
+	j.closed.Store(true)
+	err := j.err()
 	if ferr := j.flushLocked(); err == nil {
 		err = ferr
 	}
@@ -754,10 +781,20 @@ func (j *Journal) ReplayVerified(ok bool) {
 }
 
 // debugSnapshot backs the /debug/decisions endpoint: journal totals
-// plus the recent entries oldest-first.
+// plus the recent entries oldest-first. It flushes the write batch and
+// copies the ring's locations under the lock, then reads the lines
+// from the segment files outside it: a flushed line never changes,
+// because rotation only adds or removes whole files and only Open
+// truncates. An entry whose segment was pruned in between, or before
+// (32 entries span more than maxSegments segments only when lines
+// exceed maxSegmentBytes/maxSegments), is left out.
 func (j *Journal) debugSnapshot() any {
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	if !j.closed.Load() {
+		if err := j.flushLocked(); err != nil {
+			j.fail(err)
+		}
+	}
 	out := struct {
 		Entries  int64             `json:"entries"`
 		Bytes    int64             `json:"bytes"`
@@ -769,17 +806,30 @@ func (j *Journal) debugSnapshot() any {
 		Segments: j.segIndex + 1,
 		Recent:   make([]json.RawMessage, 0, len(j.recent)),
 	}
-	// Deep-copy: the ring recycles slot backing arrays on append, and the
-	// HTTP handler marshals the snapshot outside the journal lock.
-	if len(j.recent) < cap(j.recent) {
-		for _, raw := range j.recent {
-			out.Recent = append(out.Recent, append(json.RawMessage(nil), raw...))
+	locs := make([]lineAt, 0, len(j.recent))
+	locs = append(append(locs, j.recent[j.recentNext:]...), j.recent[:j.recentNext]...)
+	j.mu.Unlock()
+
+	var f *os.File
+	seg := -1
+	for _, at := range locs {
+		if at.seg != seg {
+			if f != nil {
+				f.Close()
+			}
+			seg = at.seg
+			f, _ = os.Open(filepath.Join(j.dir, segmentName(seg))) // nil once pruned
 		}
-	} else {
-		for i := 0; i < len(j.recent); i++ {
-			raw := j.recent[(j.recentNext+i)%len(j.recent)]
-			out.Recent = append(out.Recent, append(json.RawMessage(nil), raw...))
+		if f == nil {
+			continue
 		}
+		line := make(json.RawMessage, at.n)
+		if _, err := f.ReadAt(line, at.off); err == nil {
+			out.Recent = append(out.Recent, line)
+		}
+	}
+	if f != nil {
+		f.Close()
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package decisionlog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -620,7 +623,7 @@ func TestJournalInstrumentsAndDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.recent = make([]json.RawMessage, 0, 2)
+	j.recent = make([]lineAt, 0, 2)
 	defer j.Close()
 	for i := 0; i < 3; i++ {
 		e := solveEntry(t, i, int64(i))
@@ -682,6 +685,260 @@ func TestJournalInstrumentsAndDebug(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no EvDecision event with the entry's TraceID")
+	}
+}
+
+// bigEntry is an entry whose JSON line is about 20 KB, the size of a
+// solve-capacity decision; its 260 shard rows stand in for that
+// decision's rows, marginals, deferrals and counterfactuals.
+func bigEntry() Entry {
+	e := Entry{DDL: 54.5, Alpha: 1.5, Capacity: 12000, Nmin: 1, Solver: SolverFingerprint{Kind: KindSE, Seed: 1}}
+	for i := 0; i < 260; i++ {
+		e.Shards = append(e.Shards, ShardRecord{
+			Committee: i % 64, Size: 300 + i, Latency: 40 + float64(i)/7, Age: 14.5 - float64(i)/7,
+		})
+	}
+	return e
+}
+
+// appendPooled journals tmpl's scalars and shard rows at epoch through
+// Acquire and Append, as the serve loop does.
+func appendPooled(j *Journal, tmpl *Entry, epoch int) error {
+	e := j.Acquire()
+	e.Epoch, e.DDL, e.Alpha, e.Capacity, e.Nmin, e.Solver = epoch, tmpl.DDL, tmpl.Alpha, tmpl.Capacity, tmpl.Nmin, tmpl.Solver
+	e.Shards = append(e.Shards, tmpl.Shards...)
+	return j.Append(e)
+}
+
+// TestJournalHoldsNoLineCopies bounds the heap an open journal retains
+// after 100 appends of a 20 KB entry: the write batch, the line buffer
+// and the pooled entries, but no copy of the recent lines, which
+// /debug/decisions reads back from the segments.
+func TestJournalHoldsNoLineCopies(t *testing.T) {
+	tmpl := bigEntry()
+	if n := len(appendEntryJSON(nil, &tmpl)); n < 19<<10 {
+		t.Fatalf("the test entry renders %d bytes, want about 20 KB", n)
+	}
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := appendPooled(j, &tmpl, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if held > 256<<10 {
+		t.Fatalf("an open journal retains %d KiB after 100 appends of a 20 KB entry, want at most 256 KiB", held>>10)
+	}
+}
+
+// TestJournalDebugReadsSegments checks /debug/decisions against the
+// segment files: it serves exactly their last lines, oldest first, with
+// lines still in the write batch, across rotations, once the location
+// ring has wrapped, and with the entries of a pruned segment left out.
+func TestJournalDebugReadsSegments(t *testing.T) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e := solveEntry(t, 10, 5)
+	// Epochs 10–99 render lines of one length; two fit a segment.
+	n := len(appendEntryJSON(nil, &e)) + 1
+	j.mu.Lock()
+	j.maxBytes, j.maxSegs = int64(5*n/2), 3
+	j.recent = make([]lineAt, 0, 5)
+	j.mu.Unlock()
+	epoch := 10
+	appendN := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			e.Epoch = epoch
+			epoch++
+			if err := j.Append(&e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string, want int) {
+		t.Helper()
+		b, err := json.Marshal(reg.DebugProvider("decisions")())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Entries int               `json:"entries"`
+			Recent  []json.RawMessage `json:"recent"`
+		}
+		if err := json.Unmarshal(b, &snap); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := segmentFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines [][]byte
+		for _, seg := range segs {
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for len(raw) > 0 {
+				k := bytes.IndexByte(raw, '\n') + 1
+				lines, raw = append(lines, raw[:k-1]), raw[k:]
+			}
+		}
+		if snap.Entries != epoch-10 || len(snap.Recent) != want || len(lines) < want {
+			t.Fatalf("%s: %d entries, %d recent, %d lines on disk; want %d entries and %d recent",
+				stage, snap.Entries, len(snap.Recent), len(lines), epoch-10, want)
+		}
+		for i, got := range snap.Recent {
+			if line := lines[len(lines)-want+i]; !bytes.Equal(got, line) {
+				t.Fatalf("%s: recent[%d] = %.60s..., want the segment line %.60s...", stage, i, got, line)
+			}
+		}
+	}
+
+	appendN(1)
+	if st, err := os.Stat(filepath.Join(dir, segmentName(0))); err != nil || st.Size() != 0 {
+		t.Fatalf("the first line left the write batch early: %v, %v", st, err)
+	}
+	check("one unflushed line", 1)
+	appendN(2) // segment 1 opens
+	check("across a rotation", 3)
+	appendN(4) // 7 entries wrap the ring of 5; segment 0 is pruned
+	check("after the ring wrapped", 5)
+	j.mu.Lock()
+	j.maxSegs = 2
+	j.mu.Unlock()
+	appendN(2) // segments 3 and 4 remain: epochs 16–18 of the ring's 14–18
+	check("with a pruned segment", 3)
+}
+
+// TestJournalDebugDuringAppends serves /debug/decisions while the
+// writer appends, rotates and prunes small segments: every line read
+// back outside the journal lock decodes, and epochs run oldest first.
+func TestJournalDebugDuringAppends(t *testing.T) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	j, err := Open(Options{Dir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.mu.Lock()
+	j.maxBytes, j.maxSegs = 4096, 3
+	j.mu.Unlock()
+	tmpl := solveEntry(t, 0, 9)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := appendPooled(j, &tmpl, i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	debug := reg.DebugProvider("decisions")
+	for served := false; !served; {
+		select {
+		case <-done:
+			served = true
+		default:
+		}
+		b, err := json.Marshal(debug())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Recent []json.RawMessage `json:"recent"`
+		}
+		if err := json.Unmarshal(b, &snap); err != nil {
+			t.Fatal(err)
+		}
+		prev := -1
+		for _, raw := range snap.Recent {
+			var e Entry
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("a served line does not decode: %v", err)
+			}
+			if e.Epoch <= prev {
+				t.Fatalf("served epochs out of order: %d after %d", e.Epoch, prev)
+			}
+			prev = e.Epoch
+		}
+	}
+}
+
+// TestJournalAppendWaitRecorded stalls the writer on a pipe nobody
+// reads yet: the write of its first full batch exceeds the pipe's
+// buffer and blocks, entryPool entries fill the queue behind it, and
+// the next Append waits until the pipe drains.
+// mvcom_decision_append_wait_seconds records that wait.
+func TestJournalAppendWaitRecorded(t *testing.T) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	j, err := Open(Options{Dir: t.TempDir(), Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	j.mu.Lock()
+	j.f.Close()
+	j.f = w
+	j.mu.Unlock()
+
+	tmpl := bigEntry()
+	appended := make(chan error, 1)
+	go func() {
+		for i := 0; i < 12; i++ {
+			if err := appendPooled(j, &tmpl, i); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- nil
+	}()
+	const stall = 100 * time.Millisecond
+	time.Sleep(stall)
+	drained := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, r)
+		drained <- err
+	}()
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	wait := reg.Histogram("mvcom_decision_append_wait_seconds", "", nil)
+	if wait.Count() < 1 || wait.Sum() < (stall/2).Seconds() {
+		t.Fatalf("append waits: %d recorded, %.3f s in all; want the stalled writer's wait of about %v",
+			wait.Count(), wait.Sum(), stall)
 	}
 }
 

@@ -427,3 +427,35 @@ func TestMemberStagesAllocs(t *testing.T) {
 		t.Fatalf("a Supply-fed epoch's member stages made %.0f allocations, want 0", allocs)
 	}
 }
+
+// quietSupply leaves every fresh shard empty: an idle serving plane.
+type quietSupply struct{}
+
+func (quietSupply) Fill(int, []CommitteeReport) {}
+
+// TestQuietEpochAllocs gates an idle plane's epoch: Supply-fed, no
+// transactions, telemetry on. Its five allocations are the four spans
+// (epoch, consensus, collect, commit) and the empty block; the
+// "collect:quiet-window" and "commit:empty-block" span details are
+// constants, not joined per epoch.
+func TestQuietEpochAllocs(t *testing.T) {
+	cfg := supplyConfig(8)
+	cfg.Supply = quietSupply{}
+	cfg.Obs = obs.NewEpochObserver(obs.NewRegistryWithTrace(obs.DefaultTraceCapacity))
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := p.runEpoch(AcceptAll{}, 1.5, 3200, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Live) != 0 {
+			t.Fatalf("epoch %d: %d live shards, want a quiet epoch", res.Epoch, len(res.Live))
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("a quiet epoch made %.0f allocations, want at most 5", allocs)
+	}
+}

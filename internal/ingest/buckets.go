@@ -18,14 +18,21 @@ type Buckets struct {
 
 	mu sync.Mutex
 	m  map[string]*bucket
+	// lru is the sentinel of a circular list of the held buckets, least
+	// recently refilled first: a refill moves its bucket to the tail, so
+	// the stalest source is always lru.next and eviction takes constant
+	// time under mu.
+	lru bucket
 }
 
 // maxSources bounds the bucket map.
 const maxSources = 1024
 
 type bucket struct {
-	tokens float64
-	last   time.Time
+	tokens     float64
+	last       time.Time
+	source     string // the map key, so an evicted bucket can leave the map
+	prev, next *bucket
 }
 
 // NewBuckets returns a bucket set refilling at rate tx/s with the given
@@ -35,12 +42,14 @@ func NewBuckets(rate, burst float64) *Buckets {
 	if burst <= 0 {
 		burst = rate
 	}
-	return &Buckets{
+	b := &Buckets{
 		rate:  rate,
 		burst: burst,
 		now:   time.Now,
 		m:     make(map[string]*bucket),
 	}
+	b.lru.prev, b.lru.next = &b.lru, &b.lru
+	return b
 }
 
 // Allow reports whether source may submit n transactions now, consuming
@@ -62,11 +71,20 @@ func (b *Buckets) Allow(source string, n int) bool {
 	defer b.mu.Unlock()
 	bk, ok := b.m[source]
 	if !ok {
-		if len(b.m) >= maxSources {
-			b.evictStalest()
+		if len(b.m) < maxSources {
+			bk = new(bucket)
+		} else {
+			// The least recently refilled source is evicted, and the new
+			// one takes over its bucket. An evicted source that returns
+			// simply starts a fresh full bucket, which only ever errs
+			// toward admitting — acceptable for a bound that exists to cap
+			// memory, not to be a security boundary.
+			bk = b.lru.next
+			delete(b.m, bk.source)
 		}
-		bk = &bucket{tokens: b.burst, last: now}
+		bk.tokens, bk.last, bk.source = b.burst, now, source
 		b.m[source] = bk
+		b.toTail(bk)
 	} else {
 		elapsed := now.Sub(bk.last).Seconds()
 		if elapsed > 0 {
@@ -75,6 +93,7 @@ func (b *Buckets) Allow(source string, n int) bool {
 				bk.tokens = b.burst
 			}
 			bk.last = now
+			b.toTail(bk)
 		}
 	}
 	if bk.tokens < need {
@@ -84,20 +103,15 @@ func (b *Buckets) Allow(source string, n int) bool {
 	return true
 }
 
-// evictStalest drops the least-recently-refilled bucket (caller holds
-// mu). An evicted source that returns simply starts a fresh full bucket,
-// which only ever errs toward admitting — acceptable for a bound that
-// exists to cap memory, not to be a security boundary.
-func (b *Buckets) evictStalest() {
-	var stalest string
-	var when time.Time
-	first := true
-	for src, bk := range b.m {
-		if first || bk.last.Before(when) {
-			stalest, when, first = src, bk.last, false
-		}
+// toTail moves bk to the most recently refilled end of the list,
+// unlinking it first when it is held (caller holds mu). Concurrent
+// callers read the clock before taking mu, so list order follows
+// refill order, which is `last` order up to that skew.
+func (b *Buckets) toTail(bk *bucket) {
+	if bk.prev != nil {
+		bk.prev.next, bk.next.prev = bk.next, bk.prev
 	}
-	if !first {
-		delete(b.m, stalest)
-	}
+	tail := b.lru.prev
+	bk.prev, bk.next = tail, &b.lru
+	tail.next, b.lru.prev = bk, bk
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -115,6 +116,64 @@ func TestBucketsBounded(t *testing.T) {
 	}
 	if b.Allow(last, 1) {
 		t.Fatalf("%s should be out of tokens", last)
+	}
+}
+
+// TestBucketsEvictStalestProperty drives a full bucket map with a
+// seeded mix of known and fresh sources under a fake clock that often
+// stands still, so refill times tie. Whenever a fresh source evicts
+// one, the evicted source held the minimal refill time among the held
+// buckets, and the map stays at its bound.
+func TestBucketsEvictStalestProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	clock := newFakeClock()
+	b := clocked(NewBuckets(1000, 10), clock)
+	names := make([]string, 3*maxSources)
+	for i := range names {
+		names[i] = fmt.Sprintf("src-%d", i)
+	}
+	evictions := 0
+	for op := 0; op < 4000; op++ {
+		clock.advance(time.Duration(rng.Intn(3)) * time.Millisecond)
+		src := names[rng.Intn(len(names))]
+		var held map[string]time.Time
+		if _, ok := b.m[src]; !ok && len(b.m) == maxSources {
+			held = make(map[string]time.Time, len(b.m))
+			for name, bk := range b.m {
+				held[name] = bk.last
+			}
+		}
+		b.Allow(src, 1+rng.Intn(5))
+		if len(b.m) > maxSources {
+			t.Fatalf("op %d: the bucket map grew to %d sources, bound is %d", op, len(b.m), maxSources)
+		}
+		if held == nil {
+			continue
+		}
+		evictions++
+		var stalest time.Time
+		for _, last := range held {
+			if stalest.IsZero() || last.Before(stalest) {
+				stalest = last
+			}
+		}
+		gone := 0
+		for name, last := range held {
+			if _, ok := b.m[name]; ok {
+				continue
+			}
+			gone++
+			if !last.Equal(stalest) {
+				t.Fatalf("op %d: %s refilled at %v was evicted, but the stalest held source refilled at %v",
+					op, name, last, stalest)
+			}
+		}
+		if gone != 1 {
+			t.Fatalf("op %d: a fresh source evicted %d sources, want 1", op, gone)
+		}
+	}
+	if evictions < 500 {
+		t.Fatalf("only %d evictions in the run; the property was barely exercised", evictions)
 	}
 }
 

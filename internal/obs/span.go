@@ -127,11 +127,23 @@ func (s *Span) FinishOutcome(outcome string) {
 	if s == nil || !s.done.CompareAndSwap(false, true) {
 		return
 	}
-	detail := s.name
-	if outcome != "" {
-		detail = s.name + ":" + outcome
+	s.tc.tracer.EmitSpan(EvSpanEnd, s.actor, time.Since(s.start).Seconds(), spanDetail(s.name, outcome), s.ctx)
+}
+
+// spanDetail is a span end event's Detail, "name:outcome" (the bare name
+// when the outcome is empty): a constant for the outcomes every quiet
+// epoch of an idle plane ends its phases with, so such an epoch joins no
+// string and the trace ring pins none.
+func spanDetail(name, outcome string) string {
+	switch {
+	case outcome == "":
+		return name
+	case name == "collect" && outcome == "quiet-window":
+		return "collect:quiet-window"
+	case name == "commit" && outcome == "empty-block":
+		return "commit:empty-block"
 	}
-	s.tc.tracer.EmitSpan(EvSpanEnd, s.actor, time.Since(s.start).Seconds(), detail, s.ctx)
+	return name + ":" + outcome
 }
 
 // TraceContext returns the registry's span allocator, bound to the

@@ -154,10 +154,11 @@ func TestMetricsRuntimeNamesDocumented(t *testing.T) {
 }
 
 // TestObservabilityIndexCurrent lints OBSERVABILITY.md against the
-// code: every trace event type (obs.EventType, by its exposition name)
-// appears in backticks, every metric family prefix in docs/metrics.txt
-// (mvcom_<family>_) has a `mvcom_<family>_*` table row, and the "HTTP
-// endpoints" section names exactly the links the index page at / lists.
+// code: its "Trace event types" list names exactly the trace event
+// types (obs.EventType, by exposition name), every metric family
+// prefix in docs/metrics.txt (mvcom_<family>_) has a
+// `mvcom_<family>_*` table row, and the "HTTP endpoints" section names
+// exactly the links the index page at / lists.
 func TestObservabilityIndexCurrent(t *testing.T) {
 	raw, err := os.ReadFile("OBSERVABILITY.md")
 	if err != nil {
@@ -165,15 +166,23 @@ func TestObservabilityIndexCurrent(t *testing.T) {
 	}
 	doc := string(raw)
 
+	listed := map[string]bool{}
+	for _, name := range traceEventList(t, doc) {
+		listed[name] = true
+	}
 	types := 0
 	for typ := obs.EvSERound; typ.String() != "unknown"; typ++ {
-		if !strings.Contains(doc, "`"+typ.String()+"`") {
-			t.Errorf("OBSERVABILITY.md does not name trace event type `%s`", typ)
+		if !listed[typ.String()] {
+			t.Errorf("OBSERVABILITY.md's trace event list does not name `%s`", typ)
 		}
+		delete(listed, typ.String())
 		types++
 	}
 	if types == 0 {
 		t.Fatal("no trace event types found")
+	}
+	for name := range listed {
+		t.Errorf("OBSERVABILITY.md's trace event list names `%s`, which no obs.EventType is", name)
 	}
 
 	families := map[string]bool{}
@@ -225,9 +234,43 @@ func TestObservabilityIndexCurrent(t *testing.T) {
 	}
 }
 
-// hrefRE finds the links of the obs index page; endpointRE the
-// backticked paths of OBSERVABILITY.md's endpoint table.
+// traceEventList returns the backticked event names of the bullets in
+// OBSERVABILITY.md's "Trace event types" section. A bullet names its
+// events before its first " (" or " — "; what follows describes them,
+// and the span, phase and detail names it quotes are not event types.
+func traceEventList(t *testing.T, doc string) []string {
+	t.Helper()
+	_, section, ok := strings.Cut(doc, "\n## Trace event types\n")
+	if !ok {
+		t.Fatal("OBSERVABILITY.md has no \"## Trace event types\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var bullets []string
+	for _, line := range strings.Split(section, "\n") {
+		switch {
+		case strings.HasPrefix(line, "- "):
+			bullets = append(bullets, line[2:])
+		case strings.HasPrefix(line, "  ") && len(bullets) > 0:
+			bullets[len(bullets)-1] += " " + strings.TrimSpace(line)
+		}
+	}
+	var names []string
+	for _, b := range bullets {
+		for _, sep := range []string{" (", " — "} {
+			b, _, _ = strings.Cut(b, sep)
+		}
+		for _, m := range backtickRE.FindAllStringSubmatch(b, -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// hrefRE finds the links of the obs index page, endpointRE the
+// backticked paths of OBSERVABILITY.md's endpoint table, and backtickRE
+// any backticked name.
 var (
 	hrefRE     = regexp.MustCompile(`href="([^"]*)"`)
 	endpointRE = regexp.MustCompile("`(/[^`]*)`")
+	backtickRE = regexp.MustCompile("`([^`]*)`")
 )
