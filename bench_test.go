@@ -385,6 +385,29 @@ func BenchmarkTracerEmit(b *testing.B) {
 	}
 }
 
+// BenchmarkTracerEmitFresh measures the emit path for strings the ring
+// has not seen, the shape of the decision journal's "utility=<U>"
+// detail, on a full DefaultTraceCapacity ring: one event per op whose
+// detail is distinct and built beforehand, so each op interns a new
+// string and frees the id of the one it evicts. The journaled baseline
+// is 0 allocs/op, and the journal diff fails on any growth.
+func BenchmarkTracerEmitFresh(b *testing.B) {
+	tr := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity).Tracer()
+	details := make([]string, obs.DefaultTraceCapacity+b.N)
+	for i := range details {
+		details[i] = fmt.Sprintf("utility=%d", i)
+	}
+	for _, d := range details[:obs.DefaultTraceCapacity] {
+		tr.Emit(obs.EvDecision, "epoch", 0, d)
+	}
+	details = details[obs.DefaultTraceCapacity:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(obs.EvDecision, "epoch", float64(i), details[i])
+	}
+}
+
 // BenchmarkSESolveSize measures the solver end-to-end at three instance
 // sizes.
 func BenchmarkSESolveSize(b *testing.B) {

@@ -104,6 +104,7 @@ bench_sample() {
 		^BenchmarkSERounds$ 20000x 3
 		^BenchmarkSpanOff$ 200000x 3
 		^BenchmarkTracerEmit$ 200000x 3
+		^BenchmarkTracerEmitFresh$ 200000x 3
 		^BenchmarkSESolveObs 100x 3
 		^BenchmarkEpochServeDecisionLog$ 300x 5
 		^BenchmarkNewPipeline$ 300x 5
@@ -119,9 +120,9 @@ stage_bench() {
 	# Three gates hold in every environment:
 	#   - allocs/op may not grow over the baseline, so the SE round loop
 	#     (BenchmarkSERounds), the tracing-off span path
-	#     (BenchmarkSpanOff), the ring's emit path (BenchmarkTracerEmit)
-	#     and a fresh source's admission (BenchmarkBucketsFreshSource)
-	#     stay at 0;
+	#     (BenchmarkSpanOff), the ring's emit path for constant and fresh
+	#     strings (BenchmarkTracerEmit, BenchmarkTracerEmitFresh) and a
+	#     fresh source's admission (BenchmarkBucketsFreshSource) stay at 0;
 	#   - the paired on/off overhead ratios of the SE observer, span and
 	#     decision-log benchmarks must keep their best sample within 1.03
 	#     (DESIGN.md §5c/§5h/§5j);

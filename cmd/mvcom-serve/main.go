@@ -148,7 +148,7 @@ func runServer(cfg *serverConfig) error {
 				queueCap, cfg.committees, per, cfg.capacity)
 		}
 	}
-	reg := obs.NewRegistryWithTrace(4096)
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
 	if cfg.metrAddr != "" {
 		msrv, err := obs.Serve(cfg.metrAddr, reg)
 		if err != nil {

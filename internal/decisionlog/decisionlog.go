@@ -317,12 +317,13 @@ type Journal struct {
 	f        *os.File
 	segIndex int
 	segBytes int64
-	line     []byte
-	// wbuf batches rendered lines between flushes so steady-state
-	// appends pay no per-entry write syscall; it drains to the active
-	// segment when it exceeds wbufFlushBytes, on rotation, on Sync, on
-	// Close, and before /debug/decisions reads lines back (a crash can
-	// lose at most one unflushed batch — Sync is the durability point).
+	// wbuf batches the lines of entries that queued up behind each other,
+	// rendered straight into it, so a backlog pays one write syscall. It
+	// drains to the active segment once the writer finds its queue empty,
+	// when it exceeds wbufFlushBytes, on rotation, and before
+	// /debug/decisions reads lines back, so a crash loses at most the
+	// lines of a backlog still being written; Sync is the durability
+	// point.
 	wbuf   []byte
 	detail []byte
 	// closed and werr are atomics so that Append reads them without
@@ -611,6 +612,13 @@ func (j *Journal) handle(m writeMsg) {
 	var err error
 	if m.e != nil {
 		err = j.writeEntry(m.e)
+		if err == nil && len(j.pending) == 0 {
+			// Nothing queued behind this entry: the batch leaves now, so
+			// an idle writer holds no line back from the segment file.
+			j.mu.Lock()
+			err = j.flushLocked()
+			j.mu.Unlock()
+		}
 		if err != nil {
 			j.fail(err)
 		}
@@ -639,30 +647,35 @@ func (j *Journal) handle(m writeMsg) {
 // grows past this size.
 const wbufFlushBytes = 64 << 10
 
-// writeEntry renders and appends one entry under the journal lock.
+// writeEntry renders one entry into the write batch under the journal
+// lock, rotating first when its line would overflow the active segment.
 func (j *Journal) writeEntry(e *Entry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed.Load() {
 		return fmt.Errorf("decisionlog: journal closed")
 	}
-	j.line = appendEntryJSON(j.line[:0], e)
-	j.line = append(j.line, '\n')
-	line := j.line
-	if j.segBytes > 0 && j.segBytes+int64(len(line)) > j.maxBytes {
+	start := len(j.wbuf)
+	j.wbuf = append(appendEntryJSON(j.wbuf, e), '\n')
+	n := len(j.wbuf) - start
+	if j.segBytes > 0 && j.segBytes+int64(n) > j.maxBytes {
+		// The batch before this line belongs to the active segment; the
+		// line moves to the front of the emptied batch for the next one.
+		line := j.wbuf[start:]
+		j.wbuf = j.wbuf[:start]
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}
+		j.wbuf = append(j.wbuf[:0], line...)
 	}
-	at := lineAt{seg: j.segIndex, off: j.segBytes, n: len(line)}
-	j.wbuf = append(j.wbuf, line...)
+	at := lineAt{seg: j.segIndex, off: j.segBytes, n: n}
 	if len(j.wbuf) > wbufFlushBytes {
 		if err := j.flushLocked(); err != nil {
 			return err
 		}
 	}
-	j.segBytes += int64(len(line))
-	j.totalBytes += int64(len(line))
+	j.segBytes += int64(n)
+	j.totalBytes += int64(n)
 
 	if len(j.recent) < cap(j.recent) {
 		j.recent = append(j.recent, at)

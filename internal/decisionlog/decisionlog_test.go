@@ -711,9 +711,9 @@ func appendPooled(j *Journal, tmpl *Entry, epoch int) error {
 }
 
 // TestJournalHoldsNoLineCopies bounds the heap an open journal retains
-// after 100 appends of a 20 KB entry: the write batch, the line buffer
-// and the pooled entries, but no copy of the recent lines, which
-// /debug/decisions reads back from the segments.
+// after 100 appends of a 20 KB entry: the write batch and the pooled
+// entries, but no copy of the recent lines, which /debug/decisions reads
+// back from the segments.
 func TestJournalHoldsNoLineCopies(t *testing.T) {
 	tmpl := bigEntry()
 	if n := len(appendEntryJSON(nil, &tmpl)); n < 19<<10 {
@@ -744,6 +744,41 @@ func TestJournalHoldsNoLineCopies(t *testing.T) {
 	}
 	if held > 256<<10 {
 		t.Fatalf("an open journal retains %d KiB after 100 appends of a 20 KB entry, want at most 256 KiB", held>>10)
+	}
+}
+
+// TestJournalFlushesWhenIdle appends one entry and never syncs: once the
+// writer finds its queue empty it writes the batch out, so the segment
+// file holds the line and a kill would lose nothing.
+func TestJournalFlushesWhenIdle(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tmpl := solveEntry(t, 3, 5)
+	if err := appendPooled(j, &tmpl, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := append(appendEntryJSON(nil, &Entry{
+		Schema: SchemaVersion, Epoch: 3, DDL: tmpl.DDL, Alpha: tmpl.Alpha, Capacity: tmpl.Capacity,
+		Nmin: tmpl.Nmin, Shards: tmpl.Shards, Solver: tmpl.Solver,
+	}), '\n')
+	path := filepath.Join(dir, segmentName(0))
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5 s after one Append the segment holds %d bytes, want its %d-byte line:\n%s", len(got), len(want), got)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -816,7 +851,14 @@ func TestJournalDebugReadsSegments(t *testing.T) {
 		}
 	}
 
-	appendN(1)
+	// The writer writes its batch out once its queue is empty. Rendering
+	// the first line as the writer does, but outside its loop, leaves
+	// the line in the batch.
+	e.Epoch = epoch
+	epoch++
+	if err := j.writeEntry(&e); err != nil {
+		t.Fatal(err)
+	}
 	if st, err := os.Stat(filepath.Join(dir, segmentName(0))); err != nil || st.Size() != 0 {
 		t.Fatalf("the first line left the write batch early: %v, %v", st, err)
 	}

@@ -191,7 +191,8 @@ type Registry struct {
 const DefaultTraceCapacity = 4096
 
 // NewRegistryWithTrace returns an empty registry whose tracer ring holds
-// up to capacity events (NewTracer clamps to a minimum of 16).
+// up to capacity events (NewTracer clamps it to at least 16 and at most
+// what the ring's string ids address).
 func NewRegistryWithTrace(capacity int) *Registry {
 	tracer := NewTracer(capacity)
 	return &Registry{

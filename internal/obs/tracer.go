@@ -171,41 +171,165 @@ type Event struct {
 // oldest and the eviction is counted as a drop, so the tracer always
 // reports exactly how much history it lost.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []slot // event s lives at buf[s%len(buf)]
-	next    uint64 // total events ever emitted == next Seq
-	dropped uint64
+	mu   sync.Mutex
+	buf  []slot   // event s lives at buf[s%len(buf)]
+	next uint64   // total events ever emitted == next Seq
+	head int      // next % len(buf), the slot the next event takes
+	strs strTable // the actor and detail strings the slots name
 }
 
-// slot is one ring entry: the fields an emitter writes, 80 bytes where
-// an Event takes 120. Seq is the slot's position (event s lives at
-// s%cap), Node is stamped only on loaded dumps, and At is kept as Unix
-// nanoseconds; Snapshot and StreamJSON rebuild each Event with event.
+// slot is one ring entry, 48 bytes that hold no pointers, so the
+// collector never scans the ring: the emission time as Unix nanoseconds,
+// the value, the span IDs, and one word packing the event type with the
+// interned ids of the actor and the detail. Seq is the slot's position
+// (event s lives at s%cap) and Node is stamped only on loaded dumps;
+// Snapshot and StreamJSON rebuild each Event with Tracer.event.
 type slot struct {
-	at     int64 // emission time, Unix nanoseconds
-	value  float64
-	sc     SpanContext
-	actor  string
-	detail string
-	typ    EventType
+	at    int64 // emission time, Unix nanoseconds
+	value float64
+	sc    SpanContext
+	meta  uint64 // type | actor id<<actorShift | detail id<<detailShift
 }
 
-// event rebuilds the Event held in slot seq. time.Unix returns the Local
-// zone, as time.Now does, so the JSON matches the emitted time's.
-func (sl *slot) event(seq uint64) Event {
+// A slot's meta word keeps the event type in its low 8 bits and the
+// actor's and the detail's string ids in idBits each above it. Id 0 is
+// the empty string.
+const (
+	idBits      = 28
+	idMask      = 1<<idBits - 1
+	actorShift  = 8
+	detailShift = actorShift + idBits
+	// maxTraceCapacity is the largest ring whose string ids fit idBits.
+	// A full ring names at most 2·capacity strings, and an emit interns
+	// each new string before it releases the one it replaces, so ids run
+	// to 2·capacity+1.
+	maxTraceCapacity = (idMask - 1) / 2
+)
+
+// strTable interns the actor and detail strings a tracer's slots name.
+// Each id counts the slot fields that name it and is freed, its string
+// dropped, once the last of them is overwritten, so the table holds what
+// the ring retains and no more, whatever strings emitters pass. The
+// tracer's mutex guards it.
+type strTable struct {
+	ids  map[string]uint32
+	strs []interned // by id; id 0 is ""
+	free []uint32   // freed ids, reused before strs grows
+	// hint remembers an id per hintOf bucket. It is taken only when its
+	// string equals the one interned, which for the constant strings
+	// most emitters pass is a pointer comparison, and spares the map
+	// lookup.
+	hint [1 << hintBits]uint32
+}
+
+// interned is one table entry: a string and the slot fields naming it
+// ("" once its id is freed).
+type interned struct {
+	s    string
+	refs uint32
+}
+
+// hintBits sizes the id hint: 256 buckets keep the constant strings of
+// an epoch's events, its 64 committee actors among them, mostly apart.
+const hintBits = 8
+
+// hintOf buckets a non-empty string by its length, its first byte and
+// its last two.
+func hintOf(s string) uint32 {
+	n := len(s)
+	k := uint32(n)<<24 | uint32(s[0])<<16 | uint32(s[max(n-2, 0)])<<8 | uint32(s[n-1])
+	return k * 0x9e3779b1 >> (32 - hintBits)
+}
+
+// intern returns s's id, counted for one more slot field.
+func (st *strTable) intern(s string) uint64 {
+	if s == "" {
+		return 0
+	}
+	h := hintOf(s)
+	id := st.hint[h]
+	if st.strs[id].s != s {
+		id = st.lookup(s)
+		st.hint[h] = id
+	}
+	st.strs[id].refs++
+	return uint64(id)
+}
+
+// lookup returns s's id from the map, giving s a new one, a freed one if
+// there is one, when it has none.
+func (st *strTable) lookup(s string) uint32 {
+	if id, ok := st.ids[s]; ok {
+		return id
+	}
+	var id uint32
+	if n := len(st.free); n > 0 {
+		id = st.free[n-1]
+		st.free = st.free[:n-1]
+		st.strs[id].s = s
+	} else {
+		id = uint32(len(st.strs))
+		st.strs = append(st.strs, interned{s: s})
+	}
+	st.ids[s] = id
+	return id
+}
+
+// swap moves one slot field from the string with id old to s and
+// returns s's id. When old already names s, as it mostly does for a
+// field's string in steady use, nothing changes: the string is never
+// freed and added again, and the check inlines into EmitSpan.
+func (st *strTable) swap(old uint64, s string) uint64 {
+	if st.strs[old].s == s {
+		return old
+	}
+	return st.replace(old, s)
+}
+
+// replace is swap for a different string. It interns s before it
+// releases old, so the table holds at most one string more than the
+// ring names: 2·capacity+1.
+func (st *strTable) replace(old uint64, s string) uint64 {
+	id := st.intern(s)
+	st.release(old)
+	return id
+}
+
+// release uncounts one slot field naming id and frees the id with its
+// last.
+func (st *strTable) release(id uint64) {
+	if id == 0 {
+		return
+	}
+	e := &st.strs[id]
+	if e.refs--; e.refs == 0 {
+		delete(st.ids, e.s)
+		e.s = ""
+		st.free = append(st.free, uint32(id))
+	}
+}
+
+// event rebuilds event seq from its slot. The caller holds t.mu: an id
+// names its string only while a slot holds it. time.Unix returns the
+// Local zone, as time.Now does, so the JSON matches the emitted time's.
+func (t *Tracer) event(seq uint64) Event {
+	sl := &t.buf[seq%uint64(len(t.buf))]
 	return Event{
-		Seq: seq, At: time.Unix(0, sl.at), Type: sl.typ, Actor: sl.actor,
-		Value: sl.value, Detail: sl.detail,
+		Seq: seq, At: time.Unix(0, sl.at), Type: EventType(sl.meta), // the low 8 bits
+		Actor: t.strs.strs[sl.meta>>actorShift&idMask].s, Value: sl.value,
+		Detail:  t.strs.strs[sl.meta>>detailShift].s,
 		TraceID: sl.sc.TraceID, SpanID: sl.sc.SpanID, ParentID: sl.sc.ParentID,
 	}
 }
 
-// NewTracer returns a tracer bounded to the given capacity (min 16).
+// NewTracer returns a tracer bounded to the given capacity, clamped to
+// at least 16 and at most maxTraceCapacity (about 134 million events,
+// what the slots' 28-bit string ids address).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 16 {
-		capacity = 16
+	return &Tracer{
+		buf:  make([]slot, min(max(capacity, 16), maxTraceCapacity)),
+		strs: strTable{ids: make(map[string]uint32), strs: make([]interned, 1)},
 	}
-	return &Tracer{buf: make([]slot, capacity)}
 }
 
 // Emit appends an event, evicting the oldest when full. Safe for
@@ -223,12 +347,14 @@ func (t *Tracer) EmitSpan(typ EventType, actor string, value float64, detail str
 	}
 	at := time.Now().UnixNano()
 	t.mu.Lock()
-	seq := t.next
 	t.next++
-	if seq >= uint64(len(t.buf)) {
-		t.dropped++
+	sl := &t.buf[t.head]
+	if t.head++; t.head == len(t.buf) {
+		t.head = 0
 	}
-	t.buf[seq%uint64(len(t.buf))] = slot{at: at, value: value, sc: sc, actor: actor, detail: detail, typ: typ}
+	a := t.strs.swap(sl.meta>>actorShift&idMask, actor)
+	d := t.strs.swap(sl.meta>>detailShift, detail)
+	*sl = slot{at: at, value: value, sc: sc, meta: uint64(typ) | a<<actorShift | d<<detailShift}
 	t.mu.Unlock()
 }
 
@@ -248,9 +374,9 @@ func (t *Tracer) Snapshot() ([]Event, uint64) {
 	}
 	out := make([]Event, 0, n-start)
 	for s := start; s < n; s++ {
-		out = append(out, t.buf[s%capU].event(s))
+		out = append(out, t.event(s))
 	}
-	return out, t.dropped
+	return out, start // every event before the window was evicted
 }
 
 // Emitted returns how many events were ever emitted (0 for nil).
@@ -270,7 +396,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.next - min(t.next, uint64(len(t.buf)))
 }
 
 // Capacity returns the ring's bounded size (0 for nil).
@@ -286,12 +412,13 @@ func (t *Tracer) Capacity() int {
 const streamChunk = 256
 
 // StreamJSON writes the retained window as {"dropped":N,"events":[...]}
-// without materializing it: events are copied out in streamChunk-sized
-// batches under short lock holds and encoded as they go, so exporting a
-// large ring costs O(chunk) extra heap instead of O(capacity). Events
-// evicted by concurrent writers mid-export are skipped (the dropped count
-// in the header is the value at export start). A nil tracer writes an
-// empty document.
+// without materializing it: events are rebuilt in streamChunk-sized
+// batches under short lock holds, which resolve their strings while the
+// ids still name them, and encoded as they go, so exporting a large ring
+// costs O(chunk) extra heap instead of O(capacity). Events evicted by
+// concurrent writers mid-export are skipped (the dropped count in the
+// header is the value at export start). A nil tracer writes an empty
+// document.
 func (t *Tracer) StreamJSON(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "{\"dropped\":0,\"events\":[]}\n")
@@ -299,17 +426,16 @@ func (t *Tracer) StreamJSON(w io.Writer) error {
 	}
 	t.mu.Lock()
 	n := t.next
-	capU := uint64(len(t.buf))
-	dropped := t.dropped
 	t.mu.Unlock()
+	capU := uint64(len(t.buf))
 	start := uint64(0)
 	if n > capU {
 		start = n - capU
 	}
-	if _, err := fmt.Fprintf(w, "{\"dropped\":%d,\"events\":[", dropped); err != nil {
+	if _, err := fmt.Fprintf(w, "{\"dropped\":%d,\"events\":[", start); err != nil {
 		return err
 	}
-	chunk := make([]slot, 0, streamChunk)
+	chunk := make([]Event, 0, streamChunk)
 	first := true
 	for s := start; s < n; {
 		hi := min(s+streamChunk, n)
@@ -323,11 +449,11 @@ func (t *Tracer) StreamJSON(w io.Writer) error {
 			lo = min(max(s, t.next-capU), hi)
 		}
 		for s = lo; s < hi; s++ {
-			chunk = append(chunk, t.buf[s%capU])
+			chunk = append(chunk, t.event(s))
 		}
 		t.mu.Unlock()
 		for i := range chunk {
-			raw, err := json.Marshal(chunk[i].event(lo + uint64(i)))
+			raw, err := json.Marshal(chunk[i])
 			if err != nil {
 				return err
 			}
