@@ -7,16 +7,24 @@
 package mvcom_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"mvcom"
 	"mvcom/internal/baseline"
 	"mvcom/internal/benchjournal"
+	"mvcom/internal/chain"
 	"mvcom/internal/core"
 	"mvcom/internal/decisionlog"
 	"mvcom/internal/epoch"
@@ -24,6 +32,7 @@ import (
 	"mvcom/internal/ingest"
 	"mvcom/internal/metrics"
 	"mvcom/internal/obs"
+	"mvcom/internal/randx"
 	"mvcom/internal/seobs"
 	"mvcom/internal/txgen"
 )
@@ -743,6 +752,132 @@ func BenchmarkBucketsFreshSource(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !bk.Allow(names[i%len(names)], 1) {
 			b.Fatal("a fresh source was refused")
+		}
+	}
+}
+
+// benchTxsBody is a canonical POST /txs body of 100 transactions, cut
+// from a txgen trace and marshaled the way the serving-plane benchmark's
+// generators marshal theirs.
+func benchTxsBody(b *testing.B) []byte {
+	rng := randx.New(1)
+	trace := txgen.Generate(rng, txgen.Config{Blocks: 8, MeanTxs: 800})
+	shards, err := trace.IntoShards(rng, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	txs := trace.Transactions(shards[0], rng.Split())
+	if len(txs) < 100 {
+		b.Fatalf("trace shard holds %d transactions, want 100", len(txs))
+	}
+	body, err := json.Marshal(struct {
+		Source string              `json:"source,omitempty"`
+		Txs    []chain.Transaction `json:"txs"`
+	}{Source: "gen-0", Txs: txs[:100]})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// benchIngestStream is a serving plane's ingest stream without a rate
+// limit and with a queue no benchmark fills, so every batch is admitted.
+func benchIngestStream() *ingest.NetStream {
+	return ingest.NewStream(ingest.StreamConfig{
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 50000, Nmin: 1},
+		QueueTxs: math.MaxInt,
+	})
+}
+
+// pipeListener is an in-memory net.Listener: dial hands Accept the
+// server end of a net.Pipe.
+type pipeListener struct {
+	conns     chan net.Conn
+	done      chan struct{}
+	closeOnce sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.closeOnce.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// BenchmarkTCPFrame measures the framed-TCP front end: each op writes a
+// canonical 100-transaction txs frame, marshaled as a client marshals
+// an ingest.Envelope, on a connection ingest.ServeTCP serves from an
+// in-memory listener, and reads its ack. The journal diff fails on
+// allocs/op growth.
+func BenchmarkTCPFrame(b *testing.B) {
+	ln := newPipeListener()
+	srv := ingest.ServeTCP(ln, benchIngestStream(), ingest.DefaultMaxBody)
+	defer srv.Close()
+	conn := ln.dial()
+	defer conn.Close()
+	frame, err := json.Marshal(ingest.Envelope{Type: ingest.MsgTxs, Body: benchTxsBody(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame = append(frame, '\n')
+	r := bufio.NewReader(conn)
+	accepted := []byte(`{"accepted":true}` + "\n")
+	send := func() {
+		if _, err := conn.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+		ack, err := r.ReadSlice('\n')
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(ack, accepted) {
+			b.Fatalf("ack %q", ack)
+		}
+	}
+	send() // grows the server's line buffer to the frame
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}
+
+// BenchmarkHTTPTxs measures the HTTP front end on the same batch: each
+// op serves one canonical 100-transaction POST /txs through
+// ingest.NewHandler, request and recorder included, as
+// TestTxsRequestAllocs drives it. The journal diff fails on allocs/op
+// growth.
+func BenchmarkHTTPTxs(b *testing.B) {
+	h := ingest.NewHandler(benchIngestStream(), ingest.DefaultMaxBody)
+	body := benchTxsBody(b)
+	rd := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/txs", rd))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 	}
 }

@@ -110,6 +110,8 @@ bench_sample() {
 		^BenchmarkNewPipeline$ 300x 5
 		^BenchmarkServeEpoch$ 2000x 5
 		^BenchmarkBucketsFreshSource$ 200000x 3
+		^BenchmarkTCPFrame$ 3000x 5
+		^BenchmarkHTTPTxs$ 3000x 5
 	EOF
 	cat "$1"
 }
@@ -122,7 +124,10 @@ stage_bench() {
 	#     (BenchmarkSERounds), the tracing-off span path
 	#     (BenchmarkSpanOff), the ring's emit path for constant and fresh
 	#     strings (BenchmarkTracerEmit, BenchmarkTracerEmitFresh) and a
-	#     fresh source's admission (BenchmarkBucketsFreshSource) stay at 0;
+	#     fresh source's admission (BenchmarkBucketsFreshSource) stay at 0,
+	#     and the two wire front ends, a canonical 100-tx frame through
+	#     ServeTCP (BenchmarkTCPFrame) and the same batch through the
+	#     /txs handler (BenchmarkHTTPTxs), allocate no more per request;
 	#   - the paired on/off overhead ratios of the SE observer, span and
 	#     decision-log benchmarks must keep their best sample within 1.03
 	#     (DESIGN.md §5c/§5h/§5j);

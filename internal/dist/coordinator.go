@@ -265,13 +265,15 @@ func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 	s.wg.Add(1)
 	go s.acceptLate()
 
-	// Apply events to the local instance copy as they are pushed, so the
-	// final selection maps onto the right shard set. Sends to workers
-	// that already finished are best-effort — a worker may legitimately
-	// have stopped or died, which the session tolerates everywhere else
-	// too.
+	// Apply joins to the local instance copy as they are pushed, the way
+	// a worker's engine applies them, so the final selection maps onto
+	// the right shard set and verify sees the features the worker saw: a
+	// join naming an existing shard is a rejoin and refreshes its size
+	// and latency, any other join appends. Nothing else touches inst
+	// until this relay returns. Sends to workers that already finished
+	// are best-effort — a worker may legitimately have stopped or died,
+	// which the session tolerates everywhere else too.
 	done := make(chan struct{})
-	var evMu sync.Mutex
 	go func() {
 		defer close(done)
 		start := time.Now()
@@ -283,12 +285,15 @@ func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 					return
 				}
 			}
-			evMu.Lock()
-			if ev := te.Event; ev.Kind == core.EventJoin && (ev.Index < 0 || ev.Index >= inst.NumShards()) {
-				inst.Sizes = append(inst.Sizes, ev.Size)
-				inst.Latencies = append(inst.Latencies, ev.Latency)
+			if ev := te.Event; ev.Kind == core.EventJoin {
+				if ev.Index >= 0 && ev.Index < inst.NumShards() {
+					inst.Sizes[ev.Index] = ev.Size
+					inst.Latencies[ev.Index] = ev.Latency
+				} else {
+					inst.Sizes = append(inst.Sizes, ev.Size)
+					inst.Latencies = append(inst.Latencies, ev.Latency)
+				}
 			}
-			evMu.Unlock()
 			s.pushEvent(FromEvent(te.Event))
 		}
 	}()
@@ -313,25 +318,15 @@ func (co *Coordinator) Run() (core.Solution, core.Instance, error) {
 		break
 	}
 
-	best, ok := pickBest(s.results)
+	// The event relay has returned, so inst is final: every result is
+	// checked against it before it is ranked.
+	sol, ok := co.pickBest(&inst, s.results)
 	if !ok {
 		co.setOutcome(s.results, true)
 		sol, lerr := co.localSolve(inst, root.Context())
 		return sol, inst, lerr
 	}
 	co.setOutcome(s.results, false)
-	evMu.Lock()
-	defer evMu.Unlock()
-	if len(best.Selected) > inst.NumShards() {
-		return core.Solution{}, inst, fmt.Errorf("dist: result length %d exceeds %d shards",
-			len(best.Selected), inst.NumShards())
-	}
-	// A worker that stopped before late join events reports a shorter
-	// vector; the missing shards are simply unselected.
-	sel := make([]bool, inst.NumShards())
-	copy(sel, best.Selected)
-	sol := core.NewSolution(&inst, sel)
-	sol.Iterations = best.Iterations
 	return sol, inst, nil
 }
 
@@ -727,8 +722,12 @@ func (s *session) stopAll() {
 }
 
 // noteProgress folds a report into the convergence tracker and reports
-// whether the run should stop (global best stable long enough).
+// whether the run should stop (global best stable long enough). A NaN or
+// infinite claim, which no selection holds, is ignored.
 func (co *Coordinator) noteProgress(p Progress) bool {
+	if math.IsNaN(p.Utility) || math.IsInf(p.Utility, 0) {
+		return false
+	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if p.Feasible && (!co.haveBest || p.Utility > co.best.Utility) {
@@ -743,18 +742,51 @@ func (co *Coordinator) noteProgress(p Progress) bool {
 	return co.haveBest && co.improves >= co.cfg.StableReports
 }
 
-// pickBest chooses the highest-utility feasible result.
-func pickBest(results []Result) (Result, bool) {
-	best := Result{Utility: math.Inf(-1)}
+// pickBest ranks the results that pass verify against inst by the
+// utility inst gives their selections, and returns the best as a
+// solution on inst. Each result that fails counts as a task error, traced
+// with its reason.
+func (co *Coordinator) pickBest(inst *core.Instance, results []Result) (core.Solution, bool) {
+	best := core.Solution{Utility: math.Inf(-1)}
 	ok := false
 	for _, r := range results {
 		if r.Err != "" || r.Selected == nil {
 			continue
 		}
-		if r.Utility > best.Utility {
-			best = r
-			ok = true
+		sol, err := verify(inst, r)
+		if err != nil {
+			co.cfg.Obs.TaskFailed(r.WorkerID, fmt.Sprintf("%s: claim rejected: %v", taskRef(Task{TaskID: r.TaskID, Attempt: r.Attempt}), err))
+			continue
+		}
+		if sol.Utility > best.Utility {
+			best, ok = sol, true
 		}
 	}
 	return best, ok
+}
+
+// verify checks a worker's result against inst, the session's final
+// instance, and returns its selection as a solution on inst. The
+// selection may be shorter than inst, since a worker that stopped before
+// late joins leaves them unselected, but not longer; padded, it must meet
+// capacity and Nmin, and its utility must equal the finite claim. An
+// honest worker computes the same sum over the same shards, so its claim
+// agrees bit for bit.
+func verify(inst *core.Instance, r Result) (core.Solution, error) {
+	if len(r.Selected) > inst.NumShards() {
+		return core.Solution{}, fmt.Errorf("selection of %d shards, instance has %d", len(r.Selected), inst.NumShards())
+	}
+	sel := make([]bool, inst.NumShards())
+	copy(sel, r.Selected)
+	sol := core.NewSolution(inst, sel)
+	if !inst.Feasible(sel) {
+		return core.Solution{}, fmt.Errorf("infeasible selection: %d shards of Nmin %d, load %d of capacity %d",
+			sol.Count, inst.Nmin, sol.Load, inst.Capacity)
+	}
+	// A NaN claim fails the comparison too.
+	if math.IsInf(r.Utility, 0) || r.Utility != sol.Utility {
+		return core.Solution{}, fmt.Errorf("claimed utility %v, selection holds %v", r.Utility, sol.Utility)
+	}
+	sol.Iterations = r.Iterations
+	return sol, nil
 }

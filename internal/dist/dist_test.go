@@ -3,12 +3,15 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mvcom/internal/core"
+	"mvcom/internal/obs"
 	"mvcom/internal/randx"
 )
 
@@ -147,6 +150,80 @@ func TestDistributedEvents(t *testing.T) {
 	}
 	if sol.Selected[2] {
 		t.Fatal("departed shard still selected")
+	}
+}
+
+// TestDistributedRejoin: the largest shard leaves and rejoins at half its
+// size with a new latency, after which every shard fits the block. The
+// worker's engine refreshes the shard's features and offers the full
+// selection; the coordinator mirrors the rejoin in its own instance, so
+// it verifies that claim and returns the worker's schedule.
+func TestDistributedRejoin(t *testing.T) {
+	in := distInstance(5, 12)
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	k, total := 0, 0
+	for i, s := range in.Sizes {
+		total += s
+		if s > in.Sizes[k] {
+			k = i
+		}
+	}
+	size, latency := in.Sizes[k]/2, in.DDL
+	if in.Latencies[k] == latency {
+		latency--
+	}
+	in.Capacity = total - in.Sizes[k] + size
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
+		Instance:      in,
+		Workers:       1,
+		RunTimeout:    8 * time.Second,
+		ReportEvery:   25,
+		MaxIterations: 60000,
+		StableReports: 1 << 30, // force the events to land before stop
+		Seed:          5,
+		Events: []TimedEvent{
+			{After: 50 * time.Millisecond, Event: core.Event{Kind: core.EventLeave, Index: k}},
+			{After: 120 * time.Millisecond, Event: core.Event{Kind: core.EventJoin, Index: k, Size: size, Latency: latency}},
+		},
+		Obs: obs.NewDistObserver(reg, "coordinator"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	worker := make(chan Result, 1)
+	go func() {
+		r, err := (Worker{ID: "w0", Throttle: time.Millisecond}).Run(co.Addr())
+		if err != nil {
+			t.Errorf("worker: %v", err)
+		}
+		worker <- r
+	}()
+	sol, inst, err := co.Run()
+	want := <-worker
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Selected) <= k || !want.Selected[k] {
+		t.Fatalf("the worker's schedule leaves the rejoined shard %d out: %v", k, want.Selected)
+	}
+	if inst.Sizes[k] != size || inst.Latencies[k] != latency {
+		t.Fatalf("coordinator's shard %d: size %d, latency %v; the rejoin set %d, %v",
+			k, inst.Sizes[k], inst.Latencies[k], size, latency)
+	}
+	if _, local := co.TaskResults(); local || !sol.Selected[k] || sol.Utility != want.Utility {
+		t.Fatalf("schedule utility %v, shard %d selected %v (local fallback %v); the worker returned %v",
+			sol.Utility, k, sol.Selected[k], local, want.Utility)
+	}
+	events, _ := reg.Tracer().Snapshot()
+	for _, ev := range events {
+		if ev.Type == obs.EvDistTaskError {
+			t.Fatalf("task error traced for %s: %s", ev.Actor, ev.Detail)
+		}
 	}
 }
 
@@ -367,5 +444,166 @@ func TestIsDialError(t *testing.T) {
 	}
 	if IsDialError(errors.New("dist: connection closed before task")) {
 		t.Fatal("non-dial error classified as dial failure")
+	}
+}
+
+// TestCoordinatorRejectsInflatedClaim: a peer that reports 1e300 twelve
+// times and then claims 1e300 for an all-true selection, twice the
+// capacity, is never handed out. The coordinator checks each result
+// against its instance, counts and traces the rejected one as a task
+// error, and returns the honest worker's schedule.
+func TestCoordinatorRejectsInflatedClaim(t *testing.T) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	coObs := obs.NewDistObserver(reg, "coordinator")
+	in := distInstance(1, 20)
+	co, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{
+		Instance:      in,
+		Workers:       2,
+		RunTimeout:    10 * time.Second,
+		ReportEvery:   50,
+		MaxIterations: 1500,
+		StableReports: 10,
+		Seed:          1,
+		Obs:           coObs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	// The honest worker is throttled so that it is still solving when
+	// the liar's reports stop the session.
+	honest := make(chan Result, 1)
+	go func() {
+		r, err := (Worker{ID: "honest", Throttle: 2 * time.Millisecond}).Run(co.Addr())
+		if err != nil {
+			t.Errorf("honest worker: %v", err)
+		}
+		honest <- r
+	}()
+	liar := make(chan struct{})
+	go func() {
+		defer close(liar)
+		c, err := dialRaw(co.Addr())
+		if err != nil {
+			t.Errorf("liar: %v", err)
+			return
+		}
+		defer c.conn.Close()
+		if err := c.send(MsgHello, Hello{WorkerID: "liar"}); err != nil {
+			t.Errorf("liar: %v", err)
+			return
+		}
+		env, err := c.recv(10 * time.Second)
+		if err != nil || env.Type != MsgTask {
+			t.Errorf("liar: first message %q, %v", env.Type, err)
+			return
+		}
+		task, err := decode[Task](env)
+		if err != nil {
+			t.Errorf("liar: %v", err)
+			return
+		}
+		// Lie once the honest worker has reported a feasible best, so
+		// it has a schedule to return when the lie stops the session.
+		for deadline := time.Now().Add(10 * time.Second); coObs.BestUtility.Value() <= 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("liar: the honest worker never reported a feasible best")
+				return
+			}
+		}
+		for i := 1; i <= 12; i++ {
+			_ = c.send(MsgProgress, Progress{WorkerID: "liar", Iterations: 50 * i, Utility: 1e300, Feasible: true})
+		}
+		all := make([]bool, len(task.Sizes))
+		for i := range all {
+			all[i] = true
+		}
+		_ = c.send(MsgResult, Result{WorkerID: "liar", TaskID: task.TaskID, Attempt: task.Attempt, Utility: 1e300, Selected: all})
+		for {
+			if _, err := c.recv(10 * time.Second); err != nil {
+				return
+			}
+		}
+	}()
+
+	sol, inst, err := co.Run()
+	want := <-honest
+	<-liar
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inst.Feasible(sol.Selected) {
+		t.Fatalf("handed out an infeasible schedule: %d shards, load %d of capacity %d", sol.Count, sol.Load, inst.Capacity)
+	}
+	if _, local := co.TaskResults(); local || sol.Utility != want.Utility {
+		t.Fatalf("schedule utility %v (local fallback %v), want the honest worker's %v", sol.Utility, local, want.Utility)
+	}
+	events, _ := reg.Tracer().Snapshot()
+	rejected := 0
+	for _, ev := range events {
+		if ev.Type == obs.EvDistTaskError && ev.Actor == "liar" && strings.Contains(ev.Detail, "claim rejected") {
+			rejected++
+		}
+	}
+	if rejected != 1 || coObs.TaskErrors.Value() != 1 {
+		t.Fatalf("%d rejection events for the liar's result and %d task errors, want 1 and 1", rejected, coObs.TaskErrors.Value())
+	}
+}
+
+// TestVerifyResult: a result passes only with a selection no longer than
+// the instance that meets capacity and Nmin once padded, and a claim
+// equal to its utility.
+func TestVerifyResult(t *testing.T) {
+	in := distInstance(1, 20)
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sol, _, err := core.NewSE(core.SEConfig{Seed: 1, MaxIters: 500}).Solve(in.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := Result{Selected: sol.Selected, Utility: sol.Utility}
+	if got, err := verify(&in, honest); err != nil || got.Utility != sol.Utility {
+		t.Fatalf("honest result: %v, %v", got.Utility, err)
+	}
+	grown := in.Clone()
+	grown.Sizes = append(grown.Sizes, 1)
+	grown.Latencies = append(grown.Latencies, 1)
+	if _, err := verify(&grown, honest); err != nil {
+		t.Fatalf("a shorter honest selection after a join: %v", err)
+	}
+	bad := map[string]Result{
+		"too long":   {Selected: append(append([]bool(nil), sol.Selected...), false), Utility: sol.Utility},
+		"NaN claim":  {Selected: sol.Selected, Utility: math.NaN()},
+		"Inf claim":  {Selected: sol.Selected, Utility: math.Inf(1)},
+		"inflated":   {Selected: sol.Selected, Utility: sol.Utility + 1},
+		"under Nmin": {Selected: []bool{true}, Utility: in.Utility([]bool{true})},
+		"over capacity": func() Result {
+			all := make([]bool, in.NumShards())
+			for i := range all {
+				all[i] = true
+			}
+			return Result{Selected: all, Utility: in.Utility(all)}
+		}(),
+	}
+	for name, r := range bad {
+		if _, err := verify(&in, r); err == nil {
+			t.Errorf("%s: verified", name)
+		}
+	}
+}
+
+// TestNoteProgressIgnoresNonFinite: a NaN or infinite progress claim
+// neither becomes the session best nor counts toward the stop rule.
+func TestNoteProgressIgnoresNonFinite(t *testing.T) {
+	co := &Coordinator{cfg: CoordinatorConfig{StableReports: 1}}
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if co.noteProgress(Progress{Utility: u, Feasible: true}) || co.haveBest || co.improves != 0 {
+			t.Fatalf("claim %v was taken: best %+v, have %v, stable %d", u, co.best, co.haveBest, co.improves)
+		}
+	}
+	if co.noteProgress(Progress{Utility: 5, Feasible: true}) || co.best.Utility != 5 {
+		t.Fatalf("finite claim not taken: best %+v", co.best)
 	}
 }

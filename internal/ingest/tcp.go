@@ -123,13 +123,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		var env Envelope
-		ack := Ack{}
-		if err := json.Unmarshal(line, &env); err != nil {
-			ack.Reason = s.stream.ShedInvalid()
-		} else {
-			ack.Reason = s.dispatch(source, env)
-		}
+		ack := Ack{Reason: s.admit(source, line)}
 		ack.Accepted = ack.Reason == ""
 		if ack.Reason == "rate" || ack.Reason == "queue" {
 			ack.RetryAfter = 1
@@ -147,22 +141,21 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch routes one decoded envelope through admission under the
-// connection's source.
-func (s *TCPServer) dispatch(source string, env Envelope) string {
-	if env.Type != MsgTxs {
+// admit routes one frame through admission under the connection's
+// source. countTxsFrame counts a canonical txs line in the scanner's
+// buffer; any line it declines is a decode fallback, and encoding/json
+// reads it as an Envelope and then its body.
+func (s *TCPServer) admit(source string, line []byte) string {
+	if n, ok := countTxsFrame(line); ok {
+		return s.stream.SubmitCount(source, n)
+	}
+	s.stream.cfg.Obs.DecodeFallback()
+	var env Envelope
+	var req txsRequest
+	if json.Unmarshal(line, &env) != nil || env.Type != MsgTxs || json.Unmarshal(env.Body, &req) != nil {
 		return s.stream.ShedInvalid()
 	}
-	n, ok := countTxs(env.Body)
-	if !ok {
-		s.stream.cfg.Obs.DecodeFallback()
-		var req txsRequest
-		if err := json.Unmarshal(env.Body, &req); err != nil {
-			return s.stream.ShedInvalid()
-		}
-		n = len(req.Txs)
-	}
-	return s.stream.SubmitCount(source, n)
+	return s.stream.SubmitCount(source, len(req.Txs))
 }
 
 // connSource buckets a connection by peer host.

@@ -35,6 +35,39 @@ func serveTCP(t *testing.T, stream *NetStream, maxLine int) *TCPServer {
 	return server
 }
 
+// pipeFrames serves one framed connection into stream over net.Pipe and
+// returns a func that sends one frame and returns its ack line, valid
+// until the next call. The connection closes when the test ends.
+func pipeFrames(t testing.TB, stream *NetStream) func(frame []byte) []byte {
+	t.Helper()
+	srv := &TCPServer{stream: stream, maxLine: DefaultMaxBody}
+	client, server := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.serveConn(server)
+	}()
+	t.Cleanup(func() {
+		_ = client.Close()
+		<-served
+	})
+	r := bufio.NewReader(client)
+	nl := []byte{'\n'}
+	return func(frame []byte) []byte {
+		if _, err := client.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(nl); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := r.ReadSlice('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+}
+
 // TestTCPFramedIngest drives the framed front end through a client:
 // accepted batches, queue watermark sheds with a retry hint, and a
 // batch with no transactions.

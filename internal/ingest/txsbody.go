@@ -58,6 +58,24 @@ func countTxs(b []byte) (int, bool) {
 	return n, true
 }
 
+// txsFramePrefix is how json.Marshal opens a txs Envelope.
+const txsFramePrefix = `{"type":"txs","body":`
+
+// countTxsFrame recognizes the line json.Marshal writes for a txs
+// Envelope, txsFramePrefix then a body countTxs claims then a final
+// '}', and counts its body where it lies, without decoding the envelope
+// or copying the body out. Any other line is declined, and the same
+// one-sided contract holds: whenever countTxsFrame claims a line,
+// json.Unmarshal decodes it into an Envelope of type MsgTxs whose body
+// decodes into a txsRequest of the same count (FuzzTxsFrame).
+func countTxsFrame(line []byte) (int, bool) {
+	p := len(txsFramePrefix)
+	if len(line) <= p || string(line[:p]) != txsFramePrefix || line[len(line)-1] != '}' {
+		return 0, false
+	}
+	return countTxs(line[p : len(line)-1])
+}
+
 // txsScanner walks a txs body for countTxs; every method skips the JSON
 // whitespace before its token.
 type txsScanner struct {

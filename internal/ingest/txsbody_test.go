@@ -35,8 +35,12 @@ func canonicalBodies(t testing.TB) [][]byte {
 	return out
 }
 
+// TestCountTxsClaimsCanonicalBodies: both recognizers claim what
+// json.Marshal writes, a body and the txs frame around it, to the
+// count encoding/json reads.
 func TestCountTxsClaimsCanonicalBodies(t *testing.T) {
-	for _, body := range canonicalBodies(t) {
+	frames := canonicalFrames(t)
+	for i, body := range canonicalBodies(t) {
 		var want txsRequest
 		if err := json.Unmarshal(body, &want); err != nil {
 			t.Fatal(err)
@@ -48,6 +52,9 @@ func TestCountTxsClaimsCanonicalBodies(t *testing.T) {
 		spaced := []byte(" \t\n" + strings.NewReplacer(",", " ,\r\n", ":", ": ").Replace(string(body)) + "\n")
 		if n, ok := countTxs(spaced); !ok || n != len(want.Txs) {
 			t.Fatalf("%.60s with whitespace between tokens: declined", body)
+		}
+		if n, ok := countTxsFrame(frames[i]); !ok || n != len(want.Txs) {
+			t.Fatalf("%.60s: countTxsFrame = (%d, %v), want (%d, true)", frames[i], n, ok, len(want.Txs))
 		}
 	}
 }
@@ -104,6 +111,71 @@ func FuzzTxsBody(f *testing.F) {
 	})
 }
 
+// canonicalFrames are canonicalBodies framed the way a client marshals a
+// txs Envelope: the frame recognizer must claim every one.
+func canonicalFrames(t testing.TB) [][]byte {
+	var out [][]byte
+	for _, body := range canonicalBodies(t) {
+		b, err := json.Marshal(Envelope{Type: MsgTxs, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// txsFrameNearMiss is a frame the recognizer declines, with the
+// transaction count encoding/json reads from it (0: not a txs envelope
+// it can decode, so shed "invalid").
+type txsFrameNearMiss struct {
+	name  string
+	frame []byte
+	txs   int
+}
+
+// txsFrameNearMisses wraps canonicalBodies(t)[1], a 100-transaction
+// body, in frames a client could send that json.Marshal does not write.
+func txsFrameNearMisses(t testing.TB) []txsFrameNearMiss {
+	body := string(canonicalBodies(t)[1])
+	canonical := `{"type":"txs","body":` + body + `}`
+	return []txsFrameNearMiss{
+		{"leading space", []byte(" " + canonical), 100},
+		{"body before type", []byte(`{"body":` + body + `,"type":"txs"}`), 100},
+		{"Type key", []byte(`{"Type":"txs","body":` + body + `}`), 100},
+		{"escaped txs", []byte(`{"type":"t\u0078s","body":` + body + `}`), 100},
+		{"trailing byte", []byte(canonical + " "), 100},
+		{"missing final brace", []byte(canonical[:len(canonical)-1]), 0},
+		{"final brace replaced by a space", []byte(canonical[:len(canonical)-1] + " "), 0},
+	}
+}
+
+func FuzzTxsFrame(f *testing.F) {
+	for _, frame := range canonicalFrames(f) {
+		f.Add(frame)
+	}
+	for _, miss := range txsFrameNearMisses(f) {
+		f.Add(miss.frame)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		n, ok := countTxsFrame(line)
+		if !ok {
+			return
+		}
+		var env Envelope
+		if err := json.Unmarshal(line, &env); err != nil || env.Type != MsgTxs {
+			t.Fatalf("claimed %q, but encoding/json reads type %q, error %v", line, env.Type, err)
+		}
+		var req txsRequest
+		if err := json.Unmarshal(env.Body, &req); err != nil {
+			t.Fatalf("claimed %q, but encoding/json refuses its body: %v", line, err)
+		}
+		if n != len(req.Txs) {
+			t.Fatalf("claimed %q as %d transactions; encoding/json reads %d", line, n, len(req.Txs))
+		}
+	})
+}
+
 // TestTxsNearMissFallsBack: a body the recognizer declines is counted
 // as a decode fallback and admitted exactly as encoding/json reads it
 // (here case-insensitive keys: one transaction).
@@ -144,6 +216,55 @@ func TestTxsNearMissFallsBack(t *testing.T) {
 	}
 }
 
+// TestTCPNearMissFallsBack is TestTxsNearMissFallsBack over framed TCP:
+// each near-miss frame is declined, counted once as a decode fallback,
+// and admitted exactly as encoding/json reads it; a canonical frame is
+// not counted.
+func TestTCPNearMissFallsBack(t *testing.T) {
+	reg := obs.NewRegistryWithTrace(obs.DefaultTraceCapacity)
+	stream := NewStream(StreamConfig{
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+		QueueTxs: math.MaxInt,
+		Obs:      obs.NewServeObserver(reg),
+	})
+	fallbacks := reg.Counter("mvcom_serve_decode_fallback_total", "")
+	sendFrame := pipeFrames(t, stream)
+	send := func(frame []byte) Ack {
+		var ack Ack
+		if reply := sendFrame(frame); json.Unmarshal(reply, &ack) != nil {
+			t.Fatalf("bad ack %q", reply)
+		}
+		return ack
+	}
+	var admitted int64
+	for i, miss := range txsFrameNearMisses(t) {
+		if _, ok := countTxsFrame(miss.frame); ok {
+			t.Fatalf("%s: recognizer claimed the near miss", miss.name)
+		}
+		ack := send(miss.frame)
+		if want := miss.txs > 0; ack.Accepted != want || !want && ack.Reason != "invalid" {
+			t.Fatalf("%s: ack %+v, want accepted %v", miss.name, ack, want)
+		}
+		admitted += int64(miss.txs)
+		if st := stream.Stats(); st.Requests != int64(i+1) || st.AcceptedTxs != admitted {
+			t.Fatalf("%s: admitted as %+v, want %d transactions in all", miss.name, st, admitted)
+		}
+		if got := fallbacks.Value(); got != int64(i+1) {
+			t.Fatalf("%s: %d decode fallbacks after %d near misses", miss.name, got, i+1)
+		}
+	}
+	before := fallbacks.Value()
+	if ack := send(canonicalFrames(t)[1]); !ack.Accepted {
+		t.Fatalf("canonical frame: ack %+v", ack)
+	}
+	if st := stream.Stats(); st.AcceptedTxs != admitted+100 {
+		t.Fatalf("canonical frame admitted as %+v, want 100 more transactions", st)
+	}
+	if got := fallbacks.Value(); got != before {
+		t.Fatalf("canonical frame fell back: %d fallbacks, want %d", got, before)
+	}
+}
+
 // TestTxsRequestAllocs bounds one canonical 100-transaction POST /txs
 // through NewHandler, request and recorder included: the body is read
 // into a pooled buffer and counted, never decoded into transactions
@@ -167,5 +288,31 @@ func TestTxsRequestAllocs(t *testing.T) {
 	const bound = 28
 	if allocs > bound {
 		t.Fatalf("one canonical /txs request: %v allocs, want <= %d", allocs, bound)
+	}
+}
+
+// TestTCPFrameAllocs bounds one canonical 100-transaction frame through
+// serveConn, from the client's write to its ack read: the frame is
+// counted in the scanner's buffer, with no envelope decode and no copy
+// of the body, and its ack encoded (1 allocation; decoding the envelope
+// alone took 9). The bound leaves one more for the race detector, whose
+// sync.Pool drops a quarter of the encoder states json.Encoder returns
+// to it: 15 of 200 race runs read 2.
+func TestTCPFrameAllocs(t *testing.T) {
+	stream := NewStream(StreamConfig{
+		Params:   epoch.EpochParams{Alpha: 1.5, Capacity: 1000, Nmin: 1},
+		QueueTxs: math.MaxInt,
+	})
+	send := pipeFrames(t, stream)
+	frame := canonicalFrames(t)[1]
+	accepted := []byte(`{"accepted":true}` + "\n")
+	allocs := testing.AllocsPerRun(50, func() {
+		if ack := send(frame); !bytes.Equal(ack, accepted) {
+			t.Fatalf("ack %q", ack)
+		}
+	})
+	const bound = 2
+	if allocs > bound {
+		t.Fatalf("one canonical frame: %v allocs, want <= %d", allocs, bound)
 	}
 }

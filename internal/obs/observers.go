@@ -76,7 +76,8 @@ type DistObserver struct {
 	QueueDepth *Gauge
 	// TaskLatency observes task-dispatch-to-result seconds per worker.
 	TaskLatency *Histogram
-	// TaskErrors counts worker tasks that ended in an error.
+	// TaskErrors counts worker tasks that ended in an error, and task
+	// results the coordinator rejected on verification.
 	TaskErrors *Counter
 	// BestUtility tracks the session's best reported utility.
 	BestUtility *Gauge
@@ -121,7 +122,7 @@ func NewDistObserver(reg *Registry, role string) *DistObserver {
 		WorkersConnected: reg.Gauge("mvcom_dist_workers_connected", "workers accepted by the coordinator"),
 		QueueDepth:       reg.Gauge("mvcom_dist_ctrl_queue_depth{role=\""+role+"\"}", "pending control messages on the worker loop"),
 		TaskLatency:      reg.Histogram("mvcom_dist_task_seconds", "task dispatch to final result, seconds", ExponentialBuckets(0.01, 2, 14)),
-		TaskErrors:       reg.Counter("mvcom_dist_task_errors_total", "worker tasks that ended in an error"),
+		TaskErrors:       reg.Counter("mvcom_dist_task_errors_total", "worker tasks that ended in an error or whose result failed verification"),
 		BestUtility:      reg.Gauge("mvcom_dist_best_utility", "best utility reported in the session"),
 		BestThreadN:      reg.Gauge("mvcom_dist_best_thread_n", "solution-thread cardinality of the session's best solution"),
 		FaultsInjected:   reg.Counter("mvcom_dist_faults_injected_total{role=\""+role+"\"}", "injected faults fired at this role's fault points"),
@@ -419,8 +420,8 @@ type ServeObserver struct {
 	// (deferred backlog carried across epochs).
 	QueueTxs       *Gauge
 	OutstandingTxs *Gauge
-	// DecodeFallbacks counts txs bodies the wire front ends' recognizer
-	// declined, so encoding/json decoded them.
+	// DecodeFallbacks counts /txs bodies and framed lines the wire front
+	// ends' recognizers declined, so encoding/json decoded them.
 	DecodeFallbacks *Counter
 	// Trace receives EvIngest events plus the serving plane's span
 	// begin/end pairs.
@@ -447,7 +448,7 @@ func NewServeObserver(reg *Registry) *ServeObserver {
 		Drains:          reg.Counter("mvcom_serve_drains_total", "graceful drain flushes"),
 		QueueTxs:        reg.Gauge("mvcom_serve_queue_txs", "current ingest-queue depth in transactions"),
 		OutstandingTxs:  reg.Gauge("mvcom_serve_outstanding_txs", "admitted transactions not yet final (deferred backlog)"),
-		DecodeFallbacks: reg.Counter("mvcom_serve_decode_fallback_total", "txs bodies the recognizer declined, decoded by encoding/json"),
+		DecodeFallbacks: reg.Counter("mvcom_serve_decode_fallback_total", "txs bodies and frames the recognizer declined, decoded by encoding/json"),
 		Trace:           reg.Tracer(),
 	}
 }
@@ -514,8 +515,8 @@ func shedDetail(reason string) string {
 	return "shed:" + reason
 }
 
-// DecodeFallback counts one txs body decoded by encoding/json because
-// the recognizer declined it. No-op on nil.
+// DecodeFallback counts one /txs body or framed line decoded by
+// encoding/json because the recognizer declined it. No-op on nil.
 func (o *ServeObserver) DecodeFallback() {
 	if o == nil {
 		return

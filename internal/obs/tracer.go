@@ -32,7 +32,8 @@ const (
 	EvDistSend
 	// EvDistRecv marks a protocol message received (Detail = type).
 	EvDistRecv
-	// EvDistTaskError marks a worker task failing (Detail = error).
+	// EvDistTaskError marks a worker task failing, or its result
+	// failing the coordinator's verification (Detail = error).
 	EvDistTaskError
 	// EvShardAge records a permitted shard's age at inclusion in the
 	// final block (Value = age in seconds, Actor = committee).
